@@ -41,12 +41,13 @@ def weighted_ensemble(weights, dists) -> np.ndarray:
 def renormalized_mixture(weight_rows: np.ndarray, dists: np.ndarray) -> np.ndarray:
     """Per-token mixture target, renormalized over the vocabulary.
 
-    ``weight_rows`` is (V, K): one weight vector per token index. When every
-    row is identical this reduces to the plain convex combination (the final
-    renormalization divides by the weight total, which is 1 up to float dust).
+    ``weight_rows`` is (..., V, K): one weight vector per token index, against
+    (..., K, V) teacher stacks. When every row is identical this reduces to
+    the plain convex combination (the final renormalization divides by the
+    weight total, which is 1 up to float dust).
     """
-    mix = np.einsum("ik,ki->i", weight_rows, dists)
-    return mix / mix.sum()
+    mix = np.einsum("...ik,...ki->...i", weight_rows, dists)
+    return mix / mix.sum(axis=-1, keepdims=True)
 
 
 def effective_bounds(bounds: WeightBounds, k: int) -> tuple[float, float]:
@@ -73,7 +74,7 @@ class UnifiedWeightOperator:
 
     def components(self, x: int, i: int, t: int, c: int,
                    world: World) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ctx = next(cc for cc in world.contexts if cc.id == c)
+        ctx = world.contexts[world.cell_index(t, x, c)[2]]
         w_tok = self.token_op.weights(x, i, c, world.bank, self.bounds)
         w_task = self.task_op.weights(t, world.bank, self.bounds)
         w_ctx = self.context_op.weights(ctx, world.bank, self.bounds)
@@ -95,27 +96,38 @@ class UnifiedWeightOperator:
         product = w_tok * w_task * w_ctx
         return np.log(w_tok), np.log(w_task), np.log(w_ctx), np.log(product)
 
+    def weight_table(self, world: World) -> np.ndarray:
+        """(J, N, C, V, K) unified weights over the world, equal to :meth:`unified_weight`.
+
+        Each scale is evaluated once on its own domain: token weights per
+        (input, context) -- at index -1 and each safety token when they depend
+        on the index, else at 0 -- task weights per task, context weights per
+        context. Their product is normalized once per row, then expanded to V.
+        """
+        bank, bounds = world.bank, self.bounds
+        dependent = self.token_op.token_index_dependent
+        safety = sorted(world.vocab.safety_tokens) if dependent else []
+        token_ids = [-1 if dependent else 0, *safety]  # -1 is never a safety token
+        slot = np.zeros(world.vocab.size, dtype=np.intp)
+        slot[safety] = np.arange(1, len(token_ids))
+        tok = np.array([[[self.token_op.weights(x.id, i, c.id, bank, bounds) for i in token_ids]
+                         for c in world.contexts] for x in world.inputs])
+        task = np.array([self.task_op.weights(t.id, bank, bounds) for t in world.tasks])
+        ctx = np.array([self.context_op.weights(c, bank, bounds) for c in world.contexts])
+        product = tok * task[:, None, None, None] * ctx[:, None]
+        for idx in np.ndindex(product.shape[:-1]):
+            product[idx] = normalize_exact(product[idx])
+        return product[..., slot, :]
+
     def ensemble_target(self, x: int, t: int, c: int, world: World) -> np.ndarray:
-        """The distillation target at (x, t, c).
+        """The distillation target at (x, t, c), read off the whole :meth:`weight_table`.
 
         For token-index-independent operators this is exactly the convex
-        combination of teacher distributions under the unified weights. When
-        the token operator adjusts weights on safety tokens, the per-token
-        mixture is renormalized over the vocabulary instead.
+        combination of teacher distributions under the unified weights; else
+        the per-token mixture is renormalized over the vocabulary.
         """
-        bank = world.bank
-        dists = bank.dists(x, c)
-        v = world.vocab.size
-        if not self.token_op.token_index_dependent:
-            w = self.unified_weight(x, 0, t, c, world)
-            rows = np.broadcast_to(w, (v, bank.k))
-            return validate_distribution(renormalized_mixture(rows, dists))
-        base = self.unified_weight(x, -1, t, c, world)  # -1 is never a safety token
-        rows = np.tile(base, (v, 1))
-        for i in range(v):
-            if i in world.vocab.safety_tokens:
-                rows[i] = self.unified_weight(x, i, t, c, world)
-        return validate_distribution(renormalized_mixture(rows, dists))
+        rows = self.weight_table(world)[world.cell_index(t, x, c)]
+        return validate_distribution(renormalized_mixture(rows, world.bank.dists(x, c)))
 
 
 def uniform_unified(bounds: WeightBounds,

@@ -112,7 +112,7 @@ def validate_distribution(p, vocab_size: int | None = None) -> np.ndarray:
 
     Returns a read-only float64 array. Entries in (-1e-12, 0) are clamped to
     exactly zero; anything more negative raises ``NegativeMass``, and a total
-    off by more than 1e-9 raises ``NotNormalized``.
+    off by more than 1e-9, or NaN, raises ``NotNormalized``.
     """
     arr = np.asarray(p, dtype=np.float64)
     if arr.ndim != 1:
@@ -124,7 +124,7 @@ def validate_distribution(p, vocab_size: int | None = None) -> np.ndarray:
         raise NegativeMass(f"entry {worst} below -{CONSTRUCTION_TOL}")
     arr = np.where(arr < 0.0, 0.0, arr)
     total = float(arr.sum())
-    if abs(total - 1.0) > SUM_TOL:
+    if not abs(total - 1.0) <= SUM_TOL:  # also true for a NaN total, i.e. a NaN entry
         raise NotNormalized(f"entries sum to {total!r}, not 1 within {SUM_TOL}")
     return _freeze(arr)
 
@@ -251,15 +251,15 @@ class TeacherBank:
             s = _freeze(np.asarray(scores, dtype=np.float64))
             if s.shape != (self.num_teachers,):
                 raise DimensionMismatch(f"perf scores for task {task_id} have shape {s.shape}")
-            if np.any((s < 0) | (s > 1)):
-                raise MskdError(f"perf scores for task {task_id} outside [0, 1]")
+            if not np.all((s >= 0) & (s <= 1)):
+                raise MskdError(f"perf scores for task {task_id} not all in [0, 1]")
             frozen_perf[task_id] = s
         object.__setattr__(self, "perf_scores", frozen_perf)
         ss = _freeze(np.asarray(self.safety_scores, dtype=np.float64))
         if ss.shape != (self.num_teachers,):
             raise DimensionMismatch("safety scores must have one entry per teacher")
-        if np.any((ss < 0) | (ss > 1)):
-            raise MskdError("safety scores outside [0, 1]")
+        if not np.all((ss >= 0) & (ss <= 1)):
+            raise MskdError("safety scores not all in [0, 1]")
         object.__setattr__(self, "safety_scores", ss)
 
     @property
@@ -383,9 +383,10 @@ class World:
         mu = np.array([c.measure_weight for c in self.contexts])
         if abs(float(mu.sum()) - 1.0) > CONSTRUCTION_TOL:
             raise NotNormalized(f"context measure weights sum to {float(mu.sum())!r}")
+        for name, specs in (("input", self.inputs), ("task", self.tasks), ("context", self.contexts)):
+            if len({s.id for s in specs}) != len(specs):
+                raise MskdError(f"duplicate {name} ids")
         input_ids = {x.id for x in self.inputs}
-        if len(input_ids) != len(self.inputs):
-            raise MskdError("duplicate input ids")
         for t in self.tasks:
             missing = [i for i in t.input_ids if i not in input_ids]
             if missing:
@@ -406,6 +407,8 @@ class World:
             for input_id, w in zip(t.input_ids, t.input_weights):
                 px[j, idx[input_id]] += w
         object.__setattr__(self, "_input_index", idx)
+        object.__setattr__(self, "_task_index", {t.id: j for j, t in enumerate(self.tasks)})
+        object.__setattr__(self, "_context_index", {c.id: k for k, c in enumerate(self.contexts)})
         object.__setattr__(self, "_lam", _freeze(lam))
         object.__setattr__(self, "_mu", _freeze(mu))
         object.__setattr__(self, "_px", _freeze(px))
@@ -417,6 +420,16 @@ class World:
     @property
     def input_index(self) -> dict[int, int]:
         return self._input_index
+
+    def cell_index(self, task_id: int, input_id: int, context_id: int) -> tuple[int, int, int]:
+        """(task, input, context) indices of three ids; ``UnresolvedReference`` if one is unknown."""
+        try:
+            return (self._task_index[task_id], self._input_index[input_id],
+                    self._context_index[context_id])
+        except KeyError as exc:
+            raise UnresolvedReference(
+                f"unknown id {exc.args[0]} in (task {task_id}, input {input_id}, "
+                f"context {context_id})")
 
     @property
     def task_importances(self) -> np.ndarray:

@@ -33,6 +33,7 @@ from .core import (
     normalize_exact,
     seeded_sampler,
     softmax,
+    validate_distribution,
     write_csv,
 )
 
@@ -121,16 +122,33 @@ class CompiledObjective:
     def params(self, theta: np.ndarray) -> StudentParams:
         return StudentParams(tuple(x.id for x in self.world.inputs), theta, self.ridge)
 
+    def block(self, xi: int, row: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        """Value, gradient and Hessian of input ``xi``'s share of the loss, plus softmax(row)."""
+        m, q, lam = self.m_x[xi], self.qbar[xi], self.ridge
+        p = softmax(row)
+        f = -m * float(q @ log_softmax(row)) + 0.5 * lam * float(row @ row)
+        g = m * (p - q) + lam * row
+        h = m * (np.diag(p) - np.outer(p, p))
+        h.flat[:: len(row) + 1] += lam  # + lam * I
+        return f, g, h, p
+
+
+def _renormalize(rows: np.ndarray) -> np.ndarray:
+    """``normalize_exact`` applied in place to every length-K row of a weight table."""
+    for idx in np.ndindex(rows.shape[:-1]):
+        rows[idx] = normalize_exact(rows[idx])
+    return rows
+
 
 def _noisy_rows(rows: np.ndarray, delta: float, rng: Sampler, bounds) -> np.ndarray:
-    noise = rng.uniform(-delta, delta, size=rows.shape)
-    shifted = rows + noise
-    if np.any(shifted < bounds.w_min + delta - 1e-15) or \
-       np.any(shifted > bounds.w_max - delta + 1e-15):
+    # one C-order draw: the same stream as one (V, K) draw per (task, input, context) cell
+    rows += rng.uniform(-delta, delta, size=rows.shape)
+    if np.any(rows < bounds.w_min + delta - 1e-15) or \
+       np.any(rows > bounds.w_max - delta + 1e-15):
         raise MarginViolated(
             f"weight perturbation of scale {delta} leaves the margin "
             f"[{bounds.w_min + delta}, {bounds.w_max - delta}]")
-    return np.vstack([normalize_exact(r) for r in shifted])
+    return _renormalize(rows)
 
 
 def compile_objective(G: UnifiedWeightOperator, world: World, ridge: float = 0.0,
@@ -138,62 +156,37 @@ def compile_objective(G: UnifiedWeightOperator, world: World, ridge: float = 0.0
                       weight_shift: np.ndarray | None = None) -> CompiledObjective:
     """Evaluate the operator over the finite world once and densify.
 
-    This is the caching layer: component weights are evaluated once per
-    (input, context) and task, not per training step. ``weight_noise``
-    perturbs every per-token weight row by bounded iid noise and
-    renormalizes; ``weight_shift`` adds a fixed direction to every row and
-    renormalizes (both used by the robustness experiments).
+    This is the caching layer: the operator's weight table evaluates token
+    weights once per (input, context), task weights once per task and
+    context weights once per context, not per training step.
+    ``weight_noise`` perturbs every per-token weight row by bounded iid noise
+    and renormalizes; ``weight_shift`` adds a fixed direction to every row
+    and renormalizes (both used by the robustness experiments).
     """
-    j, n, c = len(world.tasks), len(world.inputs), len(world.contexts)
-    v = world.vocab.size
-    joint = world.joint_measure()
-    targets = np.zeros((j, n, c, v))
-    for tj, task in enumerate(world.tasks):
-        for xi, inp in enumerate(world.inputs):
-            for ci, ctx in enumerate(world.contexts):
-                if weight_noise is None and weight_shift is None:
-                    targets[tj, xi, ci] = G.ensemble_target(inp.id, task.id, ctx.id, world)
-                else:
-                    rows = _weight_rows(G, inp.id, task.id, ctx.id, world)
-                    if weight_shift is not None:
-                        rows = np.vstack([normalize_exact(r) for r in rows + weight_shift])
-                    if weight_noise is not None:
-                        rows = _noisy_rows(rows, weight_noise[0], weight_noise[1], G.bounds)
-                    dists = world.bank.dists(inp.id, ctx.id)
-                    targets[tj, xi, ci] = renormalized_mixture(rows, dists)
-    m_x = joint.sum(axis=(0, 2))
-    qbar = np.einsum("jnc,jncv->nv", joint, targets)
-    safe = m_x > 0
-    qbar[safe] /= m_x[safe, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        qlogq = np.where(targets > 0, targets * np.log(np.where(targets > 0, targets, 1.0)), 0.0)
-    neg_ent = float(np.sum(joint[..., None] * qlogq))
-    return CompiledObjective(world, ridge, joint, targets, m_x, qbar, neg_ent)
-
-
-def _weight_rows(G: UnifiedWeightOperator, x: int, t: int, c: int, world: World) -> np.ndarray:
-    """(V, K) per-token unified weights at one (input, task, context) point."""
-    v = world.vocab.size
-    if not G.token_op.token_index_dependent:
-        return np.tile(G.unified_weight(x, 0, t, c, world), (v, 1))
-    base = G.unified_weight(x, -1, t, c, world)
-    rows = np.tile(base, (v, 1))
-    for i in world.vocab.safety_tokens:
-        rows[i] = G.unified_weight(x, i, t, c, world)
-    return rows
+    rows = G.weight_table(world)
+    if weight_shift is not None:
+        rows += weight_shift
+        _renormalize(rows)
+    if weight_noise is not None:
+        rows = _noisy_rows(rows, weight_noise[0], weight_noise[1], G.bounds)
+    return _densify(world, ridge, rows)
 
 
 def _uniform_compiled(world: World, ridge: float) -> CompiledObjective:
     """Classical target table: plain uniform mixture of the teachers."""
-    j, n, c = len(world.tasks), len(world.inputs), len(world.contexts)
-    v, k = world.vocab.size, world.bank.k
+    k = world.bank.k
+    rows = np.broadcast_to(np.full(k, 1.0 / k), (len(world.tasks), 1, 1, world.vocab.size, k))
+    return _densify(world, ridge, rows)
+
+
+def _densify(world: World, ridge: float, rows: np.ndarray) -> CompiledObjective:
+    """Mix the teachers under weight rows broadcasting to (J, N, C, V, K) and densify."""
+    dists = np.array([[world.bank.dists(x.id, c.id) for c in world.contexts]
+                      for x in world.inputs])
+    targets = renormalized_mixture(rows, dists)
+    for q in targets.reshape(-1, targets.shape[-1]):
+        validate_distribution(q)
     joint = world.joint_measure()
-    uniform_rows = np.broadcast_to(np.full(k, 1.0 / k), (v, k))
-    targets = np.zeros((j, n, c, v))
-    for xi, inp in enumerate(world.inputs):
-        for ci, ctx in enumerate(world.contexts):
-            mix = renormalized_mixture(uniform_rows, world.bank.dists(inp.id, ctx.id))
-            targets[:, xi, ci] = mix
     m_x = joint.sum(axis=(0, 2))
     qbar = np.einsum("jnc,jncv->nv", joint, targets)
     safe = m_x > 0
@@ -223,8 +216,8 @@ def kd_gradient(params: StudentParams, G: UnifiedWeightOperator, world: World) -
 
 
 def _theta_from_params(params: StudentParams, world: World) -> np.ndarray:
-    rows = [params.row(x.id) for x in world.inputs]
-    return np.array(rows, dtype=np.float64)
+    """The student's (N, V) logit table in the world's input order."""
+    return np.array([params.row(x.id) for x in world.inputs], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -382,17 +375,8 @@ def solve_compiled(compiled: CompiledObjective, gtol: float = 1e-10) -> np.ndarr
         logq = np.log(compiled.qbar)
         return logq - logq.mean(axis=1, keepdims=True)
 
-    m_x, qbar, lam = compiled.m_x, compiled.qbar, compiled.ridge
-
-    def fgh(xi: int, row: np.ndarray):
-        p = softmax(row)
-        logp = log_softmax(row)
-        f = -m_x[xi] * float(qbar[xi] @ logp) + 0.5 * lam * float(row @ row)
-        g = m_x[xi] * (p - qbar[xi]) + lam * row
-        h = m_x[xi] * (np.diag(p) - np.outer(p, p)) + lam * np.eye(len(row))
-        return f, g, h
-
-    return minimize_blockwise(np.zeros_like(compiled.qbar), fgh, gtol)
+    return minimize_blockwise(np.zeros_like(compiled.qbar),
+                              lambda xi, row: compiled.block(xi, row)[:3], gtol)
 
 
 # ---------------------------------------------------------------------------

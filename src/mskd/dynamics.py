@@ -26,7 +26,8 @@ from .core import (
     WeightBounds,
     softmax,
 )
-from .distill import CompiledObjective, _uniform_compiled, _weight_rows, compile_objective, solve_compiled
+from .distill import (CompiledObjective, _theta_from_params, _uniform_compiled,
+                      compile_objective, solve_compiled)
 from .operators import clip_normalize
 
 
@@ -196,7 +197,8 @@ def perturbation_experiment(G: UnifiedWeightOperator, world: World, delta_list,
     direction /= np.max(np.abs(direction))
 
     base = compile_objective(G, world, ridge)
-    _check_shift_margin(G, world, deltas.max(initial=0.0) * direction)
+    _check_shift_margin(G.weight_table(world), deltas.max(initial=0.0) * direction,
+                        G.bounds, world)
     theta0 = solve_compiled(base, gtol)
     distances = []
     for d in deltas:
@@ -217,16 +219,15 @@ def perturbation_experiment(G: UnifiedWeightOperator, world: World, delta_list,
     return PerturbationResult(deltas, dist, slope, r2, spread)
 
 
-def _check_shift_margin(G: UnifiedWeightOperator, world: World, shift: np.ndarray) -> None:
-    bounds = G.bounds
-    for task in world.tasks:
-        for inp in world.inputs:
-            for ctx in world.contexts:
-                rows = _weight_rows(G, inp.id, task.id, ctx.id, world) + shift
-                if np.any(rows < bounds.w_min) or np.any(rows > bounds.w_max):
-                    raise MarginViolated(
-                        f"shift of norm {np.max(np.abs(shift))} leaves "
-                        f"[{bounds.w_min}, {bounds.w_max}] at input {inp.id}")
+def _check_shift_margin(table: np.ndarray, shift: np.ndarray, bounds: WeightBounds,
+                        world: World) -> None:
+    rows = table + shift
+    outside = np.any((rows < bounds.w_min) | (rows > bounds.w_max), axis=(-2, -1))
+    if outside.any():
+        xi = np.argwhere(outside)[0][1]  # first (task, input, context) cell in order
+        raise MarginViolated(
+            f"shift of norm {np.max(np.abs(shift))} leaves "
+            f"[{bounds.w_min}, {bounds.w_max}] at input {world.inputs[xi].id}")
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +259,11 @@ def _single_sample_variance(compiled: CompiledObjective, theta: np.ndarray,
     probs = softmax(theta)
     mean_g = np.zeros((n, v))
     sq_sum = 0.0
-    blocks = []
     for _ in range(n_samples):
         tj, xi, ci = world.sample_indices(sampler)
         g = probs[xi] - compiled.targets[tj, xi, ci]
         mean_g[xi] += g
         sq_sum += float(g @ g)
-        blocks.append((xi, g))
     mean_g /= n_samples
     return sq_sum / n_samples - float(np.sum(mean_g * mean_g))
 
@@ -280,19 +279,14 @@ def gradient_variance_ratio(G: UnifiedWeightOperator, world: World, params: Stud
     """
     if n_samples < 100:
         raise MskdError("need at least 100 samples")
-    theta = np.array([params.row(x.id) for x in world.inputs])
+    theta = _theta_from_params(params, world)
     adaptive = compile_objective(G, world, 0.0)
     baseline = _uniform_compiled(world, 0.0)
     measured = _single_sample_variance(adaptive, theta, n_samples,
                                        Sampler(np.random.SeedSequence(seed)))
     base = _single_sample_variance(baseline, theta, n_samples,
                                    Sampler(np.random.SeedSequence(seed)))
-    w_lo, w_hi = np.inf, 0.0
-    for task in world.tasks:
-        for inp in world.inputs:
-            for ctx in world.contexts:
-                rows = _weight_rows(G, inp.id, task.id, ctx.id, world)
-                w_lo = min(w_lo, float(rows.min()))
-                w_hi = max(w_hi, float(rows.max()))
+    table = G.weight_table(world)
+    w_lo, w_hi = float(table.min()), float(table.max())
     bound = (w_hi / w_lo) ** 2 * base
     return VarianceResult(measured, base, bound, w_lo, w_hi)

@@ -51,10 +51,6 @@ from .core import (
 ENTROPY_FLOOR = 1e-6   # avoids 1/0 on point-mass teachers
 VARIANCE_FLOOR = 1e-6
 
-TOKEN_FAMILIES = ("uniform", "inverse_entropy", "family_a", "family_b", "family_c", "custom")
-TASK_FAMILIES = ("uniform", "inverse_entropy", "family_a", "family_b", "family_c", "custom")
-CONTEXT_FAMILIES = ("uniform", "inverse_entropy", "family_a", "family_b", "family_c", "custom")
-
 
 # ---------------------------------------------------------------------------
 # Bounded normalization
@@ -289,6 +285,43 @@ def context_weights_inverse_entropy(c: ContextSpec, bank: TeacherBank,
 # Operator objects (family tag + parameters + evaluation contract)
 # ---------------------------------------------------------------------------
 
+# Family -> evaluation per scale; each entry takes the operator first (for
+# its parameters), then the arguments of that scale's ``weights``.
+TOKEN_FAMILIES: dict[str, Callable] = {
+    "uniform": lambda op, x, i, c, bank, bounds: uniform_weights(bank.k, bounds),
+    "inverse_entropy": lambda op, *a: token_weights_inverse_entropy(*a),
+    "family_a": lambda op, *a: token_weights_family_a(*a, op.alpha, op.safety_tokens,
+                                                      op.safety_adjustment),
+    "family_b": lambda op, *a: token_weights_family_b(*a, op.safety_tokens,
+                                                      op.safety_adjustment),
+    "family_c": lambda op, *a: token_weights_family_c(*a, op.alpha),
+    "custom": lambda op, *a: op.fn(*a),
+}
+TASK_FAMILIES: dict[str, Callable] = {
+    "uniform": lambda op, t, bank, bounds: uniform_weights(bank.k, bounds),
+    "inverse_entropy": lambda op, *a: task_weights_inverse_mean_entropy(*a),
+    "family_a": lambda op, *a: task_weights_inverse_loss(*a),
+    "family_b": lambda op, *a: task_weights_score_proportional(*a),
+    "family_c": lambda op, *a: task_weights_performance(*a, op.tau),
+    "custom": lambda op, *a: op.fn(*a),
+}
+CONTEXT_FAMILIES: dict[str, Callable] = {
+    "uniform": lambda op, c, bank, bounds: uniform_weights(bank.k, bounds),
+    "inverse_entropy": lambda op, *a: context_weights_inverse_entropy(*a),
+    "family_a": lambda op, *a: context_weights_safety(*a),
+    "family_b": lambda op, *a: context_weights_consistency(*a),
+    "family_c": lambda op, *a: context_weights_shift(*a),
+    "custom": lambda op, *a: op.fn(*a),
+}
+
+
+def _check_family(op, scale: str, families: dict[str, Callable]) -> None:
+    if op.family not in families:
+        raise MskdError(f"unknown {scale} family {op.family!r}")
+    if op.family == "custom" and op.fn is None:
+        raise MskdError(f"custom {scale} operator needs a callable")
+
+
 @dataclass(frozen=True)
 class TokenOperator:
     """Token-scale weight operator: (input, token, context, bank, bounds) -> weights."""
@@ -300,10 +333,7 @@ class TokenOperator:
     fn: Callable | None = None
 
     def __post_init__(self):
-        if self.family not in TOKEN_FAMILIES:
-            raise MskdError(f"unknown token family {self.family!r}")
-        if self.family == "custom" and self.fn is None:
-            raise MskdError("custom token operator needs a callable")
+        _check_family(self, "token", TOKEN_FAMILIES)
         object.__setattr__(self, "safety_tokens", frozenset(self.safety_tokens))
 
     @property
@@ -315,19 +345,8 @@ class TokenOperator:
 
     def weights(self, x: int, i: int, c: int, bank: TeacherBank,
                 bounds: WeightBounds) -> np.ndarray:
-        if self.family == "uniform":
-            return uniform_weights(bank.k, bounds)
-        if self.family == "inverse_entropy":
-            return token_weights_inverse_entropy(x, i, c, bank, bounds)
-        if self.family == "family_a":
-            return token_weights_family_a(x, i, c, bank, bounds, self.alpha,
-                                          self.safety_tokens, self.safety_adjustment)
-        if self.family == "family_b":
-            return token_weights_family_b(x, i, c, bank, bounds,
-                                          self.safety_tokens, self.safety_adjustment)
-        if self.family == "family_c":
-            return token_weights_family_c(x, i, c, bank, bounds, self.alpha)
-        return np.asarray(self.fn(x, i, c, bank, bounds), dtype=np.float64)
+        return np.asarray(TOKEN_FAMILIES[self.family](self, x, i, c, bank, bounds),
+                          dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -339,23 +358,10 @@ class TaskOperator:
     fn: Callable | None = None
 
     def __post_init__(self):
-        if self.family not in TASK_FAMILIES:
-            raise MskdError(f"unknown task family {self.family!r}")
-        if self.family == "custom" and self.fn is None:
-            raise MskdError("custom task operator needs a callable")
+        _check_family(self, "task", TASK_FAMILIES)
 
     def weights(self, t: int, bank: TeacherBank, bounds: WeightBounds) -> np.ndarray:
-        if self.family == "uniform":
-            return uniform_weights(bank.k, bounds)
-        if self.family == "inverse_entropy":
-            return task_weights_inverse_mean_entropy(t, bank, bounds)
-        if self.family == "family_a":
-            return task_weights_inverse_loss(t, bank, bounds)
-        if self.family == "family_b":
-            return task_weights_score_proportional(t, bank, bounds)
-        if self.family == "family_c":
-            return task_weights_performance(t, bank, bounds, self.tau)
-        return np.asarray(self.fn(t, bank, bounds), dtype=np.float64)
+        return np.asarray(TASK_FAMILIES[self.family](self, t, bank, bounds), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -366,23 +372,10 @@ class ContextOperator:
     fn: Callable | None = None
 
     def __post_init__(self):
-        if self.family not in CONTEXT_FAMILIES:
-            raise MskdError(f"unknown context family {self.family!r}")
-        if self.family == "custom" and self.fn is None:
-            raise MskdError("custom context operator needs a callable")
+        _check_family(self, "context", CONTEXT_FAMILIES)
 
     def weights(self, c: ContextSpec, bank: TeacherBank, bounds: WeightBounds) -> np.ndarray:
-        if self.family == "uniform":
-            return uniform_weights(bank.k, bounds)
-        if self.family == "inverse_entropy":
-            return context_weights_inverse_entropy(c, bank, bounds)
-        if self.family == "family_a":
-            return context_weights_safety(c, bank, bounds)
-        if self.family == "family_b":
-            return context_weights_consistency(c, bank, bounds)
-        if self.family == "family_c":
-            return context_weights_shift(c, bank, bounds)
-        return np.asarray(self.fn(c, bank, bounds), dtype=np.float64)
+        return np.asarray(CONTEXT_FAMILIES[self.family](self, c, bank, bounds), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -246,14 +246,18 @@ def world_to_dict(world: World) -> dict:
     }
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token}")
+
+
 def parse_config(path) -> ExperimentConfig:
     """Load and validate a config file; reports all validation errors at once."""
     p = Path(path)
     if not p.exists():
         raise ParseError(f"config file {p} does not exist")
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(p.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+    except ValueError as exc:
         raise ParseError(f"config file {p} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ParseError("config root must be a JSON object")

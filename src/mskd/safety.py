@@ -35,6 +35,7 @@ from .core import (
 from .distill import (
     CompiledObjective,
     TrainerConfig,
+    _theta_from_params,
     compile_objective,
     minimize_blockwise,
     solve_compiled,
@@ -124,7 +125,7 @@ def expected_safety_gradient(params: StudentParams, world: World,
                              cfg: SafetyConfig) -> np.ndarray:
     """Analytic gradient of the expected safety with respect to the logits."""
     mass, _ = _safety_label_mass(world, cfg)
-    theta = np.array([params.row(x.id) for x in world.inputs])
+    theta = _theta_from_params(params, world)
     grad = np.zeros_like(theta)
     for xi in range(theta.shape[0]):
         p = softmax(theta[xi])
@@ -159,28 +160,19 @@ def lagrangian_value(params: StudentParams, mu: float, G: UnifiedWeightOperator,
     if mu < 0:
         raise NegativeMultiplier(f"multiplier must be nonnegative, got {mu}")
     compiled = compile_objective(G, world, params.ridge)
-    theta = np.array([params.row(x.id) for x in world.inputs])
+    theta = _theta_from_params(params, world)
     return compiled.loss(theta) - mu * expected_safety(params, world, cfg)
 
 
 def _minimize_lagrangian(compiled: CompiledObjective, mu: float, mass: np.ndarray,
                          theta0: np.ndarray, gtol: float) -> np.ndarray:
     """Full-batch minimization of loss - mu * safety via damped block Newton."""
-    m_x, qbar, lam = compiled.m_x, compiled.qbar, compiled.ridge
-    v = qbar.shape[1]
-    eye = np.eye(v)
-
     def fgh(xi: int, row: np.ndarray):
-        p = softmax(row)
-        logp = row - row.max()
-        logp = logp - np.log(np.exp(logp).sum())
-        f = -m_x[xi] * float(qbar[xi] @ logp) + 0.5 * lam * float(row @ row)
-        g = m_x[xi] * (p - qbar[xi]) + lam * row
-        h = m_x[xi] * (np.diag(p) - np.outer(p, p)) + lam * eye
+        f, g, h, p = compiled.block(xi, row)
         for y in np.nonzero(mass[xi])[0]:
             w = mu * mass[xi, y]
             f -= w * p[y]
-            ey = eye[y]
+            ey = _unit(len(p), y)
             g -= w * p[y] * (ey - p)
             h -= w * p[y] * (np.outer(ey - p, ey - p) - np.diag(p) + np.outer(p, p))
         return f, g, h
@@ -220,7 +212,6 @@ def dual_ascent_solve(G: UnifiedWeightOperator, world: World, cfg: SafetyConfig,
     step = cfg.dual_step
     theta = _minimize_lagrangian(compiled, mu, mass, np.zeros_like(compiled.qbar), gtol)
     history: list[dict] = []
-    prev_residual = np.inf
     for it in range(cfg.max_dual_iters):
         params = compiled.params(theta)
         safety = expected_safety(params, world, cfg)
@@ -240,7 +231,6 @@ def dual_ascent_solve(G: UnifiedWeightOperator, world: World, cfg: SafetyConfig,
                 break
             step *= 0.5
         mu, theta = mu_new, theta_new
-        prev_residual = feas
     raise DualStall(f"dual ascent did not meet residual targets in {cfg.max_dual_iters} iterations")
 
 
@@ -260,7 +250,7 @@ def kkt_residuals(params: StudentParams, mu: float, G: UnifiedWeightOperator,
                   world: World, cfg: SafetyConfig) -> KKTResiduals:
     """First-order optimality residuals for the safety-constrained problem."""
     compiled = compile_objective(G, world, params.ridge)
-    theta = np.array([params.row(x.id) for x in world.inputs])
+    theta = _theta_from_params(params, world)
     grad_l = compiled.grad(theta) - mu * expected_safety_gradient(params, world, cfg)
     safety = expected_safety(params, world, cfg)
     return KKTResiduals(

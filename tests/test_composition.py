@@ -13,7 +13,13 @@ from mskd.composition import (
     uniform_unified,
     weighted_ensemble,
 )
-from mskd.core import DimensionMismatch, WeightBounds, seeded_sampler, validate_distribution
+from mskd.core import (
+    DimensionMismatch,
+    UnresolvedReference,
+    WeightBounds,
+    seeded_sampler,
+    validate_distribution,
+)
 from mskd.operators import ContextOperator, TaskOperator, TokenOperator, check_conformance
 from mskd.worlds import (
     APPENDIX_TEACHER_1,
@@ -207,3 +213,37 @@ class TestEnsembleTarget:
         base = g.unified_weight(0, -1, 0, 0, world)
         boosted = g.unified_weight(0, 0, 0, 0, world)
         assert boosted[0] > base[0]
+
+
+def _custom_token_weights(x, i, c, bank, bounds):
+    boost = 2.0 if i in (0, 1) else 1.0  # conformance_world's safety tokens
+    return np.arange(1.0, bank.k + 1.0) * boost + 0.1 * x + 0.01 * c
+
+
+class TestWeightTable:
+    @pytest.mark.parametrize("token_op", [
+        TokenOperator("inverse_entropy"),
+        TokenOperator("family_a", safety_tokens=frozenset({0, 1})),
+        TokenOperator("custom", fn=_custom_token_weights),
+    ], ids=["index_independent", "safety_token_dependent", "custom"])
+    def test_matches_unified_weight_at_every_point(self, token_op):
+        world = conformance_world()
+        g = UnifiedWeightOperator(token_op, TaskOperator("family_c"),
+                                  ContextOperator("family_b"), WIDE)
+        table = g.weight_table(world)
+        assert table.shape == (len(world.tasks), len(world.inputs), len(world.contexts),
+                               world.vocab.size, world.bank.k)
+        for tj, t in enumerate(world.tasks):
+            for xi, x in enumerate(world.inputs):
+                for ci, c in enumerate(world.contexts):
+                    for i in range(world.vocab.size):
+                        w = g.unified_weight(x.id, i, t.id, c.id, world)
+                        assert table[tj, xi, ci, i].tobytes() == w.tobytes()
+
+    def test_unknown_ids_are_unresolved_references(self):
+        world = appendix_world()
+        g = adaptive_operator(world=world)
+        with pytest.raises(UnresolvedReference):
+            g.components(0, 0, 0, 99, world)
+        with pytest.raises(UnresolvedReference):
+            g.ensemble_target(0, 99, 0, world)

@@ -47,6 +47,10 @@ class TestValidateDistribution:
         with pytest.raises(NotNormalized):
             validate_distribution([0.7, 0.7])
 
+    def test_nan_entry_rejected(self):
+        with pytest.raises(NotNormalized):
+            validate_distribution([math.nan, 0.5, 0.5])
+
     def test_tiny_negative_clamped(self):
         p = validate_distribution([1.0, -1e-13, 1e-13])
         assert p[1] == 0.0
@@ -132,6 +136,29 @@ class TestSampler:
         np.testing.assert_allclose(counts_t / n, world.task_importances, atol=0.01)
         np.testing.assert_allclose(counts_x / n, world.input_marginals(), atol=0.01)
         np.testing.assert_allclose(counts_c / n, world.context_weights, atol=0.01)
+
+
+class TestTeacherBank:
+    @pytest.mark.parametrize("perf,safety", [([math.nan, 0.5], [0.5, 0.5]),
+                                             ([0.5, 0.5], [0.5, math.nan])])
+    def test_nan_scores_rejected(self, perf, safety):
+        from mskd.core import MskdError, TeacherBank
+        table = {(0, 0): [[0.5, 0.5], [0.5, 0.5]]}
+        with pytest.raises(MskdError):
+            TeacherBank(2, table, {0: np.array(perf)}, np.array(safety))
+
+
+class TestWorld:
+    @pytest.mark.parametrize("field", ["tasks", "contexts"])
+    def test_duplicate_ids_rejected(self, field):
+        import dataclasses
+        from mskd.core import MskdError, World
+        world = convergence_world()
+        parts = {"tasks": world.tasks, "contexts": world.contexts}
+        specs = parts[field]
+        parts[field] = (specs[0], dataclasses.replace(specs[1], id=specs[0].id), *specs[2:])
+        with pytest.raises(MskdError, match="duplicate"):
+            World(world.vocab, world.inputs, parts["tasks"], parts["contexts"], world.bank)
 
 
 class TestStudentParams:

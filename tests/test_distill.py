@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from mskd.composition import UnifiedWeightOperator, uniform_unified
-from mskd.core import MarginViolated, StudentParams, WeightBounds
+from mskd.composition import UnifiedWeightOperator, renormalized_mixture, uniform_unified
+from mskd.core import MarginViolated, StudentParams, WeightBounds, normalize_exact, seeded_sampler
 from mskd.distill import (
     InsufficientTrace,
     TrainerConfig,
@@ -21,8 +21,8 @@ from mskd.distill import (
     sgd_train,
     solve_optimum,
 )
-from mskd.operators import ContextOperator, TaskOperator, TokenOperator
-from mskd.worlds import appendix_world, convergence_world
+from mskd.operators import ContextOperator, TaskOperator, TokenOperator, uniform_weights
+from mskd.worlds import appendix_world, conformance_world, convergence_world
 
 WIDE = WeightBounds(0.01, 0.99)
 
@@ -287,6 +287,42 @@ class TestNoisyTrain:
         slope = float(np.sum(gp * d) / np.sum(d * d))
         r2 = 1.0 - float(np.sum((gp - slope * d) ** 2) / np.sum(gp ** 2))
         assert r2 >= 0.9
+
+
+class TestCompileObjective:
+    def test_each_scale_evaluated_once_on_its_domain(self):
+        world = conformance_world()
+        calls = {"token": 0, "task": 0, "context": 0}
+
+        def counted(scale):
+            def fn(*args):
+                calls[scale] += 1
+                return uniform_weights(args[-2].k, args[-1])
+            return fn
+
+        g = UnifiedWeightOperator(TokenOperator("custom", fn=counted("token")),
+                                  TaskOperator("custom", fn=counted("task")),
+                                  ContextOperator("custom", fn=counted("context")), WIDE)
+        compile_objective(g, world)
+        n_cells = len(world.inputs) * len(world.contexts)
+        assert calls == {"token": n_cells * (1 + len(world.vocab.safety_tokens)),
+                         "task": len(world.tasks), "context": len(world.contexts)}
+
+    def test_noise_stream_drawn_cell_by_cell_in_order(self):
+        world = conformance_world()
+        g = UnifiedWeightOperator(TokenOperator("family_a", safety_tokens=world.vocab.safety_tokens),
+                                  TaskOperator("family_c"), ContextOperator("family_b"), WIDE)
+        delta = 0.004
+        noisy = compile_objective(g, world, weight_noise=(delta, seeded_sampler(5)))
+        table, rng = g.weight_table(world), seeded_sampler(5)
+        for tj in range(len(world.tasks)):
+            for xi, x in enumerate(world.inputs):
+                for ci, c in enumerate(world.contexts):
+                    rows = table[tj, xi, ci]
+                    rows = rows + rng.uniform(-delta, delta, size=rows.shape)
+                    rows = np.vstack([normalize_exact(r) for r in rows])
+                    expect = renormalized_mixture(rows, world.bank.dists(x.id, c.id))
+                    assert noisy.targets[tj, xi, ci].tobytes() == expect.tobytes()
 
 
 class TestTraceSerialization:

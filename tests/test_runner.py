@@ -1,5 +1,6 @@
 """Config parsing, experiment dispatch, persistence, and CLI behavior."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -19,6 +20,11 @@ from mskd.runner import (
 from mskd.worlds import appendix_world
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
+# bundled configs in the order the references number them; "rate" (index 0)
+# is pinned only in a reduced 2-seed variant, so it is not rerun here
+GOLDEN = ("appendix_a", "conformance", "train", "fixed_point", "perturbation",
+          "variance", "safety", "pareto")
 
 
 def minimal_doc(**overrides):
@@ -82,6 +88,14 @@ class TestParseConfig:
         with pytest.raises(ParseError) as exc:
             parse_config_dict(doc)
         assert "unknown input 42" in str(exc.value)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_rejected(self, tmp_path, literal):
+        p = tmp_path / "nonfinite.json"
+        p.write_text(json.dumps(minimal_doc()).replace('"lipschitz": 25.0',
+                                                       f'"lipschitz": {literal}'))
+        with pytest.raises(ParseError):
+            parse_config(p)
 
     def test_hash_ignores_output_path(self):
         a = parse_config_dict(minimal_doc())
@@ -151,6 +165,19 @@ class TestRunExperiment:
             emit_summary(empty, tmp_path)
 
 
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("index,name", list(enumerate(GOLDEN, start=1)))
+    def test_outputs_match_pinned_digests(self, index, name, tmp_path):
+        prefix = f"{index}-{name}/"
+        pinned = {key[len(prefix):]: digest
+                  for key, digest in json.loads(REFERENCES.read_text())["bundled"].items()
+                  if key.startswith(prefix)}
+        record = run_experiment(parse_config(CONFIGS / f"{name}.json"))
+        out = emit_summary(record, tmp_path / name, quiet=True)
+        produced = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert produced == pinned
+
+
 class TestCli:
     def test_list_kinds(self, capsys):
         assert main(["list-kinds"]) == 0
@@ -182,6 +209,12 @@ class TestCli:
         p = tmp_path / "broken.json"
         p.write_text("{]")
         assert main(["run", str(p)]) == 2
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_nan_literal_exit_two(self, tmp_path, command):
+        p = tmp_path / "nan.json"
+        p.write_text(json.dumps(minimal_doc()).replace('"lipschitz": 25.0', '"lipschitz": NaN'))
+        assert main([command, str(p)]) == 2
 
     def test_seed_override_changes_hash(self, tmp_path, capsys):
         p = CONFIGS / "appendix_a.json"
