@@ -50,6 +50,13 @@ def renormalized_mixture(weight_rows: np.ndarray, dists: np.ndarray) -> np.ndarr
     return mix / mix.sum(axis=-1, keepdims=True)
 
 
+def normalize_rows(rows: np.ndarray) -> np.ndarray:
+    """:func:`normalize_exact` of every length-K row, once per distinct row, as a new array."""
+    distinct, inverse = np.unique(rows.reshape(-1, rows.shape[-1]), axis=0, return_inverse=True)
+    normed = np.array([normalize_exact(r) for r in distinct])
+    return normed[inverse.reshape(-1)].reshape(rows.shape)
+
+
 def effective_bounds(bounds: WeightBounds, k: int) -> tuple[float, float]:
     """Derived bounds the normalized three-scale product respects.
 
@@ -102,7 +109,7 @@ class UnifiedWeightOperator:
         Each scale is evaluated once on its own domain: token weights per
         (input, context) -- at index -1 and each safety token when they depend
         on the index, else at 0 -- task weights per task, context weights per
-        context. Their product is normalized once per row, then expanded to V.
+        context. Their product is normalized once per distinct row, then expanded to V.
         """
         bank, bounds = world.bank, self.bounds
         dependent = self.token_op.token_index_dependent
@@ -114,10 +121,7 @@ class UnifiedWeightOperator:
                          for c in world.contexts] for x in world.inputs])
         task = np.array([self.task_op.weights(t.id, bank, bounds) for t in world.tasks])
         ctx = np.array([self.context_op.weights(c, bank, bounds) for c in world.contexts])
-        product = tok * task[:, None, None, None] * ctx[:, None]
-        for idx in np.ndindex(product.shape[:-1]):
-            product[idx] = normalize_exact(product[idx])
-        return product[..., slot, :]
+        return normalize_rows(tok * task[:, None, None, None] * ctx[:, None]).take(slot, axis=-2)
 
     def ensemble_target(self, x: int, t: int, c: int, world: World) -> np.ndarray:
         """The distillation target at (x, t, c), read off the whole :meth:`weight_table`.

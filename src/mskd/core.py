@@ -417,10 +417,6 @@ class World:
 
     # --- index helpers -----------------------------------------------------
 
-    @property
-    def input_index(self) -> dict[int, int]:
-        return self._input_index
-
     def cell_index(self, task_id: int, input_id: int, context_id: int) -> tuple[int, int, int]:
         """(task, input, context) indices of three ids; ``UnresolvedReference`` if one is unknown."""
         try:
@@ -438,10 +434,6 @@ class World:
     @property
     def context_weights(self) -> np.ndarray:
         return self._mu
-
-    def input_weight_matrix(self) -> np.ndarray:
-        """(n_tasks, n_inputs) matrix of P(input | task) under each task."""
-        return self._px
 
     def joint_measure(self) -> np.ndarray:
         """(n_tasks, n_inputs, n_contexts) joint sampling probabilities."""

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .composition import UnifiedWeightOperator, renormalized_mixture
+from .composition import UnifiedWeightOperator, normalize_rows, renormalized_mixture
 from .core import (
     InsufficientTrace,
     MarginViolated,
@@ -30,7 +30,7 @@ from .core import (
     StudentParams,
     World,
     log_softmax,
-    normalize_exact,
+    normalize_exact,  # unused here; perfbench/probes.py wraps distill.normalize_exact
     seeded_sampler,
     softmax,
     validate_distribution,
@@ -97,6 +97,7 @@ class CompiledObjective:
 
     world: World
     ridge: float
+    weights: np.ndarray        # weight rows the targets mix, broadcasting to (J, N, C, V, K)
     joint: np.ndarray          # (J, N, C) sampling probabilities
     targets: np.ndarray        # (J, N, C, V) ensemble targets
     m_x: np.ndarray            # (N,) input marginals
@@ -133,43 +134,28 @@ class CompiledObjective:
         return f, g, h, p
 
 
-def _renormalize(rows: np.ndarray) -> np.ndarray:
-    """``normalize_exact`` applied in place to every length-K row of a weight table."""
-    for idx in np.ndindex(rows.shape[:-1]):
-        rows[idx] = normalize_exact(rows[idx])
-    return rows
-
-
 def _noisy_rows(rows: np.ndarray, delta: float, rng: Sampler, bounds) -> np.ndarray:
     # one C-order draw: the same stream as one (V, K) draw per (task, input, context) cell
-    rows += rng.uniform(-delta, delta, size=rows.shape)
+    rows = rows + rng.uniform(-delta, delta, size=rows.shape)
     if np.any(rows < bounds.w_min + delta - 1e-15) or \
        np.any(rows > bounds.w_max - delta + 1e-15):
         raise MarginViolated(
             f"weight perturbation of scale {delta} leaves the margin "
             f"[{bounds.w_min + delta}, {bounds.w_max - delta}]")
-    return _renormalize(rows)
+    return normalize_rows(rows)
 
 
-def compile_objective(G: UnifiedWeightOperator, world: World, ridge: float = 0.0,
-                      weight_noise: tuple[float, Sampler] | None = None,
-                      weight_shift: np.ndarray | None = None) -> CompiledObjective:
+def compile_objective(G: UnifiedWeightOperator, world: World,
+                      ridge: float = 0.0) -> CompiledObjective:
     """Evaluate the operator over the finite world once and densify.
 
     This is the caching layer: the operator's weight table evaluates token
     weights once per (input, context), task weights once per task and
-    context weights once per context, not per training step.
-    ``weight_noise`` perturbs every per-token weight row by bounded iid noise
-    and renormalizes; ``weight_shift`` adds a fixed direction to every row
-    and renormalizes (both used by the robustness experiments).
+    context weights once per context, not per training step. The table is
+    kept as ``weights``; the robustness experiments perturb and renormalize
+    those rows (``normalize_rows``) and densify them again with ``_densify``.
     """
-    rows = G.weight_table(world)
-    if weight_shift is not None:
-        rows += weight_shift
-        _renormalize(rows)
-    if weight_noise is not None:
-        rows = _noisy_rows(rows, weight_noise[0], weight_noise[1], G.bounds)
-    return _densify(world, ridge, rows)
+    return _densify(world, ridge, G.weight_table(world))
 
 
 def _uniform_compiled(world: World, ridge: float) -> CompiledObjective:
@@ -194,7 +180,7 @@ def _densify(world: World, ridge: float, rows: np.ndarray) -> CompiledObjective:
     with np.errstate(divide="ignore", invalid="ignore"):
         qlogq = np.where(targets > 0, targets * np.log(np.where(targets > 0, targets, 1.0)), 0.0)
     neg_ent = float(np.sum(joint[..., None] * qlogq))
-    return CompiledObjective(world, ridge, joint, targets, m_x, qbar, neg_ent)
+    return CompiledObjective(world, ridge, rows, joint, targets, m_x, qbar, neg_ent)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +213,7 @@ def _theta_from_params(params: StudentParams, world: World) -> np.ndarray:
 def _sgd_loop(compiled: CompiledObjective, config: TrainerConfig) -> tuple[np.ndarray, TrainTrace]:
     world = compiled.world
     n, v = len(world.inputs), world.vocab.size
-    streams = seeded_sampler(config.seed).spawn(2)
-    init_rng, sample_rng = streams
+    init_rng, sample_rng = seeded_sampler(config.seed).spawn(2)
     if config.init_scale > 0:
         theta = config.init_scale * init_rng.normal(size=(n, v))
     else:
@@ -287,19 +272,21 @@ def classic_uniform_train(config: TrainerConfig, world: World) -> tuple[StudentP
 
 def noisy_weight_train(config: TrainerConfig, G: UnifiedWeightOperator, world: World,
                        delta: float) -> tuple[StudentParams, TrainTrace]:
-    """Training with every weight evaluation perturbed by bounded iid noise.
+    """Training with every weight row perturbed by bounded iid noise.
 
-    Noise of infinity-norm at most ``delta`` is added to each cached weight
-    evaluation and the result renormalized; perturbed weights must stay
-    inside the margin [w_min + delta, w_max - delta] or ``MarginViolated``
-    is raised. ``delta = 0`` reproduces ``sgd_train`` exactly at equal seed
-    (the noise stream is separate from the sampling stream).
+    Noise of infinity-norm at most ``delta`` is added to each row of the
+    operator's weight table, and each row is renormalized before densifying;
+    perturbed weights must stay inside the margin [w_min + delta,
+    w_max - delta] or ``MarginViolated`` is raised. ``delta = 0`` reproduces
+    ``sgd_train`` exactly at equal seed (the noise stream is separate from
+    the sampling stream).
     """
     if delta < 0:
         raise MskdError("perturbation scale must be nonnegative")
-    noise_rng = seeded_sampler(config.seed).spawn(3)[2]
-    compiled = compile_objective(G, world, config.ridge,
-                                 weight_noise=(delta, noise_rng) if delta > 0 else None)
+    rows = G.weight_table(world)
+    if delta > 0:
+        rows = _noisy_rows(rows, delta, seeded_sampler(config.seed).spawn(3)[2], G.bounds)
+    compiled = _densify(world, config.ridge, rows)
     theta, trace = _sgd_loop(compiled, config)
     return compiled.params(theta), trace
 
@@ -367,14 +354,12 @@ def solve_optimum(G: UnifiedWeightOperator, world: World, ridge: float,
 
 
 def solve_compiled(compiled: CompiledObjective, gtol: float = 1e-10) -> np.ndarray:
-    world = compiled.world
     if compiled.ridge == 0.0:
         if np.any(compiled.qbar <= 0.0):
             raise MskdError(
                 "ridge-free optimum needs strictly positive targets (finite logits)")
         logq = np.log(compiled.qbar)
         return logq - logq.mean(axis=1, keepdims=True)
-
     return minimize_blockwise(np.zeros_like(compiled.qbar),
                               lambda xi, row: compiled.block(xi, row)[:3], gtol)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import UnifiedWeightOperator
+from .composition import UnifiedWeightOperator, normalize_rows
 from .core import (
     MarginViolated,
     MskdError,
@@ -26,7 +26,7 @@ from .core import (
     WeightBounds,
     softmax,
 )
-from .distill import (CompiledObjective, _theta_from_params, _uniform_compiled,
+from .distill import (CompiledObjective, _densify, _theta_from_params, _uniform_compiled,
                       compile_objective, solve_compiled)
 from .operators import clip_normalize
 
@@ -181,32 +181,39 @@ def perturbation_experiment(G: UnifiedWeightOperator, world: World, delta_list,
 
     One zero-sum direction of unit infinity-norm is drawn per experiment and
     scaled by each delta; shifting the weights along a zero-sum direction
-    keeps the renormalization exact, isolating the delta scaling. Both the
-    clean and perturbed objectives are solved full-batch to ``gtol`` and the
-    parameter distance recorded, then fitted as distance = C * delta.
+    keeps the renormalization exact, isolating the delta scaling. The
+    operator is compiled once; per delta its weight rows are shifted,
+    renormalized and densified. Both the clean and perturbed objectives are
+    solved full-batch to ``gtol`` and the parameter distance recorded, then
+    fitted as distance = C * delta.
     """
     deltas = np.asarray(delta_list, dtype=np.float64)
     if np.any(deltas < 0):
         raise MskdError("perturbation scales must be nonnegative")
     if ridge <= 0:
         raise MskdError("the perturbation experiment needs a strongly convex solve")
-    k = world.bank.k
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    direction = rng.normal(size=k)
+    direction = rng.normal(size=world.bank.k)
     direction -= direction.mean()
     direction /= np.max(np.abs(direction))
 
     base = compile_objective(G, world, ridge)
-    _check_shift_margin(G.weight_table(world), deltas.max(initial=0.0) * direction,
-                        G.bounds, world)
+    shift, bounds = deltas.max(initial=0.0), G.bounds
+    # rounding is monotone, so each cell's per-teacher extremes decide its margin
+    outside = np.any((base.weights.min(axis=-2) + shift * direction < bounds.w_min)
+                     | (base.weights.max(axis=-2) + shift * direction > bounds.w_max), axis=-1)
+    if outside.any():
+        xi = np.argwhere(outside)[0][1]  # first (task, input, context) cell in order
+        raise MarginViolated(f"shift of norm {shift} leaves [{bounds.w_min}, {bounds.w_max}] "
+                             f"at input {world.inputs[xi].id}")
     theta0 = solve_compiled(base, gtol)
     distances = []
     for d in deltas:
         if d == 0.0:
             distances.append(0.0)
             continue
-        shifted = compile_objective(G, world, ridge, weight_shift=d * direction)
-        theta_d = solve_compiled(shifted, gtol)
+        theta_d = solve_compiled(
+            _densify(world, ridge, normalize_rows(base.weights + d * direction)), gtol)
         distances.append(float(np.linalg.norm(theta_d - theta0)))
     dist = np.array(distances)
     pos = deltas > 0
@@ -217,17 +224,6 @@ def perturbation_experiment(G: UnifiedWeightOperator, world: World, delta_list,
     ratios = dist[pos] / deltas[pos]
     spread = float(ratios.max() / ratios.min()) if ratios.min() > 0 else np.inf
     return PerturbationResult(deltas, dist, slope, r2, spread)
-
-
-def _check_shift_margin(table: np.ndarray, shift: np.ndarray, bounds: WeightBounds,
-                        world: World) -> None:
-    rows = table + shift
-    outside = np.any((rows < bounds.w_min) | (rows > bounds.w_max), axis=(-2, -1))
-    if outside.any():
-        xi = np.argwhere(outside)[0][1]  # first (task, input, context) cell in order
-        raise MarginViolated(
-            f"shift of norm {np.max(np.abs(shift))} leaves "
-            f"[{bounds.w_min}, {bounds.w_max}] at input {world.inputs[xi].id}")
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +237,6 @@ class VarianceResult:
     bound: float
     w_min_observed: float
     w_max_observed: float
-
-    @property
-    def within_bound(self) -> bool:
-        return self.measured <= self.bound * (1.0 + 1e-12)
 
 
 def _single_sample_variance(compiled: CompiledObjective, theta: np.ndarray,
@@ -286,7 +278,6 @@ def gradient_variance_ratio(G: UnifiedWeightOperator, world: World, params: Stud
                                        Sampler(np.random.SeedSequence(seed)))
     base = _single_sample_variance(baseline, theta, n_samples,
                                    Sampler(np.random.SeedSequence(seed)))
-    table = G.weight_table(world)
-    w_lo, w_hi = float(table.min()), float(table.max())
+    w_lo, w_hi = float(adaptive.weights.min()), float(adaptive.weights.max())
     bound = (w_hi / w_lo) ** 2 * base
     return VarianceResult(measured, base, bound, w_lo, w_hi)

@@ -25,6 +25,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -115,111 +116,132 @@ def _canonical_hash(doc: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def _build_world(doc: dict, errors: list[str]) -> World | None:
+def _non_finite_paths(doc) -> list[str]:
+    """Paths, in document order, of the NaN, infinite and float-overflowing numbers."""
+    found, stack = [], [("", doc)]
+    while stack:
+        path, node = stack.pop()
+        if isinstance(node, dict):
+            stack += ((f"{path}.{key}", value) for key, value in node.items())
+        elif isinstance(node, (list, tuple)) and not _finite_sum(node):
+            stack += ((f"{path}[{i}]", value) for i, value in enumerate(node))
+        elif isinstance(node, (int, float)) and not _finite_sum([node]):
+            found.append(path.lstrip("."))
+    return found[::-1]  # the stack visits the leaves last to first
+
+
+def _finite_sum(values) -> bool:
+    """Whether ``values`` are numbers with a finite float sum (hence each one finite)."""
     try:
-        wd = doc["world"]
-        vocab = VocabularySpec(int(wd["vocab"]["size"]),
-                               frozenset(wd["vocab"].get("safety_tokens", [])))
-        inputs = tuple(InputSpec(int(i["id"]), np.asarray(i["features"], dtype=float))
-                       for i in wd["inputs"])
-        tasks = tuple(
-            TaskSpec(int(t["id"]),
-                     tuple(int(pair[0]) for pair in t["inputs"]),
-                     np.asarray([pair[1] for pair in t["inputs"]], dtype=float),
-                     float(t["importance"]))
-            for t in wd["tasks"])
-        contexts = tuple(
-            ContextSpec(int(c["id"]), np.asarray(c["features"], dtype=float),
-                        float(c["measure_weight"]), bool(c.get("safety_critical", False)))
-            for c in wd["contexts"])
-        td = wd["teachers"]
-        table = {(int(cell["input"]), int(cell["context"])): np.asarray(cell["dists"], dtype=float)
-                 for cell in td["table"]}
-        bank = TeacherBank(int(td["count"]), table,
-                           {int(k): np.asarray(v, dtype=float)
-                            for k, v in td["perf_scores"].items()},
-                           np.asarray(td["safety_scores"], dtype=float))
-        return World(vocab, inputs, tasks, contexts, bank)
+        return math.isfinite(math.fsum(values))
+    except (TypeError, ValueError, OverflowError):  # a non-number, inf - inf, an overflow
+        return False
+
+
+def _collect(errors: list[str], section: str, build, *args):
+    """``build(*args)``, or None after adding one line to ``errors`` if it raises."""
+    try:
+        return build(*args)
     except KeyError as exc:
-        errors.append(f"world: missing field {exc}")
-    except (MskdError, ValueError, TypeError) as exc:
-        errors.append(f"world: {exc}")
+        errors.append(f"{section}: missing field {exc}")
+    except (MskdError, LookupError, ValueError, TypeError, AttributeError, ArithmeticError) as exc:
+        errors.append(f"{section}: {exc}")
     return None
 
 
-def _build_operator(doc: dict, world: World | None, bounds: WeightBounds | None,
-                    errors: list[str]) -> UnifiedWeightOperator | None:
-    ops = doc.get("operators", {})
+def _build_world(doc: dict) -> World:
+    wd = doc["world"]
+    vocab = VocabularySpec(int(wd["vocab"]["size"]),
+                           frozenset(wd["vocab"].get("safety_tokens", [])))
+    inputs = tuple(InputSpec(int(i["id"]), np.asarray(i["features"], dtype=float))
+                   for i in wd["inputs"])
+    tasks = tuple(
+        TaskSpec(int(t["id"]),
+                 tuple(int(pair[0]) for pair in t["inputs"]),
+                 np.asarray([pair[1] for pair in t["inputs"]], dtype=float),
+                 float(t["importance"]))
+        for t in wd["tasks"])
+    contexts = tuple(
+        ContextSpec(int(c["id"]), np.asarray(c["features"], dtype=float),
+                    float(c["measure_weight"]), bool(c.get("safety_critical", False)))
+        for c in wd["contexts"])
+    td = wd["teachers"]
+    table = {(int(cell["input"]), int(cell["context"])): np.asarray(cell["dists"], dtype=float)
+             for cell in td["table"]}
+    bank = TeacherBank(int(td["count"]), table,
+                       {int(k): np.asarray(v, dtype=float)
+                        for k, v in td["perf_scores"].items()},
+                       np.asarray(td["safety_scores"], dtype=float))
+    return World(vocab, inputs, tasks, contexts, bank)
+
+
+def _build_bounds(bd: dict, world: World | None) -> WeightBounds:
+    bounds = WeightBounds(float(bd.get("w_min", 0.01)), float(bd.get("w_max", 0.99)),
+                          float(bd.get("lipschitz", 25.0)))
+    if world is not None:
+        bounds.check_feasible(world.bank.k)
+    return bounds
+
+
+def _build_operator(ops: dict, world: World | None,
+                    bounds: WeightBounds | None) -> UnifiedWeightOperator | None:
+    tok_cfg, task_cfg, ctx_cfg = (ops.get(scale, {}) for scale in ("token", "task", "context"))
     safety_tokens = world.vocab.safety_tokens if world is not None else frozenset()
-    try:
-        tok_cfg = ops.get("token", {"family": "uniform"})
-        tok = TokenOperator(tok_cfg.get("family", "uniform"),
-                            alpha=float(tok_cfg.get("alpha", 1.0)),
-                            safety_tokens=safety_tokens,
-                            safety_adjustment=bool(tok_cfg.get("safety_adjustment", True)))
-        task_cfg = ops.get("task", {"family": "uniform"})
-        task = TaskOperator(task_cfg.get("family", "uniform"),
-                            tau=float(task_cfg.get("tau", 0.5)))
-        ctx_cfg = ops.get("context", {"family": "uniform"})
-        ctx = ContextOperator(ctx_cfg.get("family", "uniform"))
-        if bounds is None:
-            return None
-        return UnifiedWeightOperator(tok, task, ctx, bounds)
-    except (MskdError, ValueError, TypeError) as exc:
-        errors.append(f"operators: {exc}")
-        return None
+    tok = TokenOperator(tok_cfg.get("family", "uniform"),
+                        alpha=float(tok_cfg.get("alpha", 1.0)),
+                        safety_tokens=safety_tokens,
+                        safety_adjustment=bool(tok_cfg.get("safety_adjustment", True)))
+    task = TaskOperator(task_cfg.get("family", "uniform"), tau=float(task_cfg.get("tau", 0.5)))
+    ctx = ContextOperator(ctx_cfg.get("family", "uniform"))
+    return None if bounds is None else UnifiedWeightOperator(tok, task, ctx, bounds)
+
+
+def _build_trainer(tr: dict, seed: int) -> TrainerConfig:
+    return TrainerConfig(
+        eta0=float(tr.get("eta0", 1.0)),
+        steps=int(tr.get("steps", 1000)),
+        ridge=float(tr.get("ridge", 0.0)),
+        seed=int(tr.get("seed", seed)),
+        eval_every=int(tr.get("eval_every", 100)),
+        init_scale=float(tr.get("init_scale", 0.0)),
+    )
+
+
+def _unknown_labels(params: dict, world: World) -> list[str]:
+    known = {"input": {x.id for x in world.inputs}, "context": {c.id for c in world.contexts}}
+    return [f"params.labels: unknown {field} {row[field]}" for row in params.get("labels", [])
+            for field in ("input", "context") if int(row[field]) not in known[field]]
 
 
 def parse_config_dict(doc: dict) -> ExperimentConfig:
     """Validate a config document, collecting every error before failing."""
-    errors: list[str] = []
+    if not isinstance(doc, dict):
+        raise ParseError("config root must be a JSON object")
+    errors = [f"{path}: non-finite number" for path in _non_finite_paths(doc)]
     kind = doc.get("kind")
     if kind not in EXPERIMENT_KINDS:
         errors.append(f"kind: expected one of {EXPERIMENT_KINDS}, got {kind!r}")
-    world = _build_world(doc, errors)
-    bounds = None
-    try:
-        bd = doc.get("bounds", {})
-        bounds = WeightBounds(float(bd.get("w_min", 0.01)), float(bd.get("w_max", 0.99)),
-                              float(bd.get("lipschitz", 25.0)))
-        if world is not None:
-            bounds.check_feasible(world.bank.k)
-    except (MskdError, ValueError, TypeError) as exc:
-        errors.append(f"bounds: {exc}")
-        bounds = None
-    operator = _build_operator(doc, world, bounds, errors)
-    trainer = None
-    try:
-        tr = doc.get("trainer", {})
-        trainer = TrainerConfig(
-            eta0=float(tr.get("eta0", 1.0)),
-            steps=int(tr.get("steps", 1000)),
-            ridge=float(tr.get("ridge", 0.0)),
-            seed=int(tr.get("seed", doc.get("seed", 0))),
-            eval_every=int(tr.get("eval_every", 100)),
-            init_scale=float(tr.get("init_scale", 0.0)),
-        )
-    except (MskdError, ValueError, TypeError) as exc:
-        errors.append(f"trainer: {exc}")
+    seed = _collect(errors, "seed", int, doc.get("seed", 0))
+    world = _collect(errors, "world", _build_world, doc)
+    bounds = _collect(errors, "bounds", _build_bounds, doc.get("bounds", {}), world)
+    operator = _collect(errors, "operators", _build_operator, doc.get("operators", {}),
+                        world, bounds)
+    trainer = _collect(errors, "trainer", _build_trainer, doc.get("trainer", {}), seed or 0)
+    out = doc.get("out")
+    if out is not None and not isinstance(out, str):
+        errors.append("out: must be a string")
     params = doc.get("params", {})
     if not isinstance(params, dict):
         errors.append("params: must be an object")
         params = {}
     if world is not None and kind in ("safety", "pareto"):
-        label_rows = params.get("labels", [])
-        known_inputs = {x.id for x in world.inputs}
-        known_ctx = {c.id for c in world.contexts}
-        for row in label_rows:
-            if int(row["input"]) not in known_inputs:
-                errors.append(f"params.labels: unknown input {row['input']}")
-            if int(row["context"]) not in known_ctx:
-                errors.append(f"params.labels: unknown context {row['context']}")
+        unknown = _collect(errors, "params.labels", _unknown_labels, params, world)
+        errors += unknown or []
     if errors:
         raise ParseError("invalid config:\n  - " + "\n  - ".join(errors))
     return ExperimentConfig(
         kind=kind, world=world, bounds=bounds, operator=operator, trainer=trainer,
-        params=params, seed=int(doc.get("seed", 0)), out=doc.get("out"),
-        config_hash=_canonical_hash(doc), raw=doc,
+        params=params, seed=seed, out=out, config_hash=_canonical_hash(doc), raw=doc,
     )
 
 
@@ -246,21 +268,15 @@ def world_to_dict(world: World) -> dict:
     }
 
 
-def _reject_constant(token: str):
-    raise ValueError(f"non-finite number {token}")
-
-
 def parse_config(path) -> ExperimentConfig:
     """Load and validate a config file; reports all validation errors at once."""
     p = Path(path)
     if not p.exists():
         raise ParseError(f"config file {p} does not exist")
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"), parse_constant=_reject_constant)
-    except ValueError as exc:
+        doc = json.loads(p.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"config file {p} is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise ParseError("config root must be a JSON object")
     return parse_config_dict(doc)
 
 
@@ -679,6 +695,10 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config)
+        if args.command == "run" and args.seed is not None:
+            raw = cfg.raw
+            cfg = parse_config_dict({**raw, "seed": args.seed,
+                                     "trainer": {**raw.get("trainer", {}), "seed": args.seed}})
     except ParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -686,18 +706,6 @@ def main(argv=None) -> int:
     if args.command == "validate":
         print(f"valid: kind={cfg.kind} hash={cfg.config_hash}")
         return 0
-
-    if args.seed is not None:
-        doc = dict(cfg.raw)
-        doc["seed"] = args.seed
-        doc.setdefault("trainer", {})
-        doc["trainer"] = dict(doc["trainer"])
-        doc["trainer"]["seed"] = args.seed
-        try:
-            cfg = parse_config_dict(doc)
-        except ParseError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
 
     try:
         record = run_experiment(cfg)

@@ -55,8 +55,8 @@ class SafetyConfig:
     def __post_init__(self):
         if not 0.0 < self.s_min <= 1.0:
             raise MskdError(f"safety threshold must lie in (0, 1], got {self.s_min}")
-        if self.dual_step <= 0:
-            raise MskdError("dual step must be positive")
+        if not 0 < self.dual_step < np.inf:
+            raise MskdError(f"dual step must be positive and finite, got {self.dual_step}")
         object.__setattr__(self, "labels", dict(self.labels))
 
     def label(self, input_id: int, context_id: int) -> int:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mskd.composition import (
     UnifiedWeightOperator,
     effective_bounds,
+    normalize_rows,
     uniform_unified,
     weighted_ensemble,
 )
@@ -17,6 +18,7 @@ from mskd.core import (
     DimensionMismatch,
     UnresolvedReference,
     WeightBounds,
+    normalize_exact,
     seeded_sampler,
     validate_distribution,
 )
@@ -239,6 +241,18 @@ class TestWeightTable:
                     for i in range(world.vocab.size):
                         w = g.unified_weight(x.id, i, t.id, c.id, world)
                         assert table[tj, xi, ci, i].tobytes() == w.tobytes()
+
+    def test_normalize_rows_matches_normalize_exact_per_row(self):
+        world = conformance_world()
+        g = adaptive_operator(world=world)
+        shifted = g.weight_table(world) + 0.003 * np.linspace(-1.0, 1.0, world.bank.k)
+        for rows in (shifted, shifted.transpose(1, 0, 2, 3, 4)):  # C-ordered and strided
+            flat = rows.reshape(-1, world.bank.k)
+            assert len(np.unique(flat, axis=0)) < len(flat)  # repeated rows share one result
+            before = rows.copy()
+            expect = np.array([normalize_exact(r) for r in flat]).reshape(rows.shape)
+            assert normalize_rows(rows).tobytes() == expect.tobytes()
+            assert rows.tobytes() == before.tobytes()  # a new array; the input is untouched
 
     def test_unknown_ids_are_unresolved_references(self):
         world = appendix_world()

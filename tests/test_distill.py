@@ -11,6 +11,8 @@ from mskd.distill import (
     InsufficientTrace,
     TrainerConfig,
     TrainTrace,
+    _densify,
+    _noisy_rows,
     average_traces,
     classic_uniform_train,
     compile_objective,
@@ -313,7 +315,8 @@ class TestCompileObjective:
         g = UnifiedWeightOperator(TokenOperator("family_a", safety_tokens=world.vocab.safety_tokens),
                                   TaskOperator("family_c"), ContextOperator("family_b"), WIDE)
         delta = 0.004
-        noisy = compile_objective(g, world, weight_noise=(delta, seeded_sampler(5)))
+        noisy = _densify(world, 0.0, _noisy_rows(g.weight_table(world), delta,
+                                                 seeded_sampler(5), g.bounds))
         table, rng = g.weight_table(world), seeded_sampler(5)
         for tj in range(len(world.tasks)):
             for xi, x in enumerate(world.inputs):

@@ -15,7 +15,8 @@ from mskd.dynamics import (
     weight_update_T,
 )
 from mskd.operators import ContextOperator, TaskOperator, TokenOperator, uniform_weights
-from mskd.worlds import appendix_world, convergence_world, identical_teachers_world
+from mskd.worlds import (appendix_world, conformance_world, convergence_world,
+                         identical_teachers_world)
 
 BOUNDS = WeightBounds(0.05, 0.95)
 
@@ -139,6 +140,25 @@ class TestPerturbation:
         assert res.r_squared >= 0.95
         assert res.ratio_spread <= 3.0
         assert np.all(np.diff(res.distances) >= -1e-12)
+
+    def test_each_scale_evaluated_once_per_experiment(self):
+        world = conformance_world()
+        calls = {"token": 0, "task": 0, "context": 0}
+
+        def counted(scale):
+            def fn(*args):
+                calls[scale] += 1
+                return uniform_weights(args[-2].k, args[-1])
+            return fn
+
+        g = UnifiedWeightOperator(TokenOperator("custom", fn=counted("token")),
+                                  TaskOperator("custom", fn=counted("task")),
+                                  ContextOperator("custom", fn=counted("context")), BOUNDS)
+        res = perturbation_experiment(g, world, [1e-3, 1e-2], ridge=0.01, seed=0)
+        assert np.all(res.distances > 0)
+        n_cells = len(world.inputs) * len(world.contexts)
+        assert calls == {"token": n_cells * (1 + len(world.vocab.safety_tokens)),
+                         "task": len(world.tasks), "context": len(world.contexts)}
 
     def test_margin_violation(self):
         world = convergence_world()

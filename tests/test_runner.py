@@ -1,11 +1,15 @@
 """Config parsing, experiment dispatch, persistence, and CLI behavior."""
 
+import copy
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mskd.core import ParseError
 from mskd.runner import (
@@ -25,6 +29,8 @@ REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.
 # is pinned only in a reduced 2-seed variant, so it is not rerun here
 GOLDEN = ("appendix_a", "conformance", "train", "fixed_point", "perturbation",
           "variance", "safety", "pareto")
+# the generated 256-cell world's configs, in the order the "large" references number them
+GOLDEN_LARGE = ("perturbation", "safety")
 
 
 def minimal_doc(**overrides):
@@ -89,7 +95,8 @@ class TestParseConfig:
             parse_config_dict(doc)
         assert "unknown input 42" in str(exc.value)
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999",
+                                         pytest.param("1" + "0" * 400, id="401_digits")])
     def test_non_finite_number_rejected(self, tmp_path, literal):
         p = tmp_path / "nonfinite.json"
         p.write_text(json.dumps(minimal_doc()).replace('"lipschitz": 25.0',
@@ -165,17 +172,76 @@ class TestRunExperiment:
             emit_summary(empty, tmp_path)
 
 
+def _assert_pinned_outputs(workload: str, prefix: str, cfg, out_dir: Path) -> None:
+    pinned = {key[len(prefix):]: digest
+              for key, digest in json.loads(REFERENCES.read_text())[workload].items()
+              if key.startswith(prefix)}
+    out = emit_summary(run_experiment(cfg), out_dir, quiet=True)
+    produced = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert produced == pinned
+
+
+def _gen_world_module():
+    """The benchmark's large-world generator, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("gen_world", REFERENCES.parent / "gen_world.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestGoldenOutputs:
     @pytest.mark.parametrize("index,name", list(enumerate(GOLDEN, start=1)))
     def test_outputs_match_pinned_digests(self, index, name, tmp_path):
-        prefix = f"{index}-{name}/"
-        pinned = {key[len(prefix):]: digest
-                  for key, digest in json.loads(REFERENCES.read_text())["bundled"].items()
-                  if key.startswith(prefix)}
-        record = run_experiment(parse_config(CONFIGS / f"{name}.json"))
-        out = emit_summary(record, tmp_path / name, quiet=True)
-        produced = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-        assert produced == pinned
+        _assert_pinned_outputs("bundled", f"{index}-{name}/",
+                               parse_config(CONFIGS / f"{name}.json"), tmp_path / name)
+
+    @pytest.mark.parametrize("index,name", list(enumerate(GOLDEN_LARGE)))
+    def test_large_world_outputs_match_pinned_digests(self, index, name, tmp_path):
+        doc = getattr(_gen_world_module(), f"{name}_doc")(0)
+        _assert_pinned_outputs("large", f"{index}-{name}/", parse_config_dict(doc),
+                               tmp_path / name)
+
+
+# field values a fuzzed config may receive; HUGE is written to the file as 1e999
+HUGE = "__overflowing_literal__"
+MUTANTS = st.sampled_from([None, True, "abc", [], {}, [1, "x"], {"a": 1}, -1, 0, 2.5, 10 ** 400,
+                           float("nan"), float("inf"), float("-inf"), HUGE])
+BUNDLED_DOCS = {kind: json.loads((CONFIGS / f"{kind}.json").read_text())
+                for kind in EXPERIMENT_KINDS}
+
+
+def _mutate(doc, data) -> None:
+    """Drop one field of ``doc``, or give it a new value of any type, in place."""
+    node = doc
+    while node:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+        elif isinstance(node, dict) and data.draw(st.booleans()):
+            del node[key]
+            return
+        else:
+            node[key] = copy.deepcopy(data.draw(MUTANTS))
+            return
+
+
+class TestFuzzedConfigs:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_only_parse_errors_escape(self, data, tmp_path_factory):
+        doc = copy.deepcopy(BUNDLED_DOCS[data.draw(st.sampled_from(EXPERIMENT_KINDS))])
+        for _ in range(data.draw(st.integers(1, 3))):
+            _mutate(doc, data)
+        text = json.dumps(doc).replace(f'"{HUGE}"', "1e999")
+        try:
+            parse_config_dict(json.loads(text))
+        except ParseError:
+            pass
+        path = tmp_path_factory.mktemp("fuzz") / "config.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) in (0, 2)
 
 
 class TestCli:
