@@ -413,7 +413,13 @@ class World:
         object.__setattr__(self, "_mu", _freeze(mu))
         object.__setattr__(self, "_px", _freeze(px))
         object.__setattr__(self, "_task_local_idx",
-                           tuple(tuple(idx[i] for i in t.input_ids) for t in self.tasks))
+                           tuple(np.array([idx[i] for i in t.input_ids], dtype=np.intp)
+                                 for t in self.tasks))
+        # cumulative sums inverted by the sampler: tasks, each task's inputs, contexts
+        object.__setattr__(self, "_cum", (_freeze(np.cumsum(lam)),
+                                          tuple(_freeze(np.cumsum(t.input_weights))
+                                                for t in self.tasks),
+                                          _freeze(np.cumsum(mu))))
 
     # --- index helpers -----------------------------------------------------
 
@@ -445,24 +451,67 @@ class World:
 
     def sample_indices(self, sampler: "Sampler") -> tuple[int, int, int]:
         """Draw (task index, input index, context index) from the declared measure."""
-        tj = sampler.choice(self._lam)
-        xi = self._task_local_idx[tj][sampler.choice(self.tasks[tj].input_weights)]
-        ci = sampler.choice(self._mu)
-        return tj, xi, ci
+        tj, xi, ci = self.sample_index_arrays(sampler, 1)
+        return int(tj[0]), int(xi[0]), int(ci[0])
+
+    def sample_index_arrays(self, sampler: "Sampler",
+                            n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``n`` (task, input, context) index triples, as three length-``n`` arrays.
+
+        One ``sampler.uniform`` call takes ``3n`` doubles, three per triple in
+        task/input/context order, so triple ``k`` gets the same doubles and
+        indices as the ``k``-th of ``n`` ``sample_indices`` calls.
+        """
+        u = sampler.uniform(size=3 * n).reshape(n, 3)
+        task_cum, input_cums, context_cum = self._cum
+        tj = _inverse_cdf(task_cum, u[:, 0])
+        xi = np.empty(n, dtype=np.intp)
+        for j, (cum, local) in enumerate(zip(input_cums, self._task_local_idx)):
+            drawn = tj == j
+            xi[drawn] = local[_inverse_cdf(cum, u[drawn, 1])]
+        return tj, xi, _inverse_cdf(context_cum, u[:, 2])
+
+    def sample_index_blocks(self, sampler: "Sampler", n: int):
+        """``n`` triples as ``sample_index_arrays`` blocks of at most ``SAMPLE_BLOCK``.
+
+        Consecutive blocks continue one stream, so the triples equal one
+        ``sample_index_arrays(sampler, n)`` call while the draws held at any
+        time stay small.
+        """
+        for start in range(0, n, SAMPLE_BLOCK):
+            yield self.sample_index_arrays(sampler, min(SAMPLE_BLOCK, n - start))
 
 
 # ---------------------------------------------------------------------------
 # Deterministic randomness
 # ---------------------------------------------------------------------------
 
+SAMPLE_BLOCK = 1024  # index triples drawn per sampler call by the single-sample loops
+
+
+def _inverse_cdf(cum: np.ndarray, u):
+    """Indices drawn by inverting the cumulative sums ``cum`` at unit uniforms ``u``.
+
+    ``u * cum[-1]`` is exactly what ``Generator.uniform(0, cum[-1])`` returns for
+    the same double. A point below the total never lands on a zero-weight entry
+    (``side="right"``); a point at the total, which no double below 1 gives, is
+    clipped to the last index.
+    """
+    return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), len(cum) - 1)
+
+
 class Sampler:
     """Deterministic random source (PCG64 with fixed constants).
 
     One sampler per worker; never share an instance across concurrent runs.
     Identical seeds give identical draw sequences across processes and
-    platforms. Weighted choices go through an explicit cumulative-sum
-    inversion of a single uniform draw, so the stream layout is fixed by
-    construction rather than by generator internals.
+    platforms. Weighted choices invert a cumulative sum at one uniform
+    double, so the stream layout is fixed by construction rather than by
+    generator internals: ``uniform(0, c)`` computes ``c * u`` from the next
+    double ``u``, and a (task, input, context) triple takes three doubles in
+    that order. The training and variance loops draw triples in blocks of
+    ``SAMPLE_BLOCK`` that continue one stream, so every triple gets the same
+    doubles as when it is drawn alone.
     """
 
     def __init__(self, seed_seq: np.random.SeedSequence):
@@ -480,10 +529,8 @@ class Sampler:
 
     def choice(self, weights: np.ndarray) -> int:
         """Index drawn proportionally to ``weights`` (need not be normalized)."""
-        w = np.asarray(weights, dtype=np.float64)
-        cum = np.cumsum(w)
-        u = self._gen.uniform(0.0, cum[-1])
-        return int(np.searchsorted(cum, u, side="right").clip(0, len(w) - 1))
+        return int(_inverse_cdf(np.cumsum(np.asarray(weights, dtype=np.float64)),
+                                self._gen.random()))
 
     def spawn(self, n: int) -> list["Sampler"]:
         """Derive n independent child samplers (deterministic given the parent seed)."""

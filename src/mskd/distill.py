@@ -231,24 +231,29 @@ def _sgd_loop(compiled: CompiledObjective, config: TrainerConfig) -> tuple[np.nd
                         float(np.linalg.norm(g)), lr))
 
     record(0, config.eta0)
-    lam = config.ridge
-    for t in range(config.steps):
-        eta = config.eta0 / (1.0 + t)
-        tj, xi, ci = world.sample_indices(sample_rng)
-        p = softmax(theta[xi])
-        g = p - compiled.targets[tj, xi, ci]
-        if lam > 0:
-            theta *= 1.0 - eta * lam
-        theta[xi] -= eta * g
-        done = t + 1
-        if done % config.eval_every == 0 or done == config.steps:
-            record(done, eta)
+    t = 0
+    for block in world.sample_index_blocks(sample_rng, config.steps):
+        for tj, xi, ci in zip(*(a.tolist() for a in block)):
+            eta = config.eta0 / (1.0 + t)
+            _sgd_step(theta, compiled.targets, tj, xi, ci, eta, config.ridge)
+            t += 1
+            if t % config.eval_every == 0 or t == config.steps:
+                record(t, eta)
     arr = np.array(records, dtype=np.float64)
     steps = arr[:, 0].astype(np.int64)
     # dedupe the final step when it lands on the eval grid
     _, keep = np.unique(steps, return_index=True)
     trace = TrainTrace(steps[keep], arr[keep, 1], arr[keep, 2], arr[keep, 3], arr[keep, 4])
     return theta, trace
+
+
+def _sgd_step(theta: np.ndarray, targets: np.ndarray, tj: int, xi: int, ci: int,
+              eta: float, ridge: float) -> None:
+    """One single-sample step in place: ridge decay, then the gradient at input ``xi``."""
+    g = softmax(theta[xi]) - targets[tj, xi, ci]
+    if ridge > 0:
+        theta *= 1.0 - eta * ridge
+    theta[xi] -= eta * g
 
 
 def sgd_train(config: TrainerConfig, G: UnifiedWeightOperator,

@@ -251,11 +251,11 @@ def _single_sample_variance(compiled: CompiledObjective, theta: np.ndarray,
     probs = softmax(theta)
     mean_g = np.zeros((n, v))
     sq_sum = 0.0
-    for _ in range(n_samples):
-        tj, xi, ci = world.sample_indices(sampler)
+    for tj, xi, ci in world.sample_index_blocks(sampler, n_samples):
         g = probs[xi] - compiled.targets[tj, xi, ci]
-        mean_g[xi] += g
-        sq_sum += float(g @ g)
+        np.add.at(mean_g, xi, g)  # row by row in draw order, as one sample at a time
+        for row in g:
+            sq_sum += float(row @ row)
     mean_g /= n_samples
     return sq_sum / n_samples - float(np.sum(mean_g * mean_g))
 

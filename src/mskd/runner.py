@@ -73,6 +73,7 @@ from .operators import (
     inverse_entropy_weights_from_entropies,
     uniform_weights,
 )
+from .params import param_errors
 from .safety import (
     SafetyConfig,
     dual_ascent_solve,
@@ -207,12 +208,6 @@ def _build_trainer(tr: dict, seed: int) -> TrainerConfig:
     )
 
 
-def _unknown_labels(params: dict, world: World) -> list[str]:
-    known = {"input": {x.id for x in world.inputs}, "context": {c.id for c in world.contexts}}
-    return [f"params.labels: unknown {field} {row[field]}" for row in params.get("labels", [])
-            for field in ("input", "context") if int(row[field]) not in known[field]]
-
-
 def parse_config_dict(doc: dict) -> ExperimentConfig:
     """Validate a config document, collecting every error before failing."""
     if not isinstance(doc, dict):
@@ -234,9 +229,8 @@ def parse_config_dict(doc: dict) -> ExperimentConfig:
     if not isinstance(params, dict):
         errors.append("params: must be an object")
         params = {}
-    if world is not None and kind in ("safety", "pareto"):
-        unknown = _collect(errors, "params.labels", _unknown_labels, params, world)
-        errors += unknown or []
+    if kind in EXPERIMENT_KINDS:
+        errors += _collect(errors, "params", param_errors, kind, params, world) or []
     if errors:
         raise ParseError("invalid config:\n  - " + "\n  - ".join(errors))
     return ExperimentConfig(

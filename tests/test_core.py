@@ -8,18 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mskd.core import (
+    SAMPLE_BLOCK,
+    ContextSpec,
     InfeasibleBounds,
+    InputSpec,
     NegativeMass,
     NotNormalized,
     StudentParams,
+    TaskSpec,
+    TeacherBank,
     VocabularySpec,
     WeightBounds,
+    World,
     entropy,
     seeded_sampler,
     softmax,
     validate_distribution,
 )
-from mskd.worlds import convergence_world
+from mskd.worlds import conformance_world, convergence_world, safety_world
 
 
 @st.composite
@@ -125,17 +131,146 @@ class TestSampler:
         world = convergence_world()
         sampler = seeded_sampler(123)
         n = 100_000
-        counts_t = np.zeros(len(world.tasks))
-        counts_x = np.zeros(len(world.inputs))
-        counts_c = np.zeros(len(world.contexts))
-        for _ in range(n):
-            tj, xi, ci = world.sample_indices(sampler)
-            counts_t[tj] += 1
-            counts_x[xi] += 1
-            counts_c[ci] += 1
+        tj, xi, ci = world.sample_index_arrays(sampler, n)
+        counts_t = np.bincount(tj, minlength=len(world.tasks))
+        counts_x = np.bincount(xi, minlength=len(world.inputs))
+        counts_c = np.bincount(ci, minlength=len(world.contexts))
         np.testing.assert_allclose(counts_t / n, world.task_importances, atol=0.01)
         np.testing.assert_allclose(counts_x / n, world.input_marginals(), atol=0.01)
         np.testing.assert_allclose(counts_c / n, world.context_weights, atol=0.01)
+
+
+def _measure_world(importances, input_weights, context_weights) -> World:
+    """A world with the given sampling weights; task j reads its inputs in reverse for odd j."""
+    n_inputs = max(len(w) for w in input_weights)
+    tasks = tuple(TaskSpec(j, tuple(range(len(w)))[::-1 if j % 2 else 1], w, lam)
+                  for j, (lam, w) in enumerate(zip(importances, input_weights)))
+    contexts = tuple(ContextSpec(c, [0.0], mu) for c, mu in enumerate(context_weights))
+    table = {(x, c): [[0.5, 0.5]] for x in range(n_inputs) for c in range(len(contexts))}
+    bank = TeacherBank(1, table, {t.id: [0.5] for t in tasks}, [0.5])
+    return World(VocabularySpec(2), tuple(InputSpec(x, [float(x)]) for x in range(n_inputs)),
+                 tasks, contexts, bank)
+
+
+def _scalar_triples(world: World, draw, n: int) -> np.ndarray:
+    """(n, 3) index triples drawn one choice at a time; ``draw(total)`` gives the point."""
+    def pick(weights) -> int:
+        cum = np.cumsum(weights)
+        return int(np.searchsorted(cum, draw(cum[-1]), side="right").clip(0, len(cum) - 1))
+
+    order = [x.id for x in world.inputs]
+    rows = []
+    for _ in range(n):
+        tj = pick(world.task_importances)
+        task = world.tasks[tj]
+        xi = order.index(task.input_ids[pick(task.input_weights)])
+        rows.append((tj, xi, pick(world.context_weights)))
+    return np.array(rows, dtype=np.intp).reshape(n, 3)
+
+
+def _generator(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
+class _FixedStream:
+    """A stand-in sampler whose ``uniform(size=m)`` returns the next m given doubles."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def uniform(self, size):
+        out, self.values = self.values[:size], self.values[size:]
+        return out
+
+
+ZERO_WEIGHTS = _measure_world([0.5, 0.0, 0.5], [[0.0, 1.0], [1.0], [0.3, 0.0, 0.7]],
+                              [0.0, 1.0, 0.0])
+SINGLE = _measure_world([1.0], [[1.0]], [1.0])
+
+
+def _weights(size: int | None = None):
+    """Normalized weight vectors of ``size`` entries (None: 1 to 5), some of them zero."""
+    entries = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    sizes = {"min_size": size or 1, "max_size": size or 5}
+    return st.lists(entries, **sizes).filter(any).map(lambda w: np.array(w) / math.fsum(w))
+
+
+@st.composite
+def measures(draw):
+    """(task importances, each task's input weights, context weights) with zero entries."""
+    n_tasks = draw(st.integers(1, 3))
+    return (draw(_weights(n_tasks)), draw(st.lists(_weights(), min_size=n_tasks,
+                                                   max_size=n_tasks)), draw(_weights()))
+
+
+class TestIndexStream:
+    """Block index draws equal the scalar inverse-CDF draws, double for double."""
+
+    @pytest.mark.parametrize("n", [1, 5, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1,
+                                   2 * SAMPLE_BLOCK + 7])
+    @pytest.mark.parametrize("make_world", [convergence_world, conformance_world, safety_world])
+    def test_block_draws_match_scalar_draws(self, make_world, n):
+        world = make_world()
+        gen = _generator(n)
+        expected = _scalar_triples(world, lambda total: gen.uniform(0.0, total), n)
+        sampler = seeded_sampler(n)
+        assert np.array_equal(np.stack(world.sample_index_arrays(sampler, n), axis=1), expected)
+        after = sampler.uniform()
+        assert after == gen.uniform()  # the next double: 3n were taken
+        blocked = seeded_sampler(n)
+        blocks = list(world.sample_index_blocks(blocked, n))
+        assert max(len(b[0]) for b in blocks) <= SAMPLE_BLOCK
+        assert np.array_equal(np.concatenate([np.stack(b, axis=1) for b in blocks]), expected)
+        assert blocked.uniform() == after
+
+    @pytest.mark.parametrize("world", [ZERO_WEIGHTS, SINGLE], ids=["zero_weights", "single"])
+    def test_zero_weights_and_one_element_measures(self, world):
+        n = SAMPLE_BLOCK + 3
+        gen = _generator(9)
+        expected = _scalar_triples(world, lambda total: gen.uniform(0.0, total), n)
+        drawn = np.concatenate([np.stack(b, axis=1)
+                                for b in world.sample_index_blocks(seeded_sampler(9), n)])
+        assert np.array_equal(drawn, expected)
+        assert world.joint_measure()[tuple(drawn.T)].min() > 0  # no zero-weight cell drawn
+
+    def test_sample_indices_and_choice_take_the_same_path(self):
+        world = conformance_world()
+        gen = _generator(4)
+        expected = _scalar_triples(world, lambda total: gen.uniform(0.0, total), 200)
+        sampler = seeded_sampler(4)
+        assert [world.sample_indices(sampler) for _ in range(200)] == \
+            [tuple(row) for row in expected.tolist()]
+        weights = np.array([0.0, 2.0, 0.0, 1.0, 3.0])
+        cum = np.cumsum(weights)
+        reference = [int(np.searchsorted(cum, gen.uniform(0.0, cum[-1]), side="right"))
+                     for _ in range(300)]
+        assert [sampler.choice(weights) for _ in range(300)] == reference
+
+    @settings(max_examples=60, deadline=None)
+    @given(measure=measures(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_measures_match_scalar_draws(self, measure, seed):
+        world = _measure_world(*measure)
+        gen = _generator(seed)
+        expected = _scalar_triples(world, lambda total: gen.uniform(0.0, total), 40)
+        drawn = world.sample_index_arrays(seeded_sampler(seed), 40)
+        assert np.array_equal(np.stack(drawn, axis=1), expected)
+        # the largest double below 1 never rounds a point up to the total, so only
+        # u = 1, which no generator returns, reaches the clip to the last index
+        totals = [np.cumsum(w)[-1] for w in (world.task_importances, world.context_weights,
+                                              *(t.input_weights for t in world.tasks))]
+        assert all(total * (1.0 - 2.0 ** -53) < total for total in totals)
+        edges = np.tile([0.0, 1.0 - 2.0 ** -53, 1.0], 4)
+        it = iter(edges)
+        expected = _scalar_triples(world, lambda total: total * next(it), 4)
+        drawn = world.sample_index_arrays(_FixedStream(edges), 4)
+        assert np.array_equal(np.stack(drawn, axis=1), expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(total=st.floats(1e-6, 1e6), seed=st.integers(0, 2 ** 32 - 1))
+    def test_uniform_scales_the_next_double(self, total, seed):
+        a, b = _generator(seed), _generator(seed)
+        assert a.uniform(0.0, total) == total * b.random()
+        assert a.uniform(size=7).tobytes() == b.random(7).tobytes()
 
 
 class TestTeacherBank:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from mskd.composition import UnifiedWeightOperator, renormalized_mixture, uniform_unified
-from mskd.core import MarginViolated, StudentParams, WeightBounds, normalize_exact, seeded_sampler
+from mskd import distill
+from mskd.core import (SAMPLE_BLOCK, MarginViolated, StudentParams, WeightBounds, normalize_exact,
+                       seeded_sampler, softmax)
 from mskd.distill import (
     InsufficientTrace,
     TrainerConfig,
@@ -121,6 +123,37 @@ class TestSgdTrain:
         p2, t2 = sgd_train(cfg, adaptive_g(), world)
         assert np.array_equal(p1.logits, p2.logits)
         assert np.array_equal(t1.loss, t2.loss)
+
+    def test_block_draws_match_one_step_at_a_time(self, world, monkeypatch):
+        spawned = []
+
+        def recording_sampler(seed):
+            sampler = seeded_sampler(seed)
+            spawn = sampler.spawn
+
+            def recording_spawn(n):
+                spawned.extend(spawn(n))
+                return spawned[-n:]
+
+            sampler.spawn = recording_spawn
+            return sampler
+
+        monkeypatch.setattr(distill, "seeded_sampler", recording_sampler)
+        steps = SAMPLE_BLOCK + 17
+        cfg = TrainerConfig(eta0=2.0, steps=steps, ridge=0.01, seed=3, eval_every=100,
+                            init_scale=0.5)
+        params, _ = sgd_train(cfg, adaptive_g(), world)
+        init_rng, sample_rng = seeded_sampler(3).spawn(2)
+        targets = compile_objective(adaptive_g(), world, 0.01).targets
+        theta = 0.5 * init_rng.normal(size=params.logits.shape)
+        for t in range(steps):
+            eta = 2.0 / (1.0 + t)
+            tj, xi, ci = world.sample_indices(sample_rng)
+            g = softmax(theta[xi]) - targets[tj, xi, ci]
+            theta *= 1.0 - eta * 0.01
+            theta[xi] -= eta * g
+        assert np.array_equal(params.logits, theta)
+        assert spawned[1].uniform() == sample_rng.uniform()  # 3 doubles taken per step
 
     def test_adaptive_differs_from_classic(self, world):
         cfg = TrainerConfig(eta0=1.0, steps=500, ridge=0.01, seed=7, eval_every=100)

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from mskd.composition import UnifiedWeightOperator, uniform_unified
-from mskd.core import MarginViolated, StudentParams, WeightBounds, seeded_sampler
+from mskd.core import (SAMPLE_BLOCK, MarginViolated, StudentParams, WeightBounds, seeded_sampler,
+                       softmax)
+from mskd.distill import compile_objective
 from mskd.dynamics import (
     WeightUpdateConfig,
+    _single_sample_variance,
     estimate_contraction,
     gradient_variance_ratio,
     iterate_to_fixed_point,
@@ -16,7 +19,7 @@ from mskd.dynamics import (
 )
 from mskd.operators import ContextOperator, TaskOperator, TokenOperator, uniform_weights
 from mskd.worlds import (appendix_world, conformance_world, convergence_world,
-                         identical_teachers_world)
+                         identical_teachers_world, safety_world)
 
 BOUNDS = WeightBounds(0.05, 0.95)
 
@@ -202,3 +205,22 @@ class TestGradientVariance:
                                   ContextOperator("family_a"), WeightBounds(0.01, 0.99))
         res = gradient_variance_ratio(g, world, params, 2000, seed=6)
         assert res.measured <= res.bound * (1 + 1e-12)
+
+    @pytest.mark.parametrize("make_world", [convergence_world, safety_world, appendix_world])
+    def test_block_draws_match_one_sample_at_a_time(self, make_world):
+        world = make_world()
+        compiled = compile_objective(adaptive_g(WeightBounds(0.01, 0.99)), world)
+        theta = np.random.default_rng(3).normal(size=compiled.qbar.shape)
+        n = 2 * SAMPLE_BLOCK + 5
+        probs, sampler = softmax(theta), seeded_sampler(8)
+        mean_g, sq_sum = np.zeros_like(theta), 0.0
+        for _ in range(n):
+            tj, xi, ci = world.sample_indices(sampler)
+            g = probs[xi] - compiled.targets[tj, xi, ci]
+            mean_g[xi] += g
+            sq_sum += float(g @ g)
+        mean_g /= n
+        expected = sq_sum / n - float(np.sum(mean_g * mean_g))
+        blocked = seeded_sampler(8)
+        assert _single_sample_variance(compiled, theta, n, blocked) == expected
+        assert blocked.uniform() == sampler.uniform()

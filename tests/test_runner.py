@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mskd.core import ParseError
+from mskd.core import MskdError, ParseError
 from mskd.runner import (
     EXPERIMENT_KINDS,
     emit_summary,
@@ -26,9 +26,10 @@ from mskd.worlds import appendix_world
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
 # bundled configs in the order the references number them; "rate" (index 0)
-# is pinned only in a reduced 2-seed variant, so it is not rerun here
+# is pinned in the benchmark's reduced variant, which trains RATE_SEEDS seeds
 GOLDEN = ("appendix_a", "conformance", "train", "fixed_point", "perturbation",
           "variance", "safety", "pareto")
+RATE_SEEDS = 2  # perfbench/run.py's RATE_SEEDS
 # the generated 256-cell world's configs, in the order the "large" references number them
 GOLDEN_LARGE = ("perturbation", "safety")
 
@@ -195,6 +196,11 @@ class TestGoldenOutputs:
         _assert_pinned_outputs("bundled", f"{index}-{name}/",
                                parse_config(CONFIGS / f"{name}.json"), tmp_path / name)
 
+    def test_rate_outputs_match_pinned_digests(self, tmp_path):
+        doc = json.loads((CONFIGS / "rate.json").read_text())
+        doc["params"]["n_seeds"] = RATE_SEEDS
+        _assert_pinned_outputs("bundled", "0-rate/", parse_config_dict(doc), tmp_path / "rate")
+
     @pytest.mark.parametrize("index,name", list(enumerate(GOLDEN_LARGE)))
     def test_large_world_outputs_match_pinned_digests(self, index, name, tmp_path):
         doc = getattr(_gen_world_module(), f"{name}_doc")(0)
@@ -227,14 +233,26 @@ def _mutate(doc, data) -> None:
             return
 
 
+def _fuzzed_text(doc, data, params_only: bool = False) -> str:
+    """``doc`` after one to three mutations, as JSON text (``params`` alone, or any field)."""
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        params = doc.get("params")
+        in_params = isinstance(params, dict) and (params_only or data.draw(st.booleans()))
+        _mutate(params if in_params else doc, data)
+    return json.dumps(doc).replace(f'"{HUGE}"', "1e999")
+
+
+# the bundled configs with the rate study cut to 2000 steps per seed, for fuzzed runs
+QUICK_DOCS = {**BUNDLED_DOCS, "rate": {**BUNDLED_DOCS["rate"], "trainer": {
+    **BUNDLED_DOCS["rate"]["trainer"], "steps": 2000, "eval_every": 100}}}
+
+
 class TestFuzzedConfigs:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_only_parse_errors_escape(self, data, tmp_path_factory):
-        doc = copy.deepcopy(BUNDLED_DOCS[data.draw(st.sampled_from(EXPERIMENT_KINDS))])
-        for _ in range(data.draw(st.integers(1, 3))):
-            _mutate(doc, data)
-        text = json.dumps(doc).replace(f'"{HUGE}"', "1e999")
+        text = _fuzzed_text(BUNDLED_DOCS[data.draw(st.sampled_from(EXPERIMENT_KINDS))], data)
         try:
             parse_config_dict(json.loads(text))
         except ParseError:
@@ -242,6 +260,22 @@ class TestFuzzedConfigs:
         path = tmp_path_factory.mktemp("fuzz") / "config.json"
         path.write_text(text)
         assert main(["validate", str(path)]) in (0, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_validated_params_run(self, data):
+        # a config that validates may fail its assertions or raise a typed
+        # runtime error (exit 3), but no bare exception may escape the suite
+        text = _fuzzed_text(QUICK_DOCS[data.draw(st.sampled_from(EXPERIMENT_KINDS))], data,
+                            params_only=True)
+        try:
+            cfg = parse_config_dict(json.loads(text))
+        except ParseError:
+            return
+        try:
+            run_experiment(cfg)
+        except MskdError:
+            pass
 
 
 class TestCli:
@@ -281,6 +315,20 @@ class TestCli:
         p = tmp_path / "nan.json"
         p.write_text(json.dumps(minimal_doc()).replace('"lipschitz": 25.0', '"lipschitz": NaN'))
         assert main([command, str(p)]) == 2
+
+    @pytest.mark.parametrize("kind,name,value", [("perturbation", "deltas", "abc"),
+                                                 ("variance", "n_samples", "many"),
+                                                 ("variance", "n_samples", 99),
+                                                 ("rate", "n_seeds", 0)])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_bad_params_exit_two(self, tmp_path, kind, name, value, command, capsys):
+        doc = copy.deepcopy(BUNDLED_DOCS[kind])
+        doc["params"][name] = value
+        p = tmp_path / "params.json"
+        p.write_text(json.dumps(doc))
+        out = ["--out", str(tmp_path / "o")] if command == "run" else []
+        assert main([command, str(p), *out]) == 2
+        assert f"params.{name}" in capsys.readouterr().err
 
     def test_seed_override_changes_hash(self, tmp_path, capsys):
         p = CONFIGS / "appendix_a.json"
