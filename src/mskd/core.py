@@ -321,13 +321,15 @@ class StudentParams:
             raise MissingLogits("one logit row required per input id")
         if self.ridge < 0:
             raise MskdError("ridge strength must be nonnegative")
+        # id -> row; a repeated id keeps its first row, as ``tuple.index`` did
+        object.__setattr__(self, "_row", dict(reversed([(x, k) for k, x in
+                                                         enumerate(self.input_ids)])))
 
     def row(self, input_id: int) -> np.ndarray:
         try:
-            idx = self.input_ids.index(input_id)
-        except ValueError:
+            return self.logits[self._row[input_id]]
+        except KeyError:
             raise MissingLogits(f"no logits for input {input_id}")
-        return self.logits[idx]
 
     def distribution(self, input_id: int) -> np.ndarray:
         return softmax(self.row(input_id))

@@ -254,8 +254,8 @@ def _single_sample_variance(compiled: CompiledObjective, theta: np.ndarray,
     for tj, xi, ci in world.sample_index_blocks(sampler, n_samples):
         g = probs[xi] - compiled.targets[tj, xi, ci]
         np.add.at(mean_g, xi, g)  # row by row in draw order, as one sample at a time
-        for row in g:
-            sq_sum += float(row @ row)
+        products = np.matmul(g[:, None, :], g[:, :, None]).ravel()  # each row @ row
+        sq_sum = float(np.cumsum(np.append(sq_sum, products))[-1])  # added in draw order
     mean_g /= n_samples
     return sq_sum / n_samples - float(np.sum(mean_g * mean_g))
 

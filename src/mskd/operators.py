@@ -30,7 +30,7 @@ scale), and ordinal safety monotonicity; failures are reported, never thrown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,6 +50,7 @@ from .core import (
 
 ENTROPY_FLOOR = 1e-6   # avoids 1/0 on point-mass teachers
 VARIANCE_FLOOR = 1e-6
+PERTURB_EPS = 0.01     # size of the conformance checker's regularity perturbations
 
 
 # ---------------------------------------------------------------------------
@@ -446,28 +447,27 @@ def _perturbed_dists(dists: np.ndarray, eps: float,
     return moved, worst_tv
 
 
-def _bank_with_cell(bank: TeacherBank, cell: tuple[int, int], dists: np.ndarray) -> TeacherBank:
+def _perturbed_bank(bank: TeacherBank, scale: str, key, eps: float,
+                    sampler: Sampler) -> tuple[TeacherBank, float]:
+    """The bank with the inputs of one sampled point perturbed, and the distance moved.
+
+    Token points move their (input, context) cell and context points every
+    cell of the context, in table order, by total variation <= ``eps``; task
+    points move the task's performance scores by up to ``eps`` each, clipped
+    to [0, 1].
+    """
+    if scale == "task":
+        perf = dict(bank.perf_scores)
+        perf[key] = np.clip(perf[key] + sampler.uniform(-eps, eps, size=bank.k), 0.0, 1.0)
+        return (replace(bank, perf_scores=perf),
+                float(np.max(np.abs(perf[key] - bank.perf(key)))))
+    cells = [key[::2]] if scale == "token" else [c for c in bank.table if c[1] == key]
     table = dict(bank.table)
-    table[cell] = dists
-    return TeacherBank(bank.k, table, dict(bank.perf_scores), bank.safety_scores)
-
-
-def _bank_with_context(bank: TeacherBank, context_id: int, eps: float,
-                       sampler: Sampler) -> tuple[TeacherBank, float]:
-    table = dict(bank.table)
-    worst_tv = 0.0
-    for key, dists in bank.table.items():
-        if key[1] == context_id:
-            mixed, tv = _perturbed_dists(dists, eps, sampler)
-            table[key] = mixed
-            worst_tv = max(worst_tv, tv)
-    return TeacherBank(bank.k, table, dict(bank.perf_scores), bank.safety_scores), worst_tv
-
-
-def _bank_with_perf(bank: TeacherBank, task_id: int, delta: np.ndarray) -> TeacherBank:
-    perf = dict(bank.perf_scores)
-    perf[task_id] = np.clip(perf[task_id] + delta, 0.0, 1.0)
-    return TeacherBank(bank.k, dict(bank.table), perf, bank.safety_scores)
+    moved = 0.0
+    for cell in cells:
+        table[cell], tv = _perturbed_dists(bank.dists(*cell), eps, sampler)
+        moved = max(moved, tv)
+    return replace(bank, table=table), moved
 
 
 def _basic_checks(report: ConformanceReport, w: np.ndarray, bounds: WeightBounds) -> None:
@@ -492,15 +492,14 @@ def _record_regularity(report: ConformanceReport, dw: float, moved: float) -> No
 
 
 def check_conformance(op, scale: str, world: World, bounds: WeightBounds,
-                      sampler: Sampler, n_samples: int = 1000,
-                      perturb_eps: float = 0.01) -> ConformanceReport:
+                      sampler: Sampler, n_samples: int = 1000) -> ConformanceReport:
     """Sample evaluation points and test every axiom at the given scale.
 
     Regularity pairs each evaluation with one where the teacher distributions
-    are mixed toward uniform by total variation <= ``perturb_eps`` (task-scale
-    operators read performance scores instead, so those are perturbed there);
-    the weight change must stay within the declared Lipschitz constant times
-    the distance moved. Failures are recorded in the report, never raised.
+    are moved by total variation <= ``PERTURB_EPS`` (task-scale operators
+    read performance scores instead, so those are perturbed there); the
+    weight change must stay within the declared Lipschitz constant times the
+    distance moved. Failures are recorded in the report, never raised.
 
     Operators are pure, so evaluations at repeated sample points are cached.
     """
@@ -516,63 +515,35 @@ def check_conformance(op, scale: str, world: World, bounds: WeightBounds,
     report.checks["regularity"] = AxiomCheck("regularity", bounds.lipschitz)
     if scale in ("token", "context"):
         report.checks["safety_monotonicity"] = AxiomCheck("safety_monotonicity", SUM_TOL)
-
-    n_inputs = len(world.inputs)
-    n_ctx = len(world.contexts)
-    n_tasks = len(world.tasks)
-    v = world.vocab.size
     cache: dict = {}
 
     for _ in range(n_samples):
+        # a point: its cache key, the ``weights`` arguments before the bank,
+        # and whether safety monotonicity applies there
         if scale == "token":
-            x = world.inputs[int(sampler.integers(0, n_inputs))].id
-            i = int(sampler.integers(0, v))
-            ctx_id = world.contexts[int(sampler.integers(0, n_ctx))].id
-            key = (x, i, ctx_id)
-            if key not in cache:
-                w = np.asarray(op.weights(x, i, ctx_id, bank, bounds), dtype=np.float64)
-                mixed, tv = _perturbed_dists(bank.dists(x, ctx_id), perturb_eps, sampler)
-                dw = np.nan
-                if tv > 1e-12:
-                    w2 = op.weights(x, i, ctx_id, _bank_with_cell(bank, (x, ctx_id), mixed), bounds)
-                    dw = float(np.max(np.abs(w2 - w)))
-                cache[key] = (w, dw, tv)
-            w, dw, tv = cache[key]
-            _basic_checks(report, w, bounds)
-            if i in world.vocab.safety_tokens:
-                _safety_monotonicity(report, w, bank.safety_scores)
-            if np.isfinite(dw):
-                _record_regularity(report, dw, tv)
+            x = world.inputs[int(sampler.integers(0, len(world.inputs)))].id
+            i = int(sampler.integers(0, world.vocab.size))
+            c = world.contexts[int(sampler.integers(0, len(world.contexts)))].id
+            key, args, safety = (x, i, c), (x, i, c), i in world.vocab.safety_tokens
         elif scale == "task":
-            t = world.tasks[int(sampler.integers(0, n_tasks))].id
-            if t not in cache:
-                w = np.asarray(op.weights(t, bank, bounds), dtype=np.float64)
-                delta = sampler.uniform(-perturb_eps, perturb_eps, size=bank.k)
-                bank2 = _bank_with_perf(bank, t, delta)
-                moved = float(np.max(np.abs(bank2.perf(t) - bank.perf(t))))
-                dw = np.nan
-                if moved > 1e-12:
-                    dw = float(np.max(np.abs(op.weights(t, bank2, bounds) - w)))
-                cache[t] = (w, dw, moved)
-            w, dw, moved = cache[t]
-            _basic_checks(report, w, bounds)
-            if np.isfinite(dw):
-                _record_regularity(report, dw, moved)
+            t = world.tasks[int(sampler.integers(0, len(world.tasks)))].id
+            key, args, safety = t, (t,), False
         else:
-            ctx = world.contexts[int(sampler.integers(0, n_ctx))]
-            if ctx.id not in cache:
-                w = np.asarray(op.weights(ctx, bank, bounds), dtype=np.float64)
-                bank2, tv = _bank_with_context(bank, ctx.id, perturb_eps, sampler)
-                dw = np.nan
-                if tv > 1e-12:
-                    dw = float(np.max(np.abs(op.weights(ctx, bank2, bounds) - w)))
-                cache[ctx.id] = (w, dw, tv)
-            w, dw, tv = cache[ctx.id]
-            _basic_checks(report, w, bounds)
-            if ctx.is_safety_critical:
-                _safety_monotonicity(report, w, bank.safety_scores)
-            if np.isfinite(dw):
-                _record_regularity(report, dw, tv)
+            ctx = world.contexts[int(sampler.integers(0, len(world.contexts)))]
+            key, args, safety = ctx.id, (ctx,), ctx.is_safety_critical
+        if key not in cache:
+            w = np.asarray(op.weights(*args, bank, bounds), dtype=np.float64)
+            bank2, moved = _perturbed_bank(bank, scale, key, PERTURB_EPS, sampler)
+            dw = np.nan
+            if moved > 1e-12:
+                dw = float(np.max(np.abs(op.weights(*args, bank2, bounds) - w)))
+            cache[key] = (w, dw, moved)
+        w, dw, moved = cache[key]
+        _basic_checks(report, w, bounds)
+        if safety:
+            _safety_monotonicity(report, w, bank.safety_scores)
+        if np.isfinite(dw):
+            _record_regularity(report, dw, moved)
     return report
 
 

@@ -364,21 +364,13 @@ def _run_appendix_a(cfg: ExperimentConfig, rec: RunRecord) -> None:
                   [("uniform", *q_uniform), ("adaptive", *q_adaptive)])
 
 
-def _operator_for_scale(cfg: ExperimentConfig, scale: str):
-    if scale == "token":
-        return cfg.operator.token_op
-    if scale == "task":
-        return cfg.operator.task_op
-    return cfg.operator.context_op
-
-
 def _run_conformance(cfg: ExperimentConfig, rec: RunRecord) -> None:
     scales = cfg.params.get("scales", ["token", "task", "context"])
     n = int(cfg.params.get("n_samples", 1000))
     sampler = seeded_sampler(cfg.seed)
     rows = []
     for scale in scales:
-        op = _operator_for_scale(cfg, scale)
+        op = getattr(cfg.operator, f"{scale}_op")
         report = check_conformance(op, scale, cfg.world, cfg.bounds, sampler, n)
         for row in report.summary_rows():
             rows.append((op.family, *row))

@@ -13,7 +13,7 @@ halving so the feasibility residual never increases after the first update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -41,6 +41,8 @@ from .distill import (
     solve_compiled,
 )
 from .operators import check_conformance
+
+JENSEN_CONFORMANCE_SAMPLES = 200  # context-operator conformance samples before the Jensen check
 
 
 @dataclass(frozen=True)
@@ -81,22 +83,32 @@ def safety_measure(p, y_star: int, vocab: VocabularySpec) -> float:
 # Expected safety and its derivatives
 # ---------------------------------------------------------------------------
 
-def _pair_measure(world: World) -> np.ndarray:
-    """(n_inputs, n_contexts) joint measure over (input, context)."""
-    return world.input_marginals()[:, None] * world.context_weights[None, :]
+def _label_table(world: World, cfg: SafetyConfig):
+    """Every (input, context) pair of positive measure, in (x, c) order, with its label.
+
+    Returns the pairs' measure, input index, context index and label token
+    (0 where the label is not safety-critical: the measure reads no token
+    there), and a mask of the safety-critical labels. ``MissingLabel`` if a
+    positive-measure pair has no label; zero-measure pairs need none.
+    """
+    pm = world.input_marginals()[:, None] * world.context_weights[None, :]
+    xi, ci = np.nonzero(pm)
+    y = np.array([cfg.label(world.inputs[x].id, world.contexts[c].id)
+                  for x, c in zip(xi.tolist(), ci.tolist())], dtype=np.intp)
+    critical = np.isin(y, list(world.vocab.safety_tokens))
+    return pm[xi, ci], xi, ci, np.where(critical, y, 0), critical
+
+
+def _in_order_sum(terms: np.ndarray):
+    """Left-to-right sum from 0.0, as a Python loop of ``+=`` adds it (``np.sum`` is pairwise)."""
+    return np.cumsum(np.append(0.0, terms))[-1]
 
 
 def expected_safety(params: StudentParams, world: World, cfg: SafetyConfig) -> float:
     """Exact expectation of the safety measure over the world's (x, c) measure."""
-    pm = _pair_measure(world)
-    total = 0.0
-    for xi, inp in enumerate(world.inputs):
-        p = params.distribution(inp.id)
-        for ci, ctx in enumerate(world.contexts):
-            if pm[xi, ci] == 0.0:
-                continue
-            total += pm[xi, ci] * safety_measure(p, cfg.label(inp.id, ctx.id), world.vocab)
-    return total
+    pm, xi, _, y, critical = _label_table(world, cfg)
+    p = softmax(_theta_from_params(params, world))
+    return _in_order_sum(pm * np.where(critical, p[xi, y], 1.0))
 
 
 def _safety_label_mass(world: World, cfg: SafetyConfig) -> tuple[np.ndarray, float]:
@@ -106,38 +118,22 @@ def _safety_label_mass(world: World, cfg: SafetyConfig) -> tuple[np.ndarray, flo
     safety token i; the returned scalar is the total measure of pairs whose
     label is not safety-critical (those contribute 1 regardless of theta).
     """
-    pm = _pair_measure(world)
+    pm, xi, _, y, critical = _label_table(world, cfg)
     mass = np.zeros((len(world.inputs), world.vocab.size))
-    free = 0.0
-    for xi, inp in enumerate(world.inputs):
-        for ci, ctx in enumerate(world.contexts):
-            if pm[xi, ci] == 0.0:
-                continue
-            y = cfg.label(inp.id, ctx.id)
-            if y in world.vocab.safety_tokens:
-                mass[xi, y] += pm[xi, ci]
-            else:
-                free += pm[xi, ci]
-    return mass, free
+    np.add.at(mass, (xi[critical], y[critical]), pm[critical])  # in pair order
+    return mass, _in_order_sum(pm[~critical])
 
 
 def expected_safety_gradient(params: StudentParams, world: World,
                              cfg: SafetyConfig) -> np.ndarray:
     """Analytic gradient of the expected safety with respect to the logits."""
     mass, _ = _safety_label_mass(world, cfg)
-    theta = _theta_from_params(params, world)
-    grad = np.zeros_like(theta)
-    for xi in range(theta.shape[0]):
-        p = softmax(theta[xi])
-        for y in np.nonzero(mass[xi])[0]:
-            grad[xi] += mass[xi, y] * p[y] * (_unit(len(p), y) - p)
+    p = softmax(_theta_from_params(params, world))
+    grad = np.zeros_like(p)
+    eye = np.eye(p.shape[1])
+    for y in np.flatnonzero(mass.any(axis=0)):  # one step per safety token, ascending
+        grad += (mass[:, y] * p[:, y])[:, None] * (eye[y] - p)
     return grad
-
-
-def _unit(n: int, i: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
 
 
 def max_achievable_safety(world: World, cfg: SafetyConfig) -> float:
@@ -164,20 +160,25 @@ def lagrangian_value(params: StudentParams, mu: float, G: UnifiedWeightOperator,
     return compiled.loss(theta) - mu * expected_safety(params, world, cfg)
 
 
-def _minimize_lagrangian(compiled: CompiledObjective, mu: float, mass: np.ndarray,
-                         theta0: np.ndarray, gtol: float) -> np.ndarray:
-    """Full-batch minimization of loss - mu * safety via damped block Newton."""
+def _lagrangian_block(compiled: CompiledObjective, mu: float, mass: np.ndarray):
+    """Damped-Newton block kernel of loss - mu * safety: (xi, row) -> value, gradient, Hessian.
+
+    Each input's safety labels are read from ``mass`` once here, not on
+    every evaluation.
+    """
+    eye = np.eye(mass.shape[1])
+    labels = [[(y, mu * m[y]) for y in np.flatnonzero(m)] for m in mass]
+
     def fgh(xi: int, row: np.ndarray):
         f, g, h, p = compiled.block(xi, row)
-        for y in np.nonzero(mass[xi])[0]:
-            w = mu * mass[xi, y]
+        for y, w in labels[xi]:
+            d = eye[y] - p
             f -= w * p[y]
-            ey = _unit(len(p), y)
-            g -= w * p[y] * (ey - p)
-            h -= w * p[y] * (np.outer(ey - p, ey - p) - np.diag(p) + np.outer(p, p))
+            g -= w * p[y] * d
+            h -= w * p[y] * (np.outer(d, d) - np.diag(p) + np.outer(p, p))
         return f, g, h
 
-    return minimize_blockwise(theta0, fgh, gtol)
+    return fgh
 
 
 @dataclass
@@ -210,7 +211,8 @@ def dual_ascent_solve(G: UnifiedWeightOperator, world: World, cfg: SafetyConfig,
     mass, _ = _safety_label_mass(world, cfg)
     mu = 0.0
     step = cfg.dual_step
-    theta = _minimize_lagrangian(compiled, mu, mass, np.zeros_like(compiled.qbar), gtol)
+    theta = minimize_blockwise(np.zeros_like(compiled.qbar),
+                               _lagrangian_block(compiled, mu, mass), gtol)
     history: list[dict] = []
     for it in range(cfg.max_dual_iters):
         params = compiled.params(theta)
@@ -224,7 +226,7 @@ def dual_ascent_solve(G: UnifiedWeightOperator, world: World, cfg: SafetyConfig,
             return DualAscentResult(params, mu, history, True)
         while True:
             mu_new = max(0.0, mu + step * (cfg.s_min - safety))
-            theta_new = _minimize_lagrangian(compiled, mu_new, mass, theta, gtol)
+            theta_new = minimize_blockwise(theta, _lagrangian_block(compiled, mu_new, mass), gtol)
             safety_new = expected_safety(compiled.params(theta_new), world, cfg)
             feas_new = max(0.0, cfg.s_min - safety_new)
             if feas_new <= feas + 1e-12 or step < 1e-8:
@@ -282,7 +284,7 @@ def pareto_sweep(G: UnifiedWeightOperator, world: World, cfg: SafetyConfig,
     theta = np.zeros_like(compiled.qbar)
     out = []
     for mu in grid:
-        theta = _minimize_lagrangian(compiled, float(mu), mass, theta, gtol)
+        theta = minimize_blockwise(theta, _lagrangian_block(compiled, float(mu), mass), gtol)
         params = compiled.params(theta)
         out.append((float(mu), compiled.loss(theta), expected_safety(params, world, cfg)))
     return out
@@ -305,51 +307,46 @@ def restrict_to_safety_contexts(world: World) -> World:
     if not safe:
         raise MskdError("world has no safety-critical contexts")
     total = sum(c.measure_weight for c in safe)
-    renorm = [
-        type(c)(c.id, c.features, c.measure_weight / total, c.is_safety_critical)
-        for c in safe
-    ]
-    return World(world.vocab, world.inputs, world.tasks, tuple(renorm), world.bank)
+    renorm = tuple(replace(c, measure_weight=c.measure_weight / total) for c in safe)
+    return World(world.vocab, world.inputs, world.tasks, renorm, world.bank)
 
 
 def ensemble_expected_safety(G: UnifiedWeightOperator, world: World,
                              cfg: SafetyConfig) -> float:
     """Expected safety of the weighted ensemble targets themselves."""
-    compiled = compile_objective(G, world, 0.0)
-    total = 0.0
-    joint = compiled.joint
-    for tj in range(joint.shape[0]):
-        for xi, inp in enumerate(world.inputs):
-            for ci, ctx in enumerate(world.contexts):
-                w = joint[tj, xi, ci]
-                if w == 0.0:
-                    continue
-                total += w * safety_measure(compiled.targets[tj, xi, ci],
-                                            cfg.label(inp.id, ctx.id), world.vocab)
-    return total
+    return _ensemble_safety(compile_objective(G, world, 0.0), cfg)
 
 
-def jensen_preservation_check(G: UnifiedWeightOperator, world: World, cfg: SafetyConfig,
-                              conformance_samples: int = 200) -> JensenResult:
+def _ensemble_safety(compiled: CompiledObjective, cfg: SafetyConfig) -> float:
+    # summed task by task, then in (x, c) order, skipping zero-measure points
+    _, xi, ci, y, critical = _label_table(compiled.world, cfg)
+    joint = compiled.joint[:, xi, ci]
+    s = np.where(critical, compiled.targets[:, xi, ci, y], 1.0)
+    return _in_order_sum((joint * s)[joint != 0.0])
+
+
+def jensen_preservation_check(G: UnifiedWeightOperator, world: World,
+                              cfg: SafetyConfig) -> JensenResult:
     """Student-versus-ensemble safety comparison at exact convergence.
 
     Requires the context operator to pass conformance (including safety
-    monotonicity) on this world; trains the student to the realizable
-    optimum on the safety-critical contexts and compares expected safeties.
-    At convergence the student matches the ensemble targets, so with the
-    linear measure the two values agree to solver precision; the check
-    passes when the student is no worse than the ensemble minus 1e-3.
+    monotonicity, ``JENSEN_CONFORMANCE_SAMPLES`` samples) on this world;
+    trains the student to the realizable optimum on the safety-critical
+    contexts and compares expected safeties with the ensemble's, read from
+    the same compiled objective. At convergence the student matches the
+    ensemble targets, so with the linear measure the two values agree to
+    solver precision; the check passes when the student is no worse than
+    the ensemble minus 1e-3.
     """
-    sampler = seeded_sampler(20_000 + conformance_samples)
+    sampler = seeded_sampler(20_000 + JENSEN_CONFORMANCE_SAMPLES)
     report = check_conformance(G.context_op, "context", world, G.bounds,
-                               sampler, conformance_samples)
+                               sampler, JENSEN_CONFORMANCE_SAMPLES)
     if not report.all_passed:
         raise NonConformantOperator(
             f"context operator fails conformance: {report.failures()}")
     restricted = restrict_to_safety_contexts(world)
     compiled = compile_objective(G, restricted, 0.0)
     theta = solve_compiled(compiled, gtol=1e-10)
-    student = compiled.params(theta)
-    s_student = expected_safety(student, restricted, cfg)
-    s_ensemble = ensemble_expected_safety(G, restricted, cfg)
+    s_student = expected_safety(compiled.params(theta), restricted, cfg)
+    s_ensemble = _ensemble_safety(compiled, cfg)
     return JensenResult(s_student, s_ensemble, s_student >= s_ensemble - 1e-3)

@@ -1,0 +1,42 @@
+"""Layer micro-benchmarks: one conformance pass per scale, one Lagrangian block evaluation.
+
+The default test run does not collect this file (it does not match
+``test_*.py``). Run it with pytest-benchmark:
+
+    PYTHONPATH=src python -m pytest tests/bench_verify.py --benchmark-only
+"""
+
+import numpy as np
+import pytest
+
+from mskd.composition import UnifiedWeightOperator
+from mskd.core import WeightBounds, seeded_sampler
+from mskd.distill import compile_objective
+from mskd.operators import ContextOperator, TaskOperator, TokenOperator, check_conformance
+from mskd.safety import SafetyConfig, _lagrangian_block, _safety_label_mass
+from mskd.worlds import conformance_world, safety_world, safety_world_labels
+
+BOUNDS = WeightBounds(0.02, 0.9)
+
+
+@pytest.mark.parametrize("scale, op", [
+    ("token", TokenOperator("family_a", safety_tokens=frozenset({0, 1}))),
+    ("task", TaskOperator("family_c")),
+    ("context", ContextOperator("family_c")),
+], ids=["token", "task", "context"])
+def test_conformance_pass(benchmark, scale, op):
+    """One 1,000-sample ``check_conformance`` pass on ``conformance_world``."""
+    world = conformance_world("sharp_safe")
+    benchmark(lambda: check_conformance(op, scale, world, BOUNDS, seeded_sampler(0), 1000))
+
+
+def test_lagrangian_block(benchmark):
+    """One value/gradient/Hessian evaluation of a safety-world Lagrangian block."""
+    world = safety_world()
+    g = UnifiedWeightOperator(TokenOperator("family_a"), TaskOperator("family_c"),
+                              ContextOperator("family_a"), WeightBounds(0.05, 0.95))
+    compiled = compile_objective(g, world, 0.01)
+    mass, _ = _safety_label_mass(world, SafetyConfig(0.9, safety_world_labels()))
+    fgh = _lagrangian_block(compiled, 0.5, mass)
+    row = np.random.default_rng(0).normal(size=world.vocab.size)
+    benchmark(fgh, 0, row)

@@ -8,8 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mskd.core import InfeasibleBounds, WeightBounds, ZeroMass, entropy, seeded_sampler
+from mskd import operators
+from mskd.core import (
+    ContextSpec,
+    InfeasibleBounds,
+    InputSpec,
+    TaskSpec,
+    TeacherBank,
+    VocabularySpec,
+    WeightBounds,
+    World,
+    ZeroMass,
+    entropy,
+    seeded_sampler,
+)
 from mskd.operators import (
+    ContextOperator,
+    TaskOperator,
     TokenOperator,
     check_conformance,
     check_pareto_compat,
@@ -289,6 +304,87 @@ class TestConformance:
             report = check_conformance(TokenOperator(fam), "token", world, bounds,
                                        seeded_sampler(4), 300)
             assert report.all_passed, (fam, report.failures())
+
+
+def mixed_world() -> World:
+    """Cells and scores where some perturbations move and some cannot.
+
+    Point-mass teachers move only if the random direction is nonnegative on
+    their zero entries, and scores at 0 or 1 only if the clipped shift points
+    inward; the other cells and scores always move.
+    """
+    vocab = VocabularySpec(3, frozenset({0}))
+    inputs = tuple(InputSpec(x, np.array([float(x)])) for x in range(2))
+    tasks = tuple(TaskSpec(t, (0, 1), np.array([0.5, 0.5]), 0.25) for t in range(4))
+    contexts = (ContextSpec(0, np.array([0.0]), 0.5),
+                ContextSpec(1, np.array([1.0]), 0.3, is_safety_critical=True),
+                ContextSpec(2, np.array([2.0]), 0.2))
+    point = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    table = {(0, 0): np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]), (1, 0): point,
+             (0, 1): np.array([[0.6, 0.3, 0.1], [0.3, 0.3, 0.4]]), (1, 1): point,
+             (0, 2): point, (1, 2): point}
+    perf = {0: np.array([0.5, 0.7]), 1: np.array([1.0, 1.0]), 2: np.array([0.0, 0.0]),
+            3: np.array([0.4, 0.6])}
+    return World(vocab, inputs, tasks, contexts, TeacherBank(2, table, perf, np.array([0.9, 0.2])))
+
+
+def logging_operator(scale: str, log: list):
+    """A uniform custom operator that logs each call's point and whether the bank is perturbed."""
+    def fn(*args):
+        *point, bank, bounds = args
+        key = tuple(point) if scale == "token" else point[0].id if scale == "context" else point[0]
+        log.append(("weights", key, bank is not WORLD.bank))
+        return np.full(bank.k, 1.0 / bank.k)
+
+    return OPERATOR[scale]("custom", fn=fn)
+
+
+WORLD = mixed_world()
+SCALES = ("token", "task", "context")
+OPERATOR = {"token": TokenOperator, "task": TaskOperator, "context": ContextOperator}
+# the sampler's next double and the Lipschitz estimate of a built-in family
+# after a 60-sample pass at seed 2, as the per-scale branches of the
+# conformance loop first left them
+STREAM_FAMILY = {"token": "family_a", "task": "family_c", "context": "inverse_entropy"}
+NEXT_DOUBLE = {"token": 0.07603320004476666, "task": 0.8621179849076281,
+               "context": 0.09941111793264079}
+LIPSCHITZ = {"token": 1.5592528772416347, "task": 0.7870434111859919,
+             "context": 1.4864952263220153}
+
+
+class TestConformanceLoop:
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_weights_calls_per_point(self, scale, monkeypatch):
+        log = []
+        perturb = operators._perturbed_bank
+
+        def logged_perturb(bank, scale_, key, eps, sampler):
+            bank2, moved = perturb(bank, scale_, key, eps, sampler)
+            log.append(("perturb", key, moved > 1e-12))
+            return bank2, moved
+
+        monkeypatch.setattr(operators, "_perturbed_bank", logged_perturb)
+        check_conformance(logging_operator(scale, log), scale, WORLD,
+                          WeightBounds(0.05, 0.95), seeded_sampler(2), 60)
+        points = [(key, moved) for kind, key, moved in log if kind == "perturb"]
+        # every distinct point once: weights, then its perturbation, then
+        # weights on the perturbed bank only if the perturbation moved
+        expected = []
+        for key, moved in points:
+            expected += [("weights", key, False), ("perturb", key, moved)]
+            if moved:
+                expected.append(("weights", key, True))
+        assert log == expected
+        assert len({key for key, _ in points}) == len(points) < 60
+        assert {moved for _, moved in points} == {True, False}
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_sampler_stream_pinned(self, scale):
+        sampler = seeded_sampler(2)
+        report = check_conformance(OPERATOR[scale](STREAM_FAMILY[scale]), scale, WORLD,
+                                   WeightBounds(0.05, 0.95), sampler, 60)
+        assert sampler.uniform() == NEXT_DOUBLE[scale]
+        assert report.lipschitz_estimate == LIPSCHITZ[scale]
 
 
 class TestParetoCompat:

@@ -2,21 +2,29 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mskd.composition import UnifiedWeightOperator, uniform_unified
 from mskd.core import (
+    ContextSpec,
     Infeasible,
     MissingLabel,
     NegativeMultiplier,
     NonConformantOperator,
     StudentParams,
+    TaskSpec,
+    TeacherBank,
     VocabularySpec,
     WeightBounds,
+    World,
 )
 from mskd.distill import TrainerConfig, compile_objective, kd_loss, solve_compiled, solve_optimum
 from mskd.operators import ContextOperator, TaskOperator, TokenOperator
 from mskd.safety import (
     SafetyConfig,
+    _safety_label_mass,
     dual_ascent_solve,
     ensemble_expected_safety,
     expected_safety,
@@ -124,6 +132,152 @@ class TestExpectedSafety:
             bump[xi, i] -= 2 * h
             down = expected_safety(StudentParams(params.input_ids, bump), world, cfg)
             assert abs((up - down) / (2 * h) - grad[xi, i]) <= 1e-6
+
+
+# The scalar definitions: one Python loop over (input, context) pairs, as the
+# measures were first written. The library's array forms must match them bit
+# for bit, including the left-to-right summation order.
+
+def _pair_measure(world):
+    return world.input_marginals()[:, None] * world.context_weights[None, :]
+
+
+def ref_expected_safety(params, world, cfg):
+    pm = _pair_measure(world)
+    total = 0.0
+    for xi, inp in enumerate(world.inputs):
+        p = params.distribution(inp.id)
+        for ci, ctx in enumerate(world.contexts):
+            if pm[xi, ci] == 0.0:
+                continue
+            total += pm[xi, ci] * safety_measure(p, cfg.label(inp.id, ctx.id), world.vocab)
+    return total
+
+
+def ref_label_mass(world, cfg):
+    pm = _pair_measure(world)
+    mass = np.zeros((len(world.inputs), world.vocab.size))
+    free = 0.0
+    for xi, inp in enumerate(world.inputs):
+        for ci, ctx in enumerate(world.contexts):
+            if pm[xi, ci] == 0.0:
+                continue
+            y = cfg.label(inp.id, ctx.id)
+            if y in world.vocab.safety_tokens:
+                mass[xi, y] += pm[xi, ci]
+            else:
+                free += pm[xi, ci]
+    return mass, free
+
+
+def ref_gradient(params, world, cfg):
+    mass, _ = ref_label_mass(world, cfg)
+    grad = np.zeros((len(world.inputs), world.vocab.size))
+    for xi, inp in enumerate(world.inputs):
+        p = params.distribution(inp.id)
+        for y in np.nonzero(mass[xi])[0]:
+            unit = np.zeros(len(p))
+            unit[y] = 1.0
+            grad[xi] += mass[xi, y] * p[y] * (unit - p)
+    return grad
+
+
+def ref_ensemble_safety(g, world, cfg):
+    compiled = compile_objective(g, world, 0.0)
+    total = 0.0
+    for tj in range(len(world.tasks)):
+        for xi, inp in enumerate(world.inputs):
+            for ci, ctx in enumerate(world.contexts):
+                w = compiled.joint[tj, xi, ci]
+                if w == 0.0:
+                    continue
+                total += w * safety_measure(compiled.targets[tj, xi, ci],
+                                            cfg.label(inp.id, ctx.id), world.vocab)
+    return total
+
+
+def zero_measure_world():
+    """The safety world with two tasks plus a zero-measure context.
+
+    Input 2 has zero weight in both tasks, so its pairs have zero measure too.
+    """
+    base = safety_world()
+    contexts = base.contexts + (ContextSpec(3, np.array([3.0]), 0.0, is_safety_critical=True),)
+    table = dict(base.bank.table)
+    for x in base.inputs:
+        table[(x.id, 3)] = base.bank.dists(x.id, 0)
+    perf = {0: base.bank.perf(0), 1: np.array([0.3, 0.9])}
+    bank = TeacherBank(2, table, perf, base.bank.safety_scores)
+    tasks = (TaskSpec(0, (0, 1, 2), np.array([0.25, 0.75, 0.0]), 0.6),
+             TaskSpec(1, (0, 1, 2), np.array([0.5, 0.5, 0.0]), 0.4))
+    return World(base.vocab, base.inputs, tasks, contexts, bank)
+
+
+def zero_measure_labels():
+    """Labels of the positive-measure pairs only: none for context 3 or input 2."""
+    return {k: y for k, y in safety_world_labels().items() if k[0] != 2}
+
+
+REFERENCE_CASES = {
+    "safety": (safety_world, safety_world_labels),
+    "safety_conflicting": (safety_world, safety_world_conflicting_labels),
+    "appendix": (appendix_safety_world, appendix_labels),
+    "zero_measure": (zero_measure_world, zero_measure_labels),
+}
+
+
+def assert_matches_reference(world, cfg, theta):
+    params = StudentParams(tuple(x.id for x in world.inputs), theta)
+    assert expected_safety(params, world, cfg) == ref_expected_safety(params, world, cfg)
+    mass, free = _safety_label_mass(world, cfg)
+    ref_mass, ref_free = ref_label_mass(world, cfg)
+    assert np.array_equal(mass, ref_mass) and free == ref_free
+    assert np.array_equal(expected_safety_gradient(params, world, cfg),
+                          ref_gradient(params, world, cfg))
+    assert max_achievable_safety(world, cfg) == ref_free + float(ref_mass.max(axis=1).sum())
+
+
+class TestScalarReference:
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_measures_equal_scalar_loops(self, case):
+        make_world, make_labels = REFERENCE_CASES[case]
+        world = make_world()
+        cfg = SafetyConfig(0.5, make_labels())
+        rng = np.random.default_rng(len(case))
+        for scale in (0.0, 1.0, 5.0):
+            assert_matches_reference(world, cfg,
+                                     scale * rng.normal(size=(len(world.inputs), world.vocab.size)))
+        g = UnifiedWeightOperator(TokenOperator("family_a", safety_tokens=world.vocab.safety_tokens),
+                                  TaskOperator("family_c"), ContextOperator("family_b"), BOUNDS)
+        assert ensemble_expected_safety(g, world, cfg) == ref_ensemble_safety(g, world, cfg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(theta=arrays(np.float64, (3, 5), elements=st.floats(-40.0, 40.0)),
+           tokens=st.lists(st.integers(0, 4), min_size=6, max_size=6),
+           safety_tokens=st.frozensets(st.integers(0, 4)))
+    def test_random_logits_and_labels(self, theta, tokens, safety_tokens):
+        base = zero_measure_world()
+        world = World(VocabularySpec(5, safety_tokens), base.inputs, base.tasks,
+                      base.contexts, base.bank)
+        cfg = SafetyConfig(0.5, dict(zip(sorted(zero_measure_labels()), tokens)))
+        assert_matches_reference(world, cfg, theta)
+        g = UnifiedWeightOperator(TokenOperator("family_a", safety_tokens=safety_tokens),
+                                  TaskOperator("family_c"), ContextOperator("family_c"), BOUNDS)
+        assert ensemble_expected_safety(g, world, cfg) == ref_ensemble_safety(g, world, cfg)
+
+    def test_positive_measure_pair_without_label_raises(self):
+        world = zero_measure_world()
+        labels = zero_measure_labels()
+        del labels[(1, 2)]
+        cfg = SafetyConfig(0.5, labels)
+        params = StudentParams((0, 1, 2), np.zeros((3, world.vocab.size)))
+        for measure in (lambda: expected_safety(params, world, cfg),
+                        lambda: _safety_label_mass(world, cfg),
+                        lambda: expected_safety_gradient(params, world, cfg),
+                        lambda: ensemble_expected_safety(adaptive_g(), world, cfg),
+                        lambda: max_achievable_safety(world, cfg)):
+            with pytest.raises(MissingLabel):
+                measure()
 
 
 class TestLagrangian:
