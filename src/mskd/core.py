@@ -10,8 +10,9 @@ freeze their arrays, so instances are safe to share across workers.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -108,24 +109,26 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def validate_distribution(p, vocab_size: int | None = None) -> np.ndarray:
-    """Validate a raw vector as a probability distribution over tokens.
+    """Validate a raw vector, or each vector along the last axis of a stack, as a distribution.
 
-    Returns a read-only float64 array. Entries in (-1e-12, 0) are clamped to
-    exactly zero; anything more negative raises ``NegativeMass``, and a total
-    off by more than 1e-9, or NaN, raises ``NotNormalized``.
+    Returns a read-only float64 array of the same shape. Entries in (-1e-12, 0)
+    are clamped to exactly zero; anything more negative raises
+    ``NegativeMass``, and a row whose total is off by more than 1e-9, or NaN,
+    raises ``NotNormalized``.
     """
     arr = np.asarray(p, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-d probability vector, got shape {arr.shape}")
-    if vocab_size is not None and arr.shape[0] != vocab_size:
-        raise DimensionMismatch(f"expected length {vocab_size}, got {arr.shape[0]}")
+    if arr.ndim < 1:
+        raise DimensionMismatch(f"expected probability vectors, got shape {arr.shape}")
+    if vocab_size is not None and arr.shape[-1] != vocab_size:
+        raise DimensionMismatch(f"expected length {vocab_size}, got {arr.shape[-1]}")
     if np.any(arr < -CONSTRUCTION_TOL):
         worst = float(arr.min())
         raise NegativeMass(f"entry {worst} below -{CONSTRUCTION_TOL}")
     arr = np.where(arr < 0.0, 0.0, arr)
-    total = float(arr.sum())
-    if not abs(total - 1.0) <= SUM_TOL:  # also true for a NaN total, i.e. a NaN entry
-        raise NotNormalized(f"entries sum to {total!r}, not 1 within {SUM_TOL}")
+    total = np.ravel(arr.sum(axis=-1))
+    off = np.flatnonzero(~(np.abs(total - 1.0) <= SUM_TOL))  # also a NaN total, i.e. a NaN entry
+    if off.size:
+        raise NotNormalized(f"entries sum to {float(total[off[0]])!r}, not 1 within {SUM_TOL}")
     return _freeze(arr)
 
 
@@ -220,47 +223,82 @@ class ContextSpec:
             raise MskdError("context measure weight must be nonnegative")
 
 
+class _AxisIndex(dict):
+    """Ids -> positions along one axis of a teacher bank, in order of first appearance."""
+
+    def __init__(self, axis: str, ids):
+        super().__init__((i, n) for n, i in enumerate(dict.fromkeys(ids)))
+        self.axis = axis
+
+    def __missing__(self, key):
+        raise UnresolvedReference(f"teacher table missing cell: no entries for {self.axis} {key!r}")
+
+
+def _scores(scores, k: int, what: str) -> np.ndarray:
+    s = _freeze(np.asarray(scores, dtype=np.float64))
+    if s.shape != (k,):
+        raise DimensionMismatch(f"{what} have shape {s.shape}, expected ({k},)")
+    if not np.all((s >= 0) & (s <= 1)):
+        raise MskdError(f"{what} not all in [0, 1]")
+    return s
+
+
 @dataclass(frozen=True)
 class TeacherBank:
     """K lookup-table teachers with per-task performance and safety scores.
 
     ``table`` maps (input id, context id) to a (K, V) array whose rows are the
-    teachers' distributions at that point. ``perf_scores`` maps task id to a
-    length-K array in [0, 1]; ``safety_scores`` is a length-K array in [0, 1]
-    that carries the designated ordinal safety ranking of the teachers.
+    teachers' distributions at that point. It must be a full grid: each of its
+    input ids appears with each of its context ids. The bank keeps it as one
+    read-only (N_b, C_b, K, V) ``array``; ``input_index`` and ``context_index``
+    map ids to the first two axes in order of first appearance among the keys,
+    and ``cell_order`` holds the flat ``n * C_b + c`` index of each cell in the
+    table's insertion order. ``perf_scores`` maps task id to a length-K array
+    in [0, 1]; ``safety_scores`` is a length-K array in [0, 1] that carries the
+    designated ordinal safety ranking of the teachers.
     """
 
     num_teachers: int
-    table: Mapping[tuple[int, int], np.ndarray]
+    table: InitVar[Mapping[tuple[int, int], np.ndarray]]
     perf_scores: Mapping[int, np.ndarray]
     safety_scores: np.ndarray
 
-    def __post_init__(self):
-        if self.num_teachers < 1:
+    def __post_init__(self, table):
+        k = self.num_teachers
+        if k < 1:
             raise MskdError("need at least one teacher")
-        frozen_table = {}
-        for key, dists in self.table.items():
-            arr = np.asarray(dists, dtype=np.float64)
-            if arr.shape[0] != self.num_teachers:
-                raise DimensionMismatch(
-                    f"cell {key} holds {arr.shape[0]} distributions, expected {self.num_teachers}")
-            frozen_table[key] = _freeze(np.stack([validate_distribution(row) for row in arr]))
-        object.__setattr__(self, "table", frozen_table)
-        frozen_perf = {}
-        for task_id, scores in self.perf_scores.items():
-            s = _freeze(np.asarray(scores, dtype=np.float64))
-            if s.shape != (self.num_teachers,):
-                raise DimensionMismatch(f"perf scores for task {task_id} have shape {s.shape}")
-            if not np.all((s >= 0) & (s <= 1)):
-                raise MskdError(f"perf scores for task {task_id} not all in [0, 1]")
-            frozen_perf[task_id] = s
-        object.__setattr__(self, "perf_scores", frozen_perf)
-        ss = _freeze(np.asarray(self.safety_scores, dtype=np.float64))
-        if ss.shape != (self.num_teachers,):
-            raise DimensionMismatch("safety scores must have one entry per teacher")
-        if not np.all((ss >= 0) & (ss <= 1)):
-            raise MskdError("safety scores not all in [0, 1]")
-        object.__setattr__(self, "safety_scores", ss)
+        inputs = _AxisIndex("input", (x for x, _ in table))
+        contexts = _AxisIndex("context", (c for _, c in table))
+        if len(table) != len(inputs) * len(contexts):
+            missing = next((x, c) for x in inputs for c in contexts if (x, c) not in table)
+            raise UnresolvedReference(f"teacher table is not a full grid: missing cell {missing}")
+        try:
+            cells = np.array(list(table.values()), dtype=np.float64) if table else np.empty((0, k, 0))
+        except ValueError:
+            raise DimensionMismatch("teacher cells must be numeric (K, V) arrays of one shape")
+        if cells.ndim != 3 or cells.shape[1] != k:
+            raise DimensionMismatch(f"teacher cells have shape {cells.shape[1:]}, expected ({k}, V)")
+        order = np.array([inputs[x] * len(contexts) + contexts[c] for x, c in table], dtype=np.intp)
+        order.setflags(write=False)
+        object.__setattr__(self, "input_index", inputs)
+        object.__setattr__(self, "context_index", contexts)
+        object.__setattr__(self, "cell_order", order)
+        self._store(cells[np.argsort(order)].reshape(len(inputs), len(contexts), *cells.shape[1:]),
+                    self.perf_scores)
+        object.__setattr__(self, "safety_scores", _scores(self.safety_scores, k, "safety scores"))
+
+    def _store(self, array: np.ndarray, perf_scores: Mapping[int, np.ndarray]) -> None:
+        object.__setattr__(self, "array", validate_distribution(array))  # every row at once
+        object.__setattr__(self, "perf_scores", {
+            t: _scores(s, self.num_teachers, f"perf scores for task {t}")
+            for t, s in perf_scores.items()})
+
+    def replaced(self, array: np.ndarray | None = None,
+                 perf_scores: Mapping[int, np.ndarray] | None = None) -> TeacherBank:
+        """This bank with its dense ``array`` or its ``perf_scores`` replaced, revalidated."""
+        bank = copy.copy(self)
+        bank._store(self.array if array is None else array, perf_scores or self.perf_scores)
+        return bank
 
     @property
     def k(self) -> int:
@@ -268,10 +306,7 @@ class TeacherBank:
 
     def dists(self, input_id: int, context_id: int) -> np.ndarray:
         """The (K, V) stack of teacher distributions at one (input, context) cell."""
-        try:
-            return self.table[(input_id, context_id)]
-        except KeyError:
-            raise UnresolvedReference(f"no teacher entry for (input {input_id}, context {context_id})")
+        return self.array[self.input_index[input_id], self.context_index[context_id]]
 
     def perf(self, task_id: int) -> np.ndarray:
         try:
@@ -360,8 +395,8 @@ class World:
     Bundles the vocabulary, inputs, tasks, contexts, and teacher bank, and
     precomputes the index maps and joint sampling measure used by the loss,
     trainers, and diagnostics. Task importances must sum to 1, context measure
-    weights must sum to 1, and every (input, context) pair reachable under the
-    sampling measure must have a teacher table entry.
+    weights must sum to 1, and every (input, context) pair must have a teacher
+    table entry (the bank may hold more inputs and contexts than the world uses).
     """
 
     vocab: VocabularySpec
@@ -393,15 +428,13 @@ class World:
             missing = [i for i in t.input_ids if i not in input_ids]
             if missing:
                 raise UnresolvedReference(f"task {t.id} references unknown inputs {missing}")
-        for (xi, ci), dists in self.bank.table.items():
-            if dists.shape[1] != self.vocab.size:
-                raise DimensionMismatch(
-                    f"teacher distributions at ({xi}, {ci}) have length {dists.shape[1]}, "
-                    f"vocabulary has {self.vocab.size}")
-        for x in self.inputs:
-            for c in self.contexts:
-                if (x.id, c.id) not in self.bank.table:
-                    raise UnresolvedReference(f"teacher table missing cell ({x.id}, {c.id})")
+        bank = self.bank
+        object.__setattr__(self, "_bank_cells", np.ix_(  # world order -> bank axes
+            [bank.input_index[x.id] for x in self.inputs],
+            [bank.context_index[c.id] for c in self.contexts]))
+        if bank.array.shape[-1] != self.vocab.size:
+            raise DimensionMismatch(f"teacher distributions have length {bank.array.shape[-1]}, "
+                                    f"vocabulary has {self.vocab.size}")
         # cached measure structures (the types above are immutable)
         idx = {x.id: i for i, x in enumerate(self.inputs)}
         px = np.zeros((len(self.tasks), len(self.inputs)))
@@ -442,6 +475,10 @@ class World:
     @property
     def context_weights(self) -> np.ndarray:
         return self._mu
+
+    def teacher_dists(self) -> np.ndarray:
+        """(N, C, K, V) teacher distributions in the world's input and context order."""
+        return self.bank.array[self._bank_cells]
 
     def joint_measure(self) -> np.ndarray:
         """(n_tasks, n_inputs, n_contexts) joint sampling probabilities."""

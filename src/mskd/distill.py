@@ -167,11 +167,8 @@ def _uniform_compiled(world: World, ridge: float) -> CompiledObjective:
 
 def _densify(world: World, ridge: float, rows: np.ndarray) -> CompiledObjective:
     """Mix the teachers under weight rows broadcasting to (J, N, C, V, K) and densify."""
-    dists = np.array([[world.bank.dists(x.id, c.id) for c in world.contexts]
-                      for x in world.inputs])
-    targets = renormalized_mixture(rows, dists)
-    for q in targets.reshape(-1, targets.shape[-1]):
-        validate_distribution(q)
+    targets = renormalized_mixture(rows, world.teacher_dists())
+    validate_distribution(targets)
     joint = world.joint_measure()
     m_x = joint.sum(axis=(0, 2))
     qbar = np.einsum("jnc,jncv->nv", joint, targets)

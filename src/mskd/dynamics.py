@@ -72,20 +72,11 @@ def _ensemble_feedback(w: np.ndarray, world: World) -> np.ndarray:
     Lipschitz function of w as long as the teacher tables are strictly
     positive.
     """
-    m_x = world.input_marginals()
-    mu = world.context_weights
-    feedback = np.zeros(world.bank.k)
-    for xi, inp in enumerate(world.inputs):
-        if m_x[xi] == 0.0:
-            continue
-        for ci, ctx in enumerate(world.contexts):
-            weight = m_x[xi] * mu[ci]
-            if weight == 0.0:
-                continue
-            dists = world.bank.dists(inp.id, ctx.id)
-            q = w @ dists
-            feedback += weight * (dists @ np.log(q))
-    return feedback
+    weight = world.input_marginals()[:, None] * world.context_weights
+    live = weight != 0.0
+    dists = world.teacher_dists()[live]  # (cells, K, V) in (input, context) order
+    terms = weight[live][:, None] * (dists @ np.log(w @ dists)[..., None])[..., 0]
+    return np.cumsum(terms, axis=0)[-1]  # summed cell by cell, in order
 
 
 def weight_update_T(w: np.ndarray, beta: float, world: World,

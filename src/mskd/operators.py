@@ -30,14 +30,13 @@ scale), and ordinal safety monotonicity; failures are reported, never thrown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import (
     ContextSpec,
-    MissingScores,
     MskdError,
     Sampler,
     SUM_TOL,
@@ -199,10 +198,15 @@ def task_weights_inverse_mean_entropy(t: int, bank: TeacherBank, bounds: WeightB
     """Weights proportional to 1/(mean predictive entropy over the whole table).
 
     Task-agnostic by design: it ranks teachers by a global uncertainty tier.
+    The mean runs over the cells in the table's insertion order.
     """
-    cells = list(bank.table.values())
-    mean_h = np.mean([[entropy(p) for p in dists] for dists in cells], axis=0)
-    return inverse_entropy_weights_from_entropies(mean_h, bounds)
+    cells = bank.array.reshape(-1, *bank.array.shape[2:])[bank.cell_order]
+    return inverse_entropy_weights_from_entropies(_mean_entropy(cells), bounds)
+
+
+def _mean_entropy(cells: np.ndarray) -> np.ndarray:
+    """Per-teacher entropy of a stack of (K, V) cells, averaged over the stack in order."""
+    return np.mean([[entropy(p) for p in dists] for dists in cells], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +219,9 @@ def context_weights_safety(c: ContextSpec, bank: TeacherBank, bounds: WeightBoun
     On safety-critical contexts raw_k = safety_score_k + 1e-6 (so the weight
     order matches the designated safety order); elsewhere uniform.
     """
-    if bank.safety_scores is None:
-        raise MissingScores("bank has no safety scores")
     if c.is_safety_critical:
         return clip_normalize(bank.safety_scores + VARIANCE_FLOOR, bounds)
     return uniform_weights(bank.k, bounds)
-
-
-def _cells_for_context(bank: TeacherBank, context_id: int) -> list[np.ndarray]:
-    cells = [d for (xi, ci), d in bank.table.items() if ci == context_id]
-    if not cells:
-        raise MissingScores(f"no teacher entries for context {context_id}")
-    return cells
 
 
 def context_weights_consistency(c: ContextSpec, bank: TeacherBank,
@@ -238,11 +233,8 @@ def context_weights_consistency(c: ContextSpec, bank: TeacherBank,
     """
     if c.is_safety_critical:
         return context_weights_safety(c, bank, bounds)
-    cells = _cells_for_context(bank, c.id)
-    disp = np.zeros(bank.k)
-    for dists in cells:
-        mean = dists.mean(axis=0)
-        disp += 0.5 * np.abs(dists - mean).sum(axis=1)
+    cells = bank.array[:, bank.context_index[c.id]]
+    disp = (0.5 * np.abs(cells - cells.mean(axis=1, keepdims=True)).sum(axis=-1)).sum(axis=0)
     return clip_normalize(1.0 / (disp / len(cells) + VARIANCE_FLOOR), bounds)
 
 
@@ -255,21 +247,9 @@ def context_weights_shift(c: ContextSpec, bank: TeacherBank, bounds: WeightBound
     """
     if c.is_safety_critical:
         return context_weights_safety(c, bank, bounds)
-    by_input: dict[int, dict[int, np.ndarray]] = {}
-    for (xi, ci), dists in bank.table.items():
-        by_input.setdefault(xi, {})[ci] = dists
-    shift = np.zeros(bank.k)
-    count = 0
-    for xi, per_ctx in by_input.items():
-        if c.id not in per_ctx:
-            continue
-        here = per_ctx[c.id]
-        avg = np.mean(list(per_ctx.values()), axis=0)
-        shift += 0.5 * np.abs(here - avg).sum(axis=1)
-        count += 1
-    if count == 0:
-        raise MissingScores(f"no teacher entries for context {c.id}")
-    return clip_normalize(np.exp(-shift / count), bounds)
+    here, avg = bank.array[:, bank.context_index[c.id]], bank.array.mean(axis=1)
+    shift = (0.5 * np.abs(here - avg).sum(axis=-1)).sum(axis=0)
+    return clip_normalize(np.exp(-shift / len(here)), bounds)
 
 
 def context_weights_inverse_entropy(c: ContextSpec, bank: TeacherBank,
@@ -277,8 +257,7 @@ def context_weights_inverse_entropy(c: ContextSpec, bank: TeacherBank,
     """Inverse mean-entropy weighting within the context; safety form on C_safe."""
     if c.is_safety_critical:
         return context_weights_safety(c, bank, bounds)
-    cells = _cells_for_context(bank, c.id)
-    mean_h = np.mean([[entropy(p) for p in dists] for dists in cells], axis=0)
+    mean_h = _mean_entropy(bank.array[:, bank.context_index[c.id]])
     return inverse_entropy_weights_from_entropies(mean_h, bounds)
 
 
@@ -420,19 +399,17 @@ class ConformanceReport:
             yield (self.scale, name, c.passed, c.worst_violation, c.n_checked)
 
 
-def _perturbed_dists(dists: np.ndarray, eps: float,
-                     sampler: Sampler) -> tuple[np.ndarray, float]:
-    """Shift every teacher along a random zero-sum direction.
+def _perturb_rows(rows: np.ndarray, eps: float, sampler: Sampler) -> float:
+    """Shift each distribution along the last axis of ``rows``, in place and in C order.
 
-    The step is scaled to total variation ``eps`` and shortened where needed
-    to keep entries positive; returns the perturbed stack and the max TV
-    actually moved.
+    Each moves along a random zero-sum direction scaled to total variation
+    ``eps`` and shortened where needed to keep entries positive; returns the
+    max TV actually moved.
     """
-    k, v = dists.shape
-    moved = np.array(dists, dtype=np.float64)
     worst_tv = 0.0
-    for row in range(k):
-        d = sampler.normal(size=v)
+    for idx in np.ndindex(rows.shape[:-1]):
+        row = rows[idx]
+        d = sampler.normal(size=row.shape[0])
         d -= d.mean()
         l1 = np.abs(d).sum()
         if l1 < 1e-300:
@@ -440,11 +417,11 @@ def _perturbed_dists(dists: np.ndarray, eps: float,
         d *= 2.0 * eps / l1  # TV = half the l1 distance
         neg = d < 0
         if neg.any():
-            limit = float(np.min(moved[row][neg] / -d[neg]))
+            limit = float(np.min(row[neg] / -d[neg]))
             d *= min(1.0, 0.9 * limit)
-        moved[row] = moved[row] + d
+        row += d
         worst_tv = max(worst_tv, 0.5 * float(np.abs(d).sum()))
-    return moved, worst_tv
+    return worst_tv
 
 
 def _perturbed_bank(bank: TeacherBank, scale: str, key, eps: float,
@@ -452,22 +429,20 @@ def _perturbed_bank(bank: TeacherBank, scale: str, key, eps: float,
     """The bank with the inputs of one sampled point perturbed, and the distance moved.
 
     Token points move their (input, context) cell and context points every
-    cell of the context, in table order, by total variation <= ``eps``; task
-    points move the task's performance scores by up to ``eps`` each, clipped
-    to [0, 1].
+    cell of the context, in input axis order, by total variation <= ``eps``;
+    task points move the task's performance scores by up to ``eps`` each,
+    clipped to [0, 1].
     """
     if scale == "task":
         perf = dict(bank.perf_scores)
         perf[key] = np.clip(perf[key] + sampler.uniform(-eps, eps, size=bank.k), 0.0, 1.0)
-        return (replace(bank, perf_scores=perf),
+        return (bank.replaced(perf_scores=perf),
                 float(np.max(np.abs(perf[key] - bank.perf(key)))))
-    cells = [key[::2]] if scale == "token" else [c for c in bank.table if c[1] == key]
-    table = dict(bank.table)
-    moved = 0.0
-    for cell in cells:
-        table[cell], tv = _perturbed_dists(bank.dists(*cell), eps, sampler)
-        moved = max(moved, tv)
-    return replace(bank, table=table), moved
+    array = np.array(bank.array)
+    cells = (array[bank.input_index[key[0]], bank.context_index[key[2]]] if scale == "token"
+             else array[:, bank.context_index[key]])
+    moved = _perturb_rows(cells, eps, sampler)
+    return bank.replaced(array=array), moved
 
 
 def _basic_checks(report: ConformanceReport, w: np.ndarray, bounds: WeightBounds) -> None:

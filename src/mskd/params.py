@@ -1,10 +1,13 @@
-"""Checks of the kind-specific ``params`` of an experiment config.
+"""Checks of the typed fields of an experiment config and of its ``params``.
 
-Each experiment kind reads its own fields from ``params``, with defaults for
-absent ones. ``param_errors`` names every present field of the wrong type or
-out of range, so that the config parser rejects such a config before
-anything runs (``mskd validate`` and ``mskd run`` exit with code 2).
-Non-finite numbers are left to the parser's own walk of the document.
+``read_section`` reads the bounds, operator and trainer sections field by
+field: each value must be a JSON value of its field's kind, and a field name
+the section does not know is an error. Each experiment kind reads its own
+fields from ``params``, with defaults for absent ones. ``param_errors`` names
+every field the kind does not read and every present field of the wrong type
+or out of range. The config parser thus rejects such a config before anything
+runs (``mskd validate`` and ``mskd run`` exit with code 2). Non-finite numbers
+are left to the parser's own walk of the document.
 """
 
 from __future__ import annotations
@@ -22,6 +25,34 @@ def _is_number(v) -> bool:
 
 def _is_numbers(v) -> bool:
     return isinstance(v, list) and all(_is_number(x) for x in v)
+
+
+def json_value(kind: type, value, name: str):
+    """``value`` as ``kind`` if it is a JSON value of that kind (an integer passes as a float)."""
+    if isinstance(value, bool) != (kind is bool) or \
+            not isinstance(value, (int, float) if kind is float else kind):
+        raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def read_section(section: dict, schema: dict, prefix: str = "") -> dict:
+    """Each field of ``schema`` read from ``section`` with its kind, or its default if absent."""
+    unknown = [name for name in section if name not in schema]
+    if unknown:
+        raise ValueError(f"unknown field {prefix}{unknown[0]}")
+    return {name: json_value(kind, section.get(name, default), prefix + name)
+            for name, (kind, default) in schema.items()}
+
+
+# field -> (JSON kind, default) of the bounds, operator and trainer sections (the
+# trainer's seed defaults to the config's seed)
+BOUNDS_FIELDS = {"w_min": (float, 0.01), "w_max": (float, 0.99), "lipschitz": (float, 25.0)}
+OPERATOR_FIELDS = {"token": {"family": (str, "uniform"), "alpha": (float, 1.0),
+                             "safety_adjustment": (bool, True)},
+                   "task": {"family": (str, "uniform"), "tau": (float, 0.5)},
+                   "context": {"family": (str, "uniform")}}
+TRAINER_FIELDS = {"eta0": (float, 1.0), "steps": (int, 1000), "ridge": (float, 0.0),
+                  "eval_every": (int, 100), "init_scale": (float, 0.0)}
 
 
 def _param(ok, message):
@@ -46,7 +77,8 @@ def _labels(rows, world: World | None) -> str | None:
         return "must be a list of objects with integer input, context and token"
     if world is None:
         return None
-    known = {"input": {x.id for x in world.inputs}, "context": {c.id for c in world.contexts}}
+    known = {"input": {x.id for x in world.inputs}, "context": {c.id for c in world.contexts},
+             "token": range(world.vocab.size)}
     unknown = [f"{f} {r[f]}" for r in rows for f in known if r[f] not in known[f]]
     return "unknown " + ", ".join(unknown) if unknown else None
 
@@ -84,7 +116,8 @@ PARAM_CHECKS = {
 
 
 def param_errors(kind: str, params: dict, world: World | None) -> list[str]:
-    """One line per field of ``params`` that the ``kind`` suite could not run with."""
-    found = ((name, check(params[name], world))
-             for name, check in PARAM_CHECKS[kind].items() if name in params)
+    """One line per field of ``params`` that the ``kind`` suite does not read or cannot run with."""
+    found = [(name, "unknown field") for name in params if name not in PARAM_CHECKS[kind]]
+    found += ((name, check(params[name], world))
+              for name, check in PARAM_CHECKS[kind].items() if name in params)
     return [f"params.{name}: {problem}" for name, problem in found if problem]

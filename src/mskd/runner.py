@@ -73,7 +73,14 @@ from .operators import (
     inverse_entropy_weights_from_entropies,
     uniform_weights,
 )
-from .params import param_errors
+from .params import (
+    BOUNDS_FIELDS,
+    OPERATOR_FIELDS,
+    TRAINER_FIELDS,
+    json_value,
+    param_errors,
+    read_section,
+)
 from .safety import (
     SafetyConfig,
     dual_ascent_solve,
@@ -152,24 +159,27 @@ def _collect(errors: list[str], section: str, build, *args):
 
 def _build_world(doc: dict) -> World:
     wd = doc["world"]
-    vocab = VocabularySpec(int(wd["vocab"]["size"]),
-                           frozenset(wd["vocab"].get("safety_tokens", [])))
-    inputs = tuple(InputSpec(int(i["id"]), np.asarray(i["features"], dtype=float))
-                   for i in wd["inputs"])
+    vocab = VocabularySpec(json_value(int, wd["vocab"]["size"], "vocab.size"),
+                           frozenset(json_value(int, i, "vocab.safety_tokens")
+                                     for i in wd["vocab"].get("safety_tokens", [])))
+    inputs = tuple(InputSpec(json_value(int, i["id"], "input id"),
+                             np.asarray(i["features"], dtype=float)) for i in wd["inputs"])
     tasks = tuple(
-        TaskSpec(int(t["id"]),
-                 tuple(int(pair[0]) for pair in t["inputs"]),
+        TaskSpec(json_value(int, t["id"], "task id"),
+                 tuple(json_value(int, pair[0], "task input id") for pair in t["inputs"]),
                  np.asarray([pair[1] for pair in t["inputs"]], dtype=float),
-                 float(t["importance"]))
+                 json_value(float, t["importance"], "task importance"))
         for t in wd["tasks"])
     contexts = tuple(
-        ContextSpec(int(c["id"]), np.asarray(c["features"], dtype=float),
-                    float(c["measure_weight"]), bool(c.get("safety_critical", False)))
+        ContextSpec(json_value(int, c["id"], "context id"), np.asarray(c["features"], dtype=float),
+                    json_value(float, c["measure_weight"], "measure_weight"),
+                    json_value(bool, c.get("safety_critical", False), "safety_critical"))
         for c in wd["contexts"])
     td = wd["teachers"]
-    table = {(int(cell["input"]), int(cell["context"])): np.asarray(cell["dists"], dtype=float)
-             for cell in td["table"]}
-    bank = TeacherBank(int(td["count"]), table,
+    table = {(json_value(int, cell["input"], "table input"),
+              json_value(int, cell["context"], "table context")):
+             np.asarray(cell["dists"], dtype=float) for cell in td["table"]}
+    bank = TeacherBank(json_value(int, td["count"], "teachers.count"), table,
                        {int(k): np.asarray(v, dtype=float)
                         for k, v in td["perf_scores"].items()},
                        np.asarray(td["safety_scores"], dtype=float))
@@ -177,8 +187,7 @@ def _build_world(doc: dict) -> World:
 
 
 def _build_bounds(bd: dict, world: World | None) -> WeightBounds:
-    bounds = WeightBounds(float(bd.get("w_min", 0.01)), float(bd.get("w_max", 0.99)),
-                          float(bd.get("lipschitz", 25.0)))
+    bounds = WeightBounds(**read_section(bd, BOUNDS_FIELDS))
     if world is not None:
         bounds.check_feasible(world.bank.k)
     return bounds
@@ -186,26 +195,17 @@ def _build_bounds(bd: dict, world: World | None) -> WeightBounds:
 
 def _build_operator(ops: dict, world: World | None,
                     bounds: WeightBounds | None) -> UnifiedWeightOperator | None:
-    tok_cfg, task_cfg, ctx_cfg = (ops.get(scale, {}) for scale in ("token", "task", "context"))
+    scales = read_section(ops, {scale: (dict, {}) for scale in OPERATOR_FIELDS})
+    tok, task, ctx = (read_section(scales[scale], schema, f"{scale}.")
+                      for scale, schema in OPERATOR_FIELDS.items())
     safety_tokens = world.vocab.safety_tokens if world is not None else frozenset()
-    tok = TokenOperator(tok_cfg.get("family", "uniform"),
-                        alpha=float(tok_cfg.get("alpha", 1.0)),
-                        safety_tokens=safety_tokens,
-                        safety_adjustment=bool(tok_cfg.get("safety_adjustment", True)))
-    task = TaskOperator(task_cfg.get("family", "uniform"), tau=float(task_cfg.get("tau", 0.5)))
-    ctx = ContextOperator(ctx_cfg.get("family", "uniform"))
-    return None if bounds is None else UnifiedWeightOperator(tok, task, ctx, bounds)
+    scale_ops = (TokenOperator(**tok, safety_tokens=safety_tokens), TaskOperator(**task),
+                 ContextOperator(**ctx))
+    return None if bounds is None else UnifiedWeightOperator(*scale_ops, bounds)
 
 
 def _build_trainer(tr: dict, seed: int) -> TrainerConfig:
-    return TrainerConfig(
-        eta0=float(tr.get("eta0", 1.0)),
-        steps=int(tr.get("steps", 1000)),
-        ridge=float(tr.get("ridge", 0.0)),
-        seed=int(tr.get("seed", seed)),
-        eval_every=int(tr.get("eval_every", 100)),
-        init_scale=float(tr.get("init_scale", 0.0)),
-    )
+    return TrainerConfig(**read_section(tr, {**TRAINER_FIELDS, "seed": (int, seed)}))
 
 
 def parse_config_dict(doc: dict) -> ExperimentConfig:
@@ -216,7 +216,7 @@ def parse_config_dict(doc: dict) -> ExperimentConfig:
     kind = doc.get("kind")
     if kind not in EXPERIMENT_KINDS:
         errors.append(f"kind: expected one of {EXPERIMENT_KINDS}, got {kind!r}")
-    seed = _collect(errors, "seed", int, doc.get("seed", 0))
+    seed = _collect(errors, "seed", json_value, int, doc.get("seed", 0), "seed")
     world = _collect(errors, "world", _build_world, doc)
     bounds = _collect(errors, "bounds", _build_bounds, doc.get("bounds", {}), world)
     operator = _collect(errors, "operators", _build_operator, doc.get("operators", {}),
@@ -253,8 +253,9 @@ def world_to_dict(world: World) -> dict:
                       "safety_critical": c.is_safety_critical} for c in world.contexts],
         "teachers": {
             "count": world.bank.k,
-            "table": [{"input": xi, "context": ci, "dists": dists.tolist()}
-                      for (xi, ci), dists in sorted(world.bank.table.items())],
+            "table": [{"input": x, "context": c, "dists": world.bank.dists(x, c).tolist()}
+                      for x in sorted(world.bank.input_index)
+                      for c in sorted(world.bank.context_index)],
             "perf_scores": {str(t): s.tolist()
                             for t, s in sorted(world.bank.perf_scores.items())},
             "safety_scores": world.bank.safety_scores.tolist(),

@@ -1,4 +1,4 @@
-"""Layer micro-benchmarks: one conformance pass per scale, one Lagrangian block evaluation.
+"""Layer micro-benchmarks: conformance passes, one Lagrangian block, one teacher-bank build.
 
 The default test run does not collect this file (it does not match
 ``test_*.py``). Run it with pytest-benchmark:
@@ -6,11 +6,14 @@ The default test run does not collect this file (it does not match
     PYTHONPATH=src python -m pytest tests/bench_verify.py --benchmark-only
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mskd.composition import UnifiedWeightOperator
-from mskd.core import WeightBounds, seeded_sampler
+from mskd.core import TeacherBank, WeightBounds, seeded_sampler
 from mskd.distill import compile_objective
 from mskd.operators import ContextOperator, TaskOperator, TokenOperator, check_conformance
 from mskd.safety import SafetyConfig, _lagrangian_block, _safety_label_mass
@@ -40,3 +43,16 @@ def test_lagrangian_block(benchmark):
     fgh = _lagrangian_block(compiled, 0.5, mass)
     row = np.random.default_rng(0).normal(size=world.vocab.size)
     benchmark(fgh, 0, row)
+
+
+def test_teacher_bank_build(benchmark):
+    """One ``TeacherBank`` build from the generated 256-cell world's table."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen_world.py"
+    spec = importlib.util.spec_from_file_location("gen_world", path)
+    gen_world = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_world)
+    td = gen_world.perturbation_doc(0)["world"]["teachers"]
+    table = {(cell["input"], cell["context"]): np.asarray(cell["dists"], dtype=float)
+             for cell in td["table"]}
+    perf = {int(t): np.asarray(s, dtype=float) for t, s in td["perf_scores"].items()}
+    benchmark(TeacherBank, td["count"], table, perf, np.asarray(td["safety_scores"]))

@@ -283,7 +283,36 @@ class TestTeacherBank:
             TeacherBank(2, table, {0: np.array(perf)}, np.array(safety))
 
 
+    def test_every_row_validated(self):
+        from mskd.core import NotNormalized
+        good = [[0.5, 0.5], [0.25, 0.75]]
+        with pytest.raises(NotNormalized):
+            TeacherBank(2, {(0, 0): good, (0, 1): [[0.5, 0.5], [0.5, 0.6]]}, {}, [0.5, 0.5])
+        with pytest.raises(NegativeMass):
+            TeacherBank(2, {(0, 0): good, (0, 1): [[1.1, -0.1], [0.5, 0.5]]}, {}, [0.5, 0.5])
+        bank = TeacherBank(2, {(0, 0): [[1.0, -1e-13], [0.5, 0.5]]}, {}, [0.5, 0.5])
+        assert bank.dists(0, 0)[0, 1] == 0.0  # clamped
+        with pytest.raises(NegativeMass):
+            bank.replaced(array=bank.array - 0.5)
+
+    @pytest.mark.parametrize("table", [{(0, 0): [[0.5, 0.5]], (0, 1): [[0.5, 0.5], [0.5, 0.5]]},
+                                       {(0, 0): [[0.5, 0.5]], (0, 1): [[1.0, 0.0, 0.0]]},
+                                       {(0, 0): [[[0.5, 0.5]]]}])
+    def test_cells_of_another_shape_rejected(self, table):
+        from mskd.core import DimensionMismatch
+        with pytest.raises(DimensionMismatch):
+            TeacherBank(1, table, {}, [0.5])
+
+
 class TestWorld:
+    def test_teacher_dists_in_world_order(self):
+        base = conformance_world()
+        world = World(base.vocab, base.inputs[::-1], base.tasks, base.contexts[::-1], base.bank)
+        dists = world.teacher_dists()
+        for xi, x in enumerate(world.inputs):
+            for ci, c in enumerate(world.contexts):
+                assert dists[xi, ci].tobytes() == base.bank.dists(x.id, c.id).tobytes()
+
     @pytest.mark.parametrize("field", ["tasks", "contexts"])
     def test_duplicate_ids_rejected(self, field):
         import dataclasses

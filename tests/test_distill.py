@@ -7,8 +7,8 @@ import pytest
 
 from mskd.composition import UnifiedWeightOperator, renormalized_mixture, uniform_unified
 from mskd import distill
-from mskd.core import (SAMPLE_BLOCK, MarginViolated, StudentParams, WeightBounds, normalize_exact,
-                       seeded_sampler, softmax)
+from mskd.core import (SAMPLE_BLOCK, MarginViolated, NegativeMass, StudentParams, WeightBounds,
+                       normalize_exact, seeded_sampler, softmax)
 from mskd.distill import (
     InsufficientTrace,
     TrainerConfig,
@@ -359,6 +359,14 @@ class TestCompileObjective:
                     rows = np.vstack([normalize_exact(r) for r in rows])
                     expect = renormalized_mixture(rows, world.bank.dists(x.id, c.id))
                     assert noisy.targets[tj, xi, ci].tobytes() == expect.tobytes()
+
+
+    def test_invalid_target_rejected(self):
+        # weights (-2, 3) mix the appendix teachers into a negative first entry
+        world = appendix_world()
+        rows = np.broadcast_to([-2.0, 3.0], (1, 1, 1, world.vocab.size, 2))
+        with pytest.raises(NegativeMass):
+            _densify(world, 0.0, rows)
 
 
 class TestTraceSerialization:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from mskd.composition import UnifiedWeightOperator, uniform_unified
-from mskd.core import (SAMPLE_BLOCK, MarginViolated, StudentParams, WeightBounds, seeded_sampler,
-                       softmax)
+from mskd.core import (SAMPLE_BLOCK, MarginViolated, StudentParams, TaskSpec, WeightBounds,
+                       World, seeded_sampler, softmax)
 from mskd.distill import compile_objective
 from mskd.dynamics import (
     WeightUpdateConfig,
+    _ensemble_feedback,
     _single_sample_variance,
     estimate_contraction,
     gradient_variance_ratio,
@@ -65,6 +66,36 @@ class TestConstantTargetControl:
                                      seeded_sampler(2), 50)
                 for b in (0.2, 0.5, 0.8)]
         assert rhos[0] > rhos[1] > rhos[2]
+
+
+def _reference_feedback(w: np.ndarray, world: World) -> np.ndarray:
+    """The ensemble feedback summed cell by cell, skipping zero-measure cells."""
+    m_x, mu = world.input_marginals(), world.context_weights
+    feedback = np.zeros(world.bank.k)
+    for xi, inp in enumerate(world.inputs):
+        for ci, ctx in enumerate(world.contexts):
+            weight = m_x[xi] * mu[ci]
+            if weight != 0.0:
+                dists = world.bank.dists(inp.id, ctx.id)
+                feedback += weight * (dists @ np.log(w @ dists))
+    return feedback
+
+
+def _zero_weight_input_world() -> World:
+    base = safety_world()
+    return World(base.vocab, base.inputs, (TaskSpec(0, (0, 1, 2), np.array([0.5, 0.5, 0.0]), 1.0),),
+                 base.contexts, base.bank)
+
+
+class TestEnsembleFeedback:
+    @pytest.mark.parametrize("make_world", [appendix_world, convergence_world, conformance_world,
+                                            safety_world, _zero_weight_input_world])
+    def test_matches_cell_loop(self, make_world):
+        world = make_world()
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            w = rng.dirichlet(np.ones(world.bank.k))
+            assert _ensemble_feedback(w, world).tobytes() == _reference_feedback(w, world).tobytes()
 
 
 class TestFixedPoint:

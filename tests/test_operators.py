@@ -319,13 +319,18 @@ def mixed_world() -> World:
     contexts = (ContextSpec(0, np.array([0.0]), 0.5),
                 ContextSpec(1, np.array([1.0]), 0.3, is_safety_critical=True),
                 ContextSpec(2, np.array([2.0]), 0.2))
-    point = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    table = {(0, 0): np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]), (1, 0): point,
-             (0, 1): np.array([[0.6, 0.3, 0.1], [0.3, 0.3, 0.4]]), (1, 1): point,
-             (0, 2): point, (1, 2): point}
     perf = {0: np.array([0.5, 0.7]), 1: np.array([1.0, 1.0]), 2: np.array([0.0, 0.0]),
             3: np.array([0.4, 0.6])}
-    return World(vocab, inputs, tasks, contexts, TeacherBank(2, table, perf, np.array([0.9, 0.2])))
+    return World(vocab, inputs, tasks, contexts,
+                 TeacherBank(2, mixed_table(), perf, np.array([0.9, 0.2])))
+
+
+def mixed_table() -> dict:
+    """The cells of ``mixed_world`` in context-major order."""
+    point = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    return {(0, 0): np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]), (1, 0): point,
+            (0, 1): np.array([[0.6, 0.3, 0.1], [0.3, 0.3, 0.4]]), (1, 1): point,
+            (0, 2): point, (1, 2): point}
 
 
 def logging_operator(scale: str, log: list):
@@ -411,3 +416,116 @@ def test_uniform_weights_equal_exact():
     for k in range(2, 9):
         w = uniform_weights(k, WeightBounds(1e-3, 0.999))
         np.testing.assert_array_equal(w, np.full(k, 1.0 / k))
+
+
+# Reference loops for the context families and the task inverse-entropy
+# family: one (K, V) cell at a time, in table order. The dense bank must give
+# the same bits.
+
+def _reference_context(family: str, c: ContextSpec, table: dict, bank: TeacherBank,
+                       bounds: WeightBounds) -> np.ndarray:
+    if c.is_safety_critical:
+        return context_weights_safety(c, bank, bounds)
+    cells = [d for (xi, ci), d in table.items() if ci == c.id]
+    if family == "family_b":
+        disp = np.zeros(bank.k)
+        for dists in cells:
+            mean = dists.mean(axis=0)
+            disp += 0.5 * np.abs(dists - mean).sum(axis=1)
+        return clip_normalize(1.0 / (disp / len(cells) + operators.VARIANCE_FLOOR), bounds)
+    if family == "family_c":
+        by_input: dict = {}
+        for (xi, ci), dists in table.items():
+            by_input.setdefault(xi, {})[ci] = dists
+        shift = np.zeros(bank.k)
+        for per_ctx in by_input.values():
+            avg = np.mean(list(per_ctx.values()), axis=0)
+            shift += 0.5 * np.abs(per_ctx[c.id] - avg).sum(axis=1)
+        return clip_normalize(np.exp(-shift / len(by_input)), bounds)
+    mean_h = np.mean([[entropy(p) for p in dists] for dists in cells], axis=0)
+    return inverse_entropy_weights_from_entropies(mean_h, bounds)
+
+
+def _reference_task_inverse_entropy(table: dict, bounds: WeightBounds) -> np.ndarray:
+    mean_h = np.mean([[entropy(p) for p in dists] for dists in table.values()], axis=0)
+    return inverse_entropy_weights_from_entropies(mean_h, bounds)
+
+
+def _doc_world(doc: dict) -> tuple[World, dict]:
+    """A config document's world, and its teacher cells in document order."""
+    from mskd.runner import parse_config_dict
+    table = {(cell["input"], cell["context"]): np.asarray(cell["dists"], dtype=float)
+             for cell in doc["world"]["teachers"]["table"]}
+    return parse_config_dict(doc).world, table
+
+
+def _large_doc() -> dict:
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen_world.py"
+    spec = importlib.util.spec_from_file_location("gen_world", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.perturbation_doc(0)
+
+
+def _bank_worlds():
+    import json
+    from pathlib import Path
+    doc = json.loads((Path(__file__).resolve().parent.parent / "configs" /
+                      "conformance.json").read_text())
+    yield "input_major", _doc_world(doc)
+    doc["world"]["teachers"]["table"].sort(key=lambda cell: (cell["context"], cell["input"]))
+    yield "context_major", _doc_world(doc)
+    yield "mixed", (mixed_world(), mixed_table())
+    yield "large", _doc_world(_large_doc())
+
+
+BANK_WORLDS = dict(_bank_worlds())
+
+
+class TestDenseBank:
+    @pytest.mark.parametrize("name", list(BANK_WORLDS))
+    @pytest.mark.parametrize("family", ["family_b", "family_c", "inverse_entropy"])
+    def test_context_families_match_cell_loops(self, name, family):
+        world, table = BANK_WORLDS[name]
+        bounds = WeightBounds(0.001, 0.999)
+        for c in world.contexts:
+            got = ContextOperator(family).weights(c, world.bank, bounds)
+            assert got.tobytes() == _reference_context(family, c, table, world.bank,
+                                                       bounds).tobytes(), (c.id, family)
+
+    @pytest.mark.parametrize("name", list(BANK_WORLDS))
+    def test_task_inverse_entropy_matches_table_order(self, name):
+        world, table = BANK_WORLDS[name]
+        bounds = WeightBounds(0.001, 0.999)
+        for t in world.tasks:
+            got = TaskOperator("inverse_entropy").weights(t.id, world.bank, bounds)
+            assert got.tobytes() == _reference_task_inverse_entropy(table, bounds).tobytes()
+
+    @pytest.mark.parametrize("name", list(BANK_WORLDS))
+    def test_cells_and_insertion_order_kept(self, name):
+        world, table = BANK_WORLDS[name]
+        bank = world.bank
+        for (x, c), dists in table.items():
+            assert bank.dists(x, c).tobytes() == dists.tobytes()
+        flat = bank.array.reshape(-1, *bank.array.shape[2:])[bank.cell_order]
+        assert flat.tobytes() == np.array(list(table.values())).tobytes()
+
+    def test_context_major_mean_differs_from_axis_order(self):
+        # on this table the axis-order mean has other bits, so the test above
+        # fails if the family averages in axis order
+        world, table = BANK_WORLDS["context_major"]
+        cells = world.bank.array.reshape(-1, *world.bank.array.shape[2:])
+        by_axis = np.mean([[entropy(p) for p in dists] for dists in cells], axis=0)
+        in_order = np.mean([[entropy(p) for p in dists] for dists in table.values()], axis=0)
+        assert by_axis.tobytes() != in_order.tobytes()
+
+    @pytest.mark.parametrize("table", [
+        {(0, 0): [[0.5, 0.5]], (0, 1): [[0.5, 0.5]], (1, 0): [[0.5, 0.5]]},
+        {(0, 0): [[0.5, 0.5]], (1, 1): [[0.5, 0.5]]},
+    ], ids=["one_cell_missing", "diagonal"])
+    def test_non_grid_table_rejected(self, table):
+        from mskd.core import UnresolvedReference
+        with pytest.raises(UnresolvedReference, match="not a full grid"):
+            TeacherBank(1, table, {0: [0.5]}, [0.5])

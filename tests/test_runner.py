@@ -182,12 +182,25 @@ def _assert_pinned_outputs(workload: str, prefix: str, cfg, out_dir: Path) -> No
     assert produced == pinned
 
 
-def _gen_world_module():
-    """The benchmark's large-world generator, loaded from its file."""
-    spec = importlib.util.spec_from_file_location("gen_world", REFERENCES.parent / "gen_world.py")
+def _load_module(path: Path):
+    """A module loaded from its file."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _gen_world_module():
+    """The benchmark's large-world generator, loaded from its file."""
+    return _load_module(REFERENCES.parent / "gen_world.py")
+
+
+def test_gen_configs_reproduces_bundled_configs():
+    gen = _load_module(CONFIGS.parent / "tools" / "gen_configs.py")
+    built = gen.build()
+    assert sorted(built) == sorted(p.stem for p in CONFIGS.glob("*.json"))
+    for name, doc in built.items():
+        assert gen.render(doc).encode("utf-8") == (CONFIGS / f"{name}.json").read_bytes(), name
 
 
 class TestGoldenOutputs:
@@ -241,6 +254,13 @@ def _fuzzed_text(doc, data, params_only: bool = False) -> str:
         in_params = isinstance(params, dict) and (params_only or data.draw(st.booleans()))
         _mutate(params if in_params else doc, data)
     return json.dumps(doc).replace(f'"{HUGE}"', "1e999")
+
+
+def _labels_with_token(token: int) -> list:
+    """The bundled safety labels with the first one's token replaced."""
+    labels = copy.deepcopy(BUNDLED_DOCS["safety"]["params"]["labels"])
+    labels[0]["token"] = token
+    return labels
 
 
 # the bundled configs with the rate study cut to 2000 steps per seed, for fuzzed runs
@@ -319,7 +339,10 @@ class TestCli:
     @pytest.mark.parametrize("kind,name,value", [("perturbation", "deltas", "abc"),
                                                  ("variance", "n_samples", "many"),
                                                  ("variance", "n_samples", 99),
-                                                 ("rate", "n_seeds", 0)])
+                                                 ("rate", "n_seeds", 0),
+                                                 ("safety", "labels", _labels_with_token(99)),
+                                                 ("safety", "labels", _labels_with_token(-1)),
+                                                 ("pareto", "labels", _labels_with_token(7))])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_bad_params_exit_two(self, tmp_path, kind, name, value, command, capsys):
         doc = copy.deepcopy(BUNDLED_DOCS[kind])
@@ -329,6 +352,43 @@ class TestCli:
         out = ["--out", str(tmp_path / "o")] if command == "run" else []
         assert main([command, str(p), *out]) == 2
         assert f"params.{name}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,path,value", [
+        ("safety", ("world", "contexts", 0, "safety_critical"), "false"),
+        ("safety", ("operators", "token", "safety_adjustment"), "false"),
+        ("train", ("trainer", "steps"), 1.7),
+        ("train", ("seed",), 3.9),
+        ("appendix_a", ("world", "teachers", "count"), 2.7),
+        ("appendix_a", ("world", "inputs", 0, "id"), True),
+        ("safety", ("world", "vocab", "safety_tokens"), [0.5]),
+        ("safety", ("params", "s_mn"), 0.9),
+        ("conformance", ("operators", "tokens"), {"family": "family_a"}),
+        ("conformance", ("operators", "token", "alfa"), 2.0),
+        ("appendix_a", ("bounds", "w_mni"), 0.05),
+    ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None)
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_mistyped_or_unknown_field_exit_two(self, tmp_path, kind, path, value, command,
+                                                capsys):
+        doc = copy.deepcopy(BUNDLED_DOCS[kind])
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        p = tmp_path / "typed.json"
+        p.write_text(json.dumps(doc))
+        out = ["--out", str(tmp_path / "o")] if command == "run" else []
+        assert main([command, str(p), *out]) == 2
+        assert str(path[-1]) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_non_grid_table_exit_two(self, tmp_path, command, capsys):
+        doc = copy.deepcopy(BUNDLED_DOCS["safety"])
+        del doc["world"]["teachers"]["table"][4]
+        p = tmp_path / "grid.json"
+        p.write_text(json.dumps(doc))
+        out = ["--out", str(tmp_path / "o")] if command == "run" else []
+        assert main([command, str(p), *out]) == 2
+        assert "not a full grid" in capsys.readouterr().err
 
     def test_seed_override_changes_hash(self, tmp_path, capsys):
         p = CONFIGS / "appendix_a.json"

@@ -203,7 +203,7 @@ def zero_measure_world():
     """
     base = safety_world()
     contexts = base.contexts + (ContextSpec(3, np.array([3.0]), 0.0, is_safety_critical=True),)
-    table = dict(base.bank.table)
+    table = {(x.id, c.id): base.bank.dists(x.id, c.id) for x in base.inputs for c in base.contexts}
     for x in base.inputs:
         table[(x.id, 3)] = base.bank.dists(x.id, 0)
     perf = {0: base.bank.perf(0), 1: np.array([0.3, 0.9])}

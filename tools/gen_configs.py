@@ -125,12 +125,16 @@ def build() -> dict[str, dict]:
     }
 
 
+def render(doc: dict) -> str:
+    """The text of one config file."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def main() -> None:
     OUT.mkdir(exist_ok=True)
     for name, doc in build().items():
         path = OUT / f"{name}.json"
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
+        path.write_text(render(doc), encoding="utf-8")
         print(f"wrote {path}")
 
 
