@@ -306,7 +306,8 @@ def minimize_blockwise(theta0: np.ndarray,
     block is independent; iterations use backtracking line search and
     Levenberg damping, so descent holds even where a block Hessian is
     indefinite. Terminates when every block gradient norm is at most
-    ``gtol / sqrt(n_blocks)`` (hence the full gradient norm is within gtol).
+    ``gtol / sqrt(n_blocks)`` (hence the full gradient norm is within gtol);
+    a block whose line search finds no decrease stays at its last row.
     """
     theta = np.array(theta0, dtype=np.float64)
     n = theta.shape[0]
@@ -332,11 +333,12 @@ def minimize_blockwise(theta0: np.ndarray,
                     break
             step, slope = 1.0, float(g @ d)
             while step > 1e-14:
-                cand = row + step * d
-                f2, g2, h2 = block_fgh(xi, cand)
+                f2, g2, h2 = block_fgh(xi, row + step * d)
                 if f2 <= f + 1e-4 * step * slope:
                     break
                 step *= 0.5
+            else:  # no step decreases f enough: the block stays at its current row
+                break
             row, f, g, h = row + step * d, f2, g2, h2
         theta[xi] = row
     return theta

@@ -1,30 +1,48 @@
-"""Checks of the typed fields of an experiment config and of its ``params``.
+"""Field schemas (kind, default, check) of every config section, and their reader.
 
-``read_section`` reads the bounds, operator and trainer sections field by
-field: each value must be a JSON value of its field's kind, and a field name
-the section does not know is an error. Each experiment kind reads its own
-fields from ``params``, with defaults for absent ones. ``param_errors`` names
-every field the kind does not read and every present field of the wrong type
-or out of range. The config parser thus rejects such a config before anything
-runs (``mskd validate`` and ``mskd run`` exit with code 2). Non-finite numbers
-are left to the parser's own walk of the document.
+The ``bounds``, each scale of ``operators``, the ``trainer`` and each
+experiment kind's ``params`` are declared once here, as schemas: field name
+-> ``(JSON kind, default)`` or ``(JSON kind, default, check, message)``.
+``read_section`` resolves a section into a read-only mapping with every field
+of its schema: absent fields take their defaults, and present ones come back
+as their kind. It names every unknown field and every bad value, one line per
+field, so a bad config exits with code 2 before anything runs. Non-finite
+numbers are left to the config parser's own walk of the document.
 """
 
 from __future__ import annotations
 
-from .core import World
+from types import MappingProxyType
+
+import numpy as np
+
+from .core import ParseError, World
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def _numbers(v: list) -> bool:
+    """Whether every item of the list ``v`` is a JSON number (a bool is none)."""
+    return set(map(type, v)) <= {int, float}
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _is_array(v) -> bool:
+    """Whether ``v`` is a list of JSON numbers, or a list of such lists at any depth."""
+    if isinstance(v, list) and v and isinstance(v[0], list):
+        return all(map(_is_array, v))
+    return isinstance(v, list) and _numbers(v)
 
 
-def _is_numbers(v) -> bool:
-    return isinstance(v, list) and all(_is_number(x) for x in v)
+def json_numbers(value, name: str) -> np.ndarray:
+    """``value`` as a float array if it is a list of JSON numbers (or of such lists)."""
+    if not _is_array(value):
+        raise TypeError(f"{name} must be a list of numbers")
+    return np.asarray(value, dtype=float)
+
+
+def json_int_key(key: str, name: str) -> int:
+    """The integer that the object key ``key`` writes in decimal."""
+    if not (key.removeprefix("-").isdecimal() and str(int(key)) == key):
+        raise TypeError(f"{name} must be integers in decimal, got {key!r}")
+    return int(key)
 
 
 def json_value(kind: type, value, name: str):
@@ -35,17 +53,35 @@ def json_value(kind: type, value, name: str):
     return kind(value)
 
 
-def read_section(section: dict, schema: dict, prefix: str = "") -> dict:
-    """Each field of ``schema`` read from ``section`` with its kind, or its default if absent."""
-    unknown = [name for name in section if name not in schema]
-    if unknown:
-        raise ValueError(f"unknown field {prefix}{unknown[0]}")
-    return {name: json_value(kind, section.get(name, default), prefix + name)
-            for name, (kind, default) in schema.items()}
+def read_section(section: dict, schema: dict, prefix: str, world: World | None = None):
+    """``section`` resolved against ``schema``; a ``ParseError`` holds one line per bad field.
+
+    An integer passes as a float, and null passes where the default is null.
+    ``check(value, world)`` (world None if it did not parse) returns True,
+    False for the entry's message, or the text of a more specific problem.
+    """
+    if not isinstance(section, dict):
+        raise ParseError(f"{prefix[:-1]}: must be an object")
+    errors = [f"{prefix}{name}: unknown field" for name in section if name not in schema]
+    fields = {}
+    for name, (kind, default, *check) in schema.items():
+        value = section.get(name, default)
+        try:
+            if value is not None or default is not None:
+                value = json_value(kind, value, f"{prefix}{name}:")
+        except TypeError as exc:
+            errors.append(str(exc))
+            continue
+        verdict = value is None or not check or check[0](value, world)
+        if verdict is not True:
+            errors.append(f"{prefix}{name}: {verdict or check[1]}")
+        fields[name] = value
+    if errors:
+        raise ParseError(*errors)
+    return MappingProxyType(fields)
 
 
-# field -> (JSON kind, default) of the bounds, operator and trainer sections (the
-# trainer's seed defaults to the config's seed)
+# the bounds, operator and trainer schemas (the trainer's seed defaults to the config's seed)
 BOUNDS_FIELDS = {"w_min": (float, 0.01), "w_max": (float, 0.99), "lipschitz": (float, 25.0)}
 OPERATOR_FIELDS = {"token": {"family": (str, "uniform"), "alpha": (float, 1.0),
                              "safety_adjustment": (bool, True)},
@@ -55,69 +91,59 @@ TRAINER_FIELDS = {"eta0": (float, 1.0), "steps": (int, 1000), "ridge": (float, 0
                   "eval_every": (int, 100), "init_scale": (float, 0.0)}
 
 
-def _param(ok, message):
-    """A check of one ``params`` field: ``ok(value, world)`` or the error ``message``."""
-    return lambda value, world: None if ok(value, world) else message
+def _at_least(lo: int) -> tuple:
+    return (lambda v, _: v >= lo), f"must be at least {lo}"
 
 
-def _count(lo: int):
-    return _param(lambda v, _: _is_int(v) and v >= lo, f"must be an integer >= {lo}")
+_UNIT = (lambda v, _: 0 < v <= 1, "must lie in (0, 1]")
+_POSITIVE = (lambda v, _: v > 0, "must be positive")
+_NONNEGATIVE = (lambda v, _: v >= 0, "must be nonnegative")
 
 
-_UNIT = _param(lambda v, _: _is_number(v) and 0 < v <= 1, "must be a number in (0, 1]")
-_POSITIVE = _param(lambda v, _: _is_number(v) and v > 0, "must be a positive number")
-_NONNEGATIVE = _param(lambda v, _: _is_number(v) and v >= 0, "must be a nonnegative number")
-_NUMBER = _param(lambda v, _: _is_number(v), "must be a number")
-
-
-def _labels(rows, world: World | None) -> str | None:
-    if not isinstance(rows, list) or not all(
-            isinstance(r, dict) and all(_is_int(r.get(f)) for f in ("input", "context", "token"))
-            for r in rows):
-        return "must be a list of objects with integer input, context and token"
+def _labels(rows: list, world: World | None) -> bool | str:
+    fields = ("input", "context", "token")
+    if not all(isinstance(r, dict) and all(type(r.get(f)) is int for f in fields) for r in rows):
+        return False
     if world is None:
-        return None
+        return True
     known = {"input": {x.id for x in world.inputs}, "context": {c.id for c in world.contexts},
              "token": range(world.vocab.size)}
     unknown = [f"{f} {r[f]}" for r in rows for f in known if r[f] not in known[f]]
-    return "unknown " + ", ".join(unknown) if unknown else None
+    return "unknown " + ", ".join(unknown) if unknown else True
 
 
-_SAFETY_PARAMS = {"s_min": _UNIT, "dual_step": _POSITIVE, "max_dual_iters": _count(1),
-                  "labels": _labels}
+_SAFETY_PARAMS = {"s_min": (float, 0.5, *_UNIT), "dual_step": (float, 0.5, *_POSITIVE),
+                  "max_dual_iters": (int, 200, *_at_least(1)),
+                  "labels": (list, [], _labels,
+                             "must be a list of objects with integer input, context and token")}
 
-# kind -> the checks of the params its suite reads; an absent field takes its default
-PARAM_CHECKS = {
-    "appendix_a": {"given_entropies": _param(
-        lambda v, world: _is_numbers(v) and min(v, default=-1) >= 0
+# kind -> the params its suite reads; a "ridge" defaults to the trainer's ridge where
+# that is positive
+PARAMS = {
+    "appendix_a": {"given_entropies": (
+        list, [0.68, 1.52],
+        lambda v, world: _numbers(v) and min(v, default=-1) >= 0
         and (world is None or len(v) == world.bank.k),
         "must be one nonnegative number per teacher")},
-    "conformance": {"n_samples": _count(1), "scales": _param(
-        lambda v, _: isinstance(v, list) and all(s in ("token", "task", "context") for s in v),
+    "conformance": {"n_samples": (int, 1000, *_at_least(1)), "scales": (
+        list, ["token", "task", "context"],
+        lambda v, _: all(s in ("token", "task", "context") for s in v),
         "must be a list of 'token', 'task' and 'context'")},
-    "train": {"compare_classic": _param(lambda v, _: isinstance(v, bool), "must be true or false")},
-    "rate": {"n_seeds": _count(1), "kl_tol": _NONNEGATIVE, "slope_low": _NUMBER,
-             "slope_high": _NUMBER},
-    "fixed_point": {"beta": _UNIT, "max_iters": _count(1), "tol": _POSITIVE,
-                    "n_pairs": _count(1), "n_starts": _count(0)},
-    "perturbation": {"ridge": _POSITIVE, "deltas": _param(
-        lambda v, _: _is_numbers(v) and min(v, default=-1) >= 0 and max(v) > 0,
+    "train": {"compare_classic": (bool, False)},
+    "rate": {"n_seeds": (int, 10, *_at_least(1)), "kl_tol": (float, 1e-3, *_NONNEGATIVE),
+             "slope_low": (float, -1.3), "slope_high": (float, -0.7)},
+    "fixed_point": {"beta": (float, 0.3, *_UNIT), "max_iters": (int, 500, *_at_least(1)),
+                    "tol": (float, 1e-10, *_POSITIVE), "n_pairs": (int, 100, *_at_least(1)),
+                    "n_starts": (int, 10, *_at_least(0))},
+    "perturbation": {"ridge": (float, 0.01, *_POSITIVE), "deltas": (
+        list, [1e-3, 1e-2, 1e-1],
+        lambda v, _: _numbers(v) and min(v, default=-1) >= 0 and max(v) > 0,
         "must be a list of nonnegative numbers, at least one positive")},
-    "variance": {"n_samples": _count(100), "init_scale": _NUMBER},
-    "safety": {**_SAFETY_PARAMS, "s_min_inactive": _param(
-        lambda v, _: v is None or (_is_number(v) and 0 < v <= 1),
-        "must be null or a number in (0, 1]")},
-    "pareto": {**_SAFETY_PARAMS, "mu_max": _NONNEGATIVE, "n_mu": _count(1), "ridge": _POSITIVE,
-               "mu_grid": _param(
-                   lambda v, _: v is None or (_is_numbers(v) and min(v, default=-1) >= 0
-                                              and v == sorted(v)),
-                   "must be null or a nonempty ascending list of nonnegative numbers")},
+    "variance": {"n_samples": (int, 10_000, *_at_least(100)), "init_scale": (float, 1.0)},
+    "safety": {**_SAFETY_PARAMS, "s_min_inactive": (float, None, *_UNIT)},
+    "pareto": {**_SAFETY_PARAMS, "mu_max": (float, 2.0, *_NONNEGATIVE),
+               "n_mu": (int, 20, *_at_least(1)), "ridge": (float, 0.01, *_POSITIVE),
+               "mu_grid": (list, None,
+                           lambda v, _: _numbers(v) and min(v, default=-1) >= 0 and v == sorted(v),
+                           "must be null or a nonempty ascending list of nonnegative numbers")},
 }
-
-
-def param_errors(kind: str, params: dict, world: World | None) -> list[str]:
-    """One line per field of ``params`` that the ``kind`` suite does not read or cannot run with."""
-    found = [(name, "unknown field") for name in params if name not in PARAM_CHECKS[kind]]
-    found += ((name, check(params[name], world))
-              for name, check in PARAM_CHECKS[kind].items() if name in params)
-    return [f"params.{name}: {problem}" for name, problem in found if problem]

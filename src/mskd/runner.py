@@ -28,8 +28,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -76,9 +77,11 @@ from .operators import (
 from .params import (
     BOUNDS_FIELDS,
     OPERATOR_FIELDS,
+    PARAMS,
     TRAINER_FIELDS,
+    json_int_key,
+    json_numbers,
     json_value,
-    param_errors,
     read_section,
 )
 from .safety import (
@@ -96,6 +99,15 @@ EXPERIMENT_KINDS = (
     "perturbation", "variance", "safety", "pareto",
 )
 
+CONFIG_FIELDS = ("kind", "seed", "world", "bounds", "operators", "trainer", "params", "out")
+# the fields each object of a world may hold
+WORLD_FIELDS = {"world": ("vocab", "inputs", "tasks", "contexts", "teachers"),
+                "vocab": ("size", "safety_tokens"), "input": ("id", "features"),
+                "task": ("id", "inputs", "importance"),
+                "context": ("id", "features", "measure_weight", "safety_critical"),
+                "teachers": ("count", "table", "perf_scores", "safety_scores"),
+                "table cell": ("input", "context", "dists")}
+
 OUTPUT_ENV_VAR = "AWKD_OUT"
 
 
@@ -110,7 +122,7 @@ class ExperimentConfig:
     bounds: WeightBounds
     operator: UnifiedWeightOperator
     trainer: TrainerConfig
-    params: dict
+    params: Mapping  # resolved: every field of the kind's schema, read-only
     seed: int
     out: str | None
     config_hash: str
@@ -150,6 +162,8 @@ def _collect(errors: list[str], section: str, build, *args):
     """``build(*args)``, or None after adding one line to ``errors`` if it raises."""
     try:
         return build(*args)
+    except ParseError as exc:  # already one line per bad field
+        errors += exc.args
     except KeyError as exc:
         errors.append(f"{section}: missing field {exc}")
     except (MskdError, LookupError, ValueError, TypeError, AttributeError, ArithmeticError) as exc:
@@ -159,35 +173,44 @@ def _collect(errors: list[str], section: str, build, *args):
 
 def _build_world(doc: dict) -> World:
     wd = doc["world"]
+    td = wd["teachers"]
+    for kind, nodes in (("world", [wd]), ("vocab", [wd["vocab"]]), ("input", wd["inputs"]),
+                        ("task", wd["tasks"]), ("context", wd["contexts"]),
+                        ("teachers", [td]), ("table cell", td["table"])):
+        for node in nodes:
+            unknown = [name for name in node if name not in WORLD_FIELDS[kind]]
+            if unknown:
+                raise ValueError(f"{kind} has unknown field {unknown[0]}")
     vocab = VocabularySpec(json_value(int, wd["vocab"]["size"], "vocab.size"),
                            frozenset(json_value(int, i, "vocab.safety_tokens")
                                      for i in wd["vocab"].get("safety_tokens", [])))
     inputs = tuple(InputSpec(json_value(int, i["id"], "input id"),
-                             np.asarray(i["features"], dtype=float)) for i in wd["inputs"])
+                             json_numbers(i["features"], "input features")) for i in wd["inputs"])
     tasks = tuple(
         TaskSpec(json_value(int, t["id"], "task id"),
-                 tuple(json_value(int, pair[0], "task input id") for pair in t["inputs"]),
-                 np.asarray([pair[1] for pair in t["inputs"]], dtype=float),
+                 tuple(json_value(int, x, "task input id") for x, _ in t["inputs"]),
+                 np.array([json_value(float, w, f"task {t['id']} input {x} weight")
+                           for x, w in t["inputs"]]),
                  json_value(float, t["importance"], "task importance"))
         for t in wd["tasks"])
     contexts = tuple(
-        ContextSpec(json_value(int, c["id"], "context id"), np.asarray(c["features"], dtype=float),
+        ContextSpec(json_value(int, c["id"], "context id"),
+                    json_numbers(c["features"], "context features"),
                     json_value(float, c["measure_weight"], "measure_weight"),
                     json_value(bool, c.get("safety_critical", False), "safety_critical"))
         for c in wd["contexts"])
-    td = wd["teachers"]
     table = {(json_value(int, cell["input"], "table input"),
               json_value(int, cell["context"], "table context")):
-             np.asarray(cell["dists"], dtype=float) for cell in td["table"]}
+             json_numbers(cell["dists"], "teacher dists") for cell in td["table"]}
     bank = TeacherBank(json_value(int, td["count"], "teachers.count"), table,
-                       {int(k): np.asarray(v, dtype=float)
+                       {json_int_key(k, "perf_scores keys"): json_numbers(v, "perf_scores")
                         for k, v in td["perf_scores"].items()},
-                       np.asarray(td["safety_scores"], dtype=float))
+                       json_numbers(td["safety_scores"], "safety_scores"))
     return World(vocab, inputs, tasks, contexts, bank)
 
 
 def _build_bounds(bd: dict, world: World | None) -> WeightBounds:
-    bounds = WeightBounds(**read_section(bd, BOUNDS_FIELDS))
+    bounds = WeightBounds(**read_section(bd, BOUNDS_FIELDS, "bounds."))
     if world is not None:
         bounds.check_feasible(world.bank.k)
     return bounds
@@ -195,8 +218,8 @@ def _build_bounds(bd: dict, world: World | None) -> WeightBounds:
 
 def _build_operator(ops: dict, world: World | None,
                     bounds: WeightBounds | None) -> UnifiedWeightOperator | None:
-    scales = read_section(ops, {scale: (dict, {}) for scale in OPERATOR_FIELDS})
-    tok, task, ctx = (read_section(scales[scale], schema, f"{scale}.")
+    scales = read_section(ops, {scale: (dict, {}) for scale in OPERATOR_FIELDS}, "operators.")
+    tok, task, ctx = (read_section(scales[scale], schema, f"operators.{scale}.")
                       for scale, schema in OPERATOR_FIELDS.items())
     safety_tokens = world.vocab.safety_tokens if world is not None else frozenset()
     scale_ops = (TokenOperator(**tok, safety_tokens=safety_tokens), TaskOperator(**task),
@@ -205,7 +228,7 @@ def _build_operator(ops: dict, world: World | None,
 
 
 def _build_trainer(tr: dict, seed: int) -> TrainerConfig:
-    return TrainerConfig(**read_section(tr, {**TRAINER_FIELDS, "seed": (int, seed)}))
+    return TrainerConfig(**read_section(tr, {**TRAINER_FIELDS, "seed": (int, seed)}, "trainer."))
 
 
 def parse_config_dict(doc: dict) -> ExperimentConfig:
@@ -213,6 +236,7 @@ def parse_config_dict(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ParseError("config root must be a JSON object")
     errors = [f"{path}: non-finite number" for path in _non_finite_paths(doc)]
+    errors += [f"{name}: unknown field" for name in doc if name not in CONFIG_FIELDS]
     kind = doc.get("kind")
     if kind not in EXPERIMENT_KINDS:
         errors.append(f"kind: expected one of {EXPERIMENT_KINDS}, got {kind!r}")
@@ -225,12 +249,13 @@ def parse_config_dict(doc: dict) -> ExperimentConfig:
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
         errors.append("out: must be a string")
-    params = doc.get("params", {})
-    if not isinstance(params, dict):
-        errors.append("params: must be an object")
-        params = {}
+    params = None
     if kind in EXPERIMENT_KINDS:
-        errors += _collect(errors, "params", param_errors, kind, params, world) or []
+        schema = PARAMS[kind]
+        if "ridge" in schema and trainer and trainer.ridge:  # the trainer's ridge, if positive
+            schema = {**schema, "ridge": (float, trainer.ridge, *schema["ridge"][2:])}
+        params = _collect(errors, "params", read_section, doc.get("params", {}), schema,
+                          "params.", world)
     if errors:
         raise ParseError("invalid config:\n  - " + "\n  - ".join(errors))
     return ExperimentConfig(
@@ -338,7 +363,7 @@ def _new_record(cfg: ExperimentConfig) -> RunRecord:
 def _run_appendix_a(cfg: ExperimentConfig, rec: RunRecord) -> None:
     world = cfg.world
     dists = world.bank.dists(world.inputs[0].id, world.contexts[0].id)
-    given_h = cfg.params.get("given_entropies", [0.68, 1.52])
+    given_h = cfg.params["given_entropies"]
     w_given = inverse_entropy_weights_from_entropies(given_h, cfg.bounds)
     rec.check("inverse_entropy_weight_1", float(w_given[0]), 0.69, 0.005)
     rec.check("inverse_entropy_weight_2", float(w_given[1]), 0.31, 0.005)
@@ -366,20 +391,19 @@ def _run_appendix_a(cfg: ExperimentConfig, rec: RunRecord) -> None:
 
 
 def _run_conformance(cfg: ExperimentConfig, rec: RunRecord) -> None:
-    scales = cfg.params.get("scales", ["token", "task", "context"])
-    n = int(cfg.params.get("n_samples", 1000))
     sampler = seeded_sampler(cfg.seed)
     rows = []
-    for scale in scales:
+    for scale in cfg.params["scales"]:
         op = getattr(cfg.operator, f"{scale}_op")
-        report = check_conformance(op, scale, cfg.world, cfg.bounds, sampler, n)
+        report = check_conformance(op, scale, cfg.world, cfg.bounds, sampler,
+                                   cfg.params["n_samples"])
         for row in report.summary_rows():
             rows.append((op.family, *row))
         rows.append((op.family, scale, "lipschitz_estimate",
                      report.lipschitz_estimate <= cfg.bounds.lipschitz,
                      report.lipschitz_estimate, report.n_samples))
         rec.check(f"conformance_{scale}_{op.family}", report.all_passed, True, compare="eq")
-    if "task" in scales:
+    if "task" in cfg.params["scales"]:
         rec.check("pareto_compatibility", check_pareto_compat(), True, compare="eq")
     rec.add_table("conformance", ["family", "scale", "axiom", "passed", "worst_violation", "n"], rows)
 
@@ -387,7 +411,7 @@ def _run_conformance(cfg: ExperimentConfig, rec: RunRecord) -> None:
 def _run_train(cfg: ExperimentConfig, rec: RunRecord) -> None:
     params, trace = sgd_train(cfg.trainer, cfg.operator, cfg.world)
     rec.check("final_loss_finite", bool(np.isfinite(trace.loss[-1])), True, compare="eq")
-    if cfg.params.get("compare_classic", False):
+    if cfg.params["compare_classic"]:
         c_params, c_trace = classic_uniform_train(cfg.trainer, cfg.world)
         identical = (np.array_equal(params.logits, c_params.logits)
                      and np.array_equal(trace.loss, c_trace.loss)
@@ -398,25 +422,19 @@ def _run_train(cfg: ExperimentConfig, rec: RunRecord) -> None:
 
 
 def _run_rate(cfg: ExperimentConfig, rec: RunRecord) -> None:
-    n_seeds = int(cfg.params.get("n_seeds", 10))
-    kl_tol = float(cfg.params.get("kl_tol", 1e-3))
-    slope_lo = float(cfg.params.get("slope_low", -1.3))
-    slope_hi = float(cfg.params.get("slope_high", -0.7))
     traces = []
     terminal_kl = []
-    for s in range(n_seeds):
-        tr_cfg = TrainerConfig(cfg.trainer.eta0, cfg.trainer.steps, cfg.trainer.ridge,
-                               cfg.trainer.seed + s, cfg.trainer.eval_every,
-                               cfg.trainer.init_scale)
-        _, trace = sgd_train(tr_cfg, cfg.operator, cfg.world)
+    for s in range(cfg.params["n_seeds"]):
+        _, trace = sgd_train(replace(cfg.trainer, seed=cfg.trainer.seed + s), cfg.operator,
+                             cfg.world)
         traces.append(trace)
         terminal_kl.append(float(trace.mean_kl[-1]))
     avg = average_traces(traces)
     _, loss_star = solve_optimum(cfg.operator, cfg.world, cfg.trainer.ridge, gtol=1e-10)
     fit = fit_convergence_rate(avg, loss_star)
-    rec.check("terminal_mean_kl", float(np.mean(terminal_kl)), kl_tol, compare="le")
-    rec.check("rate_slope_low", fit.slope, slope_lo, compare="ge")
-    rec.check("rate_slope_high", fit.slope, slope_hi, compare="le")
+    rec.check("terminal_mean_kl", float(np.mean(terminal_kl)), cfg.params["kl_tol"], compare="le")
+    rec.check("rate_slope_low", fit.slope, cfg.params["slope_low"], compare="ge")
+    rec.check("rate_slope_high", fit.slope, cfg.params["slope_high"], compare="le")
     fd_err = _gradient_fd_error(cfg)
     rec.check("gradient_finite_difference", fd_err, 1e-6, compare="le")
     rec.add_table("trace_mean", ["step", "loss", "mean_kl", "grad_norm", "lr"],
@@ -446,13 +464,11 @@ def _gradient_fd_error(cfg: ExperimentConfig, n_probes: int = 3, h: float = 1e-5
 
 
 def _run_fixed_point(cfg: ExperimentConfig, rec: RunRecord) -> None:
-    beta = float(cfg.params.get("beta", 0.3))
-    fp_cfg = WeightUpdateConfig(beta, int(cfg.params.get("max_iters", 500)),
-                                float(cfg.params.get("tol", 1e-10)))
+    beta = cfg.params["beta"]
+    fp_cfg = WeightUpdateConfig(beta, cfg.params["max_iters"], cfg.params["tol"])
     sampler = seeded_sampler(cfg.seed)
     k = cfg.world.bank.k
-    rho = estimate_contraction(fp_cfg, cfg.world, cfg.bounds, sampler,
-                               int(cfg.params.get("n_pairs", 100)))
+    rho = estimate_contraction(fp_cfg, cfg.world, cfg.bounds, sampler, cfg.params["n_pairs"])
     rec.check("contraction_below_one", rho, 1.0 - 1e-9, compare="le")
     trace = iterate_to_fixed_point(uniform_weights(k, cfg.bounds), fp_cfg, cfg.world, cfg.bounds)
     rec.check("iteration_converged", trace.converged, True, compare="eq")
@@ -465,7 +481,7 @@ def _run_fixed_point(cfg: ExperimentConfig, rec: RunRecord) -> None:
             envelope_ok = False
     rec.check("geometric_envelope", envelope_ok, True, compare="eq")
     spread = 0.0
-    for _ in range(int(cfg.params.get("n_starts", 10))):
+    for _ in range(cfg.params["n_starts"]):
         w0 = sample_feasible_weights(k, cfg.bounds, sampler)
         tr = iterate_to_fixed_point(w0, fp_cfg, cfg.world, cfg.bounds)
         spread = max(spread, float(np.max(np.abs(tr.w_star - w_star))))
@@ -486,10 +502,8 @@ def _run_fixed_point(cfg: ExperimentConfig, rec: RunRecord) -> None:
 
 
 def _run_perturbation(cfg: ExperimentConfig, rec: RunRecord) -> None:
-    deltas = cfg.params.get("deltas", [1e-3, 1e-2, 1e-1])
-    ridge = float(cfg.params.get("ridge", cfg.trainer.ridge or 0.01))
-    result = perturbation_experiment(cfg.operator, cfg.world, deltas,
-                                     ridge=ridge, seed=cfg.seed)
+    result = perturbation_experiment(cfg.operator, cfg.world, cfg.params["deltas"],
+                                     ridge=cfg.params["ridge"], seed=cfg.seed)
     rec.check("linear_fit_r_squared", result.r_squared, 0.95, compare="ge")
     rec.check("distance_ratio_spread", result.ratio_spread, 3.0, compare="le")
     rec.check("distances_monotone",
@@ -503,11 +517,10 @@ def _run_perturbation(cfg: ExperimentConfig, rec: RunRecord) -> None:
 
 
 def _run_variance(cfg: ExperimentConfig, rec: RunRecord) -> None:
-    n = int(cfg.params.get("n_samples", 10_000))
-    init_scale = float(cfg.params.get("init_scale", 1.0))
+    n = cfg.params["n_samples"]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     nloc, v = len(cfg.world.inputs), cfg.world.vocab.size
-    theta = init_scale * rng.normal(size=(nloc, v))
+    theta = cfg.params["init_scale"] * rng.normal(size=(nloc, v))
     from .core import StudentParams
     params = StudentParams(tuple(x.id for x in cfg.world.inputs), theta)
     rows = []
@@ -532,11 +545,9 @@ def _run_variance(cfg: ExperimentConfig, rec: RunRecord) -> None:
 
 
 def _safety_config(cfg: ExperimentConfig) -> SafetyConfig:
-    labels = {(int(r["input"]), int(r["context"])): int(r["token"])
-              for r in cfg.params.get("labels", [])}
-    return SafetyConfig(float(cfg.params.get("s_min", 0.5)), labels,
-                        float(cfg.params.get("dual_step", 0.5)),
-                        int(cfg.params.get("max_dual_iters", 200)))
+    p = cfg.params
+    labels = {(r["input"], r["context"]): r["token"] for r in p["labels"]}
+    return SafetyConfig(p["s_min"], labels, p["dual_step"], p["max_dual_iters"])
 
 
 def _run_safety(cfg: ExperimentConfig, rec: RunRecord) -> None:
@@ -547,10 +558,9 @@ def _run_safety(cfg: ExperimentConfig, rec: RunRecord) -> None:
     rec.check("kkt_slackness", res.slackness, 1e-3, compare="le")
     rec.check("kkt_primal", res.primal_violation, 1e-3, compare="le")
     rec.check("kkt_dual", res.dual_violation, 1e-3, compare="le")
-    inactive = cfg.params.get("s_min_inactive")
-    if inactive is not None:
-        scfg2 = SafetyConfig(float(inactive), scfg.labels, scfg.dual_step, scfg.max_dual_iters)
-        r2 = dual_ascent_solve(cfg.operator, cfg.world, scfg2, cfg.trainer)
+    if cfg.params["s_min_inactive"] is not None:
+        r2 = dual_ascent_solve(cfg.operator, cfg.world,
+                               replace(scfg, s_min=cfg.params["s_min_inactive"]), cfg.trainer)
         rec.check("inactive_multiplier_zero", r2.mu, 0.0, 1e-12)
     jns = jensen_preservation_check(cfg.operator, cfg.world, scfg)
     rec.check("student_safety_at_least_ensemble", jns.passed, True, compare="eq")
@@ -568,12 +578,10 @@ def _run_safety(cfg: ExperimentConfig, rec: RunRecord) -> None:
 
 def _run_pareto(cfg: ExperimentConfig, rec: RunRecord) -> None:
     scfg = _safety_config(cfg)
-    grid = cfg.params.get("mu_grid")
+    grid = cfg.params["mu_grid"]
     if grid is None:
-        grid = list(np.linspace(0.0, float(cfg.params.get("mu_max", 2.0)),
-                                int(cfg.params.get("n_mu", 20))))
-    ridge = float(cfg.params.get("ridge", cfg.trainer.ridge or 0.01))
-    points = pareto_sweep(cfg.operator, cfg.world, scfg, grid, ridge=ridge)
+        grid = list(np.linspace(0.0, cfg.params["mu_max"], cfg.params["n_mu"]))
+    points = pareto_sweep(cfg.operator, cfg.world, scfg, grid, ridge=cfg.params["ridge"])
     safeties = np.array([p[2] for p in points])
     losses = np.array([p[1] for p in points])
     rec.check("safety_nondecreasing", bool(np.all(np.diff(safeties) >= -1e-9)),

@@ -184,6 +184,15 @@ class TestFullBatch:
         assert np.linalg.norm(compiled.grad(theta)) <= 1e-10
         assert compiled.loss(theta) == pytest.approx(loss_star)
 
+    def test_exhausted_line_search_leaves_the_block(self):
+        # f is flat, so no step passes the Armijo test: the solver must keep
+        # every row where it is rather than creep along the halved step
+        theta0 = np.array([[1.0, -2.0, 0.5], [0.25, 0.0, -1.0]])
+        def fgh(xi, row):
+            return 0.0, row.copy(), np.eye(row.size)
+
+        np.testing.assert_array_equal(distill.minimize_blockwise(theta0, fgh, gtol=1e-10), theta0)
+
     def test_ridge_free_optimum_is_log_target(self, world):
         g = adaptive_g()
         params, _ = solve_optimum(g, world, 0.0)

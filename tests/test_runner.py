@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mskd.core import MskdError, ParseError
+from mskd.params import PARAMS
 from mskd.runner import (
     EXPERIMENT_KINDS,
     emit_summary,
@@ -298,6 +299,48 @@ class TestFuzzedConfigs:
             pass
 
 
+class TestParamsSchema:
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_empty_params_resolve_to_the_declared_defaults(self, kind):
+        cfg = parse_config_dict({**BUNDLED_DOCS[kind], "params": {}})
+        assert dict(cfg.params) == {name: entry[1] for name, entry in PARAMS[kind].items()}
+
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_each_default_passes_its_check(self, kind):
+        world = parse_config(CONFIGS / f"{kind}.json").world
+        for name, (_, default, *check) in PARAMS[kind].items():
+            assert default is None or not check or check[0](default, world) is True, name
+
+    def test_params_are_read_only(self):
+        params = parse_config(CONFIGS / "rate.json").params
+        with pytest.raises(TypeError):
+            params["n_seeds"] = 1
+
+    def test_integer_for_a_float_field_resolves_to_a_float(self):
+        doc = copy.deepcopy(BUNDLED_DOCS["rate"])
+        doc["params"]["kl_tol"] = 0
+        kl_tol = parse_config_dict(doc).params["kl_tol"]
+        assert type(kl_tol) is float and json.dumps(kl_tol) == "0.0"
+
+    def test_ridge_defaults_to_the_trainers_and_rejects_null(self):
+        doc = copy.deepcopy(BUNDLED_DOCS["pareto"])
+        doc["trainer"]["ridge"] = 0.05
+        doc["params"].pop("ridge", None)
+        assert parse_config_dict(doc).params["ridge"] == 0.05
+        doc["params"]["ridge"] = None
+        with pytest.raises(ParseError, match="params.ridge"):
+            parse_config_dict(doc)
+
+    def test_every_bad_field_named(self):
+        doc = copy.deepcopy(BUNDLED_DOCS["fixed_point"])
+        doc["params"].update(beta=2.0, max_iters="many", n_starts=-1, betta=0.3)
+        with pytest.raises(ParseError) as exc:
+            parse_config_dict(doc)
+        lines = str(exc.value).splitlines()[1:]
+        assert [line.split(":")[0].strip("- ") for line in lines] == [
+            "params.betta", "params.beta", "params.max_iters", "params.n_starts"]
+
+
 class TestCli:
     def test_list_kinds(self, capsys):
         assert main(["list-kinds"]) == 0
@@ -365,6 +408,13 @@ class TestCli:
         ("conformance", ("operators", "tokens"), {"family": "family_a"}),
         ("conformance", ("operators", "token", "alfa"), 2.0),
         ("appendix_a", ("bounds", "w_mni"), 0.05),
+        ("appendix_a", ("world", "inputs", 0, "features"), ["0.0"]),
+        ("appendix_a", ("world", "teachers", "table", 0, "dists"),
+         [["0.8", "0.15", "0.05"], ["0.4", "0.35", "0.25"]]),
+        ("appendix_a", ("world", "tasks", 0, "inputs", 0), [0, True]),
+        ("appendix_a", ("world", "teachers", "perf_scores", "0_0"), [0.8, 0.5]),
+        ("appendix_a", ("paramz",), {"given_entropies": [0.68, 1.52]}),
+        ("safety", ("world", "contexts", 0, "safety_critcal"), True),
     ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None)
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_mistyped_or_unknown_field_exit_two(self, tmp_path, kind, path, value, command,
