@@ -123,15 +123,26 @@ class CompiledObjective:
     def params(self, theta: np.ndarray) -> StudentParams:
         return StudentParams(tuple(x.id for x in self.world.inputs), theta, self.ridge)
 
-    def block(self, xi: int, row: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-        """Value, gradient and Hessian of input ``xi``'s share of the loss, plus softmax(row)."""
+    def block(self, xi: int, row: np.ndarray, labels=()) -> tuple[float, np.ndarray, np.ndarray]:
+        """Value, gradient and Hessian of input ``xi``'s share of the loss minus its label terms.
+
+        Each ``(y, w)`` of ``labels``, in ascending token order, subtracts
+        ``w * p[y]`` (p = softmax(row)): the safety term of a Lagrangian.
+        """
         m, q, lam = self.m_x[xi], self.qbar[xi], self.ridge
         p = softmax(row)
         f = -m * float(q @ log_softmax(row)) + 0.5 * lam * float(row @ row)
         g = m * (p - q) + lam * row
-        h = m * (np.diag(p) - np.outer(p, p))
+        diag, outer = np.diag(p), np.outer(p, p)
+        h = m * (diag - outer)
         h.flat[:: len(row) + 1] += lam  # + lam * I
-        return f, g, h, p
+        for y, w in labels:
+            d = 0.0 - p
+            d[y] += 1.0  # e_y - p
+            f -= w * p[y]
+            g -= w * p[y] * d
+            h -= w * p[y] * (np.outer(d, d) - diag + outer)
+        return f, g, h
 
 
 def _noisy_rows(rows: np.ndarray, delta: float, rng: Sampler, bounds) -> np.ndarray:
@@ -236,12 +247,7 @@ def _sgd_loop(compiled: CompiledObjective, config: TrainerConfig) -> tuple[np.nd
             t += 1
             if t % config.eval_every == 0 or t == config.steps:
                 record(t, eta)
-    arr = np.array(records, dtype=np.float64)
-    steps = arr[:, 0].astype(np.int64)
-    # dedupe the final step when it lands on the eval grid
-    _, keep = np.unique(steps, return_index=True)
-    trace = TrainTrace(steps[keep], arr[keep, 1], arr[keep, 2], arr[keep, 3], arr[keep, 4])
-    return theta, trace
+    return theta, TrainTrace(*np.array(records, dtype=np.float64).T)
 
 
 def _sgd_step(theta: np.ndarray, targets: np.ndarray, tj: int, xi: int, ci: int,
@@ -364,8 +370,7 @@ def solve_compiled(compiled: CompiledObjective, gtol: float = 1e-10) -> np.ndarr
                 "ridge-free optimum needs strictly positive targets (finite logits)")
         logq = np.log(compiled.qbar)
         return logq - logq.mean(axis=1, keepdims=True)
-    return minimize_blockwise(np.zeros_like(compiled.qbar),
-                              lambda xi, row: compiled.block(xi, row)[:3], gtol)
+    return minimize_blockwise(np.zeros_like(compiled.qbar), compiled.block, gtol)
 
 
 # ---------------------------------------------------------------------------

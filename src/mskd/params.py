@@ -12,6 +12,7 @@ numbers are left to the config parser's own walk of the document.
 
 from __future__ import annotations
 
+from collections import Counter
 from types import MappingProxyType
 
 import numpy as np
@@ -101,21 +102,28 @@ _NONNEGATIVE = (lambda v, _: v >= 0, "must be nonnegative")
 
 
 def _labels(rows: list, world: World | None) -> bool | str:
+    """Known ids, and one label for each (input, context) pair of positive measure."""
     fields = ("input", "context", "token")
-    if not all(isinstance(r, dict) and all(type(r.get(f)) is int for f in fields) for r in rows):
+    if not all(isinstance(r, dict) and r.keys() == set(fields)
+               and all(type(r[f]) is int for f in fields) for r in rows):
         return False
     if world is None:
         return True
     known = {"input": {x.id for x in world.inputs}, "context": {c.id for c in world.contexts},
              "token": range(world.vocab.size)}
-    unknown = [f"{f} {r[f]}" for r in rows for f in known if r[f] not in known[f]]
-    return "unknown " + ", ".join(unknown) if unknown else True
+    pairs = Counter((r["input"], r["context"]) for r in rows)
+    pm = world.input_marginals()[:, None] * world.context_weights[None, :]  # as _label_table
+    needed = [(world.inputs[x].id, world.contexts[c].id) for x, c in zip(*np.nonzero(pm))]
+    problems = [f"unknown {f} {r[f]}" for r in rows for f in known if r[f] not in known[f]]
+    problems += [f"two labels for (input {x}, context {c})" for (x, c), n in pairs.items() if n > 1]
+    problems += [f"no label for (input {x}, context {c})" for x, c in needed if (x, c) not in pairs]
+    return "; ".join(problems) or True
 
 
 _SAFETY_PARAMS = {"s_min": (float, 0.5, *_UNIT), "dual_step": (float, 0.5, *_POSITIVE),
                   "max_dual_iters": (int, 200, *_at_least(1)),
-                  "labels": (list, [], _labels,
-                             "must be a list of objects with integer input, context and token")}
+                  "labels": (list, None, _labels,
+                             "must be a list of {input, context, token} objects of integers")}
 
 # kind -> the params its suite reads; a "ridge" defaults to the trainer's ridge where
 # that is positive
@@ -142,8 +150,5 @@ PARAMS = {
     "variance": {"n_samples": (int, 10_000, *_at_least(100)), "init_scale": (float, 1.0)},
     "safety": {**_SAFETY_PARAMS, "s_min_inactive": (float, None, *_UNIT)},
     "pareto": {**_SAFETY_PARAMS, "mu_max": (float, 2.0, *_NONNEGATIVE),
-               "n_mu": (int, 20, *_at_least(1)), "ridge": (float, 0.01, *_POSITIVE),
-               "mu_grid": (list, None,
-                           lambda v, _: _numbers(v) and min(v, default=-1) >= 0 and v == sorted(v),
-                           "must be null or a nonempty ascending list of nonnegative numbers")},
+               "n_mu": (int, 20, *_at_least(1)), "ridge": (float, 0.01, *_POSITIVE)},
 }

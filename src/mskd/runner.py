@@ -256,6 +256,10 @@ def parse_config_dict(doc: dict) -> ExperimentConfig:
             schema = {**schema, "ridge": (float, trainer.ridge, *schema["ridge"][2:])}
         params = _collect(errors, "params", read_section, doc.get("params", {}), schema,
                           "params.", world)
+    if kind == "safety" and trainer and trainer.ridge <= 0:  # dual ascent's strict convexity
+        errors.append("trainer.ridge: must be positive for a safety run")
+    if kind == "safety" and world and not any(c.is_safety_critical for c in world.contexts):
+        errors.append("world.contexts: a safety run needs a safety-critical context")
     if errors:
         raise ParseError("invalid config:\n  - " + "\n  - ".join(errors))
     return ExperimentConfig(
@@ -323,7 +327,7 @@ class RunRecord:
         """Record one assertion: measured against expected within tolerance.
 
         ``compare``: 'abs' absolute difference, 'le' measured <= expected,
-        'ge' measured >= expected, 'eq' exact equality, 'true' boolean.
+        'ge' measured >= expected, 'eq' exact equality.
         """
         if compare == "abs":
             ok = abs(float(measured) - float(expected)) <= float(tol)
@@ -333,8 +337,6 @@ class RunRecord:
             ok = float(measured) >= float(expected) - (tol or 0.0)
         elif compare == "eq":
             ok = measured == expected
-        elif compare == "true":
-            ok = bool(measured)
         else:
             raise MskdError(f"unknown comparison {compare!r}")
         self.assertions.append({
@@ -546,7 +548,7 @@ def _run_variance(cfg: ExperimentConfig, rec: RunRecord) -> None:
 
 def _safety_config(cfg: ExperimentConfig) -> SafetyConfig:
     p = cfg.params
-    labels = {(r["input"], r["context"]): r["token"] for r in p["labels"]}
+    labels = {(r["input"], r["context"]): r["token"] for r in p["labels"] or ()}
     return SafetyConfig(p["s_min"], labels, p["dual_step"], p["max_dual_iters"])
 
 
@@ -578,9 +580,7 @@ def _run_safety(cfg: ExperimentConfig, rec: RunRecord) -> None:
 
 def _run_pareto(cfg: ExperimentConfig, rec: RunRecord) -> None:
     scfg = _safety_config(cfg)
-    grid = cfg.params["mu_grid"]
-    if grid is None:
-        grid = list(np.linspace(0.0, cfg.params["mu_max"], cfg.params["n_mu"]))
+    grid = list(np.linspace(0.0, cfg.params["mu_max"], cfg.params["n_mu"]))
     points = pareto_sweep(cfg.operator, cfg.world, scfg, grid, ridge=cfg.params["ridge"])
     safeties = np.array([p[2] for p in points])
     losses = np.array([p[1] for p in points])

@@ -106,19 +106,23 @@ def _in_order_sum(terms: np.ndarray):
 
 def expected_safety(params: StudentParams, world: World, cfg: SafetyConfig) -> float:
     """Exact expectation of the safety measure over the world's (x, c) measure."""
-    pm, xi, _, y, critical = _label_table(world, cfg)
-    p = softmax(_theta_from_params(params, world))
-    return _in_order_sum(pm * np.where(critical, p[xi, y], 1.0))
+    return _safety(_theta_from_params(params, world), _label_table(world, cfg))
 
 
-def _safety_label_mass(world: World, cfg: SafetyConfig) -> tuple[np.ndarray, float]:
+def _safety(theta: np.ndarray, table) -> float:
+    """Expected safety of the (N, V) logit table ``theta`` under a ``_label_table``."""
+    pm, xi, _, y, critical = table
+    return _in_order_sum(pm * np.where(critical, softmax(theta)[xi, y], 1.0))
+
+
+def _safety_label_mass(world: World, table) -> tuple[np.ndarray, float]:
     """Per-input, per-token measure on safety-critical labels, plus the free mass.
 
-    ``mass[x, i]`` collects the (x, c) measure of pairs whose label is the
-    safety token i; the returned scalar is the total measure of pairs whose
-    label is not safety-critical (those contribute 1 regardless of theta).
+    ``mass[x, i]`` collects the measure of the ``_label_table`` pairs whose
+    label is the safety token i; the returned scalar is the total measure of
+    pairs whose label is not safety-critical (those contribute 1 regardless of theta).
     """
-    pm, xi, _, y, critical = _label_table(world, cfg)
+    pm, xi, _, y, critical = table
     mass = np.zeros((len(world.inputs), world.vocab.size))
     np.add.at(mass, (xi[critical], y[critical]), pm[critical])  # in pair order
     return mass, _in_order_sum(pm[~critical])
@@ -127,7 +131,7 @@ def _safety_label_mass(world: World, cfg: SafetyConfig) -> tuple[np.ndarray, flo
 def expected_safety_gradient(params: StudentParams, world: World,
                              cfg: SafetyConfig) -> np.ndarray:
     """Analytic gradient of the expected safety with respect to the logits."""
-    mass, _ = _safety_label_mass(world, cfg)
+    mass, _ = _safety_label_mass(world, _label_table(world, cfg))
     p = softmax(_theta_from_params(params, world))
     grad = np.zeros_like(p)
     eye = np.eye(p.shape[1])
@@ -142,7 +146,7 @@ def max_achievable_safety(world: World, cfg: SafetyConfig) -> float:
     Per input the best distribution concentrates on the safety token with the
     largest label mass; pairs with non-safety labels contribute 1 regardless.
     """
-    mass, free = _safety_label_mass(world, cfg)
+    mass, free = _safety_label_mass(world, _label_table(world, cfg))
     return free + float(mass.max(axis=1).sum())
 
 
@@ -161,24 +165,9 @@ def lagrangian_value(params: StudentParams, mu: float, G: UnifiedWeightOperator,
 
 
 def _lagrangian_block(compiled: CompiledObjective, mu: float, mass: np.ndarray):
-    """Damped-Newton block kernel of loss - mu * safety: (xi, row) -> value, gradient, Hessian.
-
-    Each input's safety labels are read from ``mass`` once here, not on
-    every evaluation.
-    """
-    eye = np.eye(mass.shape[1])
+    """Newton block kernel of loss - mu * safety, each input's labels built once per solve."""
     labels = [[(y, mu * m[y]) for y in np.flatnonzero(m)] for m in mass]
-
-    def fgh(xi: int, row: np.ndarray):
-        f, g, h, p = compiled.block(xi, row)
-        for y, w in labels[xi]:
-            d = eye[y] - p
-            f -= w * p[y]
-            g -= w * p[y] * d
-            h -= w * p[y] * (np.outer(d, d) - np.diag(p) + np.outer(p, p))
-        return f, g, h
-
-    return fgh
+    return lambda xi, row: compiled.block(xi, row, labels[xi])
 
 
 @dataclass
@@ -203,32 +192,30 @@ def dual_ascent_solve(G: UnifiedWeightOperator, world: World, cfg: SafetyConfig,
     """
     if trainer.ridge <= 0:
         raise MskdError("dual ascent needs a strictly convex inner solve (positive ridge)")
-    if max_achievable_safety(world, cfg) < cfg.s_min - 1e-6:
-        raise Infeasible(
-            f"maximum achievable safety {max_achievable_safety(world, cfg):.6f} "
-            f"is below the threshold {cfg.s_min}")
+    table = _label_table(world, cfg)
+    mass, free = _safety_label_mass(world, table)
+    s_max = free + float(mass.max(axis=1).sum())  # max_achievable_safety
+    if s_max < cfg.s_min - 1e-6:
+        raise Infeasible(f"maximum achievable safety {s_max:.6f} is below the threshold {cfg.s_min}")
     compiled = compile_objective(G, world, trainer.ridge)
-    mass, _ = _safety_label_mass(world, cfg)
     mu = 0.0
     step = cfg.dual_step
     theta = minimize_blockwise(np.zeros_like(compiled.qbar),
                                _lagrangian_block(compiled, mu, mass), gtol)
     history: list[dict] = []
     for it in range(cfg.max_dual_iters):
-        params = compiled.params(theta)
-        safety = expected_safety(params, world, cfg)
+        safety = _safety(theta, table)
         feas = max(0.0, cfg.s_min - safety)
         slack = abs(mu * (safety - cfg.s_min))
         history.append({"iter": it, "mu": mu, "safety": safety,
                         "kd_loss": compiled.loss(theta), "feasibility": feas,
                         "slackness": slack})
         if feas <= 1e-3 and slack <= 1e-3:
-            return DualAscentResult(params, mu, history, True)
+            return DualAscentResult(compiled.params(theta), mu, history, True)
         while True:
             mu_new = max(0.0, mu + step * (cfg.s_min - safety))
             theta_new = minimize_blockwise(theta, _lagrangian_block(compiled, mu_new, mass), gtol)
-            safety_new = expected_safety(compiled.params(theta_new), world, cfg)
-            feas_new = max(0.0, cfg.s_min - safety_new)
+            feas_new = max(0.0, cfg.s_min - _safety(theta_new, table))
             if feas_new <= feas + 1e-12 or step < 1e-8:
                 break
             step *= 0.5
@@ -280,13 +267,13 @@ def pareto_sweep(G: UnifiedWeightOperator, world: World, cfg: SafetyConfig,
     if ridge <= 0:
         raise MskdError("the sweep needs a strictly convex inner solve (positive ridge)")
     compiled = compile_objective(G, world, ridge)
-    mass, _ = _safety_label_mass(world, cfg)
+    table = _label_table(world, cfg)
+    mass, _ = _safety_label_mass(world, table)
     theta = np.zeros_like(compiled.qbar)
     out = []
     for mu in grid:
         theta = minimize_blockwise(theta, _lagrangian_block(compiled, float(mu), mass), gtol)
-        params = compiled.params(theta)
-        out.append((float(mu), compiled.loss(theta), expected_safety(params, world, cfg)))
+        out.append((float(mu), compiled.loss(theta), _safety(theta, table)))
     return out
 
 
@@ -314,12 +301,12 @@ def restrict_to_safety_contexts(world: World) -> World:
 def ensemble_expected_safety(G: UnifiedWeightOperator, world: World,
                              cfg: SafetyConfig) -> float:
     """Expected safety of the weighted ensemble targets themselves."""
-    return _ensemble_safety(compile_objective(G, world, 0.0), cfg)
+    return _ensemble_safety(compile_objective(G, world, 0.0), _label_table(world, cfg))
 
 
-def _ensemble_safety(compiled: CompiledObjective, cfg: SafetyConfig) -> float:
+def _ensemble_safety(compiled: CompiledObjective, table) -> float:
     # summed task by task, then in (x, c) order, skipping zero-measure points
-    _, xi, ci, y, critical = _label_table(compiled.world, cfg)
+    _, xi, ci, y, critical = table
     joint = compiled.joint[:, xi, ci]
     s = np.where(critical, compiled.targets[:, xi, ci, y], 1.0)
     return _in_order_sum((joint * s)[joint != 0.0])
@@ -346,7 +333,7 @@ def jensen_preservation_check(G: UnifiedWeightOperator, world: World,
             f"context operator fails conformance: {report.failures()}")
     restricted = restrict_to_safety_contexts(world)
     compiled = compile_objective(G, restricted, 0.0)
-    theta = solve_compiled(compiled, gtol=1e-10)
-    s_student = expected_safety(compiled.params(theta), restricted, cfg)
-    s_ensemble = _ensemble_safety(compiled, cfg)
+    table = _label_table(restricted, cfg)
+    s_student = _safety(solve_compiled(compiled, gtol=1e-10), table)
+    s_ensemble = _ensemble_safety(compiled, table)
     return JensenResult(s_student, s_ensemble, s_student >= s_ensemble - 1e-3)

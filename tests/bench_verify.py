@@ -16,7 +16,7 @@ from mskd.composition import UnifiedWeightOperator
 from mskd.core import TeacherBank, WeightBounds, seeded_sampler
 from mskd.distill import compile_objective
 from mskd.operators import ContextOperator, TaskOperator, TokenOperator, check_conformance
-from mskd.safety import SafetyConfig, _lagrangian_block, _safety_label_mass
+from mskd.safety import SafetyConfig, _label_table, _safety_label_mass
 from mskd.worlds import conformance_world, safety_world, safety_world_labels
 
 BOUNDS = WeightBounds(0.02, 0.9)
@@ -34,15 +34,16 @@ def test_conformance_pass(benchmark, scale, op):
 
 
 def test_lagrangian_block(benchmark):
-    """One value/gradient/Hessian evaluation of a safety-world Lagrangian block."""
+    """One value/gradient/Hessian evaluation of a safety-world Lagrangian block (mu = 0.5)."""
     world = safety_world()
     g = UnifiedWeightOperator(TokenOperator("family_a"), TaskOperator("family_c"),
                               ContextOperator("family_a"), WeightBounds(0.05, 0.95))
     compiled = compile_objective(g, world, 0.01)
-    mass, _ = _safety_label_mass(world, SafetyConfig(0.9, safety_world_labels()))
-    fgh = _lagrangian_block(compiled, 0.5, mass)
+    cfg = SafetyConfig(0.9, safety_world_labels())
+    mass, _ = _safety_label_mass(world, _label_table(world, cfg))
+    labels = [(y, 0.5 * mass[0, y]) for y in np.flatnonzero(mass[0])]
     row = np.random.default_rng(0).normal(size=world.vocab.size)
-    benchmark(fgh, 0, row)
+    benchmark(compiled.block, 0, row, labels)
 
 
 def test_teacher_bank_build(benchmark):

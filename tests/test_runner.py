@@ -4,6 +4,8 @@ import copy
 import hashlib
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +198,16 @@ def _gen_world_module():
     return _load_module(REFERENCES.parent / "gen_world.py")
 
 
+def test_micro_benchmarks_run_once():
+    # the default run does not collect tests/bench_*.py; run each benchmark once
+    tests = Path(__file__).resolve().parent
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "--benchmark-disable", str(tests / "bench_sampling.py"),
+                           str(tests / "bench_verify.py")],
+                          cwd=tests.parent, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
 def test_gen_configs_reproduces_bundled_configs():
     gen = _load_module(CONFIGS.parent / "tools" / "gen_configs.py")
     built = gen.build()
@@ -257,11 +269,16 @@ def _fuzzed_text(doc, data, params_only: bool = False) -> str:
     return json.dumps(doc).replace(f'"{HUGE}"', "1e999")
 
 
+def _edited_labels(kind: str, edit) -> list:
+    """The bundled ``kind`` config's labels after ``edit(labels)`` in place."""
+    labels = copy.deepcopy(BUNDLED_DOCS[kind]["params"]["labels"])
+    edit(labels)
+    return labels
+
+
 def _labels_with_token(token: int) -> list:
     """The bundled safety labels with the first one's token replaced."""
-    labels = copy.deepcopy(BUNDLED_DOCS["safety"]["params"]["labels"])
-    labels[0]["token"] = token
-    return labels
+    return _edited_labels("safety", lambda labels: labels[0].update(token=token))
 
 
 # the bundled configs with the rate study cut to 2000 steps per seed, for fuzzed runs
@@ -385,7 +402,19 @@ class TestCli:
                                                  ("rate", "n_seeds", 0),
                                                  ("safety", "labels", _labels_with_token(99)),
                                                  ("safety", "labels", _labels_with_token(-1)),
-                                                 ("pareto", "labels", _labels_with_token(7))])
+                                                 ("pareto", "labels", _labels_with_token(7)),
+                                                 # a label row with an unknown field
+                                                 ("safety", "labels", _edited_labels(
+                                                     "safety", lambda ls: ls[0].update(tokn=1))),
+                                                 # two labels for one (input, context) pair
+                                                 ("safety", "labels", _edited_labels(
+                                                     "safety", lambda ls: ls.append(
+                                                         {**ls[0], "token": ls[1]["token"]}))),
+                                                 # a positive-measure pair with no label
+                                                 ("safety", "labels", _edited_labels(
+                                                     "safety", lambda ls: ls.pop(0))),
+                                                 ("pareto", "labels", _edited_labels(
+                                                     "pareto", lambda ls: ls.pop(0)))])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_bad_params_exit_two(self, tmp_path, kind, name, value, command, capsys):
         doc = copy.deepcopy(BUNDLED_DOCS[kind])
@@ -429,6 +458,22 @@ class TestCli:
         out = ["--out", str(tmp_path / "o")] if command == "run" else []
         assert main([command, str(p), *out]) == 2
         assert str(path[-1]) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["trainer.ridge", "world.contexts"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_safety_precondition_exit_two(self, tmp_path, field, command, capsys):
+        # dual ascent needs a positive ridge, the Jensen check a safety-critical context
+        doc = copy.deepcopy(BUNDLED_DOCS["safety"])
+        if field == "trainer.ridge":
+            doc["trainer"]["ridge"] = 0.0
+        else:
+            for context in doc["world"]["contexts"]:
+                context["safety_critical"] = False
+        p = tmp_path / "safety.json"
+        p.write_text(json.dumps(doc))
+        out = ["--out", str(tmp_path / "o")] if command == "run" else []
+        assert main([command, str(p), *out]) == 2
+        assert field in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_non_grid_table_exit_two(self, tmp_path, command, capsys):

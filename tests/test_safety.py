@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mskd import distill, safety
 from mskd.composition import UnifiedWeightOperator, uniform_unified
 from mskd.core import (
     ContextSpec,
@@ -19,11 +20,14 @@ from mskd.core import (
     VocabularySpec,
     WeightBounds,
     World,
+    softmax,
 )
 from mskd.distill import TrainerConfig, compile_objective, kd_loss, solve_compiled, solve_optimum
 from mskd.operators import ContextOperator, TaskOperator, TokenOperator
 from mskd.safety import (
     SafetyConfig,
+    _label_table,
+    _lagrangian_block,
     _safety_label_mass,
     dual_ascent_solve,
     ensemble_expected_safety,
@@ -229,7 +233,7 @@ REFERENCE_CASES = {
 def assert_matches_reference(world, cfg, theta):
     params = StudentParams(tuple(x.id for x in world.inputs), theta)
     assert expected_safety(params, world, cfg) == ref_expected_safety(params, world, cfg)
-    mass, free = _safety_label_mass(world, cfg)
+    mass, free = _safety_label_mass(world, _label_table(world, cfg))
     ref_mass, ref_free = ref_label_mass(world, cfg)
     assert np.array_equal(mass, ref_mass) and free == ref_free
     assert np.array_equal(expected_safety_gradient(params, world, cfg),
@@ -272,7 +276,7 @@ class TestScalarReference:
         cfg = SafetyConfig(0.5, labels)
         params = StudentParams((0, 1, 2), np.zeros((3, world.vocab.size)))
         for measure in (lambda: expected_safety(params, world, cfg),
-                        lambda: _safety_label_mass(world, cfg),
+                        lambda: _label_table(world, cfg),
                         lambda: expected_safety_gradient(params, world, cfg),
                         lambda: ensemble_expected_safety(adaptive_g(), world, cfg),
                         lambda: max_achievable_safety(world, cfg)):
@@ -313,6 +317,64 @@ class TestLagrangian:
                                np.zeros((3, world.vocab.size)))
         with pytest.raises(NegativeMultiplier):
             lagrangian_value(params, -0.5, g, world, cfg)
+
+
+def ref_lagrangian_block(compiled, mu, mass):
+    """The Lagrangian block kernel as written before its label terms moved into ``block``."""
+    eye = np.eye(mass.shape[1])
+    labels = [[(y, mu * m[y]) for y in np.flatnonzero(m)] for m in mass]
+
+    def fgh(xi, row):
+        f, g, h = compiled.block(xi, row)
+        p = softmax(row)
+        for y, w in labels[xi]:
+            d = eye[y] - p
+            f -= w * p[y]
+            g -= w * p[y] * d
+            h -= w * p[y] * (np.outer(d, d) - np.diag(p) + np.outer(p, p))
+        return f, g, h
+
+    return fgh
+
+
+class TestNewtonKernel:
+    def test_label_terms_equal_the_inline_loop_bit_for_bit(self, world):
+        cfg = SafetyConfig(0.5, safety_world_conflicting_labels())
+        mass, _ = _safety_label_mass(world, _label_table(world, cfg))
+        assert np.count_nonzero(mass[2]) == 2  # input 2 holds two safety labels
+        compiled = compile_objective(adaptive_g(), world, 0.01)
+        rng = np.random.default_rng(3)
+        for mu in (0.0, 0.4, 7.5):
+            kernel = _lagrangian_block(compiled, mu, mass)
+            ref = ref_lagrangian_block(compiled, mu, mass)
+            for scale in (0.0, 1.0, 10.0, 800.0):  # 800: some probabilities underflow to 0
+                for xi in range(len(world.inputs)):
+                    row = scale * rng.normal(size=world.vocab.size)
+                    (f, g, h), (rf, rg, rh) = kernel(xi, row), ref(xi, row)
+                    assert f == rf and np.array_equal(g, rg) and np.array_equal(h, rh)
+                    assert np.array_equal(np.signbit(g), np.signbit(rg))
+                    assert np.array_equal(np.signbit(h), np.signbit(rh))
+
+    @pytest.mark.parametrize("solve", ["dual_ascent", "pareto"])
+    def test_label_table_resolved_once_per_call(self, world, labels, solve, monkeypatch):
+        calls = {"_label_table": 0, "StudentParams": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(safety, "_label_table", counted("_label_table", _label_table))
+        monkeypatch.setattr(distill, "StudentParams", counted("StudentParams", StudentParams))
+        cfg = SafetyConfig(0.85, labels, dual_step=40.0)
+        if solve == "dual_ascent":
+            res = dual_ascent_solve(adaptive_g(), world, cfg, trainer_cfg())
+            assert len(res.history) > 2
+        else:
+            pareto_sweep(adaptive_g(), world, cfg, np.linspace(0.0, 3.0, 6), ridge=0.01)
+        # one label table per call; the one StudentParams is the dual ascent's result
+        assert calls == {"_label_table": 1, "StudentParams": int(solve == "dual_ascent")}
 
 
 class TestDualAscent:
