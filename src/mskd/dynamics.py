@@ -24,6 +24,7 @@ from .core import (
     StudentParams,
     World,
     WeightBounds,
+    seeded_sampler,
     softmax,
 )
 from .distill import (CompiledObjective, _densify, _theta_from_params, _uniform_compiled,
@@ -183,8 +184,7 @@ def perturbation_experiment(G: UnifiedWeightOperator, world: World, delta_list,
         raise MskdError("perturbation scales must be nonnegative")
     if ridge <= 0:
         raise MskdError("the perturbation experiment needs a strongly convex solve")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    direction = rng.normal(size=world.bank.k)
+    direction = seeded_sampler(seed).normal(size=world.bank.k)
     direction -= direction.mean()
     direction /= np.max(np.abs(direction))
 
@@ -265,10 +265,8 @@ def gradient_variance_ratio(G: UnifiedWeightOperator, world: World, params: Stud
     theta = _theta_from_params(params, world)
     adaptive = compile_objective(G, world, 0.0)
     baseline = _uniform_compiled(world, 0.0)
-    measured = _single_sample_variance(adaptive, theta, n_samples,
-                                       Sampler(np.random.SeedSequence(seed)))
-    base = _single_sample_variance(baseline, theta, n_samples,
-                                   Sampler(np.random.SeedSequence(seed)))
+    measured = _single_sample_variance(adaptive, theta, n_samples, seeded_sampler(seed))
+    base = _single_sample_variance(baseline, theta, n_samples, seeded_sampler(seed))
     w_lo, w_hi = float(adaptive.weights.min()), float(adaptive.weights.max())
     bound = (w_hi / w_lo) ** 2 * base
     return VarianceResult(measured, base, bound, w_lo, w_hi)

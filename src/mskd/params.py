@@ -1,11 +1,12 @@
-"""Field schemas (kind, default, check) of every config section, and their reader.
+"""Field schemas (kind, default, check) of every config object, and their reader.
 
-The ``bounds``, each scale of ``operators``, the ``trainer`` and each
-experiment kind's ``params`` are declared once here, as schemas: field name
--> ``(JSON kind, default)`` or ``(JSON kind, default, check, message)``.
-``read_section`` resolves a section into a read-only mapping with every field
+Each object of the world, the ``bounds``, each scale of ``operators``, the
+``trainer`` and each experiment kind's ``params`` are declared once here, as
+schemas: field name -> ``(JSON kind, default)`` or ``(JSON kind, default,
+check, message)``, where a default of ``...`` marks a required field.
+``read_section`` resolves an object into a read-only mapping with every field
 of its schema: absent fields take their defaults, and present ones come back
-as their kind. It names every unknown field and every bad value, one line per
+as their kind. It names every unknown, missing and bad field, one line per
 field, so a bad config exits with code 2 before anything runs. Non-finite
 numbers are left to the config parser's own walk of the document.
 """
@@ -25,48 +26,32 @@ def _numbers(v: list) -> bool:
     return set(map(type, v)) <= {int, float}
 
 
-def _is_array(v) -> bool:
-    """Whether ``v`` is a list of JSON numbers, or a list of such lists at any depth."""
-    if isinstance(v, list) and v and isinstance(v[0], list):
-        return all(map(_is_array, v))
-    return isinstance(v, list) and _numbers(v)
-
-
-def json_numbers(value, name: str) -> np.ndarray:
-    """``value`` as a float array if it is a list of JSON numbers (or of such lists)."""
-    if not _is_array(value):
-        raise TypeError(f"{name} must be a list of numbers")
-    return np.asarray(value, dtype=float)
-
-
-def json_int_key(key: str, name: str) -> int:
-    """The integer that the object key ``key`` writes in decimal."""
-    if not (key.removeprefix("-").isdecimal() and str(int(key)) == key):
-        raise TypeError(f"{name} must be integers in decimal, got {key!r}")
-    return int(key)
-
-
 def json_value(kind: type, value, name: str):
-    """``value`` as ``kind`` if it is a JSON value of that kind (an integer passes as a float)."""
+    """``value``, not copied, if it is a JSON value of ``kind`` (an integer passes, as a float)."""
     if isinstance(value, bool) != (kind is bool) or \
             not isinstance(value, (int, float) if kind is float else kind):
         raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
-    return kind(value)
+    return float(value) if kind is float else value
 
 
 def read_section(section: dict, schema: dict, prefix: str, world: World | None = None):
     """``section`` resolved against ``schema``; a ``ParseError`` holds one line per bad field.
 
     An integer passes as a float, and null passes where the default is null.
+    A field whose default is ``...`` is required, as is a ``section`` given as ``...``.
     ``check(value, world)`` (world None if it did not parse) returns True,
     False for the entry's message, or the text of a more specific problem.
     """
     if not isinstance(section, dict):
-        raise ParseError(f"{prefix[:-1]}: must be an object")
+        problem = "missing field" if section is ... else "must be an object"
+        raise ParseError(f"{prefix[:-1]}: {problem}")
     errors = [f"{prefix}{name}: unknown field" for name in section if name not in schema]
     fields = {}
     for name, (kind, default, *check) in schema.items():
         value = section.get(name, default)
+        if value is ...:
+            errors.append(f"{prefix}{name}: missing field")
+            continue
         try:
             if value is not None or default is not None:
                 value = json_value(kind, value, f"{prefix}{name}:")
@@ -82,16 +67,6 @@ def read_section(section: dict, schema: dict, prefix: str, world: World | None =
     return MappingProxyType(fields)
 
 
-# the bounds, operator and trainer schemas (the trainer's seed defaults to the config's seed)
-BOUNDS_FIELDS = {"w_min": (float, 0.01), "w_max": (float, 0.99), "lipschitz": (float, 25.0)}
-OPERATOR_FIELDS = {"token": {"family": (str, "uniform"), "alpha": (float, 1.0),
-                             "safety_adjustment": (bool, True)},
-                   "task": {"family": (str, "uniform"), "tau": (float, 0.5)},
-                   "context": {"family": (str, "uniform")}}
-TRAINER_FIELDS = {"eta0": (float, 1.0), "steps": (int, 1000), "ridge": (float, 0.0),
-                  "eval_every": (int, 100), "init_scale": (float, 0.0)}
-
-
 def _at_least(lo: int) -> tuple:
     return (lambda v, _: v >= lo), f"must be at least {lo}"
 
@@ -99,6 +74,47 @@ def _at_least(lo: int) -> tuple:
 _UNIT = (lambda v, _: 0 < v <= 1, "must lie in (0, 1]")
 _POSITIVE = (lambda v, _: v > 0, "must be positive")
 _NONNEGATIVE = (lambda v, _: v >= 0, "must be nonnegative")
+_NUMBER_LIST = (lambda v, _: _numbers(v), "must be a list of numbers")
+
+
+def _scores_by_task(scores: dict, _) -> bool | str:
+    """Task ids written in decimal, each mapped to a list of numbers."""
+    bad = [k for k in scores if not (k.removeprefix("-").isdecimal() and str(int(k)) == k)]
+    if bad:
+        return f"task id {bad[0]!r} is not an integer in decimal"
+    return all(isinstance(s, list) and _numbers(s) for s in scores.values())
+
+
+# the objects of a world, by kind
+WORLD_FIELDS = {
+    "world": {"vocab": (dict, ...), "inputs": (list, ...), "tasks": (list, ...),
+              "contexts": (list, ...), "teachers": (dict, ...)},
+    "vocab": {"size": (int, ...), "safety_tokens": (
+        list, [], lambda v, _: all(type(i) is int for i in v), "must be a list of token ids")},
+    "input": {"id": (int, ...), "features": (list, ..., *_NUMBER_LIST)},
+    "task": {"id": (int, ...), "inputs": (
+        list, ..., lambda v, _: all(isinstance(p, list) and len(p) == 2 and type(p[0]) is int
+                                    and _numbers(p[1:]) for p in v),
+        "must be a list of [input id, weight] pairs"), "importance": (float, ...)},
+    "context": {"id": (int, ...), "features": (list, ..., *_NUMBER_LIST),
+                "measure_weight": (float, ...), "safety_critical": (bool, False)},
+    "teachers": {"count": (int, ...), "table": (list, ...),
+                 "perf_scores": (dict, ..., _scores_by_task,
+                                 "must map each task id to a list of numbers"),
+                 "safety_scores": (list, ..., *_NUMBER_LIST)},
+    "table cell": {"input": (int, ...), "context": (int, ...), "dists": (
+        list, ..., lambda v, _: all(isinstance(r, list) and _numbers(r) for r in v),
+        "must be a list of lists of numbers")},
+}
+# the bounds, operator and trainer schemas (the trainer's seed defaults to the config's seed)
+BOUNDS_FIELDS = {"w_min": (float, 0.01), "w_max": (float, 0.99), "lipschitz": (float, 25.0)}
+OPERATOR_FIELDS = {"token": {"family": (str, "uniform"), "alpha": (float, 1.0, *_POSITIVE),
+                             "safety_adjustment": (bool, True)},
+                   "task": {"family": (str, "uniform"), "tau": (float, 0.5, *_POSITIVE)},
+                   "context": {"family": (str, "uniform")}}
+TRAINER_FIELDS = {"eta0": (float, 1.0), "steps": (int, 1000), "ridge": (float, 0.0),
+                  "eval_every": (int, 100), "init_scale": (float, 0.0),
+                  "seed": (int, 0, *_NONNEGATIVE)}
 
 
 def _labels(rows: list, world: World | None) -> bool | str:
@@ -122,7 +138,7 @@ def _labels(rows: list, world: World | None) -> bool | str:
 
 _SAFETY_PARAMS = {"s_min": (float, 0.5, *_UNIT), "dual_step": (float, 0.5, *_POSITIVE),
                   "max_dual_iters": (int, 200, *_at_least(1)),
-                  "labels": (list, None, _labels,
+                  "labels": (list, ..., _labels,
                              "must be a list of {input, context, token} objects of integers")}
 
 # kind -> the params its suite reads; a "ridge" defaults to the trainer's ridge where

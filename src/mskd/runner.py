@@ -79,8 +79,7 @@ from .params import (
     OPERATOR_FIELDS,
     PARAMS,
     TRAINER_FIELDS,
-    json_int_key,
-    json_numbers,
+    WORLD_FIELDS,
     json_value,
     read_section,
 )
@@ -100,13 +99,6 @@ EXPERIMENT_KINDS = (
 )
 
 CONFIG_FIELDS = ("kind", "seed", "world", "bounds", "operators", "trainer", "params", "out")
-# the fields each object of a world may hold
-WORLD_FIELDS = {"world": ("vocab", "inputs", "tasks", "contexts", "teachers"),
-                "vocab": ("size", "safety_tokens"), "input": ("id", "features"),
-                "task": ("id", "inputs", "importance"),
-                "context": ("id", "features", "measure_weight", "safety_critical"),
-                "teachers": ("count", "table", "perf_scores", "safety_scores"),
-                "table cell": ("input", "context", "dists")}
 
 OUTPUT_ENV_VAR = "AWKD_OUT"
 
@@ -164,49 +156,38 @@ def _collect(errors: list[str], section: str, build, *args):
         return build(*args)
     except ParseError as exc:  # already one line per bad field
         errors += exc.args
-    except KeyError as exc:
-        errors.append(f"{section}: missing field {exc}")
     except (MskdError, LookupError, ValueError, TypeError, AttributeError, ArithmeticError) as exc:
         errors.append(f"{section}: {exc}")
     return None
 
 
-def _build_world(doc: dict) -> World:
-    wd = doc["world"]
-    td = wd["teachers"]
-    for kind, nodes in (("world", [wd]), ("vocab", [wd["vocab"]]), ("input", wd["inputs"]),
-                        ("task", wd["tasks"]), ("context", wd["contexts"]),
-                        ("teachers", [td]), ("table cell", td["table"])):
-        for node in nodes:
-            unknown = [name for name in node if name not in WORLD_FIELDS[kind]]
-            if unknown:
-                raise ValueError(f"{kind} has unknown field {unknown[0]}")
-    vocab = VocabularySpec(json_value(int, wd["vocab"]["size"], "vocab.size"),
-                           frozenset(json_value(int, i, "vocab.safety_tokens")
-                                     for i in wd["vocab"].get("safety_tokens", [])))
-    inputs = tuple(InputSpec(json_value(int, i["id"], "input id"),
-                             json_numbers(i["features"], "input features")) for i in wd["inputs"])
-    tasks = tuple(
-        TaskSpec(json_value(int, t["id"], "task id"),
-                 tuple(json_value(int, x, "task input id") for x, _ in t["inputs"]),
-                 np.array([json_value(float, w, f"task {t['id']} input {x} weight")
-                           for x, w in t["inputs"]]),
-                 json_value(float, t["importance"], "task importance"))
-        for t in wd["tasks"])
-    contexts = tuple(
-        ContextSpec(json_value(int, c["id"], "context id"),
-                    json_numbers(c["features"], "context features"),
-                    json_value(float, c["measure_weight"], "measure_weight"),
-                    json_value(bool, c.get("safety_critical", False), "safety_critical"))
-        for c in wd["contexts"])
-    table = {(json_value(int, cell["input"], "table input"),
-              json_value(int, cell["context"], "table context")):
-             json_numbers(cell["dists"], "teacher dists") for cell in td["table"]}
-    bank = TeacherBank(json_value(int, td["count"], "teachers.count"), table,
-                       {json_int_key(k, "perf_scores keys"): json_numbers(v, "perf_scores")
-                        for k, v in td["perf_scores"].items()},
-                       json_numbers(td["safety_scores"], "safety_scores"))
-    return World(vocab, inputs, tasks, contexts, bank)
+def _build_world(wd: dict) -> World:
+    """The world of the config's ``world`` object, after every object in it is read."""
+    errors = []
+
+    def read(kind: str, node, path: str):  # the object, or None after adding its errors
+        return _collect(errors, path, read_section, node, WORLD_FIELDS[kind], f"{path}.")
+
+    top = read_section(wd, WORLD_FIELDS["world"], "world.")
+    vocab = read("vocab", top["vocab"], "world.vocab")
+    inputs, tasks, contexts = ([read(kind, node, f"world.{kind}s[{i}]")
+                                for i, node in enumerate(top[f"{kind}s"])]
+                               for kind in ("input", "task", "context"))
+    td = read("teachers", top["teachers"], "world.teachers")
+    cells = [read("table cell", node, f"world.teachers.table[{i}]")
+             for i, node in enumerate(td["table"] if td else [])]
+    errors += [f"world.teachers.perf_scores: no scores for task {t['id']}"
+               for t in tasks if t and td and str(t["id"]) not in td["perf_scores"]]
+    if errors:
+        raise ParseError(*errors)
+    bank = TeacherBank(td["count"], {(c["input"], c["context"]): c["dists"] for c in cells},
+                       {int(t): s for t, s in td["perf_scores"].items()}, td["safety_scores"])
+    return World(VocabularySpec(vocab["size"], frozenset(vocab["safety_tokens"])),
+                 [InputSpec(x["id"], np.array(x["features"], dtype=float)) for x in inputs],
+                 [TaskSpec(t["id"], [x for x, _ in t["inputs"]], [w for _, w in t["inputs"]],
+                           t["importance"]) for t in tasks],
+                 [ContextSpec(c["id"], np.array(c["features"], dtype=float), c["measure_weight"],
+                              c["safety_critical"]) for c in contexts], bank)
 
 
 def _build_bounds(bd: dict, world: World | None) -> WeightBounds:
@@ -228,7 +209,8 @@ def _build_operator(ops: dict, world: World | None,
 
 
 def _build_trainer(tr: dict, seed: int) -> TrainerConfig:
-    return TrainerConfig(**read_section(tr, {**TRAINER_FIELDS, "seed": (int, seed)}, "trainer."))
+    schema = {**TRAINER_FIELDS, "seed": (int, seed, *TRAINER_FIELDS["seed"][2:])}
+    return TrainerConfig(**read_section(tr, schema, "trainer."))
 
 
 def parse_config_dict(doc: dict) -> ExperimentConfig:
@@ -241,11 +223,14 @@ def parse_config_dict(doc: dict) -> ExperimentConfig:
     if kind not in EXPERIMENT_KINDS:
         errors.append(f"kind: expected one of {EXPERIMENT_KINDS}, got {kind!r}")
     seed = _collect(errors, "seed", json_value, int, doc.get("seed", 0), "seed")
-    world = _collect(errors, "world", _build_world, doc)
+    if seed is not None and seed < 0:
+        errors.append("seed: must be nonnegative")
+    world = _collect(errors, "world", _build_world, doc.get("world", ...))
     bounds = _collect(errors, "bounds", _build_bounds, doc.get("bounds", {}), world)
     operator = _collect(errors, "operators", _build_operator, doc.get("operators", {}),
                         world, bounds)
-    trainer = _collect(errors, "trainer", _build_trainer, doc.get("trainer", {}), seed or 0)
+    trainer = _collect(errors, "trainer", _build_trainer, doc.get("trainer", {}),
+                       max(seed or 0, 0))
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
         errors.append("out: must be a string")
@@ -449,15 +434,15 @@ def _run_rate(cfg: ExperimentConfig, rec: RunRecord) -> None:
 
 def _gradient_fd_error(cfg: ExperimentConfig, n_probes: int = 3, h: float = 1e-5) -> float:
     compiled = compile_objective(cfg.operator, cfg.world, cfg.trainer.ridge)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    sampler = seeded_sampler(cfg.seed)
     worst = 0.0
     n, v = len(cfg.world.inputs), cfg.world.vocab.size
     for _ in range(n_probes):
-        theta = rng.normal(size=(n, v))
+        theta = sampler.normal(size=(n, v))
         grad = compiled.grad(theta)
         for _ in range(8):
-            xi = int(rng.integers(0, n))
-            i = int(rng.integers(0, v))
+            xi = int(sampler.integers(0, n))
+            i = int(sampler.integers(0, v))
             bump = np.zeros((n, v))
             bump[xi, i] = h
             fd = (compiled.loss(theta + bump) - compiled.loss(theta - bump)) / (2 * h)
@@ -520,9 +505,8 @@ def _run_perturbation(cfg: ExperimentConfig, rec: RunRecord) -> None:
 
 def _run_variance(cfg: ExperimentConfig, rec: RunRecord) -> None:
     n = cfg.params["n_samples"]
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
-    nloc, v = len(cfg.world.inputs), cfg.world.vocab.size
-    theta = cfg.params["init_scale"] * rng.normal(size=(nloc, v))
+    theta = cfg.params["init_scale"] * seeded_sampler(cfg.seed).normal(
+        size=(len(cfg.world.inputs), cfg.world.vocab.size))
     from .core import StudentParams
     params = StudentParams(tuple(x.id for x in cfg.world.inputs), theta)
     rows = []
@@ -548,7 +532,7 @@ def _run_variance(cfg: ExperimentConfig, rec: RunRecord) -> None:
 
 def _safety_config(cfg: ExperimentConfig) -> SafetyConfig:
     p = cfg.params
-    labels = {(r["input"], r["context"]): r["token"] for r in p["labels"] or ()}
+    labels = {(r["input"], r["context"]): r["token"] for r in p["labels"]}
     return SafetyConfig(p["s_min"], labels, p["dual_step"], p["max_dual_iters"])
 
 

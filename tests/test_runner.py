@@ -108,6 +108,17 @@ class TestParseConfig:
         with pytest.raises(ParseError):
             parse_config(p)
 
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_world_round_trips(self, kind):
+        world = parse_config(CONFIGS / f"{kind}.json").world
+        assert world_to_dict(world) == BUNDLED_DOCS[kind]["world"]
+
+    def test_missing_world_field_named_by_its_path(self):
+        doc = minimal_doc()
+        del doc["world"]["inputs"][0]["id"]
+        with pytest.raises(ParseError, match=r"world\.inputs\[0\]\.id: missing field"):
+            parse_config_dict(doc)
+
     def test_hash_ignores_output_path(self):
         a = parse_config_dict(minimal_doc())
         b = parse_config_dict(minimal_doc(out="/somewhere/else"))
@@ -259,13 +270,18 @@ def _mutate(doc, data) -> None:
             return
 
 
-def _fuzzed_text(doc, data, params_only: bool = False) -> str:
-    """``doc`` after one to three mutations, as JSON text (``params`` alone, or any field)."""
+def _fuzzed_text(doc, data, fields: tuple | None = None) -> str:
+    """``doc`` after one to three mutations, as JSON text.
+
+    Each mutation stays within the top-level ``fields`` given, or else within
+    ``params`` half the time and anywhere in the document the other half.
+    """
     doc = copy.deepcopy(doc)
     for _ in range(data.draw(st.integers(1, 3))):
-        params = doc.get("params")
-        in_params = isinstance(params, dict) and (params_only or data.draw(st.booleans()))
-        _mutate(params if in_params else doc, data)
+        within = fields or (("params",) if data.draw(st.booleans()) else tuple(doc))
+        view = {key: doc.pop(key) for key in within if key in doc}
+        _mutate(view, data)
+        doc.update(view)
     return json.dumps(doc).replace(f'"{HUGE}"', "1e999")
 
 
@@ -305,7 +321,7 @@ class TestFuzzedConfigs:
         # a config that validates may fail its assertions or raise a typed
         # runtime error (exit 3), but no bare exception may escape the suite
         text = _fuzzed_text(QUICK_DOCS[data.draw(st.sampled_from(EXPERIMENT_KINDS))], data,
-                            params_only=True)
+                            fields=("seed", "trainer", "operators", "bounds", "params"))
         try:
             cfg = parse_config_dict(json.loads(text))
         except ParseError:
@@ -319,14 +335,18 @@ class TestFuzzedConfigs:
 class TestParamsSchema:
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
     def test_empty_params_resolve_to_the_declared_defaults(self, kind):
-        cfg = parse_config_dict({**BUNDLED_DOCS[kind], "params": {}})
-        assert dict(cfg.params) == {name: entry[1] for name, entry in PARAMS[kind].items()}
+        # a required field (default ...) has no default: it is kept from the bundled config
+        required = {name: BUNDLED_DOCS[kind]["params"][name]
+                    for name, (_, default, *_) in PARAMS[kind].items() if default is ...}
+        cfg = parse_config_dict({**BUNDLED_DOCS[kind], "params": required})
+        assert dict(cfg.params) == {name: required.get(name, entry[1])
+                                    for name, entry in PARAMS[kind].items()}
 
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
     def test_each_default_passes_its_check(self, kind):
         world = parse_config(CONFIGS / f"{kind}.json").world
         for name, (_, default, *check) in PARAMS[kind].items():
-            assert default is None or not check or check[0](default, world) is True, name
+            assert default in (None, ...) or not check or check[0](default, world) is True, name
 
     def test_params_are_read_only(self):
         params = parse_config(CONFIGS / "rate.json").params
@@ -356,6 +376,14 @@ class TestParamsSchema:
         lines = str(exc.value).splitlines()[1:]
         assert [line.split(":")[0].strip("- ") for line in lines] == [
             "params.betta", "params.beta", "params.max_iters", "params.n_starts"]
+
+
+def _main_on(doc: dict, command: str, tmp_path: Path, *flags: str) -> int:
+    """The exit code of ``mskd <command>`` on ``doc`` written to a file (runs write under tmp)."""
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(doc))
+    out = ["--out", str(tmp_path / "o")] if command == "run" else []
+    return main([command, str(p), *out, *flags])
 
 
 class TestCli:
@@ -419,10 +447,7 @@ class TestCli:
     def test_bad_params_exit_two(self, tmp_path, kind, name, value, command, capsys):
         doc = copy.deepcopy(BUNDLED_DOCS[kind])
         doc["params"][name] = value
-        p = tmp_path / "params.json"
-        p.write_text(json.dumps(doc))
-        out = ["--out", str(tmp_path / "o")] if command == "run" else []
-        assert main([command, str(p), *out]) == 2
+        assert _main_on(doc, command, tmp_path) == 2
         assert f"params.{name}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind,path,value", [
@@ -444,6 +469,9 @@ class TestCli:
         ("appendix_a", ("world", "teachers", "perf_scores", "0_0"), [0.8, 0.5]),
         ("appendix_a", ("paramz",), {"given_entropies": [0.68, 1.52]}),
         ("safety", ("world", "contexts", 0, "safety_critcal"), True),
+        ("conformance", ("operators", "token", "alpha"), -1),
+        ("conformance", ("operators", "task", "tau"), 0),
+        ("conformance", ("operators", "task", "tau"), -0.5),
     ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None)
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_mistyped_or_unknown_field_exit_two(self, tmp_path, kind, path, value, command,
@@ -453,10 +481,7 @@ class TestCli:
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = value
-        p = tmp_path / "typed.json"
-        p.write_text(json.dumps(doc))
-        out = ["--out", str(tmp_path / "o")] if command == "run" else []
-        assert main([command, str(p), *out]) == 2
+        assert _main_on(doc, command, tmp_path) == 2
         assert str(path[-1]) in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["trainer.ridge", "world.contexts"])
@@ -469,20 +494,44 @@ class TestCli:
         else:
             for context in doc["world"]["contexts"]:
                 context["safety_critical"] = False
-        p = tmp_path / "safety.json"
-        p.write_text(json.dumps(doc))
-        out = ["--out", str(tmp_path / "o")] if command == "run" else []
-        assert main([command, str(p), *out]) == 2
+        assert _main_on(doc, command, tmp_path) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["safety", "pareto"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_missing_labels_exit_two(self, tmp_path, kind, command, capsys):
+        doc = copy.deepcopy(BUNDLED_DOCS[kind])
+        del doc["params"]["labels"]
+        assert _main_on(doc, command, tmp_path) == 2
+        assert "params.labels: missing field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["train", "conformance", "variance", "fixed_point"])
+    @pytest.mark.parametrize("command,field", [("validate", "seed"), ("run", "seed"),
+                                               ("validate", "trainer.seed"),
+                                               ("run", "trainer.seed"), ("run", "--seed")])
+    def test_negative_seed_exit_two(self, tmp_path, kind, command, field, capsys):
+        doc, flag = copy.deepcopy(BUNDLED_DOCS[kind]), []
+        if field == "seed":
+            doc["seed"] = -1
+        elif field == "trainer.seed":
+            doc.setdefault("trainer", {})["seed"] = -1
+        else:
+            flag = ["--seed", "-1"]
+        assert _main_on(doc, command, tmp_path, *flag) == 2
+        assert f"- {field.lstrip('-')}: must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_task_without_perf_scores_exit_two(self, tmp_path, command, capsys):
+        doc = copy.deepcopy(BUNDLED_DOCS["conformance"])
+        del doc["world"]["teachers"]["perf_scores"]["1"]
+        assert _main_on(doc, command, tmp_path) == 2
+        assert "world.teachers.perf_scores: no scores for task 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_non_grid_table_exit_two(self, tmp_path, command, capsys):
         doc = copy.deepcopy(BUNDLED_DOCS["safety"])
         del doc["world"]["teachers"]["table"][4]
-        p = tmp_path / "grid.json"
-        p.write_text(json.dumps(doc))
-        out = ["--out", str(tmp_path / "o")] if command == "run" else []
-        assert main([command, str(p), *out]) == 2
+        assert _main_on(doc, command, tmp_path) == 2
         assert "not a full grid" in capsys.readouterr().err
 
     def test_seed_override_changes_hash(self, tmp_path, capsys):
