@@ -488,18 +488,13 @@ class World:
         """Aggregate sampling weight of each input (marginal over tasks/contexts)."""
         return self.joint_measure().sum(axis=(0, 2))
 
-    def sample_indices(self, sampler: "Sampler") -> tuple[int, int, int]:
-        """Draw (task index, input index, context index) from the declared measure."""
-        tj, xi, ci = self.sample_index_arrays(sampler, 1)
-        return int(tj[0]), int(xi[0]), int(ci[0])
-
     def sample_index_arrays(self, sampler: "Sampler",
                             n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``n`` (task, input, context) index triples, as three length-``n`` arrays.
 
         One ``sampler.uniform`` call takes ``3n`` doubles, three per triple in
         task/input/context order, so triple ``k`` gets the same doubles and
-        indices as the ``k``-th of ``n`` ``sample_indices`` calls.
+        indices as the ``k``-th of ``n`` calls with ``n = 1``.
         """
         u = sampler.uniform(size=3 * n).reshape(n, 3)
         task_cum, input_cums, context_cum = self._cum

@@ -34,7 +34,6 @@ from .core import (
     seeded_sampler,
     softmax,
     validate_distribution,
-    write_csv,
 )
 
 
@@ -81,10 +80,6 @@ class TrainTrace:
             raise MskdError("trace steps must be strictly increasing")
         for name in ("loss", "mean_kl", "grad_norm", "lr"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-
-    def to_csv(self, path) -> None:
-        rows = zip(self.steps, self.loss, self.mean_kl, self.grad_norm, self.lr)
-        write_csv(path, ["step", "loss", "mean_kl", "grad_norm", "lr"], rows)
 
 
 # ---------------------------------------------------------------------------

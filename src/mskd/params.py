@@ -13,6 +13,7 @@ numbers are left to the config parser's own walk of the document.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from types import MappingProxyType
 
@@ -78,10 +79,15 @@ _NUMBER_LIST = (lambda v, _: _numbers(v), "must be a list of numbers")
 
 
 def _scores_by_task(scores: dict, _) -> bool | str:
-    """Task ids written in decimal, each mapped to a list of numbers."""
-    bad = [k for k in scores if not (k.removeprefix("-").isdecimal() and str(int(k)) == k)]
+    """Task ids written in decimal, each mapped to a list of numbers.
+
+    A key is judged by its text alone: at most 4,300 digits, the most that
+    Python reads as an integer, so ``int`` never sees one it would refuse.
+    """
+    bad = [k for k in scores if not re.fullmatch(r"0|-?[1-9][0-9]{0,4299}", k)]
     if bad:
-        return f"task id {bad[0]!r} is not an integer in decimal"
+        key = bad[0] if len(bad[0]) <= 24 else f"{bad[0][:12]}...({len(bad[0])} characters)"
+        return f"task id {key!r} is not an integer in decimal"
     return all(isinstance(s, list) and _numbers(s) for s in scores.values())
 
 

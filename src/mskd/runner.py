@@ -91,7 +91,6 @@ from .safety import (
     kkt_residuals,
     pareto_sweep,
 )
-from .worlds import identical_teachers_world
 
 EXPERIMENT_KINDS = (
     "appendix_a", "conformance", "train", "rate", "fixed_point",
@@ -253,37 +252,13 @@ def parse_config_dict(doc: dict) -> ExperimentConfig:
     )
 
 
-def world_to_dict(world: World) -> dict:
-    """Serialize a world into the config schema (inverse of the parser)."""
-    return {
-        "vocab": {"size": world.vocab.size,
-                  "safety_tokens": sorted(world.vocab.safety_tokens)},
-        "inputs": [{"id": x.id, "features": x.features.tolist()} for x in world.inputs],
-        "tasks": [{"id": t.id,
-                   "inputs": [[i, w] for i, w in zip(t.input_ids, t.input_weights.tolist())],
-                   "importance": t.importance} for t in world.tasks],
-        "contexts": [{"id": c.id, "features": c.features.tolist(),
-                      "measure_weight": c.measure_weight,
-                      "safety_critical": c.is_safety_critical} for c in world.contexts],
-        "teachers": {
-            "count": world.bank.k,
-            "table": [{"input": x, "context": c, "dists": world.bank.dists(x, c).tolist()}
-                      for x in sorted(world.bank.input_index)
-                      for c in sorted(world.bank.context_index)],
-            "perf_scores": {str(t): s.tolist()
-                            for t, s in sorted(world.bank.perf_scores.items())},
-            "safety_scores": world.bank.safety_scores.tolist(),
-        },
-    }
-
-
 def parse_config(path) -> ExperimentConfig:
     """Load and validate a config file; reports all validation errors at once."""
     p = Path(path)
-    if not p.exists():
-        raise ParseError(f"config file {p} does not exist")
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ParseError(f"config file {p} cannot be read: {exc.strerror or exc}")
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"config file {p} is not valid JSON: {exc}")
     return parse_config_dict(doc)
@@ -448,6 +423,15 @@ def _gradient_fd_error(cfg: ExperimentConfig, n_probes: int = 3, h: float = 1e-5
             fd = (compiled.loss(theta + bump) - compiled.loss(theta - bump)) / (2 * h)
             worst = max(worst, abs(fd - grad[xi, i]))
     return worst
+
+
+def identical_teachers_world(k: int = 3) -> World:
+    """Every teacher identical: the weight-update target is constant."""
+    bank = TeacherBank(k, {(0, 0): np.tile([0.4, 0.3, 0.2, 0.1], (k, 1))},
+                       {0: np.full(k, 0.5)}, np.full(k, 0.5))
+    return World(VocabularySpec(4), (InputSpec(0, np.array([0.0])),),
+                 (TaskSpec(0, (0,), np.array([1.0]), 1.0),),
+                 (ContextSpec(0, np.array([0.0]), 1.0),), bank)
 
 
 def _run_fixed_point(cfg: ExperimentConfig, rec: RunRecord) -> None:
@@ -694,6 +678,9 @@ def main(argv=None) -> int:
         return 2
     except MskdError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:  # the output directory or a file in it cannot be written
+        print(f"output error: {exc}", file=sys.stderr)
         return 3
     return 0 if record.passed else 1
 

@@ -16,7 +16,8 @@ from mskd.core import SAMPLE_BLOCK, WeightBounds, seeded_sampler
 from mskd.distill import _sgd_step, compile_objective
 from mskd.dynamics import _single_sample_variance
 from mskd.operators import ContextOperator, TaskOperator, TokenOperator
-from mskd.worlds import convergence_world
+
+from fixture_worlds import convergence_world
 
 
 @pytest.fixture(scope="module")

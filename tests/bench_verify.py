@@ -17,7 +17,8 @@ from mskd.core import TeacherBank, WeightBounds, seeded_sampler
 from mskd.distill import compile_objective
 from mskd.operators import ContextOperator, TaskOperator, TokenOperator, check_conformance
 from mskd.safety import SafetyConfig, _label_table, _safety_label_mass
-from mskd.worlds import conformance_world, safety_world, safety_world_labels
+
+from fixture_worlds import conformance_world, safety_world, safety_world_labels
 
 BOUNDS = WeightBounds(0.02, 0.9)
 

@@ -52,16 +52,19 @@ from mskd.safety import (
     kkt_residuals,
     pareto_sweep,
 )
-from mskd.worlds import (
-    APPENDIX_TEACHER_1,
-    APPENDIX_TEACHER_2,
+from mskd.runner import identical_teachers_world
+
+from fixture_worlds import (
     appendix_world,
     conformance_world,
     convergence_world,
-    identical_teachers_world,
     safety_world,
     safety_world_labels,
 )
+
+# the Appendix A teacher rows
+APPENDIX_TEACHER_1 = (0.8, 0.15, 0.05)
+APPENDIX_TEACHER_2 = (0.4, 0.35, 0.25)
 
 WIDE = WeightBounds(0.01, 0.99)
 

@@ -23,12 +23,12 @@ from mskd.core import (
     validate_distribution,
 )
 from mskd.operators import ContextOperator, TaskOperator, TokenOperator, check_conformance
-from mskd.worlds import (
-    APPENDIX_TEACHER_1,
-    APPENDIX_TEACHER_2,
-    appendix_world,
-    conformance_world,
-)
+
+from fixture_worlds import appendix_safety_world, appendix_world, conformance_world
+
+# the Appendix A teacher rows
+APPENDIX_TEACHER_1 = (0.8, 0.15, 0.05)
+APPENDIX_TEACHER_2 = (0.4, 0.35, 0.25)
 
 WIDE = WeightBounds(0.01, 0.99)
 
@@ -204,7 +204,6 @@ class TestEnsembleTarget:
         np.testing.assert_allclose(target, mix / mix.sum(), atol=1e-15)
 
     def test_safety_token_rows_renormalized(self):
-        from mskd.worlds import appendix_safety_world
         world = appendix_safety_world()
         g = UnifiedWeightOperator(
             TokenOperator("family_a", safety_tokens=world.vocab.safety_tokens),

@@ -25,7 +25,8 @@ from mskd.core import (
     softmax,
     validate_distribution,
 )
-from mskd.worlds import conformance_world, convergence_world, safety_world
+
+from fixture_worlds import conformance_world, convergence_world, safety_world
 
 
 @st.composite
@@ -238,8 +239,8 @@ class TestIndexStream:
         gen = _generator(4)
         expected = _scalar_triples(world, lambda total: gen.uniform(0.0, total), 200)
         sampler = seeded_sampler(4)
-        assert [world.sample_indices(sampler) for _ in range(200)] == \
-            [tuple(row) for row in expected.tolist()]
+        assert [tuple(np.concatenate(world.sample_index_arrays(sampler, 1)).tolist())
+                for _ in range(200)] == [tuple(row) for row in expected.tolist()]
         weights = np.array([0.0, 2.0, 0.0, 1.0, 3.0])
         cum = np.cumsum(weights)
         reference = [int(np.searchsorted(cum, gen.uniform(0.0, cum[-1]), side="right"))

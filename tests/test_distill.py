@@ -26,7 +26,9 @@ from mskd.distill import (
     solve_optimum,
 )
 from mskd.operators import ContextOperator, TaskOperator, TokenOperator, uniform_weights
-from mskd.worlds import appendix_world, conformance_world, convergence_world
+from mskd.runner import emit_summary, parse_config_dict, run_experiment
+
+from fixture_worlds import appendix_world, bundled_doc, conformance_world, convergence_world
 
 WIDE = WeightBounds(0.01, 0.99)
 
@@ -148,7 +150,7 @@ class TestSgdTrain:
         theta = 0.5 * init_rng.normal(size=params.logits.shape)
         for t in range(steps):
             eta = 2.0 / (1.0 + t)
-            tj, xi, ci = world.sample_indices(sample_rng)
+            tj, xi, ci = np.concatenate(world.sample_index_arrays(sample_rng, 1))
             g = softmax(theta[xi]) - targets[tj, xi, ci]
             theta *= 1.0 - eta * 0.01
             theta[xi] -= eta * g
@@ -379,12 +381,13 @@ class TestCompileObjective:
 
 
 class TestTraceSerialization:
-    def test_round_trip_columns(self, tmp_path, world):
-        cfg = TrainerConfig(eta0=1.0, steps=200, ridge=0.01, seed=0, eval_every=50)
-        _, trace = sgd_train(cfg, adaptive_g(), world)
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        lines = path.read_text().strip().split("\n")
+    def test_round_trip_columns(self, tmp_path):
+        doc = bundled_doc("train")
+        doc["trainer"].update(steps=200, eval_every=50)
+        cfg = parse_config_dict(doc)
+        out = emit_summary(run_experiment(cfg), tmp_path, quiet=True)
+        _, trace = sgd_train(cfg.trainer, cfg.operator, cfg.world)
+        lines = (out / "trace.csv").read_text().strip().split("\n")
         assert lines[0] == "step,loss,mean_kl,grad_norm,lr"
         assert len(lines) == len(trace.steps) + 1
         first = lines[1].split(",")

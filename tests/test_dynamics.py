@@ -19,8 +19,9 @@ from mskd.dynamics import (
     weight_update_T,
 )
 from mskd.operators import ContextOperator, TaskOperator, TokenOperator, uniform_weights
-from mskd.worlds import (appendix_world, conformance_world, convergence_world,
-                         identical_teachers_world, safety_world)
+from mskd.runner import identical_teachers_world
+
+from fixture_worlds import appendix_world, conformance_world, convergence_world, safety_world
 
 BOUNDS = WeightBounds(0.05, 0.95)
 
@@ -246,7 +247,7 @@ class TestGradientVariance:
         probs, sampler = softmax(theta), seeded_sampler(8)
         mean_g, sq_sum = np.zeros_like(theta), 0.0
         for _ in range(n):
-            tj, xi, ci = world.sample_indices(sampler)
+            tj, xi, ci = np.concatenate(world.sample_index_arrays(sampler, 1))
             g = probs[xi] - compiled.targets[tj, xi, ci]
             mean_g[xi] += g
             sq_sum += float(g @ g)

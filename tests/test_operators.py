@@ -37,12 +37,12 @@ from mskd.operators import (
     token_weights_inverse_entropy,
     uniform_weights,
 )
-from mskd.worlds import (
-    APPENDIX_TEACHER_1,
-    APPENDIX_TEACHER_2,
-    appendix_world,
-    conformance_world,
-)
+
+from fixture_worlds import appendix_world, conformance_world
+
+# the Appendix A teacher rows
+APPENDIX_TEACHER_1 = (0.8, 0.15, 0.05)
+APPENDIX_TEACHER_2 = (0.4, 0.35, 0.25)
 
 WIDE = WeightBounds(0.01, 0.99)
 

@@ -22,11 +22,10 @@ from mskd.runner import (
     parse_config,
     parse_config_dict,
     run_experiment,
-    world_to_dict,
 )
-from mskd.worlds import appendix_world
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+from fixture_worlds import CONFIGS, bundled_doc, world_to_dict
+
 REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
 # bundled configs in the order the references number them; "rate" (index 0)
 # is pinned in the benchmark's reduced variant, which trains RATE_SEEDS seeds
@@ -41,7 +40,7 @@ def minimal_doc(**overrides):
     doc = {
         "kind": "appendix_a",
         "seed": 0,
-        "world": world_to_dict(appendix_world()),
+        "world": bundled_doc("appendix_a")["world"],
         "bounds": {"w_min": 0.01, "w_max": 0.99, "lipschitz": 25.0},
         "operators": {"token": {"family": "inverse_entropy"},
                       "task": {"family": "uniform"},
@@ -112,6 +111,19 @@ class TestParseConfig:
     def test_world_round_trips(self, kind):
         world = parse_config(CONFIGS / f"{kind}.json").world
         assert world_to_dict(world) == BUNDLED_DOCS[kind]["world"]
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_bundled_config_is_canonical_json(self, path):
+        # configs are edited by hand: one layout keeps their diffs reviewable
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    def test_overlong_task_id_named_shortened(self):
+        doc = minimal_doc()
+        doc["world"]["teachers"]["perf_scores"]["9" * 5000] = [0.8, 0.5]
+        with pytest.raises(ParseError, match=r"world\.teachers\.perf_scores: task id "
+                                             r"'9{12}\.\.\.\(5000 characters\)' is not"):
+            parse_config_dict(doc)
 
     def test_missing_world_field_named_by_its_path(self):
         doc = minimal_doc()
@@ -217,14 +229,6 @@ def test_micro_benchmarks_run_once():
                            str(tests / "bench_verify.py")],
                           cwd=tests.parent, capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
-
-
-def test_gen_configs_reproduces_bundled_configs():
-    gen = _load_module(CONFIGS.parent / "tools" / "gen_configs.py")
-    built = gen.build()
-    assert sorted(built) == sorted(p.stem for p in CONFIGS.glob("*.json"))
-    for name, doc in built.items():
-        assert gen.render(doc).encode("utf-8") == (CONFIGS / f"{name}.json").read_bytes(), name
 
 
 class TestGoldenOutputs:
@@ -419,6 +423,20 @@ class TestCli:
         assert main(["run", str(p)]) == 2
 
     @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_unreadable_config_path_exit_two(self, tmp_path, command, capsys):
+        out = ["--out", str(tmp_path / "o")] if command == "run" else []
+        assert main([command, str(CONFIGS), *out]) == 2  # a directory
+        assert f"config file {CONFIGS} cannot be read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under_file"])
+    def test_unwritable_output_exit_three(self, tmp_path, under_file, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "o" if under_file else taken
+        assert main(["run", str(CONFIGS / "appendix_a.json"), "--out", str(out), "--quiet"]) == 3
+        assert "output error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
     def test_nan_literal_exit_two(self, tmp_path, command):
         p = tmp_path / "nan.json"
         p.write_text(json.dumps(minimal_doc()).replace('"lipschitz": 25.0', '"lipschitz": NaN'))
@@ -472,6 +490,9 @@ class TestCli:
         ("conformance", ("operators", "token", "alpha"), -1),
         ("conformance", ("operators", "task", "tau"), 0),
         ("conformance", ("operators", "task", "tau"), -0.5),
+        # a task id longer than any integer Python reads
+        ("appendix_a", ("world", "teachers", "perf_scores"),
+         {"0": [0.8, 0.5], "9" * 5000: [0.8, 0.5]}),
     ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None)
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_mistyped_or_unknown_field_exit_two(self, tmp_path, kind, path, value, command,

@@ -41,7 +41,8 @@ from mskd.safety import (
     restrict_to_safety_contexts,
     safety_measure,
 )
-from mskd.worlds import (
+
+from fixture_worlds import (
     appendix_labels,
     appendix_safety_world,
     safety_world,
