@@ -36,6 +36,7 @@ from .distill import (
     noisy_weight_train,
     sgd_train,
     solve_optimum,
+    train_stack,
 )
 from .dynamics import (
     FixedPointTrace,

@@ -7,16 +7,18 @@ convergence experiments. Targets are compiled once per run into dense arrays
 (task, input, context) triples with the declared measure, applies
 single-sample gradients, and decays the learning rate as eta0 / (1 + t).
 
-The classical uniform-mixture trainer shares the compiled-objective and
-update code paths with the adaptive trainer, differing only in how the
-target table is built. With all-uniform operators the two tables are
-bit-identical, so the trajectories agree exactly at equal seeds.
+All trainers share one loop, ``train_stack``: runs (a target table and a
+seed each) trained in lockstep, each with the bits it gets alone;
+``sgd_train``, ``classic_uniform_train`` and ``noisy_weight_train`` are
+stacks of one. The classical trainer differs from the adaptive one only in
+how the target table is built. With all-uniform operators the two tables
+are bit-identical, so the trajectories agree exactly at equal seeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -213,64 +215,105 @@ def _theta_from_params(params: StudentParams, world: World) -> np.ndarray:
 # Stochastic training
 # ---------------------------------------------------------------------------
 
-def _sgd_loop(compiled: CompiledObjective, config: TrainerConfig) -> tuple[np.ndarray, TrainTrace]:
-    world = compiled.world
-    n, v = len(world.inputs), world.vocab.size
-    init_rng, sample_rng = seeded_sampler(config.seed).spawn(2)
-    if config.init_scale > 0:
-        theta = config.init_scale * init_rng.normal(size=(n, v))
-    else:
-        theta = np.zeros((n, v))
-        init_rng.normal(size=(n, v))  # keep stream layout identical either way
+def train_stack(runs: Sequence[tuple[CompiledObjective, int]],
+                config: TrainerConfig) -> list[tuple[np.ndarray, TrainTrace]]:
+    """Train a stack of runs in lockstep; one ``(compiled, seed)`` pair per run.
 
-    records = []
+    Every run shares one world and ``config``'s schedule; its seed replaces
+    ``config.seed``. Each run gets the bits it gets when trained alone: its
+    own init and sample streams (``spawn(2)`` of its seed, triples in
+    ``SAMPLE_BLOCK`` blocks), its softmax in ``core.softmax``'s operation
+    order, and its own ``loss``/``grad``/``mean_kl`` records every
+    ``eval_every`` steps. A step takes the sampled row of every run, applies
+    the ridge decay to the whole stack and writes the updated rows back.
+    Returns each run's final (N, V) logits and trace, in stack order.
+    """
+    if not runs:
+        raise MskdError("a training stack needs at least one run")
+    first, world = runs[0][0], runs[0][0].world
+    for s, (compiled, _) in enumerate(runs):
+        if compiled.world is not world:
+            raise MskdError(f"stack run {s} has another world than run 0")
+        if compiled.targets.shape != first.targets.shape:
+            raise MskdError(f"stack run {s} has target table shape {compiled.targets.shape}, "
+                            f"run 0 has {first.targets.shape}")
+        if compiled.ridge != config.ridge:
+            raise MskdError(f"stack run {s} was compiled at ridge {compiled.ridge}, "
+                            f"the trainer's is {config.ridge}")
+    n_runs, n, v = len(runs), len(world.inputs), world.vocab.size
+    theta = np.zeros((n_runs, n, v))
+    samplers = []
+    for s, (_, seed) in enumerate(runs):
+        init_rng, sample_rng = seeded_sampler(seed).spawn(2)
+        draw = init_rng.normal(size=(n, v))  # drawn either way: the stream layout is fixed
+        if config.init_scale > 0:
+            theta[s] = config.init_scale * draw
+        samplers.append(sample_rng)
+    flat = theta.reshape(n_runs * n, v)
+    tables = np.stack([compiled.targets for compiled, _ in runs])
+    stack, row_base, cols = np.arange(n_runs), np.arange(n_runs) * n, np.arange(v)
+    records = [[] for _ in runs]
 
     def record(step: int, lr: float) -> None:
-        loss = compiled.loss(theta)
-        if not np.isfinite(loss):
-            raise NonFiniteLoss(f"loss diverged at step {step}")
-        g = compiled.grad(theta)
-        records.append((step, loss, compiled.mean_kl(theta),
-                        float(np.linalg.norm(g)), lr))
+        for s, (compiled, _) in enumerate(runs):
+            loss = compiled.loss(theta[s])
+            if not np.isfinite(loss):
+                raise NonFiniteLoss(f"loss diverged at step {step} (stack run {s})")
+            g = compiled.grad(theta[s])
+            records[s].append((step, loss, compiled.mean_kl(theta[s]),
+                               float(np.linalg.norm(g)), lr))
 
     record(0, config.eta0)
-    t = 0
-    for block in world.sample_index_blocks(sample_rng, config.steps):
-        for tj, xi, ci in zip(*(a.tolist() for a in block)):
-            eta = config.eta0 / (1.0 + t)
-            _sgd_step(theta, compiled.targets, tj, xi, ci, eta, config.ridge)
+    ridge, t = config.ridge, 0
+    for blocks in zip(*(world.sample_index_blocks(r, config.steps) for r in samplers)):
+        tj, xi, ci = (np.stack(a, axis=1) for a in zip(*blocks))  # (B, S) each
+        targets = tables[stack, tj, xi, ci]  # (B, S, V)
+        rows = xi + row_base  # each run's sampled row of ``flat``
+        cells = rows[..., None] * v + cols  # and its entries in ``flat.flat``
+        etas = config.eta0 / (1.0 + np.arange(t, t + len(rows)))
+        decays = 1.0 - etas * ridge
+        for r, cell, target, eta, c in zip(rows, cells, targets, etas.tolist(), decays.tolist()):
+            # in place, the IEEE operations of softmax(x) - target, c * x and x - eta * g
+            x = flat.take(r, axis=0)
+            g = x - np.maximum.reduce(x, axis=1, keepdims=True)
+            np.exp(g, g)
+            np.divide(g, np.add.reduce(g, axis=1, keepdims=True), g)
+            g -= target
+            if ridge > 0:
+                flat *= c
+                x = flat.take(r, axis=0)
+            g *= eta
+            x -= g
+            flat.put(cell, x)
             t += 1
             if t % config.eval_every == 0 or t == config.steps:
                 record(t, eta)
-    return theta, TrainTrace(*np.array(records, dtype=np.float64).T)
+    return [(theta[s], TrainTrace(*np.array(rec, dtype=np.float64).T))
+            for s, rec in enumerate(records)]
 
 
-def _sgd_step(theta: np.ndarray, targets: np.ndarray, tj: int, xi: int, ci: int,
-              eta: float, ridge: float) -> None:
-    """One single-sample step in place: ridge decay, then the gradient at input ``xi``."""
-    g = softmax(theta[xi]) - targets[tj, xi, ci]
-    if ridge > 0:
-        theta *= 1.0 - eta * ridge
-    theta[xi] -= eta * g
+def _train_alone(compiled: CompiledObjective,
+                 config: TrainerConfig) -> tuple[StudentParams, TrainTrace]:
+    """A stack of one run at ``config.seed``."""
+    [(theta, trace)] = train_stack([(compiled, config.seed)], config)
+    return compiled.params(theta), trace
 
 
 def sgd_train(config: TrainerConfig, G: UnifiedWeightOperator,
               world: World) -> tuple[StudentParams, TrainTrace]:
     """Single-sample stochastic gradient training against the operator's targets."""
     compiled = compile_objective(G, world, config.ridge)
-    theta, trace = _sgd_loop(compiled, config)
-    return compiled.params(theta), trace
+    return _train_alone(compiled, config)
 
 
 def classic_uniform_train(config: TrainerConfig, world: World) -> tuple[StudentParams, TrainTrace]:
     """Reference trainer for classical uniform-mixture distillation.
 
     Builds its targets directly as the equal-weight teacher mixture, without
-    any weight operators, then runs the same update loop as ``sgd_train``.
+    any weight operators, then trains it in the same loop as ``sgd_train``.
     """
     compiled = _uniform_compiled(world, config.ridge)
-    theta, trace = _sgd_loop(compiled, config)
-    return compiled.params(theta), trace
+    return _train_alone(compiled, config)
 
 
 def noisy_weight_train(config: TrainerConfig, G: UnifiedWeightOperator, world: World,
@@ -290,8 +333,7 @@ def noisy_weight_train(config: TrainerConfig, G: UnifiedWeightOperator, world: W
     if delta > 0:
         rows = _noisy_rows(rows, delta, seeded_sampler(config.seed).spawn(3)[2], G.bounds)
     compiled = _densify(world, config.ridge, rows)
-    theta, trace = _sgd_loop(compiled, config)
-    return compiled.params(theta), trace
+    return _train_alone(compiled, config)
 
 
 # ---------------------------------------------------------------------------

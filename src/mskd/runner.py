@@ -49,13 +49,16 @@ from .core import (
     seeded_sampler,
 )
 from .distill import (
+    CompiledObjective,
     TrainerConfig,
+    _uniform_compiled,
     average_traces,
-    classic_uniform_train,
+    classic_uniform_train,  # unused here; perfbench/probes.py wraps runner.classic_uniform_train
     compile_objective,
     fit_convergence_rate,
-    sgd_train,
-    solve_optimum,
+    sgd_train,  # unused here; perfbench/probes.py wraps runner.sgd_train
+    solve_compiled,
+    train_stack,
 )
 from .dynamics import (
     WeightUpdateConfig,
@@ -371,11 +374,15 @@ def _run_conformance(cfg: ExperimentConfig, rec: RunRecord) -> None:
 
 
 def _run_train(cfg: ExperimentConfig, rec: RunRecord) -> None:
-    params, trace = sgd_train(cfg.trainer, cfg.operator, cfg.world)
-    rec.check("final_loss_finite", bool(np.isfinite(trace.loss[-1])), True, compare="eq")
+    tr, world = cfg.trainer, cfg.world
+    runs = [(compile_objective(cfg.operator, world, tr.ridge), tr.seed)]
     if cfg.params["compare_classic"]:
-        c_params, c_trace = classic_uniform_train(cfg.trainer, cfg.world)
-        identical = (np.array_equal(params.logits, c_params.logits)
+        runs.append((_uniform_compiled(world, tr.ridge), tr.seed))
+    (theta, trace), *classic = train_stack(runs, tr)
+    rec.check("final_loss_finite", bool(np.isfinite(trace.loss[-1])), True, compare="eq")
+    if classic:
+        [(c_theta, c_trace)] = classic
+        identical = (np.array_equal(theta, c_theta)
                      and np.array_equal(trace.loss, c_trace.loss)
                      and np.array_equal(trace.mean_kl, c_trace.mean_kl))
         rec.check("uniform_equals_classic_bitwise", identical, True, compare="eq")
@@ -384,34 +391,30 @@ def _run_train(cfg: ExperimentConfig, rec: RunRecord) -> None:
 
 
 def _run_rate(cfg: ExperimentConfig, rec: RunRecord) -> None:
-    traces = []
-    terminal_kl = []
-    for s in range(cfg.params["n_seeds"]):
-        _, trace = sgd_train(replace(cfg.trainer, seed=cfg.trainer.seed + s), cfg.operator,
-                             cfg.world)
-        traces.append(trace)
-        terminal_kl.append(float(trace.mean_kl[-1]))
+    compiled = compile_objective(cfg.operator, cfg.world, cfg.trainer.ridge)
+    seeds = [cfg.trainer.seed + s for s in range(cfg.params["n_seeds"])]
+    traces = [trace for _, trace in train_stack([(compiled, s) for s in seeds], cfg.trainer)]
+    terminal_kl = [float(trace.mean_kl[-1]) for trace in traces]
     avg = average_traces(traces)
-    _, loss_star = solve_optimum(cfg.operator, cfg.world, cfg.trainer.ridge, gtol=1e-10)
+    loss_star = compiled.loss(solve_compiled(compiled, gtol=1e-10))
     fit = fit_convergence_rate(avg, loss_star)
     rec.check("terminal_mean_kl", float(np.mean(terminal_kl)), cfg.params["kl_tol"], compare="le")
     rec.check("rate_slope_low", fit.slope, cfg.params["slope_low"], compare="ge")
     rec.check("rate_slope_high", fit.slope, cfg.params["slope_high"], compare="le")
-    fd_err = _gradient_fd_error(cfg)
+    fd_err = _gradient_fd_error(compiled, cfg.seed)
     rec.check("gradient_finite_difference", fd_err, 1e-6, compare="le")
     rec.add_table("trace_mean", ["step", "loss", "mean_kl", "grad_norm", "lr"],
                   zip(avg.steps, avg.loss, avg.mean_kl, avg.grad_norm, avg.lr))
     rec.add_table("rate_fit", ["slope", "constant", "loss_star", "n_tail_points"],
                   [(fit.slope, fit.constant, loss_star, fit.n_points)])
-    rec.add_table("terminal_kl", ["seed", "mean_kl"],
-                  [(cfg.trainer.seed + i, v) for i, v in enumerate(terminal_kl)])
+    rec.add_table("terminal_kl", ["seed", "mean_kl"], zip(seeds, terminal_kl))
 
 
-def _gradient_fd_error(cfg: ExperimentConfig, n_probes: int = 3, h: float = 1e-5) -> float:
-    compiled = compile_objective(cfg.operator, cfg.world, cfg.trainer.ridge)
-    sampler = seeded_sampler(cfg.seed)
+def _gradient_fd_error(compiled: CompiledObjective, seed: int,
+                       n_probes: int = 3, h: float = 1e-5) -> float:
+    sampler = seeded_sampler(seed)
     worst = 0.0
-    n, v = len(cfg.world.inputs), cfg.world.vocab.size
+    n, v = compiled.qbar.shape
     for _ in range(n_probes):
         theta = sampler.normal(size=(n, v))
         grad = compiled.grad(theta)

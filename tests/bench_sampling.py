@@ -1,4 +1,4 @@
-"""Layer micro-benchmarks: a block of sampler index draws, one SGD step, one variance call.
+"""Layer micro-benchmarks: a block of sampler index draws, SGD steps of a stack, one variance call.
 
 The default test run does not collect this file (it does not match
 ``test_*.py``). Run it with pytest-benchmark:
@@ -6,14 +6,12 @@ The default test run does not collect this file (it does not match
     PYTHONPATH=src python -m pytest tests/bench_sampling.py --benchmark-only
 """
 
-import itertools
-
 import numpy as np
 import pytest
 
 from mskd.composition import UnifiedWeightOperator
 from mskd.core import SAMPLE_BLOCK, WeightBounds, seeded_sampler
-from mskd.distill import _sgd_step, compile_objective
+from mskd.distill import TrainerConfig, compile_objective, train_stack
 from mskd.dynamics import _single_sample_variance
 from mskd.operators import ContextOperator, TaskOperator, TokenOperator
 
@@ -33,17 +31,17 @@ def test_index_block(benchmark, compiled):
     benchmark(compiled.world.sample_index_arrays, sampler, SAMPLE_BLOCK)
 
 
-def test_sgd_step(benchmark, compiled):
-    """One single-sample SGD step at pre-drawn indices."""
-    block = compiled.world.sample_index_arrays(seeded_sampler(0), SAMPLE_BLOCK)
-    triples = itertools.cycle(list(zip(*(a.tolist() for a in block))))
-    theta = np.zeros_like(compiled.qbar)
+@pytest.mark.parametrize("n_runs", [1, 10])
+def test_sgd_step(benchmark, compiled, n_runs):
+    """``SAMPLE_BLOCK`` lockstep steps of an ``n_runs``-run stack, recorded only at both ends.
 
-    def step():
-        tj, xi, ci = next(triples)
-        _sgd_step(theta, compiled.targets, tj, xi, ci, 0.01, compiled.ridge)
-
-    benchmark(step)
+    The loop has no separately callable step: one stacked step is the time
+    over ``SAMPLE_BLOCK`` (``extra_info["steps"]``), less two eval records.
+    """
+    config = TrainerConfig(eta0=1.0, steps=SAMPLE_BLOCK, ridge=compiled.ridge,
+                           eval_every=SAMPLE_BLOCK)
+    benchmark.extra_info["steps"] = SAMPLE_BLOCK
+    benchmark(train_stack, [(compiled, seed) for seed in range(n_runs)], config)
 
 
 def test_single_sample_variance(benchmark, compiled):

@@ -25,6 +25,7 @@ from mskd.distill import (
     fit_convergence_rate,
     sgd_train,
     solve_optimum,
+    train_stack,
 )
 from mskd.dynamics import (
     WeightUpdateConfig,
@@ -86,15 +87,12 @@ def toy_world():
 
 @pytest.fixture(scope="module")
 def convergence_runs(toy_world):
-    """Ten seeded runs of the adaptive trainer on the toy world."""
+    """Ten seeded runs of the adaptive trainer on the toy world, in one stack."""
     g = adaptive_g()
-    traces = []
+    cfg = TrainerConfig(eta0=40.0, steps=50_000, ridge=0.01, eval_every=250, init_scale=0.5)
     t0 = time.perf_counter()
-    for s in range(10):
-        cfg = TrainerConfig(eta0=40.0, steps=50_000, ridge=0.01, seed=100 + s,
-                            eval_every=250, init_scale=0.5)
-        _, trace = sgd_train(cfg, g, toy_world)
-        traces.append(trace)
+    compiled = compile_objective(g, toy_world, 0.01)
+    traces = [trace for _, trace in train_stack([(compiled, 100 + s) for s in range(10)], cfg)]
     elapsed = time.perf_counter() - t0
     _, loss_star = solve_optimum(g, toy_world, 0.01, gtol=1e-10)
     return g, traces, loss_star, elapsed

@@ -1,20 +1,25 @@
 """Distillation objective, trainers, and rate diagnostics."""
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mskd.composition import UnifiedWeightOperator, renormalized_mixture, uniform_unified
 from mskd import distill
-from mskd.core import (SAMPLE_BLOCK, MarginViolated, NegativeMass, StudentParams, WeightBounds,
-                       normalize_exact, seeded_sampler, softmax)
+from mskd.core import (SAMPLE_BLOCK, MarginViolated, MskdError, NegativeMass, NonFiniteLoss,
+                       StudentParams, WeightBounds, normalize_exact, seeded_sampler, softmax)
 from mskd.distill import (
     InsufficientTrace,
     TrainerConfig,
     TrainTrace,
     _densify,
     _noisy_rows,
+    _uniform_compiled,
     average_traces,
     classic_uniform_train,
     compile_objective,
@@ -24,11 +29,13 @@ from mskd.distill import (
     noisy_weight_train,
     sgd_train,
     solve_optimum,
+    train_stack,
 )
 from mskd.operators import ContextOperator, TaskOperator, TokenOperator, uniform_weights
 from mskd.runner import emit_summary, parse_config_dict, run_experiment
 
 from fixture_worlds import appendix_world, bundled_doc, conformance_world, convergence_world
+from reference_sgd import reference_sgd
 
 WIDE = WeightBounds(0.01, 0.99)
 
@@ -164,6 +171,74 @@ class TestSgdTrain:
         assert not np.array_equal(p_a.logits, p_c.logits)
 
 
+class TestTrainStack:
+    """The lockstep trainer against the per-run reference loop, bit for bit."""
+
+    WORLDS = {"convergence": convergence_world(), "appendix": appendix_world()}
+    TRACE_COLUMNS = ("steps", "loss", "mean_kl", "grad_norm", "lr")
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def tables(world_name: str, ridge: float) -> dict:
+        """Adaptive, classic and noisy target tables of one world, compiled at ``ridge``."""
+        world = TestTrainStack.WORLDS[world_name]
+        g = adaptive_g(WeightBounds(0.05, 0.95))
+        noisy = _noisy_rows(g.weight_table(world), 0.01, seeded_sampler(9), g.bounds)
+        return {"adaptive": compile_objective(g, world, ridge),
+                "classic": _uniform_compiled(world, ridge),
+                "noisy": _densify(world, ridge, noisy)}
+
+    def assert_same_bits(self, got, compiled, config, seed):
+        theta, trace = got
+        ref_theta, ref_trace = reference_sgd(compiled, config, seed)
+        assert theta.tobytes() == ref_theta.tobytes()
+        for name in self.TRACE_COLUMNS:
+            assert getattr(trace, name).tobytes() == getattr(ref_trace, name).tobytes(), name
+
+    @settings(max_examples=25, deadline=None)
+    @given(world_name=st.sampled_from(sorted(WORLDS)),
+           runs=st.lists(st.tuples(st.sampled_from(["adaptive", "classic", "noisy"]),
+                                   st.integers(0, 3)), min_size=1, max_size=4),
+           ridge=st.sampled_from([0.0, 0.01, 0.2]),
+           init_scale=st.sampled_from([0.0, 0.5]),
+           eta0=st.sampled_from([1.0, 40.0]),
+           steps=st.sampled_from([0, 1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1,
+                                  2 * SAMPLE_BLOCK + 5]),
+           eval_every=st.sampled_from([7, 333, SAMPLE_BLOCK]))
+    def test_each_run_keeps_its_bits(self, world_name, runs, ridge, init_scale, eta0, steps,
+                                     eval_every):
+        tables = self.tables(world_name, ridge)
+        config = TrainerConfig(eta0=eta0, steps=steps, ridge=ridge, seed=99,
+                               eval_every=eval_every, init_scale=init_scale)
+        stack = [(tables[kind], seed) for kind, seed in runs]
+        for got, (compiled, seed) in zip(train_stack(stack, config), stack, strict=True):
+            self.assert_same_bits(got, compiled, config, seed)
+
+    def test_diverging_run_names_the_step(self, world):
+        compiled = compile_objective(adaptive_g(), world, 0.01)
+        # targets far outside the simplex: the first step overflows the logits
+        broken = dataclasses.replace(compiled, targets=compiled.targets * 1e307)
+        config = TrainerConfig(eta0=40.0, steps=50, ridge=0.01, eval_every=5, init_scale=0.5)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteLoss) as alone:
+                reference_sgd(broken, config, 2)
+            step = int(str(alone.value).split("step ")[1])
+            with pytest.raises(NonFiniteLoss, match=rf"at step {step} \(stack run 1\)"):
+                train_stack([(compiled, 1), (broken, 2)], config)
+
+    def test_runs_must_share_world_shape_and_ridge(self, world):
+        compiled = compile_objective(adaptive_g(), world, 0.01)
+        config = TrainerConfig(steps=10, ridge=0.01)
+        other_world = compile_objective(adaptive_g(), appendix_world(), 0.01)
+        cut = dataclasses.replace(compiled, targets=compiled.targets[:, :, :1])
+        for bad, message in ((other_world, "another world"), (cut, "target table shape"),
+                             (_uniform_compiled(world, 0.0), "ridge")):
+            with pytest.raises(MskdError, match=message):
+                train_stack([(compiled, 0), (bad, 0)], config)
+        with pytest.raises(MskdError, match="at least one run"):
+            train_stack([], config)
+
+
 class TestFullBatch:
     def test_monotone_descent(self, world):
         g = adaptive_g()
@@ -265,12 +340,10 @@ class TestRateNonDegradation:
         for name, g in (("adaptive", adaptive_g()),
                         ("uniform", uniform_unified(WIDE))):
             _, loss_star = solve_optimum(g, world, 0.01, gtol=1e-10)
-            traces = []
-            for s in range(6):
-                cfg = TrainerConfig(eta0=40.0, steps=30_000, ridge=0.01,
-                                    seed=300 + s, eval_every=300, init_scale=0.5)
-                _, tr = sgd_train(cfg, g, world)
-                traces.append(tr)
+            cfg = TrainerConfig(eta0=40.0, steps=30_000, ridge=0.01, eval_every=300,
+                                init_scale=0.5)
+            compiled = compile_objective(g, world, 0.01)
+            traces = [tr for _, tr in train_stack([(compiled, 300 + s) for s in range(6)], cfg)]
             fits[name] = fit_convergence_rate(average_traces(traces), loss_star).slope
         assert abs(fits["adaptive"] - fits["uniform"]) <= 0.2
 
