@@ -13,10 +13,15 @@ seed each) trained in lockstep, each with the bits it gets alone;
 stacks of one. The classical trainer differs from the adaptive one only in
 how the target table is built. With all-uniform operators the two tables
 are bit-identical, so the trajectories agree exactly at equal seeds.
+
+The damped-Newton solver ``minimize_blockwise`` makes one stacked kernel call
+per iteration and one for all line-search halvings, and gives every block the
+bits a per-block loop gives it.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -28,7 +33,6 @@ from .core import (
     MarginViolated,
     MskdError,
     NonFiniteLoss,
-    Sampler,
     StudentParams,
     World,
     log_softmax,
@@ -120,37 +124,46 @@ class CompiledObjective:
     def params(self, theta: np.ndarray) -> StudentParams:
         return StudentParams(tuple(x.id for x in self.world.inputs), theta, self.ridge)
 
-    def block(self, xi: int, row: np.ndarray, labels=()) -> tuple[float, np.ndarray, np.ndarray]:
-        """Value, gradient and Hessian of input ``xi``'s share of the loss minus its label terms.
+    def block(self, xi: np.ndarray, rows: np.ndarray, labels=None):
+        """Values, gradients and Hessians of inputs ``xi``'s loss shares at the (a, V) ``rows``.
 
-        Each ``(y, w)`` of ``labels``, in ascending token order, subtracts
-        ``w * p[y]`` (p = softmax(row)): the safety term of a Lagrangian.
+        ``labels``, an ``(on, w)`` pair of (N, V) tables, subtracts ``w[x, y] * p[y]``
+        (p = softmax of the row) for each token y with ``on[x, y]``, in ascending order:
+        a Lagrangian's safety terms. Each row gets the bits a one-row evaluation gives it.
         """
-        m, q, lam = self.m_x[xi], self.qbar[xi], self.ridge
-        p = softmax(row)
-        f = -m * float(q @ log_softmax(row)) + 0.5 * lam * float(row @ row)
-        g = m * (p - q) + lam * row
-        diag, outer = np.diag(p), np.outer(p, p)
-        h = m * (diag - outer)
-        h.flat[:: len(row) + 1] += lam  # + lam * I
-        for y, w in labels:
-            d = 0.0 - p
-            d[y] += 1.0  # e_y - p
-            f -= w * p[y]
-            g -= w * p[y] * d
-            h -= w * p[y] * (np.outer(d, d) - diag + outer)
+        f, p, terms = self._block_f(xi, rows, labels)
+        m = self.m_x[xi][:, None]
+        g = m * (p - self.qbar[xi]) + self.ridge * rows
+        h = np.subtract(0.0, p[:, :, None] * p[:, None, :])  # diag(p) - outer(p, p), in place
+        np.einsum("ijj->ij", h)[...] = p - p * p  # (einsum's diagonal is a writable view)
+        h *= m[..., None]
+        np.einsum("ijj->ij", h)[...] += self.ridge
+        for y, r, c in terms:
+            d = 0.0 - p[r]
+            d[:, y] += 1.0  # e_y - p
+            g[r] -= c[:, None] * d
+            t = d[:, :, None] * d[:, None, :]
+            np.einsum("ijj->ij", t)[...] -= p[r]  # outer(d, d) - diag(p)
+            h[r] -= c[:, None, None] * (t + p[r][:, :, None] * p[r][:, None, :])
         return f, g, h
 
+    def block_value(self, xi: np.ndarray, rows: np.ndarray, labels=None) -> np.ndarray:
+        """The values of ``block`` alone."""
+        return self._block_f(xi, rows, labels)[0]
 
-def _noisy_rows(rows: np.ndarray, delta: float, rng: Sampler, bounds) -> np.ndarray:
-    # one C-order draw: the same stream as one (V, K) draw per (task, input, context) cell
-    rows = rows + rng.uniform(-delta, delta, size=rows.shape)
-    if np.any(rows < bounds.w_min + delta - 1e-15) or \
-       np.any(rows > bounds.w_max - delta + 1e-15):
-        raise MarginViolated(
-            f"weight perturbation of scale {delta} leaves the margin "
-            f"[{bounds.w_min + delta}, {bounds.w_max - delta}]")
-    return normalize_rows(rows)
+    def _block_f(self, xi, rows, labels):
+        """``block``'s values, the rows' softmax and each label term (y, rows, w * p[y])."""
+        p = softmax(rows)
+        f = -self.m_x[xi] * np.vecdot(self.qbar[xi], log_softmax(rows)) \
+            + 0.5 * self.ridge * np.vecdot(rows, rows)
+        terms = []
+        if labels is not None:
+            on, w = labels[0][xi], labels[1][xi]
+            for y in on.any(axis=0).nonzero()[0].tolist():
+                r = on[:, y].nonzero()[0]
+                terms.append((y, r, w[r, y] * p[r, y]))
+                f[r] -= terms[-1][2]
+        return f, p, terms
 
 
 def compile_objective(G: UnifiedWeightOperator, world: World,
@@ -318,73 +331,99 @@ def classic_uniform_train(config: TrainerConfig, world: World) -> tuple[StudentP
 
 def noisy_weight_train(config: TrainerConfig, G: UnifiedWeightOperator, world: World,
                        delta: float) -> tuple[StudentParams, TrainTrace]:
-    """Training with every weight row perturbed by bounded iid noise.
+    """Training against ``noisy_compiled``'s targets at the trainer's ridge and seed."""
+    return _train_alone(noisy_compiled(G, world, delta, config.ridge, config.seed), config)
 
-    Noise of infinity-norm at most ``delta`` is added to each row of the
-    operator's weight table, and each row is renormalized before densifying;
-    perturbed weights must stay inside the margin [w_min + delta,
-    w_max - delta] or ``MarginViolated`` is raised. ``delta = 0`` reproduces
-    ``sgd_train`` exactly at equal seed (the noise stream is separate from
-    the sampling stream).
+
+def noisy_compiled(G: UnifiedWeightOperator, world: World, delta: float, ridge: float,
+                   seed: int) -> CompiledObjective:
+    """The operator's targets with every weight row perturbed by bounded iid noise.
+
+    Noise of infinity-norm at most ``delta``, one C-order draw from the third ``spawn`` of
+    ``seed`` (apart from the training streams), is added to the weight table and each row
+    is renormalized. Perturbed weights must stay inside [w_min + delta, w_max - delta] or
+    ``MarginViolated`` is raised. ``delta = 0`` gives ``compile_objective``'s table exactly.
     """
-    if delta < 0:
+    if not delta >= 0:  # NaN included
         raise MskdError("perturbation scale must be nonnegative")
-    rows = G.weight_table(world)
-    if delta > 0:
-        rows = _noisy_rows(rows, delta, seeded_sampler(config.seed).spawn(3)[2], G.bounds)
-    compiled = _densify(world, config.ridge, rows)
-    return _train_alone(compiled, config)
+    rows, lo, hi = G.weight_table(world), G.bounds.w_min + delta, G.bounds.w_max - delta
+    if delta == 0:
+        return _densify(world, ridge, rows)
+    rows = rows + seeded_sampler(seed).spawn(3)[2].uniform(-delta, delta, size=rows.shape)
+    if np.any((rows < lo - 1e-15) | (rows > hi + 1e-15)):
+        raise MarginViolated(f"weight perturbation of scale {delta} leaves the margin [{lo}, {hi}]")
+    return _densify(world, ridge, normalize_rows(rows))
 
 
 # ---------------------------------------------------------------------------
-# Full-batch solver (damped Newton per logit block)
+# Full-batch solver (damped Newton, all logit blocks in lockstep)
 # ---------------------------------------------------------------------------
 
-def minimize_blockwise(theta0: np.ndarray,
-                       block_fgh: Callable[[int, np.ndarray], tuple[float, np.ndarray, np.ndarray]],
+def minimize_blockwise(theta0: np.ndarray, block_fgh: Callable, block_value: Callable,
                        gtol: float, max_iter: int = 200) -> np.ndarray:
-    """Minimize a block-separable objective with damped Newton steps.
+    """Minimize a block-separable objective with damped Newton steps, all blocks in lockstep.
 
-    ``block_fgh(x_index, row) -> (value, gradient, Hessian)``. Each logit
-    block is independent; iterations use backtracking line search and
-    Levenberg damping, so descent holds even where a block Hessian is
-    indefinite. Terminates when every block gradient norm is at most
-    ``gtol / sqrt(n_blocks)`` (hence the full gradient norm is within gtol);
-    a block whose line search finds no decrease stays at its last row.
+    ``block_fgh(xi, rows) -> (values, gradients, Hessians)`` evaluates blocks ``xi`` at the
+    (a, V) stack ``rows``; ``block_value`` gives the values alone. Backtracking line search
+    and Levenberg damping keep descent where a block Hessian is indefinite. A block stops
+    at gradient norm ``gtol / sqrt(n_blocks)`` (so the full gradient norm is within gtol),
+    after ``max_iter`` iterations, or where its line search finds no decrease.
     """
     theta = np.array(theta0, dtype=np.float64)
-    n = theta.shape[0]
-    per_block = gtol / np.sqrt(n)
-    eye = np.eye(theta.shape[1])
-    for xi in range(n):
-        row = theta[xi]
-        f, g, h = block_fgh(xi, row)
-        for _ in range(max_iter):
-            if np.linalg.norm(g) <= per_block:
+    if not len(theta):
+        return theta
+    per_block = gtol / np.sqrt(len(theta))
+    halvings = np.ldexp(1.0, -np.arange(1, 47))  # line-search steps after 1: to 2**-46 > 1e-14
+    xi = np.arange(len(theta))
+    f, g, h = block_fgh(xi, theta)
+    for _ in range(max_iter):
+        active = ~(np.sqrt(np.vecdot(g, g)) <= per_block)
+        if not active.all():
+            xi, f, g, h = xi[active], f[active], g[active], h[active]
+            if not len(xi):
                 break
-            damp = 0.0
-            while True:
-                try:
-                    d = np.linalg.solve(h + damp * eye, -g)
-                except np.linalg.LinAlgError:
-                    d = None
-                if d is not None and float(g @ d) < 0:
-                    break
-                damp = max(2.0 * damp, 1e-8)
-                if damp > 1e12:
-                    d = -g
-                    break
-            step, slope = 1.0, float(g @ d)
-            while step > 1e-14:
-                f2, g2, h2 = block_fgh(xi, row + step * d)
-                if f2 <= f + 1e-4 * step * slope:
-                    break
-                step *= 0.5
-            else:  # no step decreases f enough: the block stays at its current row
+        d = _newton_directions(g, h)
+        del h  # one Hessian stack alive at a time
+        slope, rows, step = np.vecdot(g, d), theta[xi], np.ones(len(xi))
+        # step 1 for every block, then every halving for the blocks it fails, in one call each
+        failed = (~(block_value(xi, rows + d) <= f + 1e-4 * slope)).nonzero()[0]
+        if len(failed):
+            trial = rows[failed, None] + halvings[:, None] * d[failed, None]  # (b, 46, V)
+            values = block_value(np.repeat(xi[failed], len(halvings)),
+                                 trial.reshape(-1, d.shape[1])).reshape(trial.shape[:2])
+            passed = values <= f[failed, None] + 1e-4 * halvings * slope[failed, None]
+            step[failed] = np.where(passed.any(axis=1), halvings[passed.argmax(axis=1)], 0.0)
+            moved = step > 0.0  # a block whose line search finds no decrease stays at its row
+            xi, rows, step, d = xi[moved], rows[moved], step[moved], d[moved]
+            if not len(xi):
                 break
-            row, f, g, h = row + step * d, f2, g2, h2
-        theta[xi] = row
+        theta[xi] = rows = rows + step[:, None] * d
+        f, g, h = block_fgh(xi, rows)
     return theta
+
+
+def _newton_directions(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Each block's Newton direction, from one stacked solve; ``h`` is overwritten.
+
+    A block whose Hessian is singular or whose direction does not descend retries alone with
+    Levenberg damping, doubled from 1e-8 until it descends, or past 1e12 steepest descent.
+    """
+    h += 0.0  # h + 0 * I, as a one-block loop solves it: -0.0 entries become +0.0
+    try:
+        d = np.linalg.solve(h, -g[..., None])[..., 0]
+        retry, first_damp = ~(np.vecdot(g, d) < 0), 1e-8
+    except np.linalg.LinAlgError:  # some Hessian is singular: every block solves alone
+        d, retry, first_damp = np.empty_like(g), np.ones(len(g), dtype=bool), 0.0
+    for i in retry.nonzero()[0].tolist():
+        d[i], damp = -g[i], first_damp
+        while damp <= 1e12:
+            with contextlib.suppress(np.linalg.LinAlgError):
+                di = np.linalg.solve(h[i] + damp * np.eye(len(h[i])), -g[i])
+                if g[i] @ di < 0:
+                    d[i] = di
+                    break
+            damp = max(2.0 * damp, 1e-8)
+    return d
 
 
 def solve_optimum(G: UnifiedWeightOperator, world: World, ridge: float,
@@ -407,7 +446,8 @@ def solve_compiled(compiled: CompiledObjective, gtol: float = 1e-10) -> np.ndarr
                 "ridge-free optimum needs strictly positive targets (finite logits)")
         logq = np.log(compiled.qbar)
         return logq - logq.mean(axis=1, keepdims=True)
-    return minimize_blockwise(np.zeros_like(compiled.qbar), compiled.block, gtol)
+    return minimize_blockwise(np.zeros_like(compiled.qbar), compiled.block, compiled.block_value,
+                              gtol)
 
 
 # ---------------------------------------------------------------------------

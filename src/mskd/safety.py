@@ -165,9 +165,13 @@ def lagrangian_value(params: StudentParams, mu: float, G: UnifiedWeightOperator,
 
 
 def _lagrangian_block(compiled: CompiledObjective, mu: float, mass: np.ndarray):
-    """Newton block kernel of loss - mu * safety, each input's labels built once per solve."""
-    labels = [[(y, mu * m[y]) for y in np.flatnonzero(m)] for m in mass]
-    return lambda xi, row: compiled.block(xi, row, labels[xi])
+    """Newton block kernels (value/gradient/Hessian, value) of loss - mu * safety for one solve.
+
+    Every label of positive mass is a term, even at mu = 0: it can still flip a zero's sign.
+    """
+    labels = (mass != 0, mu * mass)
+    return (lambda xi, rows: compiled.block(xi, rows, labels),
+            lambda xi, rows: compiled.block_value(xi, rows, labels))
 
 
 @dataclass
@@ -201,7 +205,7 @@ def dual_ascent_solve(G: UnifiedWeightOperator, world: World, cfg: SafetyConfig,
     mu = 0.0
     step = cfg.dual_step
     theta = minimize_blockwise(np.zeros_like(compiled.qbar),
-                               _lagrangian_block(compiled, mu, mass), gtol)
+                               *_lagrangian_block(compiled, mu, mass), gtol)
     history: list[dict] = []
     for it in range(cfg.max_dual_iters):
         safety = _safety(theta, table)
@@ -214,7 +218,8 @@ def dual_ascent_solve(G: UnifiedWeightOperator, world: World, cfg: SafetyConfig,
             return DualAscentResult(compiled.params(theta), mu, history, True)
         while True:
             mu_new = max(0.0, mu + step * (cfg.s_min - safety))
-            theta_new = minimize_blockwise(theta, _lagrangian_block(compiled, mu_new, mass), gtol)
+            theta_new = minimize_blockwise(theta, *_lagrangian_block(compiled, mu_new, mass),
+                                           gtol)
             feas_new = max(0.0, cfg.s_min - _safety(theta_new, table))
             if feas_new <= feas + 1e-12 or step < 1e-8:
                 break
@@ -272,7 +277,7 @@ def pareto_sweep(G: UnifiedWeightOperator, world: World, cfg: SafetyConfig,
     theta = np.zeros_like(compiled.qbar)
     out = []
     for mu in grid:
-        theta = minimize_blockwise(theta, _lagrangian_block(compiled, float(mu), mass), gtol)
+        theta = minimize_blockwise(theta, *_lagrangian_block(compiled, mu, mass), gtol)
         out.append((float(mu), compiled.loss(theta), _safety(theta, table)))
     return out
 

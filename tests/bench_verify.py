@@ -1,4 +1,4 @@
-"""Layer micro-benchmarks: conformance passes, one Lagrangian block, one teacher-bank build.
+"""Layer micro-benchmarks: conformance passes, Lagrangian kernels and solves, a teacher-bank build.
 
 The default test run does not collect this file (it does not match
 ``test_*.py``). Run it with pytest-benchmark:
@@ -6,19 +6,17 @@ The default test run does not collect this file (it does not match
     PYTHONPATH=src python -m pytest tests/bench_verify.py --benchmark-only
 """
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from mskd.composition import UnifiedWeightOperator
 from mskd.core import TeacherBank, WeightBounds, seeded_sampler
-from mskd.distill import compile_objective
+from mskd.distill import compile_objective, minimize_blockwise
 from mskd.operators import ContextOperator, TaskOperator, TokenOperator, check_conformance
-from mskd.safety import SafetyConfig, _label_table, _safety_label_mass
+from mskd.safety import SafetyConfig, _label_table, _lagrangian_block, _safety_label_mass
 
-from fixture_worlds import conformance_world, safety_world, safety_world_labels
+from fixture_worlds import conformance_world, large_doc, safety_world, safety_world_labels
+from reference_newton import stalled_large_solves
 
 BOUNDS = WeightBounds(0.02, 0.9)
 
@@ -35,25 +33,28 @@ def test_conformance_pass(benchmark, scale, op):
 
 
 def test_lagrangian_block(benchmark):
-    """One value/gradient/Hessian evaluation of a safety-world Lagrangian block (mu = 0.5)."""
+    """One stacked value/gradient/Hessian call on every safety-world Lagrangian block (mu = 0.5)."""
     world = safety_world()
     g = UnifiedWeightOperator(TokenOperator("family_a"), TaskOperator("family_c"),
                               ContextOperator("family_a"), WeightBounds(0.05, 0.95))
     compiled = compile_objective(g, world, 0.01)
     cfg = SafetyConfig(0.9, safety_world_labels())
     mass, _ = _safety_label_mass(world, _label_table(world, cfg))
-    labels = [(y, 0.5 * mass[0, y]) for y in np.flatnonzero(mass[0])]
-    row = np.random.default_rng(0).normal(size=world.vocab.size)
-    benchmark(compiled.block, 0, row, labels)
+    fgh, _ = _lagrangian_block(compiled, 0.5, mass)
+    rows = np.random.default_rng(0).normal(size=compiled.qbar.shape)
+    benchmark(fgh, np.arange(len(rows)), rows)
+
+
+def test_lagrangian_solve(benchmark):
+    """One Lagrangian solve on the generated large world, at a mu where a block stalls."""
+    compiled, mass, stalled = stalled_large_solves()
+    mu, theta0 = stalled[0]
+    benchmark(minimize_blockwise, theta0, *_lagrangian_block(compiled, mu, mass), 1e-8)
 
 
 def test_teacher_bank_build(benchmark):
     """One ``TeacherBank`` build from the generated 256-cell world's table."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen_world.py"
-    spec = importlib.util.spec_from_file_location("gen_world", path)
-    gen_world = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen_world)
-    td = gen_world.perturbation_doc(0)["world"]["teachers"]
+    td = large_doc("perturbation")["world"]["teachers"]
     table = {(cell["input"], cell["context"]): np.asarray(cell["dists"], dtype=float)
              for cell in td["table"]}
     perf = {int(t): np.asarray(s, dtype=float) for t, s in td["perf_scores"].items()}

@@ -4,6 +4,7 @@
 config holds is an edit of a bundled document, made here.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -11,11 +12,23 @@ from mskd.core import World
 from mskd.runner import parse_config, parse_config_dict
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GEN_WORLD = CONFIGS.parent / "perfbench" / "gen_world.py"
 
 
 def bundled_doc(kind: str) -> dict:
     """A fresh copy of the bundled ``kind`` config document."""
     return json.loads((CONFIGS / f"{kind}.json").read_text())
+
+
+def large_doc(kind: str, seed: int = 0) -> dict:
+    """The benchmark's generated large-world ``kind`` document (``perturbation`` or ``safety``).
+
+    ``perfbench/gen_world.py`` is loaded from its file: it is not part of the package.
+    """
+    spec = importlib.util.spec_from_file_location(GEN_WORLD.stem, GEN_WORLD)
+    gen_world = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_world)
+    return getattr(gen_world, f"{kind}_doc")(seed)
 
 
 def appendix_world() -> World:

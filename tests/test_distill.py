@@ -18,7 +18,6 @@ from mskd.distill import (
     TrainerConfig,
     TrainTrace,
     _densify,
-    _noisy_rows,
     _uniform_compiled,
     average_traces,
     classic_uniform_train,
@@ -26,6 +25,7 @@ from mskd.distill import (
     fit_convergence_rate,
     kd_gradient,
     kd_loss,
+    noisy_compiled,
     noisy_weight_train,
     sgd_train,
     solve_optimum,
@@ -35,6 +35,7 @@ from mskd.operators import ContextOperator, TaskOperator, TokenOperator, uniform
 from mskd.runner import emit_summary, parse_config_dict, run_experiment
 
 from fixture_worlds import appendix_world, bundled_doc, conformance_world, convergence_world
+from reference_newton import reference_newton
 from reference_sgd import reference_sgd
 
 WIDE = WeightBounds(0.01, 0.99)
@@ -183,10 +184,9 @@ class TestTrainStack:
         """Adaptive, classic and noisy target tables of one world, compiled at ``ridge``."""
         world = TestTrainStack.WORLDS[world_name]
         g = adaptive_g(WeightBounds(0.05, 0.95))
-        noisy = _noisy_rows(g.weight_table(world), 0.01, seeded_sampler(9), g.bounds)
         return {"adaptive": compile_objective(g, world, ridge),
                 "classic": _uniform_compiled(world, ridge),
-                "noisy": _densify(world, ridge, noisy)}
+                "noisy": noisy_compiled(g, world, 0.01, ridge, 9)}
 
     def assert_same_bits(self, got, compiled, config, seed):
         theta, trace = got
@@ -265,10 +265,30 @@ class TestFullBatch:
         # f is flat, so no step passes the Armijo test: the solver must keep
         # every row where it is rather than creep along the halved step
         theta0 = np.array([[1.0, -2.0, 0.5], [0.25, 0.0, -1.0]])
-        def fgh(xi, row):
-            return 0.0, row.copy(), np.eye(row.size)
+        def fgh(xi, rows):
+            return np.zeros(len(xi)), rows.copy(), np.tile(np.eye(rows.shape[1]), (len(xi), 1, 1))
 
-        np.testing.assert_array_equal(distill.minimize_blockwise(theta0, fgh, gtol=1e-10), theta0)
+        def value(xi, rows):
+            return np.zeros(len(xi))
+
+        np.testing.assert_array_equal(distill.minimize_blockwise(theta0, fgh, value, gtol=1e-10),
+                                      theta0)
+
+    def test_last_halving_is_tried(self):
+        # f(x) = -x + K x^2 at x = 0 with the direction d = 1: the Armijo test
+        # passes for steps up to 0.9999 / K: only the last trial, 2**-46, does
+        k = 0.75 * 2.0 ** 46
+        def fgh(xi, rows):
+            return value(xi, rows), 2.0 * k * rows - 1.0, np.ones((len(xi), 1, 1))
+
+        def value(xi, rows):
+            return -rows[:, 0] + k * rows[:, 0] * rows[:, 0]
+
+        theta0 = np.zeros((1, 1))
+        got = distill.minimize_blockwise(theta0, fgh, value, gtol=0.0, max_iter=1)
+        ref = reference_newton(theta0, lambda xi, row: tuple(a[0] for a in fgh([xi], row[None])),
+                               gtol=0.0, max_iter=1)
+        assert got.tobytes() == ref.tobytes() == np.array([[2.0 ** -46]]).tobytes()
 
     def test_ridge_free_optimum_is_log_target(self, world):
         g = adaptive_g()
@@ -395,12 +415,12 @@ class TestNoisyTrain:
         g = adaptive_g(WeightBounds(0.05, 0.95))
         _, loss_star = solve_optimum(g, world, 0.01, gtol=1e-10)
         deltas = [0.001, 0.01, 0.05]
-        gaps = []
-        for d in deltas:
-            cfg = TrainerConfig(eta0=40.0, steps=30_000, ridge=0.01, seed=11,
-                                eval_every=6000, init_scale=0.5)
-            params, _ = noisy_weight_train(cfg, g, world, d)
-            gaps.append(kd_loss(params, g, world) - loss_star)
+        cfg = TrainerConfig(eta0=40.0, steps=30_000, ridge=0.01, seed=11,
+                            eval_every=6000, init_scale=0.5)
+        # one stack of the three runs noisy_weight_train makes one delta at a time
+        runs = [(noisy_compiled(g, world, d, cfg.ridge, cfg.seed), cfg.seed) for d in deltas]
+        gaps = [kd_loss(compiled.params(theta), g, world) - loss_star
+                for (theta, _), (compiled, _) in zip(train_stack(runs, cfg), runs)]
         d = np.array(deltas)
         gp = np.array(gaps)
         slope = float(np.sum(gp * d) / np.sum(d * d))
@@ -432,9 +452,8 @@ class TestCompileObjective:
         g = UnifiedWeightOperator(TokenOperator("family_a", safety_tokens=world.vocab.safety_tokens),
                                   TaskOperator("family_c"), ContextOperator("family_b"), WIDE)
         delta = 0.004
-        noisy = _densify(world, 0.0, _noisy_rows(g.weight_table(world), delta,
-                                                 seeded_sampler(5), g.bounds))
-        table, rng = g.weight_table(world), seeded_sampler(5)
+        noisy = noisy_compiled(g, world, delta, 0.0, 5)
+        table, rng = g.weight_table(world), seeded_sampler(5).spawn(3)[2]
         for tj in range(len(world.tasks)):
             for xi, x in enumerate(world.inputs):
                 for ci, c in enumerate(world.contexts):

@@ -2,7 +2,6 @@
 
 import copy
 import hashlib
-import importlib.util
 import json
 import subprocess
 import sys
@@ -24,7 +23,7 @@ from mskd.runner import (
     run_experiment,
 )
 
-from fixture_worlds import CONFIGS, bundled_doc, world_to_dict
+from fixture_worlds import CONFIGS, bundled_doc, large_doc, world_to_dict
 
 REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
 # bundled configs in the order the references number them; "rate" (index 0)
@@ -208,19 +207,6 @@ def _assert_pinned_outputs(workload: str, prefix: str, cfg, out_dir: Path) -> No
     assert produced == pinned
 
 
-def _load_module(path: Path):
-    """A module loaded from its file."""
-    spec = importlib.util.spec_from_file_location(path.stem, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _gen_world_module():
-    """The benchmark's large-world generator, loaded from its file."""
-    return _load_module(REFERENCES.parent / "gen_world.py")
-
-
 def test_micro_benchmarks_run_once():
     # the default run does not collect tests/bench_*.py; run each benchmark once
     tests = Path(__file__).resolve().parent
@@ -244,8 +230,7 @@ class TestGoldenOutputs:
 
     @pytest.mark.parametrize("index,name", list(enumerate(GOLDEN_LARGE)))
     def test_large_world_outputs_match_pinned_digests(self, index, name, tmp_path):
-        doc = getattr(_gen_world_module(), f"{name}_doc")(0)
-        _assert_pinned_outputs("large", f"{index}-{name}/", parse_config_dict(doc),
+        _assert_pinned_outputs("large", f"{index}-{name}/", parse_config_dict(large_doc(name)),
                                tmp_path / name)
 
 

@@ -1,5 +1,8 @@
 """Safety measures, dual ascent, KKT residuals, Pareto sweep, preservation."""
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +23,6 @@ from mskd.core import (
     VocabularySpec,
     WeightBounds,
     World,
-    softmax,
 )
 from mskd.distill import TrainerConfig, compile_objective, kd_loss, solve_compiled, solve_optimum
 from mskd.operators import ContextOperator, TaskOperator, TokenOperator
@@ -45,10 +47,12 @@ from mskd.safety import (
 from fixture_worlds import (
     appendix_labels,
     appendix_safety_world,
+    convergence_world,
     safety_world,
     safety_world_conflicting_labels,
     safety_world_labels,
 )
+from reference_newton import reference_lagrangian_block, reference_newton, stalled_large_solves
 
 BOUNDS = WeightBounds(0.05, 0.95)
 
@@ -320,24 +324,6 @@ class TestLagrangian:
             lagrangian_value(params, -0.5, g, world, cfg)
 
 
-def ref_lagrangian_block(compiled, mu, mass):
-    """The Lagrangian block kernel as written before its label terms moved into ``block``."""
-    eye = np.eye(mass.shape[1])
-    labels = [[(y, mu * m[y]) for y in np.flatnonzero(m)] for m in mass]
-
-    def fgh(xi, row):
-        f, g, h = compiled.block(xi, row)
-        p = softmax(row)
-        for y, w in labels[xi]:
-            d = eye[y] - p
-            f -= w * p[y]
-            g -= w * p[y] * d
-            h -= w * p[y] * (np.outer(d, d) - np.diag(p) + np.outer(p, p))
-        return f, g, h
-
-    return fgh
-
-
 class TestNewtonKernel:
     def test_label_terms_equal_the_inline_loop_bit_for_bit(self, world):
         cfg = SafetyConfig(0.5, safety_world_conflicting_labels())
@@ -345,16 +331,40 @@ class TestNewtonKernel:
         assert np.count_nonzero(mass[2]) == 2  # input 2 holds two safety labels
         compiled = compile_objective(adaptive_g(), world, 0.01)
         rng = np.random.default_rng(3)
+        n = len(world.inputs)
         for mu in (0.0, 0.4, 7.5):
-            kernel = _lagrangian_block(compiled, mu, mass)
-            ref = ref_lagrangian_block(compiled, mu, mass)
+            kernel, value = _lagrangian_block(compiled, mu, mass)
+            ref = reference_lagrangian_block(compiled, mu, mass)
             for scale in (0.0, 1.0, 10.0, 800.0):  # 800: some probabilities underflow to 0
-                for xi in range(len(world.inputs)):
-                    row = scale * rng.normal(size=world.vocab.size)
-                    (f, g, h), (rf, rg, rh) = kernel(xi, row), ref(xi, row)
-                    assert f == rf and np.array_equal(g, rg) and np.array_equal(h, rh)
-                    assert np.array_equal(np.signbit(g), np.signbit(rg))
-                    assert np.array_equal(np.signbit(h), np.signbit(rh))
+                # every block once, then a stack that repeats and reorders them
+                for xi in (np.arange(n), rng.integers(0, n, size=7)):
+                    rows = scale * rng.normal(size=(len(xi), world.vocab.size))
+                    f, g, h = kernel(xi, rows)
+                    assert value(xi, rows).tobytes() == f.tobytes()
+                    for i, x in enumerate(xi.tolist()):
+                        rf, rg, rh = ref(x, rows[i])
+                        assert f[i] == rf and np.array_equal(g[i], rg) and np.array_equal(h[i], rh)
+                        assert np.array_equal(np.signbit(g[i]), np.signbit(rg))
+                        assert np.array_equal(np.signbit(h[i]), np.signbit(rh))
+
+    def test_zero_weight_label_terms_still_apply(self, world):
+        # at mu = 0 a label term subtracts zeros, and those still turn a -0.0
+        # of g into +0.0: with a subnormal input mass, m * (p - q) and
+        # ridge * (-0.0) are both -0.0 wherever p < q
+        cfg = SafetyConfig(0.5, safety_world_conflicting_labels())
+        mass, _ = _safety_label_mass(world, _label_table(world, cfg))
+        compiled = dataclasses.replace(compile_objective(adaptive_g(), world, 0.01),
+                                       m_x=np.full(len(world.inputs), 5e-324))
+        xi = np.arange(len(world.inputs))
+        rows = np.full((len(xi), world.vocab.size), -0.0)
+        fgh, _ = _lagrangian_block(compiled, 0.0, mass)
+        ref = reference_lagrangian_block(compiled, 0.0, mass)
+        _, g, h = fgh(xi, rows)
+        for i in xi.tolist():
+            _, rg, rh = ref(i, rows[i])
+            assert np.array_equal(np.signbit(g[i]), np.signbit(rg))
+            assert np.array_equal(np.signbit(h[i]), np.signbit(rh))
+        assert not np.array_equal(np.signbit(g), np.signbit(compiled.block(xi, rows)[1]))
 
     @pytest.mark.parametrize("solve", ["dual_ascent", "pareto"])
     def test_label_table_resolved_once_per_call(self, world, labels, solve, monkeypatch):
@@ -376,6 +386,86 @@ class TestNewtonKernel:
             pareto_sweep(adaptive_g(), world, cfg, np.linspace(0.0, 3.0, 6), ridge=0.01)
         # one label table per call; the one StudentParams is the dual ascent's result
         assert calls == {"_label_table": 1, "StudentParams": int(solve == "dual_ascent")}
+
+
+class TestStackedNewton:
+    """The lockstep Newton solver against the per-block reference, bit for bit."""
+
+    WORLDS = {"safety": safety_world(), "convergence": convergence_world()}
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def problem(world_name: str, ridge: float):
+        """A world's objective at ``ridge`` and a label mass table for it.
+
+        The safety world takes its conflicting labels (input 2 holds two); the
+        convergence world, which has no safety context, a fixed random table.
+        """
+        world = TestStackedNewton.WORLDS[world_name]
+        if world_name == "safety":
+            cfg = SafetyConfig(0.5, safety_world_conflicting_labels())
+            mass, _ = _safety_label_mass(world, _label_table(world, cfg))
+        else:
+            rng = np.random.default_rng(5)
+            shape = (len(world.inputs), world.vocab.size)
+            mass = rng.random(shape) * (rng.random(shape) < 0.25)
+        return compile_objective(adaptive_g(), world, ridge), mass
+
+    def solve_both(self, world_name, n_blocks, ridge, mu, scale, seed, gtol, max_iter):
+        compiled, mass = self.problem(world_name, ridge)
+        theta0 = scale * np.random.default_rng(seed).normal(size=compiled.qbar.shape)
+        theta0 = theta0[:n_blocks]
+        stats = {}
+        with np.errstate(over="ignore", invalid="ignore"):  # far steps overflow in both
+            ref = reference_newton(theta0, reference_lagrangian_block(compiled, mu, mass),
+                                   gtol, max_iter, stats)
+            got = distill.minimize_blockwise(theta0, *_lagrangian_block(compiled, mu, mass),
+                                             gtol, max_iter)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()  # equal bits, the signs of zeros among them
+        return stats
+
+    # (world, n_blocks, ridge, mu, scale, seed, gtol, max_iter) and the path each takes
+    CASES = {
+        "damped": ("safety", 3, 0.01, 5.0, 0.0, 1, 1e-8, 200),
+        "singular": ("safety", 3, 0.0, 0.0, 800.0, 1, 0.0, 200),
+        "exhausted": ("safety", 3, 0.0, 0.0, 30.0, 1, 0.0, 200),
+        "max_iter": ("convergence", 8, 0.01, 0.5, 0.0, 1, 0.0, 3),
+    }
+
+    @pytest.mark.parametrize("path", sorted(CASES))
+    def test_each_path_keeps_its_bits(self, path):
+        assert self.solve_both(*self.CASES[path])[path] > 0
+
+    def test_empty_theta(self):
+        stats = self.solve_both("safety", 0, 0.01, 0.5, 1.0, 0, 1e-8, 200)
+        assert not any(stats.values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(world_name=st.sampled_from(sorted(WORLDS)),
+           n_blocks=st.integers(0, 8),
+           ridge=st.sampled_from([0.0, 0.01, 0.2]),
+           mu=st.sampled_from([0.0, 0.5, 5.0, 50.0]),
+           scale=st.sampled_from([0.0, 1.0, 30.0, 800.0]),
+           seed=st.integers(0, 2 ** 16),
+           gtol=st.sampled_from([0.0, 1e-10, 1e-8]),
+           max_iter=st.sampled_from([0, 1, 3, 200]))
+    def test_stack_keeps_the_per_block_bits(self, world_name, n_blocks, ridge, mu, scale, seed,
+                                            gtol, max_iter):
+        self.solve_both(world_name, n_blocks, ridge, mu, scale, seed, gtol, max_iter)
+
+    def test_stalled_large_world_solves(self):
+        # the seed-0 large dual ascent stalls two blocks (inputs 22 and 24) for
+        # all 200 iterations, in two solves; both keep the per-block bits
+        compiled, mass, stalled = stalled_large_solves()
+        assert len(stalled) == 2
+        for mu, theta0 in stalled:
+            stats = {}
+            ref = reference_newton(theta0, reference_lagrangian_block(compiled, mu, mass),
+                                   1e-8, 200, stats)
+            got = distill.minimize_blockwise(theta0, *_lagrangian_block(compiled, mu, mass), 1e-8)
+            assert stats["max_iter"] == 1
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestDualAscent:
