@@ -5,11 +5,13 @@ the normalized product of the token, task, and context weights. No clipping
 is applied after the product; instead the components' bounds induce derived
 effective bounds on the unified weights (see :func:`effective_bounds`).
 
-Normalization of the product uses exact rational arithmetic with one
-correctly-rounded division per entry, so configurations that are
-algebraically uniform produce bit-identical uniform weights. That property
-is what lets an all-uniform adaptive trainer reproduce the classical
-uniform-mixture trainer exactly.
+Normalization of the product is integer-exact: a row's entries are put over
+their largest power-of-two denominator, the numerators summed as integers,
+and each entry is one correctly-rounded integer division by that sum. So
+algebraically uniform configurations produce bit-identical uniform weights,
+which lets an all-uniform adaptive trainer reproduce the classical
+uniform-mixture trainer exactly. The weight table evaluates a token family
+as one array kernel over the whole bank and normalizes each distinct row once.
 """
 
 from __future__ import annotations
@@ -104,12 +106,17 @@ class UnifiedWeightOperator:
         return np.log(w_tok), np.log(w_task), np.log(w_ctx), np.log(product)
 
     def weight_table(self, world: World) -> np.ndarray:
-        """(J, N, C, V, K) unified weights over the world, equal to :meth:`unified_weight`.
+        """(J, N, C, V, K) unified weights over the world, equal to :meth:`unified_weight`."""
+        rows, slot = self.compact_table(world)
+        return rows.take(slot, axis=-2)
+
+    def compact_table(self, world: World) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`weight_table` as (J, N, C, S, K) distinct token rows and each token's (V,) row.
 
         Each scale is evaluated once on its own domain: token weights per
         (input, context) -- at index -1 and each safety token when they depend
         on the index, else at 0 -- task weights per task, context weights per
-        context. Their product is normalized once per distinct row, then expanded to V.
+        context. Their product is normalized once per distinct row.
         """
         bank, bounds = world.bank, self.bounds
         dependent = self.token_op.token_index_dependent
@@ -117,11 +124,10 @@ class UnifiedWeightOperator:
         token_ids = [-1 if dependent else 0, *safety]  # -1 is never a safety token
         slot = np.zeros(world.vocab.size, dtype=np.intp)
         slot[safety] = np.arange(1, len(token_ids))
-        tok = np.array([[[self.token_op.weights(x.id, i, c.id, bank, bounds) for i in token_ids]
-                         for c in world.contexts] for x in world.inputs])
+        tok = self.token_op.table(world, token_ids, bounds)
         task = np.array([self.task_op.weights(t.id, bank, bounds) for t in world.tasks])
         ctx = np.array([self.context_op.weights(c, bank, bounds) for c in world.contexts])
-        return normalize_rows(tok * task[:, None, None, None] * ctx[:, None]).take(slot, axis=-2)
+        return normalize_rows(tok * task[:, None, None, None] * ctx[:, None]), slot
 
     def ensemble_target(self, x: int, t: int, c: int, world: World) -> np.ndarray:
         """The distillation target at (x, t, c), read off the whole :meth:`weight_table`.

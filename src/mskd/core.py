@@ -13,7 +13,6 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import InitVar, dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -132,28 +131,37 @@ def validate_distribution(p, vocab_size: int | None = None) -> np.ndarray:
     return _freeze(arr)
 
 
-def entropy(p) -> float:
-    """Shannon entropy in nats, with 0*ln(0) taken as 0.
+def entropy(p):
+    """Shannon entropy in nats along the last axis (a float for one vector), 0*ln(0) taken as 0.
 
-    The result lies in [0, ln V] for any valid distribution of length V.
+    A vector's positive entries are summed as one array, in order, so each vector of a stack
+    gets the bits it gets alone. The result lies in [0, ln V] for a distribution of length V.
     """
     arr = np.asarray(p, dtype=np.float64)
-    pos = arr[arr > 0.0]
-    return float(-(pos * np.log(pos)).sum())
+    counts = (arr > 0.0).sum(axis=-1)
+    out = np.empty(counts.shape)
+    for m in set(counts.ravel().tolist()):  # the vectors with m positive entries, m at a time
+        q = arr[counts == m]
+        q = q[q > 0.0].reshape(len(q), m)
+        out[counts == m] = -(q * np.log(q)).sum(axis=-1)
+    return float(out) if arr.ndim == 1 else out
 
 
 def normalize_exact(raw: np.ndarray) -> np.ndarray:
     """Normalize a positive vector with one correctly-rounded division per entry.
 
-    The sum is computed in exact rational arithmetic, so algebraically equal
-    inputs produce bit-identical outputs (e.g. a product of uniform weight
-    vectors normalizes to exactly ``1/K`` per entry, for every K).
+    The entries are put over their largest (power-of-two) denominator and their
+    numerators summed as integers; each entry is one integer true division by that
+    sum, which CPython rounds correctly. So algebraically equal inputs produce
+    bit-identical outputs (e.g. a product of uniform weight vectors normalizes to
+    exactly ``1/K`` per entry, for every K).
     """
-    fracs = [Fraction(float(v)) for v in raw]
-    total = sum(fracs)
-    if total <= 0:
+    ratios = [v.as_integer_ratio() for v in np.asarray(raw, dtype=np.float64).tolist()]
+    den = max([d for _, d in ratios], default=1)
+    nums = [n * (den // d) for n, d in ratios]
+    if (total := sum(nums)) <= 0:
         raise ZeroMass("cannot normalize a vector with no positive mass")
-    return np.array([float(f / total) for f in fracs])
+    return np.array([n / total for n in nums])
 
 
 # ---------------------------------------------------------------------------
@@ -283,21 +291,30 @@ class TeacherBank:
         object.__setattr__(self, "input_index", inputs)
         object.__setattr__(self, "context_index", contexts)
         object.__setattr__(self, "cell_order", order)
-        self._store(cells[np.argsort(order)].reshape(len(inputs), len(contexts), *cells.shape[1:]),
-                    self.perf_scores)
+        object.__setattr__(self, "array", validate_distribution(  # every row at once
+            cells[np.argsort(order)].reshape(len(inputs), len(contexts), *cells.shape[1:])))
+        self._store_perf(self.perf_scores)
         object.__setattr__(self, "safety_scores", _scores(self.safety_scores, k, "safety scores"))
 
-    def _store(self, array: np.ndarray, perf_scores: Mapping[int, np.ndarray]) -> None:
-        object.__setattr__(self, "array", validate_distribution(array))  # every row at once
-        object.__setattr__(self, "perf_scores", {
+    def _store_perf(self, perf_scores: Mapping[int, np.ndarray], kept: Mapping | None = None):
+        object.__setattr__(self, "perf_scores", {**(kept or {}), **{
             t: _scores(s, self.num_teachers, f"perf scores for task {t}")
-            for t, s in perf_scores.items()})
+            for t, s in perf_scores.items()}})
 
     def replaced(self, array: np.ndarray | None = None,
-                 perf_scores: Mapping[int, np.ndarray] | None = None) -> TeacherBank:
-        """This bank with its dense ``array`` or its ``perf_scores`` replaced, revalidated."""
+                 perf_scores: Mapping[int, np.ndarray] | None = None,
+                 index=...) -> TeacherBank:
+        """This bank with ``array[index]`` (all of it by default) or some tasks' scores replaced.
+
+        ``perf_scores`` holds the new scores by task. Only what is replaced is revalidated.
+        """
         bank = copy.copy(self)
-        bank._store(self.array if array is None else array, perf_scores or self.perf_scores)
+        if array is not None:
+            new = np.array(self.array)
+            new[index] = validate_distribution(array)
+            object.__setattr__(bank, "array", _freeze(new))
+        if perf_scores is not None:
+            bank._store_perf(perf_scores, self.perf_scores)
         return bank
 
     @property

@@ -68,6 +68,8 @@ class TrainerConfig:
             raise MskdError("ridge strength must be nonnegative")
         if self.eval_every < 1:
             raise MskdError("eval_every must be positive")
+        if not self.init_scale >= 0:  # NaN included
+            raise MskdError("init_scale must be nonnegative")
 
 
 @dataclass
@@ -104,6 +106,7 @@ class CompiledObjective:
     m_x: np.ndarray            # (N,) input marginals
     qbar: np.ndarray           # (N, V) measure-averaged target per input
     target_neg_entropy: float  # E[sum_i q ln q], constant in theta
+    compact: tuple | None = None  # distinct (J, N, C, S, K) rows and each token's (V,) row
 
     def loss(self, theta: np.ndarray) -> float:
         """Expected cross-entropy against the targets plus the ridge term."""
@@ -173,10 +176,11 @@ def compile_objective(G: UnifiedWeightOperator, world: World,
     This is the caching layer: the operator's weight table evaluates token
     weights once per (input, context), task weights once per task and
     context weights once per context, not per training step. The table is
-    kept as ``weights``; the robustness experiments perturb and renormalize
-    those rows (``normalize_rows``) and densify them again with ``_densify``.
+    kept as ``weights``, and its distinct rows as ``compact``; the robustness
+    experiments perturb and renormalize those rows (``normalize_rows``) and
+    densify them again with ``_densify``.
     """
-    return _densify(world, ridge, G.weight_table(world))
+    return _densify(world, ridge, *G.compact_table(world))
 
 
 def _uniform_compiled(world: World, ridge: float) -> CompiledObjective:
@@ -186,8 +190,14 @@ def _uniform_compiled(world: World, ridge: float) -> CompiledObjective:
     return _densify(world, ridge, rows)
 
 
-def _densify(world: World, ridge: float, rows: np.ndarray) -> CompiledObjective:
-    """Mix the teachers under weight rows broadcasting to (J, N, C, V, K) and densify."""
+def _densify(world: World, ridge: float, rows: np.ndarray,
+             slot: np.ndarray | None = None) -> CompiledObjective:
+    """Mix the teachers under weight rows broadcasting to (J, N, C, V, K) and densify.
+
+    With ``slot``, ``rows`` are compact (J, N, C, S, K) rows and token i mixes row ``slot[i]``.
+    """
+    compact = None if slot is None else (rows, slot)
+    rows = rows if slot is None else rows.take(slot, axis=-2)
     targets = renormalized_mixture(rows, world.teacher_dists())
     validate_distribution(targets)
     joint = world.joint_measure()
@@ -198,7 +208,7 @@ def _densify(world: World, ridge: float, rows: np.ndarray) -> CompiledObjective:
     with np.errstate(divide="ignore", invalid="ignore"):
         qlogq = np.where(targets > 0, targets * np.log(np.where(targets > 0, targets, 1.0)), 0.0)
     neg_ent = float(np.sum(joint[..., None] * qlogq))
-    return CompiledObjective(world, ridge, rows, joint, targets, m_x, qbar, neg_ent)
+    return CompiledObjective(world, ridge, rows, joint, targets, m_x, qbar, neg_ent, compact)
 
 
 # ---------------------------------------------------------------------------

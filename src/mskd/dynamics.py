@@ -174,7 +174,7 @@ def perturbation_experiment(G: UnifiedWeightOperator, world: World, delta_list,
     One zero-sum direction of unit infinity-norm is drawn per experiment and
     scaled by each delta; shifting the weights along a zero-sum direction
     keeps the renormalization exact, isolating the delta scaling. The
-    operator is compiled once; per delta its weight rows are shifted,
+    operator is compiled once; per delta its distinct weight rows are shifted,
     renormalized and densified. Both the clean and perturbed objectives are
     solved full-batch to ``gtol`` and the parameter distance recorded, then
     fitted as distance = C * delta.
@@ -198,13 +198,14 @@ def perturbation_experiment(G: UnifiedWeightOperator, world: World, delta_list,
         raise MarginViolated(f"shift of norm {shift} leaves [{bounds.w_min}, {bounds.w_max}] "
                              f"at input {world.inputs[xi].id}")
     theta0 = solve_compiled(base, gtol)
+    rows, slot = base.compact
     distances = []
     for d in deltas:
         if d == 0.0:
             distances.append(0.0)
             continue
-        theta_d = solve_compiled(
-            _densify(world, ridge, normalize_rows(base.weights + d * direction)), gtol)
+        shifted = _densify(world, ridge, normalize_rows(rows + d * direction), slot)
+        theta_d = solve_compiled(shifted, gtol)
         distances.append(float(np.linalg.norm(theta_d - theta0)))
     dist = np.array(distances)
     pos = deltas > 0

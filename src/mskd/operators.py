@@ -18,9 +18,11 @@ Each scale (token, task, context) admits several built-in families:
 
 All built-in families pass through :func:`clip_normalize`, so their outputs
 are normalized, strictly positive, and inside the declared bounds. On
-safety-critical contexts every built-in context family delegates to the
-ordinal safety form, which guarantees the context safety axiom by
-construction.
+safety-critical contexts every built-in context family but ``uniform``
+delegates to the ordinal safety form, which guarantees the context safety
+axiom by construction. Each token family is one array kernel over stacks of
+teacher cells: a whole-bank weight table is one call, and a single point is
+the same kernel on one cell, with the same bits.
 
 :func:`check_conformance` samples evaluation points and verifies
 normalization, positivity, bounds, regularity under total-variation
@@ -45,6 +47,7 @@ from .core import (
     World,
     ZeroMass,
     entropy,
+    validate_distribution,
 )
 
 ENTROPY_FLOOR = 1e-6   # avoids 1/0 on point-mass teachers
@@ -57,26 +60,31 @@ PERTURB_EPS = 0.01     # size of the conformance checker's regularity perturbati
 # ---------------------------------------------------------------------------
 
 def clip_normalize(raw, bounds: WeightBounds) -> np.ndarray:
-    """Map a positive raw vector to the simplex slice [w_min, w_max]^K.
+    """Map a positive raw vector, or each row along the last axis of a stack, to [w_min, w_max]^K.
 
     Normalizes, then finds the scale factor c such that clipping c times the
     normalized vector into [w_min, w_max] sums to exactly 1 (the fixed point
     of clamp-violators-and-rescale-the-rest). The clipped sum is piecewise
     linear and nondecreasing in c, so the scan over its breakpoints is exact,
     deterministic, order-preserving up to ties at the bounds, and idempotent.
-    Inputs that already satisfy the bounds after normalization are returned
-    unscaled.
+    Rows that already satisfy the bounds after normalization are returned
+    unscaled; only the others are scanned. Each row gets the bits it gets alone.
     """
     w = np.asarray(raw, dtype=np.float64)
-    k = w.shape[0]
-    bounds.check_feasible(k)
-    total = float(w.sum())
-    if np.any(w < 0) or total <= 0:
+    bounds.check_feasible(w.shape[-1])
+    total = w.sum(axis=-1, keepdims=True)
+    if (w < 0).any() or (total <= 0).any():
         raise ZeroMass("raw weights must be positive with positive total mass")
     u = w / total
     lo, hi = bounds.w_min, bounds.w_max
-    if np.all(u >= lo) and np.all(u <= hi):
-        return u
+    rows = u.reshape(-1, u.shape[-1])  # a view: rows scanned below are written into u
+    for r in np.flatnonzero(~((rows >= lo) & (rows <= hi)).all(axis=-1)).tolist():
+        rows[r] = _clip_scan(rows[r], lo, hi)
+    return u
+
+
+def _clip_scan(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """:func:`clip_normalize`'s breakpoint scan of one normalized row."""
     positive = u[u > 0]
     if positive.size == 0:
         raise ZeroMass("no positive entries to scale")
@@ -118,61 +126,8 @@ def inverse_entropy_weights_from_entropies(entropies, bounds: WeightBounds) -> n
     return clip_normalize(1.0 / h, bounds)
 
 
-def token_weights_inverse_entropy(x: int, i: int, c: int, bank: TeacherBank,
-                                  bounds: WeightBounds) -> np.ndarray:
-    """Inverse-entropy token weights; constant in the token index i."""
-    dists = bank.dists(x, c)
-    return inverse_entropy_weights_from_entropies([entropy(p) for p in dists], bounds)
-
-
-def _safety_boost(raw: np.ndarray, bank: TeacherBank) -> np.ndarray:
-    return raw * (1.0 + bank.safety_scores)
-
-
-def token_weights_family_a(x: int, i: int, c: int, bank: TeacherBank, bounds: WeightBounds,
-                           alpha: float = 1.0,
-                           safety_tokens: frozenset[int] = frozenset(),
-                           safety_adjustment: bool = True) -> np.ndarray:
-    """Exponential entropy decay: raw_k = exp(-alpha * H_k).
-
-    On safety tokens the raw weight is multiplied by (1 + safety_score_k),
-    so teachers ranked safer receive no less weight whenever their base
-    weights already agree with the safety ordering.
-    """
-    if alpha <= 0:
-        raise MskdError(f"alpha must be positive, got {alpha}")
-    dists = bank.dists(x, c)
-    raw = np.exp(-alpha * np.array([entropy(p) for p in dists]))
-    if safety_adjustment and i in safety_tokens:
-        raw = _safety_boost(raw, bank)
-    return clip_normalize(raw, bounds)
-
-
-def token_weights_family_b(x: int, i: int, c: int, bank: TeacherBank, bounds: WeightBounds,
-                           safety_tokens: frozenset[int] = frozenset(),
-                           safety_adjustment: bool = True) -> np.ndarray:
-    """Inverse variance of the probability entries: raw_k = 1/(Var_i[p_k] + 1e-6).
-
-    Favors teachers whose probability mass is spread consistently; the safety
-    adjustment matches family A's.
-    """
-    dists = bank.dists(x, c)
-    raw = 1.0 / (np.var(dists, axis=1) + VARIANCE_FLOOR)
-    if safety_adjustment and i in safety_tokens:
-        raw = _safety_boost(raw, bank)
-    return clip_normalize(raw, bounds)
-
-
-def token_weights_family_c(x: int, i: int, c: int, bank: TeacherBank, bounds: WeightBounds,
-                           alpha: float = 1.0) -> np.ndarray:
-    """Hybrid token weights: entropy decay times (1 + safety score) on every token."""
-    dists = bank.dists(x, c)
-    raw = np.exp(-alpha * np.array([entropy(p) for p in dists]))
-    return clip_normalize(_safety_boost(raw, bank), bounds)
-
-
 # ---------------------------------------------------------------------------
-# Task-scale families
+# Task- and context-scale families
 # ---------------------------------------------------------------------------
 
 def task_weights_performance(t: int, bank: TeacherBank, bounds: WeightBounds,
@@ -183,35 +138,10 @@ def task_weights_performance(t: int, bank: TeacherBank, bounds: WeightBounds,
     return clip_normalize(np.exp(bank.perf(t) / tau), bounds)
 
 
-def task_weights_inverse_loss(t: int, bank: TeacherBank, bounds: WeightBounds) -> np.ndarray:
-    """Weights proportional to 1/(task loss), with loss taken as 1 - perf."""
-    loss = 1.0 - bank.perf(t)
-    return clip_normalize(1.0 / (loss + VARIANCE_FLOOR), bounds)
+def _inverse_mean_entropy(cells: np.ndarray, bounds: WeightBounds) -> np.ndarray:
+    """Weights proportional to 1/(each teacher's entropy averaged over a stack of cells)."""
+    return inverse_entropy_weights_from_entropies(entropy(cells).mean(axis=0), bounds)
 
-
-def task_weights_score_proportional(t: int, bank: TeacherBank, bounds: WeightBounds) -> np.ndarray:
-    """Weights linear in the performance score (floored away from zero)."""
-    return clip_normalize(bank.perf(t) + VARIANCE_FLOOR, bounds)
-
-
-def task_weights_inverse_mean_entropy(t: int, bank: TeacherBank, bounds: WeightBounds) -> np.ndarray:
-    """Weights proportional to 1/(mean predictive entropy over the whole table).
-
-    Task-agnostic by design: it ranks teachers by a global uncertainty tier.
-    The mean runs over the cells in the table's insertion order.
-    """
-    cells = bank.array.reshape(-1, *bank.array.shape[2:])[bank.cell_order]
-    return inverse_entropy_weights_from_entropies(_mean_entropy(cells), bounds)
-
-
-def _mean_entropy(cells: np.ndarray) -> np.ndarray:
-    """Per-teacher entropy of a stack of (K, V) cells, averaged over the stack in order."""
-    return np.mean([[entropy(p) for p in dists] for dists in cells], axis=0)
-
-
-# ---------------------------------------------------------------------------
-# Context-scale families
-# ---------------------------------------------------------------------------
 
 def context_weights_safety(c: ContextSpec, bank: TeacherBank, bounds: WeightBounds) -> np.ndarray:
     """Ordinal safety weighting.
@@ -224,73 +154,57 @@ def context_weights_safety(c: ContextSpec, bank: TeacherBank, bounds: WeightBoun
     return uniform_weights(bank.k, bounds)
 
 
-def context_weights_consistency(c: ContextSpec, bank: TeacherBank,
-                                bounds: WeightBounds) -> np.ndarray:
-    """Consistency weighting off the safety-critical set.
-
-    raw_k = 1/(mean TV distance of teacher k to the per-cell teacher mean + 1e-6);
-    safety-critical contexts delegate to the ordinal safety form.
-    """
-    if c.is_safety_critical:
-        return context_weights_safety(c, bank, bounds)
+def _context_consistency(c: ContextSpec, bank: TeacherBank, bounds: WeightBounds) -> np.ndarray:
+    """raw_k = 1/(mean TV distance of teacher k to the per-cell teacher mean + 1e-6)."""
     cells = bank.array[:, bank.context_index[c.id]]
     disp = (0.5 * np.abs(cells - cells.mean(axis=1, keepdims=True)).sum(axis=-1)).sum(axis=0)
     return clip_normalize(1.0 / (disp / len(cells) + VARIANCE_FLOOR), bounds)
 
 
-def context_weights_shift(c: ContextSpec, bank: TeacherBank, bounds: WeightBounds) -> np.ndarray:
-    """Distribution-shift weighting off the safety-critical set.
-
-    raw_k = exp(-mean TV between teacher k's predictions in this context and
-    its predictions averaged over all contexts); safety-critical contexts
-    delegate to the ordinal safety form.
-    """
-    if c.is_safety_critical:
-        return context_weights_safety(c, bank, bounds)
+def _context_shift(c: ContextSpec, bank: TeacherBank, bounds: WeightBounds) -> np.ndarray:
+    """raw_k = exp(-mean TV between teacher k's predictions here and averaged over contexts)."""
     here, avg = bank.array[:, bank.context_index[c.id]], bank.array.mean(axis=1)
     shift = (0.5 * np.abs(here - avg).sum(axis=-1)).sum(axis=0)
     return clip_normalize(np.exp(-shift / len(here)), bounds)
-
-
-def context_weights_inverse_entropy(c: ContextSpec, bank: TeacherBank,
-                                    bounds: WeightBounds) -> np.ndarray:
-    """Inverse mean-entropy weighting within the context; safety form on C_safe."""
-    if c.is_safety_critical:
-        return context_weights_safety(c, bank, bounds)
-    mean_h = _mean_entropy(bank.array[:, bank.context_index[c.id]])
-    return inverse_entropy_weights_from_entropies(mean_h, bounds)
 
 
 # ---------------------------------------------------------------------------
 # Operator objects (family tag + parameters + evaluation contract)
 # ---------------------------------------------------------------------------
 
-# Family -> evaluation per scale; each entry takes the operator first (for
-# its parameters), then the arguments of that scale's ``weights``.
-TOKEN_FAMILIES: dict[str, Callable] = {
-    "uniform": lambda op, x, i, c, bank, bounds: uniform_weights(bank.k, bounds),
-    "inverse_entropy": lambda op, *a: token_weights_inverse_entropy(*a),
-    "family_a": lambda op, *a: token_weights_family_a(*a, op.alpha, op.safety_tokens,
-                                                      op.safety_adjustment),
-    "family_b": lambda op, *a: token_weights_family_b(*a, op.safety_tokens,
-                                                      op.safety_adjustment),
-    "family_c": lambda op, *a: token_weights_family_c(*a, op.alpha),
-    "custom": lambda op, *a: op.fn(*a),
+# Family -> evaluation per scale. A token entry maps the operator, a (..., K, V) stack
+# of teacher cells and the bank to (..., K) raw weights, H being entropy; ``custom`` is
+# evaluated per point. Task and context entries take the operator, then ``weights``' arguments.
+TOKEN_FAMILIES: dict[str, Callable | None] = {
+    "uniform": lambda op, d, bank: np.ones(d.shape[:-1]),
+    "inverse_entropy": lambda op, d, bank: 1.0 / np.maximum(entropy(d), ENTROPY_FLOOR),
+    "family_a": lambda op, d, bank: np.exp(-op.alpha * entropy(d)),
+    "family_b": lambda op, d, bank: 1.0 / (np.var(d, axis=-1) + VARIANCE_FLOOR),
+    "family_c": lambda op, d, bank: np.exp(-op.alpha * entropy(d)) * (1.0 + bank.safety_scores),
+    "custom": None,
 }
+# Task entries: family A is 1/(loss + 1e-6) with loss = 1 - perf, family B linear in perf
+# (floored away from zero), inverse_entropy task-agnostic by design (a global uncertainty
+# tier over the table's cells in insertion order).
 TASK_FAMILIES: dict[str, Callable] = {
     "uniform": lambda op, t, bank, bounds: uniform_weights(bank.k, bounds),
-    "inverse_entropy": lambda op, *a: task_weights_inverse_mean_entropy(*a),
-    "family_a": lambda op, *a: task_weights_inverse_loss(*a),
-    "family_b": lambda op, *a: task_weights_score_proportional(*a),
-    "family_c": lambda op, *a: task_weights_performance(*a, op.tau),
+    "inverse_entropy": lambda op, t, bank, bounds: _inverse_mean_entropy(
+        bank.array.reshape(-1, *bank.array.shape[2:])[bank.cell_order], bounds),
+    "family_a": lambda op, t, bank, bounds: clip_normalize(
+        1.0 / ((1.0 - bank.perf(t)) + VARIANCE_FLOOR), bounds),
+    "family_b": lambda op, t, bank, bounds: clip_normalize(bank.perf(t) + VARIANCE_FLOOR, bounds),
+    "family_c": lambda op, t, bank, bounds: task_weights_performance(t, bank, bounds, op.tau),
     "custom": lambda op, *a: op.fn(*a),
 }
+# Context entries, off the safety-critical set (``ContextOperator.weights``): consistency
+# (family B), distribution shift (family C) and the context's mean entropy.
 CONTEXT_FAMILIES: dict[str, Callable] = {
     "uniform": lambda op, c, bank, bounds: uniform_weights(bank.k, bounds),
-    "inverse_entropy": lambda op, *a: context_weights_inverse_entropy(*a),
+    "inverse_entropy": lambda op, c, bank, bounds: _inverse_mean_entropy(
+        bank.array[:, bank.context_index[c.id]], bounds),
     "family_a": lambda op, *a: context_weights_safety(*a),
-    "family_b": lambda op, *a: context_weights_consistency(*a),
-    "family_c": lambda op, *a: context_weights_shift(*a),
+    "family_b": lambda op, *a: _context_consistency(*a),
+    "family_c": lambda op, *a: _context_shift(*a),
     "custom": lambda op, *a: op.fn(*a),
 }
 
@@ -314,6 +228,8 @@ class TokenOperator:
 
     def __post_init__(self):
         _check_family(self, "token", TOKEN_FAMILIES)
+        if self.family == "family_a" and self.alpha <= 0:
+            raise MskdError(f"alpha must be positive, got {self.alpha}")
         object.__setattr__(self, "safety_tokens", frozenset(self.safety_tokens))
 
     @property
@@ -325,8 +241,33 @@ class TokenOperator:
 
     def weights(self, x: int, i: int, c: int, bank: TeacherBank,
                 bounds: WeightBounds) -> np.ndarray:
-        return np.asarray(TOKEN_FAMILIES[self.family](self, x, i, c, bank, bounds),
-                          dtype=np.float64)
+        if self.family == "custom":
+            return np.asarray(self.fn(x, i, c, bank, bounds), dtype=np.float64)
+        return self.cell_weights(bank.dists(x, c), i in self.safety_tokens, bank, bounds)
+
+    def cell_weights(self, dists, on, bank: TeacherBank, bounds: WeightBounds) -> np.ndarray:
+        """A built-in family's weights of each cell of a (..., K, V) stack, bit for bit as alone.
+
+        ``on`` (broadcasting against the stack's leading axes) marks the points on one of
+        the operator's safety tokens; there families A and B multiply raw_k by
+        (1 + safety_score_k), so safer teachers get no less weight whenever their base
+        weights already agree with the safety order.
+        """
+        raw = TOKEN_FAMILIES[self.family](self, dists, bank)
+        on = np.asarray(on) & self.token_index_dependent
+        return clip_normalize(np.where(on[..., None], raw * (1.0 + bank.safety_scores), raw),
+                              bounds)
+
+    def table(self, world: World, token_ids: Sequence[int], bounds: WeightBounds) -> np.ndarray:
+        """:meth:`weights` at every (input, context) of the world and each of S token ids.
+
+        The (N, C, S, K) array of a built-in family comes from one call on the whole bank.
+        """
+        if self.family == "custom":
+            return np.array([[[self.weights(x.id, i, c.id, world.bank, bounds) for i in token_ids]
+                              for c in world.contexts] for x in world.inputs])
+        on = np.array([i in self.safety_tokens for i in token_ids])
+        return self.cell_weights(world.teacher_dists()[:, :, None], on, world.bank, bounds)
 
 
 @dataclass(frozen=True)
@@ -355,6 +296,8 @@ class ContextOperator:
         _check_family(self, "context", CONTEXT_FAMILIES)
 
     def weights(self, c: ContextSpec, bank: TeacherBank, bounds: WeightBounds) -> np.ndarray:
+        if c.is_safety_critical and self.family not in ("uniform", "custom"):
+            return context_weights_safety(c, bank, bounds)  # the ordinal safety form
         return np.asarray(CONTEXT_FAMILIES[self.family](self, c, bank, bounds), dtype=np.float64)
 
 
@@ -399,50 +342,75 @@ class ConformanceReport:
             yield (self.scale, name, c.passed, c.worst_violation, c.n_checked)
 
 
-def _perturb_rows(rows: np.ndarray, eps: float, sampler: Sampler) -> float:
-    """Shift each distribution along the last axis of ``rows``, in place and in C order.
+def _perturb_rows(rows: np.ndarray, eps: float, d: np.ndarray) -> np.ndarray:
+    """Shift each distribution along the last axis of ``rows`` in place; the TV each moved.
 
-    Each moves along a random zero-sum direction scaled to total variation
-    ``eps`` and shortened where needed to keep entries positive; returns the
-    max TV actually moved.
+    A row moves along its normal draws in ``d`` minus their mean, scaled to total
+    variation ``eps`` and shortened where needed to keep entries positive; a
+    row whose draws are all equal stays.
     """
-    worst_tv = 0.0
-    for idx in np.ndindex(rows.shape[:-1]):
-        row = rows[idx]
-        d = sampler.normal(size=row.shape[0])
-        d -= d.mean()
-        l1 = np.abs(d).sum()
-        if l1 < 1e-300:
-            continue
-        d *= 2.0 * eps / l1  # TV = half the l1 distance
-        neg = d < 0
-        if neg.any():
-            limit = float(np.min(row[neg] / -d[neg]))
-            d *= min(1.0, 0.9 * limit)
-        row += d
-        worst_tv = max(worst_tv, 0.5 * float(np.abs(d).sum()))
-    return worst_tv
+    d = d - d.mean(axis=-1, keepdims=True)
+    l1 = np.abs(d).sum(axis=-1, keepdims=True)
+    live = l1 >= 1e-300
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d *= np.where(live, 2.0 * eps / l1, 0.0)  # TV = half the l1 distance
+        limit = np.where(d < 0, rows / -d, np.inf).min(axis=-1, keepdims=True)
+    d *= np.minimum(1.0, 0.9 * limit)
+    np.add(rows, d, out=rows, where=live)
+    return 0.5 * np.abs(d).sum(axis=-1)
+
+
+def _cells(bank: TeacherBank, scale: str, key) -> tuple:
+    """Index into ``bank.array`` of what a point reads: a token point's cell, a context's cells."""
+    return ((bank.input_index[key[0]], bank.context_index[key[2]]) if scale == "token"
+            else (slice(None), bank.context_index[key]))
 
 
 def _perturbed_bank(bank: TeacherBank, scale: str, key, eps: float,
-                    sampler: Sampler) -> tuple[TeacherBank, float]:
-    """The bank with the inputs of one sampled point perturbed, and the distance moved.
+                    draws: np.ndarray) -> tuple[TeacherBank, float]:
+    """The bank with the inputs of one sampled point moved by its ``draws``, and the distance.
 
     Token points move their (input, context) cell and context points every
     cell of the context, in input axis order, by total variation <= ``eps``;
-    task points move the task's performance scores by up to ``eps`` each,
-    clipped to [0, 1].
+    task points shift the task's performance scores by the draws (each within
+    ``eps``), clipped to [0, 1]. Only the moved cells or scores are copied and
+    revalidated.
     """
     if scale == "task":
-        perf = dict(bank.perf_scores)
-        perf[key] = np.clip(perf[key] + sampler.uniform(-eps, eps, size=bank.k), 0.0, 1.0)
-        return (bank.replaced(perf_scores=perf),
-                float(np.max(np.abs(perf[key] - bank.perf(key)))))
-    array = np.array(bank.array)
-    cells = (array[bank.input_index[key[0]], bank.context_index[key[2]]] if scale == "token"
-             else array[:, bank.context_index[key]])
-    moved = _perturb_rows(cells, eps, sampler)
-    return bank.replaced(array=array), moved
+        perf = np.clip(bank.perf_scores[key] + draws, 0.0, 1.0)
+        return (bank.replaced(perf_scores={key: perf}),
+                float(np.max(np.abs(perf - bank.perf(key)))))
+    index = _cells(bank, scale, key)
+    cells = np.array(bank.array[index])
+    moved = _perturb_rows(cells, eps, draws)
+    return bank.replaced(array=cells, index=index), float(moved.max(initial=0.0))
+
+
+def _evaluate(op, scale: str, bank: TeacherBank, bounds: WeightBounds, points: dict) -> dict:
+    """Point -> (weights, largest weight change when its inputs move (NaN if they do not), move).
+
+    A built-in token family takes one array call for all points and one for all moved
+    cells; every other operator is called per point, on the bank, then the moved bank.
+    """
+    if scale == "token" and isinstance(op, TokenOperator) and op.family != "custom":
+        index = tuple(np.array(ix) for ix in zip(*(_cells(bank, scale, key) for key in points)))
+        cells, moved_cells = bank.array[index], np.array(bank.array[index])
+        draws = np.array([d for _, d in points.values()])
+        moved = _perturb_rows(moved_cells, PERTURB_EPS, draws).max(axis=-1)
+        on = np.array([i in op.safety_tokens for _, i, _ in points])
+        w = op.cell_weights(cells, on, bank, bounds)
+        w2 = op.cell_weights(validate_distribution(moved_cells), on, bank, bounds)
+        dw = np.where(moved > 1e-12, np.abs(w2 - w).max(axis=-1), np.nan)
+        return dict(zip(points, zip(w, dw.tolist(), moved.tolist())))
+    evaluated = {}
+    for key, (args, draws) in points.items():
+        w = np.asarray(op.weights(*args, bank, bounds), dtype=np.float64)
+        bank2, moved = _perturbed_bank(bank, scale, key, PERTURB_EPS, draws)
+        dw = np.nan
+        if moved > 1e-12:
+            dw = float(np.max(np.abs(op.weights(*args, bank2, bounds) - w)))
+        evaluated[key] = (w, dw, moved)
+    return evaluated
 
 
 def _basic_checks(report: ConformanceReport, w: np.ndarray, bounds: WeightBounds) -> None:
@@ -458,12 +426,6 @@ def _safety_monotonicity(report: ConformanceReport, w: np.ndarray, scores: np.nd
         for b in range(len(w)):
             if scores[a] > scores[b]:
                 report.checks["safety_monotonicity"].record(max(float(w[b] - w[a]), 0.0))
-
-
-def _record_regularity(report: ConformanceReport, dw: float, moved: float) -> None:
-    ratio = dw / moved
-    report.lipschitz_estimate = max(report.lipschitz_estimate, ratio)
-    report.checks["regularity"].record(ratio)
 
 
 def check_conformance(op, scale: str, world: World, bounds: WeightBounds,
@@ -490,11 +452,12 @@ def check_conformance(op, scale: str, world: World, bounds: WeightBounds,
     report.checks["regularity"] = AxiomCheck("regularity", bounds.lipschitz)
     if scale in ("token", "context"):
         report.checks["safety_monotonicity"] = AxiomCheck("safety_monotonicity", SUM_TOL)
-    cache: dict = {}
-
+    points: dict = {}  # each distinct point, first seen first: its arguments and draws
+    samples = []
     for _ in range(n_samples):
-        # a point: its cache key, the ``weights`` arguments before the bank,
-        # and whether safety monotonicity applies there
+        # a point: its key, the ``weights`` arguments before the bank, and
+        # whether safety monotonicity applies there; the draws that move its
+        # inputs follow its first sample in the stream
         if scale == "token":
             x = world.inputs[int(sampler.integers(0, len(world.inputs)))].id
             i = int(sampler.integers(0, world.vocab.size))
@@ -506,19 +469,20 @@ def check_conformance(op, scale: str, world: World, bounds: WeightBounds,
         else:
             ctx = world.contexts[int(sampler.integers(0, len(world.contexts)))]
             key, args, safety = ctx.id, (ctx,), ctx.is_safety_critical
-        if key not in cache:
-            w = np.asarray(op.weights(*args, bank, bounds), dtype=np.float64)
-            bank2, moved = _perturbed_bank(bank, scale, key, PERTURB_EPS, sampler)
-            dw = np.nan
-            if moved > 1e-12:
-                dw = float(np.max(np.abs(op.weights(*args, bank2, bounds) - w)))
-            cache[key] = (w, dw, moved)
-        w, dw, moved = cache[key]
+        if key not in points:
+            points[key] = (args, sampler.uniform(-PERTURB_EPS, PERTURB_EPS, size=bank.k)
+                           if scale == "task" else
+                           sampler.normal(size=bank.array[_cells(bank, scale, key)].shape))
+        samples.append((key, safety))
+    evaluated = _evaluate(op, scale, bank, bounds, points)
+    for key, safety in samples:
+        w, dw, moved = evaluated[key]
         _basic_checks(report, w, bounds)
         if safety:
             _safety_monotonicity(report, w, bank.safety_scores)
         if np.isfinite(dw):
-            _record_regularity(report, dw, moved)
+            report.lipschitz_estimate = max(report.lipschitz_estimate, dw / moved)
+            report.checks["regularity"].record(dw / moved)
     return report
 
 

@@ -119,7 +119,7 @@ OPERATOR_FIELDS = {"token": {"family": (str, "uniform"), "alpha": (float, 1.0, *
                    "task": {"family": (str, "uniform"), "tau": (float, 0.5, *_POSITIVE)},
                    "context": {"family": (str, "uniform")}}
 TRAINER_FIELDS = {"eta0": (float, 1.0), "steps": (int, 1000), "ridge": (float, 0.0),
-                  "eval_every": (int, 100), "init_scale": (float, 0.0),
+                  "eval_every": (int, 100), "init_scale": (float, 0.0, *_NONNEGATIVE),
                   "seed": (int, 0, *_NONNEGATIVE)}
 
 
@@ -169,7 +169,8 @@ PARAMS = {
         list, [1e-3, 1e-2, 1e-1],
         lambda v, _: _numbers(v) and min(v, default=-1) >= 0 and max(v) > 0,
         "must be a list of nonnegative numbers, at least one positive")},
-    "variance": {"n_samples": (int, 10_000, *_at_least(100)), "init_scale": (float, 1.0)},
+    "variance": {"n_samples": (int, 10_000, *_at_least(100)),
+                 "init_scale": (float, 1.0, *_NONNEGATIVE)},
     "safety": {**_SAFETY_PARAMS, "s_min_inactive": (float, None, *_UNIT)},
     "pareto": {**_SAFETY_PARAMS, "mu_max": (float, 2.0, *_NONNEGATIVE),
                "n_mu": (int, 20, *_at_least(1)), "ridge": (float, 0.01, *_POSITIVE)},

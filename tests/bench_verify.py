@@ -1,4 +1,5 @@
-"""Layer micro-benchmarks: conformance passes, Lagrangian kernels and solves, a teacher-bank build.
+"""Layer micro-benchmarks: conformance passes, the compile layer, Lagrangian kernels and solves,
+and a teacher-bank build.
 
 The default test run does not collect this file (it does not match
 ``test_*.py``). Run it with pytest-benchmark:
@@ -9,10 +10,11 @@ The default test run does not collect this file (it does not match
 import numpy as np
 import pytest
 
-from mskd.composition import UnifiedWeightOperator
+from mskd.composition import UnifiedWeightOperator, normalize_rows
 from mskd.core import TeacherBank, WeightBounds, seeded_sampler
 from mskd.distill import compile_objective, minimize_blockwise
 from mskd.operators import ContextOperator, TaskOperator, TokenOperator, check_conformance
+from mskd.runner import parse_config_dict
 from mskd.safety import SafetyConfig, _label_table, _lagrangian_block, _safety_label_mass
 
 from fixture_worlds import conformance_world, large_doc, safety_world, safety_world_labels
@@ -30,6 +32,20 @@ def test_conformance_pass(benchmark, scale, op):
     """One 1,000-sample ``check_conformance`` pass on ``conformance_world``."""
     world = conformance_world("sharp_safe")
     benchmark(lambda: check_conformance(op, scale, world, BOUNDS, seeded_sampler(0), 1000))
+
+
+@pytest.mark.parametrize("part", ["weight_table", "normalize_rows"])
+def test_compile_layer(benchmark, part):
+    """The generated large world's ``weight_table`` (all three scales and the row
+    normalization), or ``normalize_rows`` of its compact rows shifted as the
+    perturbation experiment shifts them."""
+    cfg = parse_config_dict(large_doc("perturbation"))
+    g, world = cfg.operator, cfg.world
+    if part == "weight_table":
+        benchmark(g.weight_table, world)
+    else:
+        rows, _ = g.compact_table(world)
+        benchmark(normalize_rows, rows + 1e-3 * np.linspace(-1.0, 1.0, world.bank.k))
 
 
 def test_lagrangian_block(benchmark):

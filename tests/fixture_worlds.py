@@ -64,6 +64,23 @@ def conformance_world(kind: str = "sharp_safe") -> World:
     return parse_config_dict(doc).world
 
 
+def zero_entry_world() -> World:
+    """The convergence world with zero entries and safety tokens {0, 3}.
+
+    Teacher k's row at the n-th table cell keeps token i only where
+    ``(i + n + k) % (k + 3)`` is nonzero, renormalized, so the rows hold
+    different numbers of zeros at different places.
+    """
+    doc = bundled_doc("train")
+    world = doc["world"]
+    world["vocab"]["safety_tokens"] = [0, 3]
+    for n, cell in enumerate(world["teachers"]["table"]):
+        for k, row in enumerate(cell["dists"]):
+            kept = [p if (i + n + k) % (k + 3) else 0.0 for i, p in enumerate(row)]
+            cell["dists"][k] = [p / sum(kept) for p in kept]
+    return parse_config_dict(doc).world
+
+
 def safety_world() -> World:
     """Two teachers, five tokens, two safety-critical contexts.
 

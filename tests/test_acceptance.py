@@ -42,8 +42,6 @@ from mskd.operators import (
     check_conformance,
     check_pareto_compat,
     inverse_entropy_weights_from_entropies,
-    token_weights_family_a,
-    token_weights_family_b,
     uniform_weights,
 )
 from mskd.safety import (
@@ -141,8 +139,8 @@ def test_criterion_2_conformance_all_families():
 
 def test_criterion_3_nonuniqueness_witness():
     world = appendix_world()
-    wa = token_weights_family_a(0, 0, 0, world.bank, WIDE)
-    wb = token_weights_family_b(0, 0, 0, world.bank, WIDE)
+    wa = TokenOperator("family_a").weights(0, 0, 0, world.bank, WIDE)
+    wb = TokenOperator("family_b").weights(0, 0, 0, world.bank, WIDE)
     gap = float(np.max(np.abs(wa - wb)))
     conform = []
     for fam in ("family_a", "family_b"):

@@ -12,6 +12,7 @@ from mskd.core import (
     ContextSpec,
     InfeasibleBounds,
     InputSpec,
+    MskdError,
     NegativeMass,
     NotNormalized,
     StudentParams,
@@ -20,13 +21,16 @@ from mskd.core import (
     VocabularySpec,
     WeightBounds,
     World,
+    ZeroMass,
     entropy,
+    normalize_exact,
     seeded_sampler,
     softmax,
     validate_distribution,
 )
 
 from fixture_worlds import conformance_world, convergence_world, safety_world
+from reference_compile import fraction_normalize, reference_entropy
 
 
 @st.composite
@@ -94,6 +98,69 @@ class TestEntropy:
         assert -1e-12 <= h <= math.log(len(p)) + 1e-12
         rng = np.random.default_rng(0)
         assert entropy(rng.permutation(p)) == pytest.approx(h, abs=1e-12)
+
+
+    @given(st.integers(1, 150), st.integers(1, 6), st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_stack_rows_keep_their_bits(self, v, n, zero_frac, seed):
+        # each row's positive entries are summed alone, as the one-row form does
+        rng = np.random.default_rng(seed)
+        p = rng.random((n, 2, v)) ** 3
+        p[rng.random(p.shape) < zero_frac] = 0.0
+        p[..., 0] += 1e-3  # no all-zero row
+        p /= p.sum(axis=-1, keepdims=True)
+        expect = np.array([[reference_entropy(r) for r in cell] for cell in p])
+        assert entropy(p).tobytes() == expect.tobytes()
+        assert all(entropy(r) == reference_entropy(r) for r in p.reshape(-1, v))
+
+    def test_zero_entries_change_the_sum_order(self):
+        # with zeros kept in place the pairwise sum of these terms has other bits,
+        # so the test above fails for an entropy that only masks the zeros
+        p = np.array([0.3, 0.0, 0.05, 0.05, 0.1, 0.1, 0.1, 0.1, 0.2])
+        terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
+        assert float(-terms.sum()) != reference_entropy(p)
+        assert entropy(p) == reference_entropy(p)
+
+
+_MANTISSA = st.floats(1.0, 2.0, exclude_max=True)
+# a double anywhere in the range, subnormals included, or a zero, 0.25 or 1/3
+_ENTRY = st.one_of(st.builds(math.ldexp, _MANTISSA, st.integers(-1074, 1023)),
+                   st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 1 / 3, 5e-324]))
+
+
+@st.composite
+def _wide_rows(draw):
+    """Rows whose entries span more than 600 binades, in shuffled order."""
+    lo = draw(st.integers(-1074, 1023 - 601))
+    hi = draw(st.integers(lo + 601, 1023))
+    row = [math.ldexp(draw(_MANTISSA), lo), math.ldexp(draw(_MANTISSA), hi),
+           *draw(st.lists(_ENTRY, max_size=6))]
+    return draw(st.permutations(row))
+
+
+class TestNormalizeExact:
+    @given(st.one_of(st.lists(_ENTRY, min_size=1, max_size=8), _wide_rows()))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_fraction_reference(self, row):
+        if not any(v > 0 for v in row):
+            with pytest.raises(ZeroMass):
+                normalize_exact(np.array(row))
+            return
+        assert normalize_exact(np.array(row)).tobytes() == fraction_normalize(row).tobytes()
+
+    @pytest.mark.parametrize("row", [[0.25] * 4, [1 / 3] * 3, [1 / 3] * 6, [0.1] * 7,
+                                     [5e-324, 5e-324], [5e-324, 1.0], [1e-300, 1e300, 0.0]])
+    def test_named_rows(self, row):
+        assert normalize_exact(np.array(row)).tobytes() == fraction_normalize(row).tobytes()
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_algebraically_uniform_rows_are_exactly_uniform(self, k):
+        assert np.all(normalize_exact(np.full(k, 1.0 / 3) * 0.7) == 1.0 / k)
+
+    @pytest.mark.parametrize("row", [[0.0], [0.0] * 8, [], [-1.0, 0.5], [-5e-324, 0.0]])
+    def test_non_positive_total_rejected(self, row):
+        with pytest.raises(ZeroMass):
+            normalize_exact(np.array(row))
 
 
 class TestWeightBounds:
@@ -295,6 +362,21 @@ class TestTeacherBank:
         assert bank.dists(0, 0)[0, 1] == 0.0  # clamped
         with pytest.raises(NegativeMass):
             bank.replaced(array=bank.array - 0.5)
+
+    def test_replaced_slice_revalidated_alone(self):
+        bank = TeacherBank(2, {(0, 0): [[0.5, 0.5], [0.25, 0.75]], (0, 1): [[1.0, 0.0], [0.5, 0.5]]},
+                           {0: [0.2, 0.4], 1: [0.6, 0.8]}, [0.5, 0.5])
+        moved = bank.replaced(array=[[0.75, 0.25], [1.0, -1e-13]], index=(0, 1))
+        assert moved.array.tobytes() == np.array(
+            [[[[0.5, 0.5], [0.25, 0.75]], [[0.75, 0.25], [1.0, 0.0]]]]).tobytes()  # clamped
+        assert not moved.array.flags.writeable and bank.dists(0, 1)[0, 0] == 1.0
+        with pytest.raises(NotNormalized):
+            bank.replaced(array=[[0.5, 0.6], [0.5, 0.5]], index=(0, 0))
+        rescored = bank.replaced(perf_scores={1: [0.0, 1.0]})
+        assert rescored.perf(0) is bank.perf(0) and rescored.perf(1).tolist() == [0.0, 1.0]
+        assert list(rescored.perf_scores) == [0, 1]
+        with pytest.raises(MskdError):
+            bank.replaced(perf_scores={0: [0.5, 1.5]})
 
     @pytest.mark.parametrize("table", [{(0, 0): [[0.5, 0.5]], (0, 1): [[0.5, 0.5], [0.5, 0.5]]},
                                        {(0, 0): [[0.5, 0.5]], (0, 1): [[1.0, 0.0, 0.0]]},

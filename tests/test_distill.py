@@ -111,6 +111,11 @@ class TestKdGradient:
 
 
 class TestSgdTrain:
+    @pytest.mark.parametrize("init_scale", [-1.0, -1e-300, math.nan])
+    def test_negative_init_scale_rejected(self, init_scale):
+        with pytest.raises(MskdError, match="init_scale"):
+            TrainerConfig(init_scale=init_scale)
+
     def test_zero_steps_returns_initial(self, world):
         cfg = TrainerConfig(eta0=1.0, steps=0, ridge=0.01, seed=1, eval_every=10)
         params, trace = sgd_train(cfg, adaptive_g(), world)
@@ -446,6 +451,29 @@ class TestCompileObjective:
         n_cells = len(world.inputs) * len(world.contexts)
         assert calls == {"token": n_cells * (1 + len(world.vocab.safety_tokens)),
                          "task": len(world.tasks), "context": len(world.contexts)}
+
+    @pytest.mark.parametrize("token_op", [
+        TokenOperator("family_a", safety_tokens=frozenset({0, 1})),
+        # a custom operator may set each safety token apart; other tokens share a row
+        TokenOperator("custom", fn=lambda x, i, c, bank, bounds:
+                      np.arange(3.0, bank.k + 3) + {0: 0.5, 1: 1.0}.get(i, 0.0)),
+    ], ids=["family_a", "custom"])
+    def test_compact_rows_expand_to_the_weight_table(self, token_op):
+        world = conformance_world()  # safety tokens {0, 1}
+        g = UnifiedWeightOperator(token_op, TaskOperator("family_c"), ContextOperator("family_b"),
+                                  WIDE)
+        compiled = compile_objective(g, world)
+        rows, slot = compiled.compact
+        assert rows.shape == (len(world.tasks), len(world.inputs), len(world.contexts),
+                              1 + len(world.vocab.safety_tokens), world.bank.k)
+        assert rows.take(slot, axis=-2).tobytes() == compiled.weights.tobytes()
+        assert compiled.weights.tobytes() == g.weight_table(world).tobytes()
+        for tj, t in enumerate(world.tasks):
+            for xi, x in enumerate(world.inputs):
+                for ci, c in enumerate(world.contexts):
+                    for i in range(world.vocab.size):
+                        expect = g.unified_weight(x.id, i, t.id, c.id, world)
+                        assert compiled.weights[tj, xi, ci, i].tobytes() == expect.tobytes()
 
     def test_noise_stream_drawn_cell_by_cell_in_order(self):
         world = conformance_world()

@@ -1,5 +1,6 @@
 """Weight-operator families, bounded normalization, and conformance checks."""
 
+import functools
 import math
 import statistics
 
@@ -32,13 +33,12 @@ from mskd.operators import (
     context_weights_safety,
     inverse_entropy_weights_from_entropies,
     task_weights_performance,
-    token_weights_family_a,
-    token_weights_family_b,
-    token_weights_inverse_entropy,
     uniform_weights,
 )
 
-from fixture_worlds import appendix_world, conformance_world
+from fixture_worlds import (appendix_world, conformance_world, convergence_world, large_doc,
+                            safety_world, zero_entry_world)
+from reference_compile import reference_perturb_rows, reference_token_weights
 
 # the Appendix A teacher rows
 APPENDIX_TEACHER_1 = (0.8, 0.15, 0.05)
@@ -93,6 +93,112 @@ class TestClipNormalize:
         np.testing.assert_allclose(twice, once, atol=1e-12, rtol=0)
 
 
+    @given(st.integers(1, 9), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_stack_rows_keep_their_bits(self, k, n, seed):
+        # rows inside the bounds and rows that need the breakpoint scan, mixed
+        rng = np.random.default_rng(seed)
+        raw = rng.random((n, 2, k)) ** rng.integers(1, 8, size=(n, 2, 1))
+        bounds = WeightBounds(0.6 / k, min(1.0, 1.6 / k))
+        stacked = clip_normalize(raw, bounds)
+        assert stacked.shape == raw.shape
+        alone = np.array([[clip_normalize(r, bounds) for r in cell] for cell in raw])
+        assert stacked.tobytes() == alone.tobytes()
+
+    def test_stack_with_a_bad_row_rejected(self):
+        with pytest.raises(ZeroMass):
+            clip_normalize(np.array([[1.0, 2.0], [0.0, 0.0]]), WeightBounds(0.2, 0.8))
+
+
+TOKEN_FAMILIES = ("uniform", "inverse_entropy", "family_a", "family_b", "family_c")
+KERNEL_WORLDS = {"appendix": appendix_world, "convergence": convergence_world,
+                 "conformance": conformance_world, "safety": safety_world,
+                 "zero_entries": zero_entry_world}
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_world(name: str) -> World:
+    if name == "large":
+        from mskd.runner import parse_config_dict
+        return parse_config_dict(large_doc("perturbation")).world
+    return KERNEL_WORLDS[name]()
+
+
+class TestTokenKernels:
+    @pytest.mark.parametrize("name", [*KERNEL_WORLDS, "large"])
+    @pytest.mark.parametrize("family,adjustment", [
+        *((f, True) for f in TOKEN_FAMILIES), ("family_a", False), ("family_b", False)])
+    def test_bank_table_equals_points_and_rows(self, family, adjustment, name):
+        # one array call over the bank gives each point the bits of the per-point
+        # call, and both those of the families' row-by-row form
+        world = _kernel_world(name)
+        bank, k = world.bank, world.bank.k
+        op = TokenOperator(family, alpha=1.7, safety_tokens=world.vocab.safety_tokens,
+                           safety_adjustment=adjustment)
+        tokens = [-1, *(range(world.vocab.size) if name != "large" else (0, 1, 2))]
+        for bounds in (WeightBounds(0.001, 0.999), WeightBounds(0.8 / k, min(1.0, 1.25 / k))):
+            table = op.table(world, tokens, bounds)
+            assert table.shape == (len(world.inputs), len(world.contexts), len(tokens), k)
+            for xi, x in enumerate(world.inputs):
+                for ci, c in enumerate(world.contexts):
+                    for s, i in enumerate(tokens):
+                        w = op.weights(x.id, i, c.id, bank, bounds)
+                        assert table[xi, ci, s].tobytes() == w.tobytes()
+                        expect = reference_token_weights(op, x.id, i, c.id, bank, bounds)
+                        assert w.tobytes() == expect.tobytes(), (x.id, i, c.id)
+
+    def test_custom_table_calls_each_point_in_order(self):
+        world, calls = conformance_world(), []
+
+        def fn(x, i, c, bank, bounds):
+            calls.append((x, i, c))
+            return uniform_weights(bank.k, bounds)
+
+        table = TokenOperator("custom", fn=fn).table(world, [-1, 0, 1], WIDE)
+        assert table.shape == (len(world.inputs), len(world.contexts), 3, world.bank.k)
+        assert calls == [(x.id, i, c.id) for x in world.inputs for c in world.contexts
+                         for i in (-1, 0, 1)]
+
+    def test_family_a_alpha_checked_at_construction(self):
+        with pytest.raises(operators.MskdError, match="alpha must be positive"):
+            TokenOperator("family_a", alpha=0.0)
+        TokenOperator("family_c", alpha=0.0)  # family C does not require it
+
+    @pytest.mark.parametrize("name", ["conformance", "zero_entries", "safety"])
+    @pytest.mark.parametrize("family", TOKEN_FAMILIES)
+    def test_batched_token_pass_equals_per_point_pass(self, family, name):
+        # a built-in family's pass evaluates all points in two array calls; the same
+        # operator behind a custom callable is evaluated point by point
+        world = _kernel_world(name)
+        op = TokenOperator(family, safety_tokens=world.vocab.safety_tokens)
+        per_point = TokenOperator("custom", fn=op.weights)
+        bounds = WeightBounds(0.02, 0.9)
+        reports, samplers = [], [seeded_sampler(4), seeded_sampler(4)]
+        for operator, sampler in zip((op, per_point), samplers):
+            report = check_conformance(operator, "token", world, bounds, sampler, 300)
+            reports.append((report.lipschitz_estimate, {
+                name: (c.passed, c.worst_violation, c.n_checked)
+                for name, c in report.checks.items()}))
+        assert reports[0] == reports[1]
+        assert samplers[0].uniform() == samplers[1].uniform()
+
+    @given(st.integers(1, 40), st.integers(1, 4), st.floats(0.0, 0.6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_perturbation_equals_row_by_row_draws(self, v, n, zero_frac, seed):
+        # one (n, K, V) normal draw moves every row as n * K draws of V did; rows
+        # of one entry (V = 1) draw and stay
+        rng = np.random.default_rng(seed)
+        rows = rng.random((n, 3, v))
+        rows[rng.random(rows.shape) < zero_frac] = 0.0
+        rows[..., -1] += 0.1
+        rows /= rows.sum(axis=-1, keepdims=True)
+        expect, sampler = rows.copy(), seeded_sampler(seed)
+        worst = reference_perturb_rows(expect, 0.01, sampler)
+        moved = operators._perturb_rows(rows, 0.01, seeded_sampler(seed).normal(size=rows.shape))
+        assert rows.tobytes() == expect.tobytes()
+        assert float(moved.max()) == worst
+
+
 class TestInverseEntropy:
     def test_reported_entropy_inputs(self):
         # with the reported H values taken as given inputs
@@ -108,7 +214,7 @@ class TestInverseEntropy:
         table = {(0, 0): np.array([APPENDIX_TEACHER_1, APPENDIX_TEACHER_1])}
         from mskd.core import TeacherBank
         bank2 = TeacherBank(2, table, dict(bank.perf_scores), bank.safety_scores)
-        w = token_weights_inverse_entropy(0, 0, 0, bank2, WIDE)
+        w = TokenOperator("inverse_entropy").weights(0, 0, 0, bank2, WIDE)
         np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-15)
 
     def test_recomputed_nat_entropies(self):
@@ -129,15 +235,15 @@ class TestInverseEntropy:
 
     def test_constant_in_token_index(self):
         world = appendix_world()
-        w0 = token_weights_inverse_entropy(0, 0, 0, world.bank, WIDE)
-        w2 = token_weights_inverse_entropy(0, 2, 0, world.bank, WIDE)
+        w0 = TokenOperator("inverse_entropy").weights(0, 0, 0, world.bank, WIDE)
+        w2 = TokenOperator("inverse_entropy").weights(0, 2, 0, world.bank, WIDE)
         np.testing.assert_array_equal(w0, w2)
 
 
 class TestFamilyA:
     def test_small_alpha_limit_is_uniform(self):
         world = appendix_world()
-        w = token_weights_family_a(0, 0, 0, world.bank, WIDE, alpha=1e-8)
+        w = TokenOperator("family_a", alpha=1e-8).weights(0, 0, 0, world.bank, WIDE)
         np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-6)
 
     def test_exp_decay_oracle(self):
@@ -145,7 +251,7 @@ class TestFamilyA:
         h1 = entropy(APPENDIX_TEACHER_1)
         h2 = entropy(APPENDIX_TEACHER_2)
         r1, r2 = math.exp(-h1), math.exp(-h2)
-        w = token_weights_family_a(0, 0, 0, world.bank, WIDE, alpha=1.0)
+        w = TokenOperator("family_a", alpha=1.0).weights(0, 0, 0, world.bank, WIDE)
         assert w[0] == pytest.approx(r1 / (r1 + r2), abs=1e-12)
         assert w[0] == pytest.approx(0.6148, abs=5e-5)
         assert w[1] == pytest.approx(0.3852, abs=5e-5)
@@ -156,8 +262,9 @@ class TestFamilyA:
         p = np.array([0.5, 0.3, 0.2])
         table = {(0, 0): np.array([p, np.roll(p, 1)])}  # permuted: same entropy
         bank = TeacherBank(2, table, {0: np.array([0.5, 0.5])}, np.array([0.9, 0.1]))
-        w_safe = token_weights_family_a(0, 1, 0, bank, WIDE, safety_tokens=frozenset({1}))
-        w_plain = token_weights_family_a(0, 0, 0, bank, WIDE, safety_tokens=frozenset({1}))
+        guarded = TokenOperator("family_a", safety_tokens=frozenset({1}))
+        w_safe = guarded.weights(0, 1, 0, bank, WIDE)
+        w_plain = guarded.weights(0, 0, 0, bank, WIDE)
         assert w_plain[0] == pytest.approx(w_plain[1], abs=1e-12)
         assert w_safe[0] > w_safe[1]
         oracle = 1.9 / (1.9 + 1.1)
@@ -169,7 +276,7 @@ class TestFamilyB:
         from mskd.core import TeacherBank
         table = {(0, 0): np.array([APPENDIX_TEACHER_2, APPENDIX_TEACHER_2])}
         bank = TeacherBank(2, table, {0: np.array([0.5, 0.5])}, np.array([0.5, 0.5]))
-        w = token_weights_family_b(0, 0, 0, bank, WIDE)
+        w = TokenOperator("family_b").weights(0, 0, 0, bank, WIDE)
         np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-15)
 
     def test_inverse_variance_oracle(self):
@@ -177,7 +284,7 @@ class TestFamilyB:
         v1 = statistics.pvariance(APPENDIX_TEACHER_1)
         v2 = statistics.pvariance(APPENDIX_TEACHER_2)
         r1, r2 = 1 / (v1 + 1e-6), 1 / (v2 + 1e-6)
-        w = token_weights_family_b(0, 0, 0, world.bank, WIDE)
+        w = TokenOperator("family_b").weights(0, 0, 0, world.bank, WIDE)
         assert w[0] == pytest.approx(r1 / (r1 + r2), abs=1e-12)
         # the diffuse teacher has far lower entry variance and dominates
         assert w[0] == pytest.approx(0.034, abs=1e-3)
@@ -185,7 +292,7 @@ class TestFamilyB:
 
     def test_bounds_clamp_the_dominant_teacher(self):
         world = appendix_world()
-        w = token_weights_family_b(0, 0, 0, world.bank, WeightBounds(0.2, 0.8))
+        w = TokenOperator("family_b").weights(0, 0, 0, world.bank, WeightBounds(0.2, 0.8))
         np.testing.assert_allclose(w, [0.2, 0.8], atol=1e-15)
 
 
@@ -297,8 +404,8 @@ class TestConformance:
         # both conform on the two-teacher world (no safety tokens there)
         world = appendix_world()
         bounds = WeightBounds(0.01, 0.99)
-        wa = token_weights_family_a(0, 0, 0, world.bank, bounds)
-        wb = token_weights_family_b(0, 0, 0, world.bank, bounds)
+        wa = TokenOperator("family_a").weights(0, 0, 0, world.bank, bounds)
+        wb = TokenOperator("family_b").weights(0, 0, 0, world.bank, bounds)
         assert np.max(np.abs(wa - wb)) > 0.1
         for fam in ("family_a", "family_b"):
             report = check_conformance(TokenOperator(fam), "token", world, bounds,

@@ -526,6 +526,16 @@ class TestCli:
         assert _main_on(doc, command, tmp_path, *flag) == 2
         assert f"- {field.lstrip('-')}: must be nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,section", [("train", "trainer"), ("variance", "params")])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_negative_init_scale_exit_two(self, tmp_path, kind, section, command, capsys):
+        # a negative trainer init_scale once trained silently from zero logits
+        doc = copy.deepcopy(BUNDLED_DOCS[kind])
+        doc.setdefault(section, {})["init_scale"] = -1.0
+        assert _main_on(doc, command, tmp_path) == 2
+        assert f"- {section}.init_scale: must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_task_without_perf_scores_exit_two(self, tmp_path, command, capsys):
         doc = copy.deepcopy(BUNDLED_DOCS["conformance"])
