@@ -10,8 +10,8 @@ their largest power-of-two denominator, the numerators summed as integers,
 and each entry is one correctly-rounded integer division by that sum. So
 algebraically uniform configurations produce bit-identical uniform weights,
 which lets an all-uniform adaptive trainer reproduce the classical
-uniform-mixture trainer exactly. The weight table evaluates a token family
-as one array kernel over the whole bank and normalizes each distinct row once.
+uniform-mixture trainer exactly. The weight table is kept as the token operator's
+distinct rows and each token's row; each distinct row is normalized once.
 """
 
 from __future__ import annotations
@@ -113,18 +113,13 @@ class UnifiedWeightOperator:
     def compact_table(self, world: World) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`weight_table` as (J, N, C, S, K) distinct token rows and each token's (V,) row.
 
-        Each scale is evaluated once on its own domain: token weights per
-        (input, context) -- at index -1 and each safety token when they depend
-        on the index, else at 0 -- task weights per task, context weights per
-        context. Their product is normalized once per distinct row.
+        Each scale is evaluated once on its own domain: token weights by the token
+        operator's table (:meth:`TokenOperator.table`, which also maps tokens to rows),
+        task weights per task, context weights per context. Their product is normalized
+        once per distinct row.
         """
         bank, bounds = world.bank, self.bounds
-        dependent = self.token_op.token_index_dependent
-        safety = sorted(world.vocab.safety_tokens) if dependent else []
-        token_ids = [-1 if dependent else 0, *safety]  # -1 is never a safety token
-        slot = np.zeros(world.vocab.size, dtype=np.intp)
-        slot[safety] = np.arange(1, len(token_ids))
-        tok = self.token_op.table(world, token_ids, bounds)
+        tok, slot = self.token_op.table(world, bounds)
         task = np.array([self.task_op.weights(t.id, bank, bounds) for t in world.tasks])
         ctx = np.array([self.context_op.weights(c, bank, bounds) for c in world.contexts])
         return normalize_rows(tok * task[:, None, None, None] * ctx[:, None]), slot

@@ -343,7 +343,7 @@ class WeightBounds:
     def __post_init__(self):
         if not (0.0 < self.w_min <= self.w_max < math.inf):
             raise InfeasibleBounds(f"need 0 < w_min <= w_max < inf, got [{self.w_min}, {self.w_max}]")
-        if self.lipschitz <= 0:
+        if not self.lipschitz > 0:  # NaN included
             raise MskdError("declared Lipschitz constant must be positive")
 
     def check_feasible(self, k: int) -> None:

@@ -60,11 +60,11 @@ class TrainerConfig:
     init_scale: float = 0.0
 
     def __post_init__(self):
-        if self.eta0 <= 0:
+        if not self.eta0 > 0:  # NaN included
             raise MskdError("eta0 must be positive")
         if self.steps < 0:
             raise MskdError("step count must be nonnegative")
-        if self.ridge < 0:
+        if not self.ridge >= 0:  # NaN included
             raise MskdError("ridge strength must be nonnegative")
         if self.eval_every < 1:
             raise MskdError("eval_every must be positive")
@@ -100,13 +100,13 @@ class CompiledObjective:
 
     world: World
     ridge: float
-    weights: np.ndarray        # weight rows the targets mix, broadcasting to (J, N, C, V, K)
+    rows: np.ndarray           # (J, N, C, S, K) weight rows, or rows broadcasting to that
+    slot: np.ndarray           # (V,) row of each token: the targets mix rows.take(slot, axis=-2)
     joint: np.ndarray          # (J, N, C) sampling probabilities
     targets: np.ndarray        # (J, N, C, V) ensemble targets
     m_x: np.ndarray            # (N,) input marginals
     qbar: np.ndarray           # (N, V) measure-averaged target per input
     target_neg_entropy: float  # E[sum_i q ln q], constant in theta
-    compact: tuple | None = None  # distinct (J, N, C, S, K) rows and each token's (V,) row
 
     def loss(self, theta: np.ndarray) -> float:
         """Expected cross-entropy against the targets plus the ridge term."""
@@ -174,11 +174,11 @@ def compile_objective(G: UnifiedWeightOperator, world: World,
     """Evaluate the operator over the finite world once and densify.
 
     This is the caching layer: the operator's weight table evaluates token
-    weights once per (input, context), task weights once per task and
-    context weights once per context, not per training step. The table is
-    kept as ``weights``, and its distinct rows as ``compact``; the robustness
-    experiments perturb and renormalize those rows (``normalize_rows``) and
-    densify them again with ``_densify``.
+    weights once per (input, context) (and token, for a custom operator),
+    task weights once per task and context weights once per context, not per
+    training step. The table is kept compact, as distinct ``rows`` and each
+    token's ``slot``; the robustness experiments perturb and renormalize those
+    rows (``normalize_rows``) and densify them again with ``_densify``.
     """
     return _densify(world, ridge, *G.compact_table(world))
 
@@ -186,19 +186,13 @@ def compile_objective(G: UnifiedWeightOperator, world: World,
 def _uniform_compiled(world: World, ridge: float) -> CompiledObjective:
     """Classical target table: plain uniform mixture of the teachers."""
     k = world.bank.k
-    rows = np.broadcast_to(np.full(k, 1.0 / k), (len(world.tasks), 1, 1, world.vocab.size, k))
-    return _densify(world, ridge, rows)
+    rows = np.broadcast_to(np.full(k, 1.0 / k), (len(world.tasks), 1, 1, 1, k))
+    return _densify(world, ridge, rows, np.zeros(world.vocab.size, dtype=np.intp))
 
 
-def _densify(world: World, ridge: float, rows: np.ndarray,
-             slot: np.ndarray | None = None) -> CompiledObjective:
-    """Mix the teachers under weight rows broadcasting to (J, N, C, V, K) and densify.
-
-    With ``slot``, ``rows`` are compact (J, N, C, S, K) rows and token i mixes row ``slot[i]``.
-    """
-    compact = None if slot is None else (rows, slot)
-    rows = rows if slot is None else rows.take(slot, axis=-2)
-    targets = renormalized_mixture(rows, world.teacher_dists())
+def _densify(world: World, ridge: float, rows: np.ndarray, slot: np.ndarray) -> CompiledObjective:
+    """Densify the targets of rows broadcasting to (J, N, C, S, K); token i mixes ``slot[i]``."""
+    targets = renormalized_mixture(rows.take(slot, axis=-2), world.teacher_dists())
     validate_distribution(targets)
     joint = world.joint_measure()
     m_x = joint.sum(axis=(0, 2))
@@ -208,7 +202,7 @@ def _densify(world: World, ridge: float, rows: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         qlogq = np.where(targets > 0, targets * np.log(np.where(targets > 0, targets, 1.0)), 0.0)
     neg_ent = float(np.sum(joint[..., None] * qlogq))
-    return CompiledObjective(world, ridge, rows, joint, targets, m_x, qbar, neg_ent, compact)
+    return CompiledObjective(world, ridge, rows, slot, joint, targets, m_x, qbar, neg_ent)
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +350,13 @@ def noisy_compiled(G: UnifiedWeightOperator, world: World, delta: float, ridge: 
     """
     if not delta >= 0:  # NaN included
         raise MskdError("perturbation scale must be nonnegative")
-    rows, lo, hi = G.weight_table(world), G.bounds.w_min + delta, G.bounds.w_max - delta
     if delta == 0:
-        return _densify(world, ridge, rows)
+        return compile_objective(G, world, ridge)
+    rows, lo, hi = G.weight_table(world), G.bounds.w_min + delta, G.bounds.w_max - delta
     rows = rows + seeded_sampler(seed).spawn(3)[2].uniform(-delta, delta, size=rows.shape)
     if np.any((rows < lo - 1e-15) | (rows > hi + 1e-15)):
         raise MarginViolated(f"weight perturbation of scale {delta} leaves the margin [{lo}, {hi}]")
-    return _densify(world, ridge, normalize_rows(rows))
+    return _densify(world, ridge, normalize_rows(rows), np.arange(world.vocab.size))
 
 
 # ---------------------------------------------------------------------------

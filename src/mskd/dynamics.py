@@ -43,7 +43,7 @@ class WeightUpdateConfig:
     def __post_init__(self):
         if not 0.0 < self.beta <= 1.0:
             raise MskdError(f"beta must lie in (0, 1], got {self.beta}")
-        if self.max_iters < 1 or self.tol <= 0:
+        if self.max_iters < 1 or not self.tol > 0:  # NaN included
             raise MskdError("max_iters must be positive and tol > 0")
 
 
@@ -191,20 +191,19 @@ def perturbation_experiment(G: UnifiedWeightOperator, world: World, delta_list,
     base = compile_objective(G, world, ridge)
     shift, bounds = deltas.max(initial=0.0), G.bounds
     # rounding is monotone, so each cell's per-teacher extremes decide its margin
-    outside = np.any((base.weights.min(axis=-2) + shift * direction < bounds.w_min)
-                     | (base.weights.max(axis=-2) + shift * direction > bounds.w_max), axis=-1)
+    outside = np.any((base.rows.min(axis=-2) + shift * direction < bounds.w_min)
+                     | (base.rows.max(axis=-2) + shift * direction > bounds.w_max), axis=-1)
     if outside.any():
         xi = np.argwhere(outside)[0][1]  # first (task, input, context) cell in order
         raise MarginViolated(f"shift of norm {shift} leaves [{bounds.w_min}, {bounds.w_max}] "
                              f"at input {world.inputs[xi].id}")
     theta0 = solve_compiled(base, gtol)
-    rows, slot = base.compact
     distances = []
     for d in deltas:
         if d == 0.0:
             distances.append(0.0)
             continue
-        shifted = _densify(world, ridge, normalize_rows(rows + d * direction), slot)
+        shifted = _densify(world, ridge, normalize_rows(base.rows + d * direction), base.slot)
         theta_d = solve_compiled(shifted, gtol)
         distances.append(float(np.linalg.norm(theta_d - theta0)))
     dist = np.array(distances)
@@ -268,6 +267,6 @@ def gradient_variance_ratio(G: UnifiedWeightOperator, world: World, params: Stud
     baseline = _uniform_compiled(world, 0.0)
     measured = _single_sample_variance(adaptive, theta, n_samples, seeded_sampler(seed))
     base = _single_sample_variance(baseline, theta, n_samples, seeded_sampler(seed))
-    w_lo, w_hi = float(adaptive.weights.min()), float(adaptive.weights.max())
+    w_lo, w_hi = float(adaptive.rows.min()), float(adaptive.rows.max())
     bound = (w_hi / w_lo) ** 2 * base
     return VarianceResult(measured, base, bound, w_lo, w_hi)

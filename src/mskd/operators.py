@@ -22,7 +22,8 @@ safety-critical contexts every built-in context family but ``uniform``
 delegates to the ordinal safety form, which guarantees the context safety
 axiom by construction. Each token family is one array kernel over stacks of
 teacher cells: a whole-bank weight table is one call, and a single point is
-the same kernel on one cell, with the same bits.
+the same kernel on one cell, with the same bits. The token operator alone
+maps tokens to weight rows (:meth:`TokenOperator.table`).
 
 :func:`check_conformance` samples evaluation points and verifies
 normalization, positivity, bounds, regularity under total-variation
@@ -232,42 +233,42 @@ class TokenOperator:
             raise MskdError(f"alpha must be positive, got {self.alpha}")
         object.__setattr__(self, "safety_tokens", frozenset(self.safety_tokens))
 
-    @property
-    def token_index_dependent(self) -> bool:
-        """Whether weights can vary with the token index (safety adjustments only)."""
-        if self.family in ("family_a", "family_b"):
-            return self.safety_adjustment and bool(self.safety_tokens)
-        return self.family == "custom"
-
     def weights(self, x: int, i: int, c: int, bank: TeacherBank,
                 bounds: WeightBounds) -> np.ndarray:
         if self.family == "custom":
             return np.asarray(self.fn(x, i, c, bank, bounds), dtype=np.float64)
-        return self.cell_weights(bank.dists(x, c), i in self.safety_tokens, bank, bounds)
+        return self.cell_weights(bank.dists(x, c), self._on([i])[0], bank, bounds)
+
+    def _on(self, tokens) -> np.ndarray:
+        """Whether each token id gets the safety boost: families A and B, adjusted, on theirs."""
+        boosts = self.family in ("family_a", "family_b") and self.safety_adjustment
+        return np.array([boosts and i in self.safety_tokens for i in tokens], dtype=bool)
 
     def cell_weights(self, dists, on, bank: TeacherBank, bounds: WeightBounds) -> np.ndarray:
         """A built-in family's weights of each cell of a (..., K, V) stack, bit for bit as alone.
 
-        ``on`` (broadcasting against the stack's leading axes) marks the points on one of
-        the operator's safety tokens; there families A and B multiply raw_k by
-        (1 + safety_score_k), so safer teachers get no less weight whenever their base
-        weights already agree with the safety order.
+        ``on`` (broadcasting against the stack's leading axes) marks the cells that get
+        the safety boost (:meth:`_on`); there raw_k is multiplied by (1 + safety_score_k),
+        so safer teachers get no less weight whenever their base weights already agree
+        with the safety order.
         """
         raw = TOKEN_FAMILIES[self.family](self, dists, bank)
-        on = np.asarray(on) & self.token_index_dependent
         return clip_normalize(np.where(on[..., None], raw * (1.0 + bank.safety_scores), raw),
                               bounds)
 
-    def table(self, world: World, token_ids: Sequence[int], bounds: WeightBounds) -> np.ndarray:
-        """:meth:`weights` at every (input, context) of the world and each of S token ids.
+    def table(self, world: World, bounds: WeightBounds) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`weights` over the world as (N, C, S, K) distinct rows and each token's (V,) row.
 
-        The (N, C, S, K) array of a built-in family comes from one call on the whole bank.
+        A built-in family is one call on the whole bank and has at most two rows, off and
+        on its safety tokens; a custom operator is called at every (input, context, token),
+        in that order, one row per token.
         """
+        bank, tokens = world.bank, np.arange(world.vocab.size)
         if self.family == "custom":
-            return np.array([[[self.weights(x.id, i, c.id, world.bank, bounds) for i in token_ids]
-                              for c in world.contexts] for x in world.inputs])
-        on = np.array([i in self.safety_tokens for i in token_ids])
-        return self.cell_weights(world.teacher_dists()[:, :, None], on, world.bank, bounds)
+            return np.array([[[self.weights(x.id, i, c.id, bank, bounds) for i in tokens.tolist()]
+                              for c in world.contexts] for x in world.inputs]), tokens
+        on, slot = np.unique(self._on(tokens), return_inverse=True)
+        return self.cell_weights(world.teacher_dists()[:, :, None], on, bank, bounds), slot
 
 
 @dataclass(frozen=True)
@@ -397,7 +398,7 @@ def _evaluate(op, scale: str, bank: TeacherBank, bounds: WeightBounds, points: d
         cells, moved_cells = bank.array[index], np.array(bank.array[index])
         draws = np.array([d for _, d in points.values()])
         moved = _perturb_rows(moved_cells, PERTURB_EPS, draws).max(axis=-1)
-        on = np.array([i in op.safety_tokens for _, i, _ in points])
+        on = op._on([i for _, i, _ in points])
         w = op.cell_weights(cells, on, bank, bounds)
         w2 = op.cell_weights(validate_distribution(moved_cells), on, bank, bounds)
         dw = np.where(moved > 1e-12, np.abs(w2 - w).max(axis=-1), np.nan)

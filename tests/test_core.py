@@ -28,6 +28,8 @@ from mskd.core import (
     softmax,
     validate_distribution,
 )
+from mskd.distill import TrainerConfig
+from mskd.dynamics import WeightUpdateConfig
 
 from fixture_worlds import conformance_world, convergence_world, safety_world
 from reference_compile import fraction_normalize, reference_entropy
@@ -178,6 +180,19 @@ class TestWeightBounds:
 
     def test_feasible_case_passes(self):
         WeightBounds(0.2, 0.8).check_feasible(2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: WeightBounds(0.01, 0.99, lipschitz=v),
+    lambda v: TrainerConfig(eta0=v),
+    lambda v: TrainerConfig(ridge=v),
+    lambda v: WeightUpdateConfig(tol=v),
+], ids=["lipschitz", "eta0", "ridge", "tol"])
+@pytest.mark.parametrize("value", [math.nan, -1.0])
+def test_nan_and_negative_settings_rejected(make, value):
+    # NaN fails no `x <= 0` check; a NaN Lipschitz bound would pass every regularity check
+    with pytest.raises(MskdError):
+        make(value)
 
 
 class TestSampler:

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mskd.composition import UnifiedWeightOperator, renormalized_mixture, uniform_unified
@@ -34,7 +34,8 @@ from mskd.distill import (
 from mskd.operators import ContextOperator, TaskOperator, TokenOperator, uniform_weights
 from mskd.runner import emit_summary, parse_config_dict, run_experiment
 
-from fixture_worlds import appendix_world, bundled_doc, conformance_world, convergence_world
+from fixture_worlds import (appendix_world, bundled_doc, conformance_world, convergence_world,
+                            zero_entry_world)
 from reference_newton import reference_newton
 from reference_sgd import reference_sgd
 
@@ -433,6 +434,14 @@ class TestNoisyTrain:
         assert r2 >= 0.9
 
 
+TOKEN_FAMILIES = ("uniform", "inverse_entropy", "family_a", "family_b", "family_c")
+
+
+@functools.lru_cache(maxsize=None)
+def _row_world(name):
+    return conformance_world() if name == "conformance" else zero_entry_world()
+
+
 class TestCompileObjective:
     def test_each_scale_evaluated_once_on_its_domain(self):
         world = conformance_world()
@@ -448,32 +457,65 @@ class TestCompileObjective:
                                   TaskOperator("custom", fn=counted("task")),
                                   ContextOperator("custom", fn=counted("context")), WIDE)
         compile_objective(g, world)
-        n_cells = len(world.inputs) * len(world.contexts)
-        assert calls == {"token": n_cells * (1 + len(world.vocab.safety_tokens)),
+        n_cells = len(world.inputs) * len(world.contexts)  # a custom token operator: every token
+        assert calls == {"token": n_cells * world.vocab.size,
                          "task": len(world.tasks), "context": len(world.contexts)}
 
-    @pytest.mark.parametrize("token_op", [
-        TokenOperator("family_a", safety_tokens=frozenset({0, 1})),
-        # a custom operator may set each safety token apart; other tokens share a row
-        TokenOperator("custom", fn=lambda x, i, c, bank, bounds:
-                      np.arange(3.0, bank.k + 3) + {0: 0.5, 1: 1.0}.get(i, 0.0)),
+    @pytest.mark.parametrize("token_op,n_rows", [
+        (TokenOperator("family_a", safety_tokens=frozenset({0, 1})), 2),
+        # a custom operator that sets each safety token apart: one row per token
+        (TokenOperator("custom", fn=lambda x, i, c, bank, bounds:
+                       np.arange(3.0, bank.k + 3) + {0: 0.5, 1: 1.0}.get(i, 0.0)), 6),
     ], ids=["family_a", "custom"])
-    def test_compact_rows_expand_to_the_weight_table(self, token_op):
-        world = conformance_world()  # safety tokens {0, 1}
+    def test_compact_rows_expand_to_the_weight_table(self, token_op, n_rows):
+        world = conformance_world()  # safety tokens {0, 1}, V = 6
         g = UnifiedWeightOperator(token_op, TaskOperator("family_c"), ContextOperator("family_b"),
                                   WIDE)
         compiled = compile_objective(g, world)
-        rows, slot = compiled.compact
+        rows, slot = compiled.rows, compiled.slot
         assert rows.shape == (len(world.tasks), len(world.inputs), len(world.contexts),
-                              1 + len(world.vocab.safety_tokens), world.bank.k)
-        assert rows.take(slot, axis=-2).tobytes() == compiled.weights.tobytes()
-        assert compiled.weights.tobytes() == g.weight_table(world).tobytes()
+                              n_rows, world.bank.k)
+        assert slot.shape == (world.vocab.size,)
+        table = rows.take(slot, axis=-2)
+        assert table.tobytes() == g.weight_table(world).tobytes()
         for tj, t in enumerate(world.tasks):
             for xi, x in enumerate(world.inputs):
                 for ci, c in enumerate(world.contexts):
                     for i in range(world.vocab.size):
                         expect = g.unified_weight(x.id, i, t.id, c.id, world)
-                        assert compiled.weights[tj, xi, ci, i].tobytes() == expect.tobytes()
+                        assert table[tj, xi, ci, i].tobytes() == expect.tobytes()
+
+    @given(world_name=st.sampled_from(["conformance", "zero_entries"]),
+           family=st.sampled_from([*TOKEN_FAMILIES, "custom"]), adjustment=st.booleans(),
+           safety=st.one_of(st.sampled_from(["empty", "vocab", "all", "disjoint"]),
+                            st.frozensets(st.integers(0, 9))),
+           task=st.sampled_from(["uniform", "family_c"]),
+           context=st.sampled_from(["uniform", "family_b"]))
+    @example("conformance", "custom", True, "empty", "uniform", "uniform")
+    @example("conformance", "family_a", True, frozenset({2}), "uniform", "uniform")
+    @settings(max_examples=40, deadline=None)
+    def test_token_operator_decides_the_rows(self, world_name, family, adjustment, safety, task,
+                                             context):
+        # the token operator alone maps tokens to rows, so the compiled rows equal
+        # unified_weight at every point, whatever its safety set and the vocabulary's
+        world = _row_world(world_name)
+        v, tokens = world.vocab.size, frozenset(range(world.vocab.size))
+        safety = {"empty": frozenset(), "vocab": world.vocab.safety_tokens, "all": tokens,
+                  "disjoint": tokens - world.vocab.safety_tokens}.get(safety, safety)
+        token_op = TokenOperator(
+            family, alpha=1.3, safety_tokens=safety & tokens, safety_adjustment=adjustment,
+            fn=lambda x, i, c, bank, bounds: np.arange(3.0, bank.k + 3) + i + 0.1 * x + 0.01 * c)
+        g = UnifiedWeightOperator(token_op, TaskOperator(task), ContextOperator(context), WIDE)
+        compiled = compile_objective(g, world)
+        assert compiled.rows.shape[-2] <= (v if family == "custom" else 2)
+        table = compiled.rows.take(compiled.slot, axis=-2)
+        for tj, t in enumerate(world.tasks):
+            for xi, x in enumerate(world.inputs):
+                for ci, c in enumerate(world.contexts):
+                    for i in range(v):
+                        expect = g.unified_weight(x.id, i, t.id, c.id, world)
+                        assert table[tj, xi, ci, i].tobytes() == expect.tobytes(), \
+                            (t.id, x.id, c.id, i)
 
     def test_noise_stream_drawn_cell_by_cell_in_order(self):
         world = conformance_world()
@@ -497,7 +539,7 @@ class TestCompileObjective:
         world = appendix_world()
         rows = np.broadcast_to([-2.0, 3.0], (1, 1, 1, world.vocab.size, 2))
         with pytest.raises(NegativeMass):
-            _densify(world, 0.0, rows)
+            _densify(world, 0.0, rows, np.arange(world.vocab.size))
 
 
 class TestTraceSerialization:

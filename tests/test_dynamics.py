@@ -191,8 +191,8 @@ class TestPerturbation:
                                   ContextOperator("custom", fn=counted("context")), BOUNDS)
         res = perturbation_experiment(g, world, [1e-3, 1e-2], ridge=0.01, seed=0)
         assert np.all(res.distances > 0)
-        n_cells = len(world.inputs) * len(world.contexts)
-        assert calls == {"token": n_cells * (1 + len(world.vocab.safety_tokens)),
+        n_cells = len(world.inputs) * len(world.contexts)  # a custom token operator: every token
+        assert calls == {"token": n_cells * world.vocab.size,
                          "task": len(world.tasks), "context": len(world.contexts)}
 
     def test_margin_violation(self):

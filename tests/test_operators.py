@@ -135,15 +135,18 @@ class TestTokenKernels:
         bank, k = world.bank, world.bank.k
         op = TokenOperator(family, alpha=1.7, safety_tokens=world.vocab.safety_tokens,
                            safety_adjustment=adjustment)
-        tokens = [-1, *(range(world.vocab.size) if name != "large" else (0, 1, 2))]
+        tokens = range(world.vocab.size) if name != "large" else (0, 1, 2, 31)
         for bounds in (WeightBounds(0.001, 0.999), WeightBounds(0.8 / k, min(1.0, 1.25 / k))):
-            table = op.table(world, tokens, bounds)
-            assert table.shape == (len(world.inputs), len(world.contexts), len(tokens), k)
+            rows, slot = op.table(world, bounds)
+            assert rows.shape[:2] == (len(world.inputs), len(world.contexts))
+            assert rows.shape[2:] == (slot.max() + 1, k) and rows.shape[2] <= 2
+            assert np.unique(slot).size == rows.shape[2]  # every row is some token's
+            assert slot.shape == (world.vocab.size,)
             for xi, x in enumerate(world.inputs):
                 for ci, c in enumerate(world.contexts):
-                    for s, i in enumerate(tokens):
+                    for i in tokens:
                         w = op.weights(x.id, i, c.id, bank, bounds)
-                        assert table[xi, ci, s].tobytes() == w.tobytes()
+                        assert rows[xi, ci, slot[i]].tobytes() == w.tobytes()
                         expect = reference_token_weights(op, x.id, i, c.id, bank, bounds)
                         assert w.tobytes() == expect.tobytes(), (x.id, i, c.id)
 
@@ -154,10 +157,12 @@ class TestTokenKernels:
             calls.append((x, i, c))
             return uniform_weights(bank.k, bounds)
 
-        table = TokenOperator("custom", fn=fn).table(world, [-1, 0, 1], WIDE)
-        assert table.shape == (len(world.inputs), len(world.contexts), 3, world.bank.k)
+        rows, slot = TokenOperator("custom", fn=fn).table(world, WIDE)
+        v = world.vocab.size
+        assert rows.shape == (len(world.inputs), len(world.contexts), v, world.bank.k)
+        assert slot.tolist() == list(range(v))
         assert calls == [(x.id, i, c.id) for x in world.inputs for c in world.contexts
-                         for i in (-1, 0, 1)]
+                         for i in range(v)]
 
     def test_family_a_alpha_checked_at_construction(self):
         with pytest.raises(operators.MskdError, match="alpha must be positive"):
