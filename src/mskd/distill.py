@@ -15,8 +15,8 @@ how the target table is built. With all-uniform operators the two tables
 are bit-identical, so the trajectories agree exactly at equal seeds.
 
 The damped-Newton solver ``minimize_blockwise`` makes one stacked kernel call
-per iteration and one for all line-search halvings, and gives every block the
-bits a per-block loop gives it.
+per iteration and one for all line-search halvings, builds Hessians only for
+the blocks still open, and gives every block the bits a per-block loop gives it.
 """
 
 from __future__ import annotations
@@ -128,27 +128,40 @@ class CompiledObjective:
         return StudentParams(tuple(x.id for x in self.world.inputs), theta, self.ridge)
 
     def block(self, xi: np.ndarray, rows: np.ndarray, labels=None):
-        """Values, gradients and Hessians of inputs ``xi``'s loss shares at the (a, V) ``rows``.
+        """Values, gradients and Hessian builder of inputs ``xi``'s loss shares at (a, V) ``rows``.
 
-        ``labels``, an ``(on, w)`` pair of (N, V) tables, subtracts ``w[x, y] * p[y]``
-        (p = softmax of the row) for each token y with ``on[x, y]``, in ascending order:
-        a Lagrangian's safety terms. Each row gets the bits a one-row evaluation gives it.
+        ``hessians(keep)`` builds the (k, V, V) Hessians of the rows a boolean mask keeps (all by
+        default). ``labels``, an ``(on, w)`` pair of (N, V) tables, subtracts ``w[x, y] * p[y]``
+        (p = softmax of the row) for each token y with ``on[x, y]``, in ascending order: a
+        Lagrangian's safety terms. Each row gets the bits a one-row evaluation gives it.
         """
         f, p, terms = self._block_f(xi, rows, labels)
         m = self.m_x[xi][:, None]
         g = m * (p - self.qbar[xi]) + self.ridge * rows
-        h = np.subtract(0.0, p[:, :, None] * p[:, None, :])  # diag(p) - outer(p, p), in place
-        np.einsum("ijj->ij", h)[...] = p - p * p  # (einsum's diagonal is a writable view)
-        h *= m[..., None]
-        np.einsum("ijj->ij", h)[...] += self.ridge
-        for y, r, c in terms:
-            d = 0.0 - p[r]
+        ds = [0.0 - p[r] for _, r, _ in terms]
+        for (y, r, c), d in zip(terms, ds):
             d[:, y] += 1.0  # e_y - p
             g[r] -= c[:, None] * d
-            t = d[:, :, None] * d[:, None, :]
-            np.einsum("ijj->ij", t)[...] -= p[r]  # outer(d, d) - diag(p)
-            h[r] -= c[:, None, None] * (t + p[r][:, :, None] * p[r][:, None, :])
-        return f, g, h
+
+        def hessians(keep=None):
+            keep = np.ones(len(p), dtype=bool) if keep is None else keep
+            q, at = p[keep], np.cumsum(keep) - 1  # the kept rows, and each row's place among them
+            pp = q[:, :, None] * q[:, None, :]
+            h = np.subtract(0.0, pp)  # diag(p) - outer(p, p), in place
+            np.einsum("ijj->ij", h)[...] = q - q * q  # (einsum's diagonal is a writable view)
+            h *= m[keep][..., None]
+            np.einsum("ijj->ij", h)[...] += self.ridge
+            for (_, r, c), d in zip(terms, ds):
+                kept = keep[r]
+                r, c, d = at[r[kept]], c[kept], d[kept]
+                t = d[:, :, None] * d[:, None, :]
+                np.einsum("ijj->ij", t)[...] -= q[r]  # outer(d, d) - diag(p)
+                t += pp[r]
+                t *= c[:, None, None]
+                h[r] -= t
+            return h
+
+        return f, g, hessians
 
     def block_value(self, xi: np.ndarray, rows: np.ndarray, labels=None) -> np.ndarray:
         """The values of ``block`` alone."""
@@ -156,8 +169,11 @@ class CompiledObjective:
 
     def _block_f(self, xi, rows, labels):
         """``block``'s values, the rows' softmax and each label term (y, rows, w * p[y])."""
-        p = softmax(rows)
-        f = -self.m_x[xi] * np.vecdot(self.qbar[xi], log_softmax(rows)) \
+        z = rows - rows.max(axis=-1, keepdims=True)  # one pass of softmax's and log_softmax's ops
+        e = np.exp(z)
+        s = e.sum(axis=-1, keepdims=True)
+        p = e / s
+        f = -self.m_x[xi] * np.vecdot(self.qbar[xi], z - np.log(s)) \
             + 0.5 * self.ridge * np.vecdot(rows, rows)
         terms = []
         if labels is not None:
@@ -367,11 +383,13 @@ def minimize_blockwise(theta0: np.ndarray, block_fgh: Callable, block_value: Cal
                        gtol: float, max_iter: int = 200) -> np.ndarray:
     """Minimize a block-separable objective with damped Newton steps, all blocks in lockstep.
 
-    ``block_fgh(xi, rows) -> (values, gradients, Hessians)`` evaluates blocks ``xi`` at the
-    (a, V) stack ``rows``; ``block_value`` gives the values alone. Backtracking line search
-    and Levenberg damping keep descent where a block Hessian is indefinite. A block stops
-    at gradient norm ``gtol / sqrt(n_blocks)`` (so the full gradient norm is within gtol),
-    after ``max_iter`` iterations, or where its line search finds no decrease.
+    ``block_fgh(xi, rows) -> (values, gradients, hessians)`` evaluates blocks ``xi`` at the
+    (a, V) stack ``rows``; ``hessians(keep)`` builds the (k, V, V) Hessians of the rows a
+    boolean mask selects, and ``block_value`` gives the values alone. Hessians are built only
+    for the blocks still open after the gradient test. Backtracking line search and
+    Levenberg damping keep descent where a block Hessian is indefinite. A block stops at
+    gradient norm ``gtol / sqrt(n_blocks)`` (so the full gradient norm is within gtol), after
+    ``max_iter`` iterations, or where its line search finds no decrease.
     """
     theta = np.array(theta0, dtype=np.float64)
     if not len(theta):
@@ -379,15 +397,14 @@ def minimize_blockwise(theta0: np.ndarray, block_fgh: Callable, block_value: Cal
     per_block = gtol / np.sqrt(len(theta))
     halvings = np.ldexp(1.0, -np.arange(1, 47))  # line-search steps after 1: to 2**-46 > 1e-14
     xi = np.arange(len(theta))
-    f, g, h = block_fgh(xi, theta)
+    f, g, hessians = block_fgh(xi, theta)
     for _ in range(max_iter):
         active = ~(np.sqrt(np.vecdot(g, g)) <= per_block)
         if not active.all():
-            xi, f, g, h = xi[active], f[active], g[active], h[active]
+            xi, f, g = xi[active], f[active], g[active]
             if not len(xi):
                 break
-        d = _newton_directions(g, h)
-        del h  # one Hessian stack alive at a time
+        d = _newton_directions(g, hessians(active))
         slope, rows, step = np.vecdot(g, d), theta[xi], np.ones(len(xi))
         # step 1 for every block, then every halving for the blocks it fails, in one call each
         failed = (~(block_value(xi, rows + d) <= f + 1e-4 * slope)).nonzero()[0]
@@ -402,7 +419,7 @@ def minimize_blockwise(theta0: np.ndarray, block_fgh: Callable, block_value: Cal
             if not len(xi):
                 break
         theta[xi] = rows = rows + step[:, None] * d
-        f, g, h = block_fgh(xi, rows)
+        f, g, hessians = block_fgh(xi, rows)
     return theta
 
 
@@ -413,6 +430,7 @@ def _newton_directions(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     Levenberg damping, doubled from 1e-8 until it descends, or past 1e12 steepest descent.
     """
     h += 0.0  # h + 0 * I, as a one-block loop solves it: -0.0 entries become +0.0
+    eye = np.eye(h.shape[-1])
     try:
         d = np.linalg.solve(h, -g[..., None])[..., 0]
         retry, first_damp = ~(np.vecdot(g, d) < 0), 1e-8
@@ -422,7 +440,7 @@ def _newton_directions(g: np.ndarray, h: np.ndarray) -> np.ndarray:
         d[i], damp = -g[i], first_damp
         while damp <= 1e12:
             with contextlib.suppress(np.linalg.LinAlgError):
-                di = np.linalg.solve(h[i] + damp * np.eye(len(h[i])), -g[i])
+                di = np.linalg.solve(h[i] + damp * eye, -g[i])
                 if g[i] @ di < 0:
                     d[i] = di
                     break

@@ -49,7 +49,8 @@ def test_compile_layer(benchmark, part):
 
 
 def test_lagrangian_block(benchmark):
-    """One stacked value/gradient/Hessian call on every safety-world Lagrangian block (mu = 0.5)."""
+    """One stacked value/gradient call on every safety-world Lagrangian block (mu = 0.5), with
+    the Hessians of every block built."""
     world = safety_world()
     g = UnifiedWeightOperator(TokenOperator("family_a"), TaskOperator("family_c"),
                               ContextOperator("family_a"), WeightBounds(0.05, 0.95))
@@ -58,7 +59,7 @@ def test_lagrangian_block(benchmark):
     mass, _ = _safety_label_mass(world, _label_table(world, cfg))
     fgh, _ = _lagrangian_block(compiled, 0.5, mass)
     rows = np.random.default_rng(0).normal(size=compiled.qbar.shape)
-    benchmark(fgh, np.arange(len(rows)), rows)
+    benchmark(lambda: fgh(np.arange(len(rows)), rows)[2]())
 
 
 def test_lagrangian_solve(benchmark):

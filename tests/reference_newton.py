@@ -4,15 +4,17 @@ One block at a time, one Python kernel call per line-search trial: the
 Newton direction with Levenberg damping, the backtracking line search by
 halving, and the value/gradient/Hessian of one input's share of the loss
 minus its safety label terms. ``distill.minimize_blockwise`` and
-``CompiledObjective.block`` keep these bits for every block of a stack.
+``CompiledObjective.block`` keep these bits for every block of a stack;
+``reference_lagrangian_block`` returns each block's Hessian itself, where the
+stacked kernel returns a builder.
 """
 
 import numpy as np
 
-from mskd import safety
+from mskd import distill, safety
 from mskd.core import log_softmax, softmax
 from mskd.distill import CompiledObjective
-from mskd.runner import _safety_config, parse_config_dict
+from mskd.runner import parse_config_dict, run_experiment
 
 from fixture_worlds import large_doc
 
@@ -99,36 +101,68 @@ def reference_newton(theta0: np.ndarray, block_fgh, gtol: float, max_iter: int =
     return theta
 
 
-def stalled_large_solves(max_iter: int = 200):
-    """The solves of the seed-0 large-world dual ascent in which a block runs ``max_iter`` times.
+def replay_large_safety_run() -> list[dict]:
+    """Replay the seed-0 large-world safety run and record every Newton solve it makes.
 
-    Replays ``dual_ascent_solve`` on the benchmark's generated safety world
-    and returns its compiled objective, its label mass and each such solve's
-    ``(mu, theta0)``. A solve makes one kernel call per iteration after its
-    first, so those solves are the ones with more than ``max_iter`` calls.
+    Runs the benchmark's generated safety config (its dual ascent, then the
+    one at the inactive threshold) with the solver and kernel wrapped. Each
+    record holds the solve's ``compiled`` objective, label ``mass``, ``mu``,
+    ``theta0`` and ``gtol``, and counts: ``calls`` to the value/gradient/Hessian
+    kernel, the ``rows`` those calls evaluate, the Hessian rows ``built``, the
+    rows ``solved`` for a Newton direction, and ``closed_built``, Hessian rows
+    built for a block the gradient test had closed.
     """
     cfg = parse_config_dict(large_doc("safety"))
     solves, solve, lagrangian_block = [], safety.minimize_blockwise, safety._lagrangian_block
+    directions = distill._newton_directions
 
     def recorded_block(compiled, mu, mass):
         fgh, value = lagrangian_block(compiled, mu, mass)
-        record = {"compiled": compiled, "mass": mass, "mu": mu, "calls": 0}
+        record = {"compiled": compiled, "mass": mass, "mu": mu}
+        record.update(dict.fromkeys(("calls", "rows", "built", "solved", "closed_built"), 0))
         solves.append(record)
 
         def counted(xi, rows):
             record["calls"] += 1
-            return fgh(xi, rows)
+            record["rows"] += len(xi)
+            f, g, hessians = fgh(xi, rows)
+
+            def counted_hessians(keep):
+                closed = np.sqrt(np.vecdot(g, g)) <= record["gtol"] / np.sqrt(len(record["theta0"]))
+                record["built"] += int(np.count_nonzero(keep))
+                record["closed_built"] += int(np.count_nonzero(keep & closed))
+                return hessians(keep)
+
+            return f, g, counted_hessians
 
         return counted, value
 
-    def recorded_solve(theta0, *args):
-        solves[-1]["theta0"] = np.array(theta0)
-        return solve(theta0, *args)
+    def recorded_solve(theta0, block_fgh, block_value, gtol):
+        solves[-1].update(theta0=np.array(theta0), gtol=gtol)
+        return solve(theta0, block_fgh, block_value, gtol)
+
+    def recorded_directions(g, h):
+        solves[-1]["solved"] += len(g)
+        return directions(g, h)
 
     safety._lagrangian_block, safety.minimize_blockwise = recorded_block, recorded_solve
+    distill._newton_directions = recorded_directions
     try:
-        safety.dual_ascent_solve(cfg.operator, cfg.world, _safety_config(cfg), cfg.trainer)
+        run_experiment(cfg)
     finally:
         safety._lagrangian_block, safety.minimize_blockwise = lagrangian_block, solve
+        distill._newton_directions = directions
+    return solves
+
+
+def stalled_large_solves(max_iter: int = 200):
+    """The solves of the seed-0 large-world dual ascent in which a block runs ``max_iter`` times.
+
+    Returns the replayed safety run's compiled objective, its label mass and
+    each such solve's ``(mu, theta0)``. A solve makes one kernel call per
+    iteration after its first, so those solves are the ones with more than
+    ``max_iter`` calls.
+    """
+    solves = replay_large_safety_run()
     stalled = [(s["mu"], s["theta0"]) for s in solves if s["calls"] > max_iter]
     return solves[0]["compiled"], solves[0]["mass"], stalled

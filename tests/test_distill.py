@@ -272,7 +272,8 @@ class TestFullBatch:
         # every row where it is rather than creep along the halved step
         theta0 = np.array([[1.0, -2.0, 0.5], [0.25, 0.0, -1.0]])
         def fgh(xi, rows):
-            return np.zeros(len(xi)), rows.copy(), np.tile(np.eye(rows.shape[1]), (len(xi), 1, 1))
+            return np.zeros(len(xi)), rows.copy(), lambda keep: np.tile(
+                np.eye(rows.shape[1]), (np.count_nonzero(keep), 1, 1))
 
         def value(xi, rows):
             return np.zeros(len(xi))
@@ -285,15 +286,18 @@ class TestFullBatch:
         # passes for steps up to 0.9999 / K: only the last trial, 2**-46, does
         k = 0.75 * 2.0 ** 46
         def fgh(xi, rows):
-            return value(xi, rows), 2.0 * k * rows - 1.0, np.ones((len(xi), 1, 1))
+            return value(xi, rows), 2.0 * k * rows - 1.0, lambda keep: np.ones((1, 1, 1))[keep]
 
         def value(xi, rows):
             return -rows[:, 0] + k * rows[:, 0] * rows[:, 0]
 
         theta0 = np.zeros((1, 1))
         got = distill.minimize_blockwise(theta0, fgh, value, gtol=0.0, max_iter=1)
-        ref = reference_newton(theta0, lambda xi, row: tuple(a[0] for a in fgh([xi], row[None])),
-                               gtol=0.0, max_iter=1)
+        def ref_fgh(xi, row):
+            f, g, hessians = fgh([xi], row[None])
+            return f[0], g[0], hessians([True])[0]
+
+        ref = reference_newton(theta0, ref_fgh, gtol=0.0, max_iter=1)
         assert got.tobytes() == ref.tobytes() == np.array([[2.0 ** -46]]).tobytes()
 
     def test_ridge_free_optimum_is_log_target(self, world):

@@ -232,13 +232,15 @@ sys.exit(0 if record.passed else 1)
 
 
 def test_traced_benchmark_probes_install(tmp_path):
-    # perfbench/probes.py wraps public names of mskd by name: dropping one fails here
+    # perfbench/probes.py wraps public names of mskd by name: dropping one fails here;
+    # the safety run passes the Newton kernel's return value through the solver's probe
     root = Path(__file__).resolve().parent.parent
-    done = subprocess.run([sys.executable, "-c", TRACED_RUN, str(root / "perfbench"),
-                           str(root / "src"), str(CONFIGS / "appendix_a.json"),
-                           str(tmp_path / "out")], capture_output=True, text=True)
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert (tmp_path / "out" / "summary.json").is_file()
+    for name in ("appendix_a", "safety"):
+        done = subprocess.run([sys.executable, "-c", TRACED_RUN, str(root / "perfbench"),
+                               str(root / "src"), str(CONFIGS / f"{name}.json"),
+                               str(tmp_path / name)], capture_output=True, text=True)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert (tmp_path / name / "summary.json").is_file()
 
 
 class TestGoldenOutputs:

@@ -52,7 +52,12 @@ from fixture_worlds import (
     safety_world_conflicting_labels,
     safety_world_labels,
 )
-from reference_newton import reference_lagrangian_block, reference_newton, stalled_large_solves
+from reference_newton import (
+    reference_lagrangian_block,
+    reference_newton,
+    replay_large_safety_run,
+    stalled_large_solves,
+)
 
 BOUNDS = WeightBounds(0.05, 0.95)
 
@@ -330,7 +335,7 @@ class TestNewtonKernel:
         mass, _ = _safety_label_mass(world, _label_table(world, cfg))
         assert np.count_nonzero(mass[2]) == 2  # input 2 holds two safety labels
         compiled = compile_objective(adaptive_g(), world, 0.01)
-        rng = np.random.default_rng(3)
+        rng, masks = np.random.default_rng(3), np.random.default_rng(4)
         n = len(world.inputs)
         for mu in (0.0, 0.4, 7.5):
             kernel, value = _lagrangian_block(compiled, mu, mass)
@@ -339,13 +344,17 @@ class TestNewtonKernel:
                 # every block once, then a stack that repeats and reorders them
                 for xi in (np.arange(n), rng.integers(0, n, size=7)):
                     rows = scale * rng.normal(size=(len(xi), world.vocab.size))
-                    f, g, h = kernel(xi, rows)
+                    f, g, hessians = kernel(xi, rows)
                     assert value(xi, rows).tobytes() == f.tobytes()
-                    for i, x in enumerate(xi.tolist()):
-                        rf, rg, rh = ref(x, rows[i])
-                        assert f[i] == rf and np.array_equal(g[i], rg) and np.array_equal(h[i], rh)
+                    refs = [ref(x, rows[i]) for i, x in enumerate(xi.tolist())]
+                    for i, (rf, rg, _) in enumerate(refs):
+                        assert f[i] == rf and np.array_equal(g[i], rg)
                         assert np.array_equal(np.signbit(g[i]), np.signbit(rg))
-                        assert np.array_equal(np.signbit(h[i]), np.signbit(rh))
+                    # every row's Hessian, then those of a random selection of the rows;
+                    # equal bytes: equal bits, the signs of zeros among them
+                    rh, keep = np.array([r[2] for r in refs]), masks.random(len(xi)) < 0.5
+                    assert hessians().tobytes() == rh.tobytes()
+                    assert hessians(keep).tobytes() == rh[keep].tobytes()
 
     def test_zero_weight_label_terms_still_apply(self, world):
         # at mu = 0 a label term subtracts zeros, and those still turn a -0.0
@@ -359,11 +368,13 @@ class TestNewtonKernel:
         rows = np.full((len(xi), world.vocab.size), -0.0)
         fgh, _ = _lagrangian_block(compiled, 0.0, mass)
         ref = reference_lagrangian_block(compiled, 0.0, mass)
-        _, g, h = fgh(xi, rows)
+        _, g, hessians = fgh(xi, rows)
+        h, keep = hessians(), np.arange(len(xi)) % 2 == 0
         for i in xi.tolist():
             _, rg, rh = ref(i, rows[i])
             assert np.array_equal(np.signbit(g[i]), np.signbit(rg))
             assert np.array_equal(np.signbit(h[i]), np.signbit(rh))
+        assert hessians(keep).tobytes() == h[keep].tobytes()
         assert not np.array_equal(np.signbit(g), np.signbit(compiled.block(xi, rows)[1]))
 
     @pytest.mark.parametrize("solve", ["dual_ascent", "pareto"])
@@ -466,6 +477,17 @@ class TestStackedNewton:
             got = distill.minimize_blockwise(theta0, *_lagrangian_block(compiled, mu, mass), 1e-8)
             assert stats["max_iter"] == 1
             assert got.tobytes() == ref.tobytes()
+
+    def test_hessians_only_for_open_blocks(self):
+        # the seed-0 large safety run: 79 solves, 686 kernel calls over 7,320
+        # rows, of which only the 4,792 still open after the gradient test get a
+        # Hessian, and every one of those is solved
+        solves = replay_large_safety_run()
+        assert len(solves) == 79
+        assert sum(s["calls"] for s in solves) == 686
+        assert sum(s["rows"] for s in solves) == 7320
+        assert sum(s["built"] for s in solves) == sum(s["solved"] for s in solves) == 4792
+        assert sum(s["closed_built"] for s in solves) == 0
 
 
 class TestDualAscent:
