@@ -1,15 +1,14 @@
 """Weight-space update dynamics: fixed points, contraction, robustness.
 
-The update operator blends the current teacher weights toward a
-performance-feedback target: each teacher is scored by how well its
-predictions agree with the current weighted consensus (negative
-cross-entropy against the ensemble target, averaged over the world), the
-scores pass through a softmax, and the weights move a fraction ``beta`` of
-the way toward that target before re-projection onto the bounded simplex.
-Identical teachers make the target constant, so the update is affine with
-ratio (1 - beta); that exact case anchors the contraction estimates.
+The update operator blends teacher weights toward a performance-feedback
+target: each teacher is scored by its agreement with the weighted consensus
+(negative cross-entropy against the ensemble target, averaged over the world),
+the scores pass through a softmax, and the weights move a fraction ``beta`` of
+the way there before re-projection onto the bounded simplex. It takes a (..., K)
+stack, each row with the bits it gets alone, so contraction pairs and fixed-point
+starts are updated one stack per call. Identical teachers make the update affine
+with ratio (1 - beta); that exact case anchors the contraction estimates.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -17,16 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import UnifiedWeightOperator, normalize_rows
-from .core import (
-    MarginViolated,
-    MskdError,
-    Sampler,
-    StudentParams,
-    World,
-    WeightBounds,
-    seeded_sampler,
-    softmax,
-)
+from .core import (MarginViolated, MskdError, Sampler, StudentParams, World, WeightBounds,
+                   seeded_sampler, softmax)
 from .distill import (CompiledObjective, _densify, _theta_from_params, _uniform_compiled,
                       compile_objective, solve_compiled)
 from .operators import clip_normalize
@@ -65,89 +56,98 @@ class FixedPointTrace:
         return len(self.distances)
 
 
+class FixedPointTraces(tuple):
+    """One :class:`FixedPointTrace` per start of a stacked iteration."""
+
+    @property
+    def n_iters(self) -> int:
+        return sum(t.n_iters for t in self)  # the update rows the stack evaluated
+
+
 def _ensemble_feedback(w: np.ndarray, world: World) -> np.ndarray:
-    """Per-teacher agreement score with the w-weighted consensus.
+    """Per-teacher agreement score with the w-weighted consensus, per row of a (..., K) stack.
 
     feedback_k = E_{x,c}[ sum_i p_k(i) * ln q_w(i) ], i.e. the negative
     cross-entropy of teacher k against the current ensemble target. A
     Lipschitz function of w as long as the teacher tables are strictly
-    positive.
+    positive. Each (row, cell) pair is its own matrix-vector product, so a
+    row gets the bits it gets alone.
     """
     weight = world.input_marginals()[:, None] * world.context_weights
     live = weight != 0.0
     dists = world.teacher_dists()[live]  # (cells, K, V) in (input, context) order
-    terms = weight[live][:, None] * (dists @ np.log(w @ dists)[..., None])[..., 0]
-    return np.cumsum(terms, axis=0)[-1]  # summed cell by cell, in order
+    log_q = np.log(w[..., None, None, :] @ dists)  # (..., cells, 1, V)
+    terms = weight[live][:, None] * (dists @ log_q[..., 0, :, None])[..., 0]
+    return np.cumsum(terms, axis=-2)[..., -1, :]  # summed cell by cell, in order
 
 
-def weight_update_T(w: np.ndarray, beta: float, world: World,
-                    bounds: WeightBounds) -> np.ndarray:
-    """One step of the weight-update operator.
+def weight_update_T(w, beta: float, world: World, bounds: WeightBounds) -> np.ndarray:
+    """One step of the weight-update operator, on a vector or each row of a (..., K) stack.
 
     Moves ``w`` a fraction ``beta`` toward the softmax of the feedback
     scores, then re-projects onto the bounded simplex. Deterministic.
     """
     if not 0.0 < beta <= 1.0:
         raise MskdError(f"beta must lie in (0, 1], got {beta}")
-    target = softmax(_ensemble_feedback(np.asarray(w, dtype=np.float64), world))
-    return clip_normalize((1.0 - beta) * np.asarray(w) + beta * target, bounds)
+    w = np.asarray(w, dtype=np.float64)
+    return clip_normalize((1.0 - beta) * w + beta * softmax(_ensemble_feedback(w, world)), bounds)
 
 
-def iterate_to_fixed_point(w0, config: WeightUpdateConfig, world: World,
-                           bounds: WeightBounds) -> FixedPointTrace:
+def iterate_to_fixed_point(w0, config: WeightUpdateConfig, world: World, bounds: WeightBounds):
     """Iterate the update operator until successive iterates stop moving.
 
-    Hitting ``max_iters`` with the last step above tolerance is reported via
-    ``converged=False`` (with the observed ratio), not raised.
+    One start gives a :class:`FixedPointTrace`; an (S, K) stack of starts gives
+    :class:`FixedPointTraces`, each equal to its start's run alone, from one
+    update call per iteration on the starts still moving. Hitting ``max_iters``
+    with the last step above tolerance is reported via ``converged=False``
+    (with the observed ratio), not raised.
     """
-    w = np.asarray(w0, dtype=np.float64)
-    bounds.check_feasible(w.shape[0])
-    if abs(float(w.sum()) - 1.0) > 1e-9 or not bounds.contains(w):
+    w = np.array(w0, dtype=np.float64, ndmin=2)
+    bounds.check_feasible(w.shape[-1])
+    if np.any(np.abs(w.sum(axis=-1) - 1.0) > 1e-9) or not bounds.contains(w):
         raise MskdError("starting weights must be normalized and within bounds")
-    iterates = [w]
-    distances: list[float] = []
-    converged = False
-    for _ in range(config.max_iters):
-        w_next = weight_update_T(w, config.beta, world, bounds)
-        d = float(np.max(np.abs(w_next - w)))
-        iterates.append(w_next)
-        distances.append(d)
-        w = w_next
-        if d <= config.tol:
-            converged = True
-            break
-    dist_arr = np.array(distances)
-    ratios = [dist_arr[i + 1] / dist_arr[i]
-              for i in range(len(dist_arr) - 1) if dist_arr[i] > 1e-300]
-    rho_hat = float(max(ratios)) if ratios else 0.0
-    return FixedPointTrace(np.array(iterates), dist_arr, rho_hat, converged)
+    history, moving, n_iters = [w.copy()], np.arange(len(w)), np.zeros(len(w), dtype=int)
+    while moving.size and len(history) <= config.max_iters:
+        w_next = weight_update_T(w[moving], config.beta, world, bounds)
+        d = np.max(np.abs(w_next - w[moving]), axis=-1)
+        w[moving], n_iters[moving] = w_next, n_iters[moving] + 1
+        history.append(w.copy())
+        moving = moving[~(d <= config.tol)]
+    history, traces = np.array(history), []
+    for s, n in enumerate(n_iters.tolist()):
+        iterates = history[:n + 1, s]
+        dist = np.max(np.abs(np.diff(iterates, axis=0)), axis=-1)  # each step's own bits
+        live = dist[:-1] > 1e-300
+        ratios = dist[1:][live] / dist[:-1][live]
+        traces.append(FixedPointTrace(iterates, dist, float(max(ratios.tolist(), default=0.0)),
+                                      bool(dist[-1] <= config.tol)))
+    return traces[0] if np.ndim(w0) == 1 else FixedPointTraces(traces)
 
 
-def sample_feasible_weights(k: int, bounds: WeightBounds, sampler: Sampler) -> np.ndarray:
-    return clip_normalize(sampler.uniform(bounds.w_min, bounds.w_max, size=k), bounds)
+def sample_feasible_weights(size, bounds: WeightBounds, sampler: Sampler) -> np.ndarray:
+    """Feasible weights of shape ``size`` (K, or (..., K)), in one draw."""
+    return clip_normalize(sampler.uniform(bounds.w_min, bounds.w_max, size=size), bounds)
 
 
 def estimate_contraction(config: WeightUpdateConfig, world: World, bounds: WeightBounds,
                          sampler: Sampler, n_pairs: int = 100) -> float:
     """Empirical contraction ratio over sampled feasible weight pairs.
 
-    rho_hat = max ||T(w) - T(w')||_inf / ||w - w'||_inf.
+    rho_hat = max ||T(w) - T(w')||_inf / ||w - w'||_inf over the pairs at least
+    1e-12 apart, drawn in one call (each ``w`` before its ``w'``) and updated in
+    another. No such pair is an error: the ratio would rest on no evidence.
     """
     if n_pairs < 1:
         raise MskdError("need at least one pair")
-    k = world.bank.k
-    rho = 0.0
-    for _ in range(n_pairs):
-        w = sample_feasible_weights(k, bounds, sampler)
-        w2 = sample_feasible_weights(k, bounds, sampler)
-        denom = float(np.max(np.abs(w - w2)))
-        if denom < 1e-12:
-            continue
-        num = float(np.max(np.abs(
-            weight_update_T(w, config.beta, world, bounds)
-            - weight_update_T(w2, config.beta, world, bounds))))
-        rho = max(rho, num / denom)
-    return rho
+    w = sample_feasible_weights((n_pairs, 2, world.bank.k), bounds, sampler)
+    denom = np.max(np.abs(w[:, 0] - w[:, 1]), axis=-1)
+    apart = ~(denom < 1e-12)
+    if not apart.any():
+        raise MskdError(f"no sampled weight pair in [{bounds.w_min}, {bounds.w_max}] is 1e-12 "
+                        f"apart for K={world.bank.k}: the contraction ratio has no evidence")
+    t = weight_update_T(w[apart], config.beta, world, bounds)
+    num = np.max(np.abs(t[:, 0] - t[:, 1]), axis=-1)
+    return float(np.fmax.reduce(num / denom[apart], initial=0.0))  # a NaN ratio is skipped
 
 
 # ---------------------------------------------------------------------------

@@ -314,11 +314,14 @@ class AxiomCheck:
     worst_violation: float = 0.0
     n_checked: int = 0
 
-    def record(self, magnitude: float) -> None:
-        self.n_checked += 1
-        if magnitude > self.worst_violation:
-            self.worst_violation = magnitude
-        if magnitude > self.tol:
+    def record(self, magnitudes) -> None:
+        """Record a magnitude, or an array of them in any order (a NaN is counted, not judged)."""
+        m = np.asarray(magnitudes, dtype=np.float64)
+        self.n_checked += m.size
+        worst = float(np.fmax.reduce(m, axis=None, initial=self.worst_violation))
+        if worst > self.worst_violation:
+            self.worst_violation = worst
+        if np.any(m > self.tol):
             self.passed = False
 
 
@@ -387,8 +390,9 @@ def _perturbed_bank(bank: TeacherBank, scale: str, key, eps: float,
     return bank.replaced(array=cells, index=index), float(moved.max(initial=0.0))
 
 
-def _evaluate(op, scale: str, bank: TeacherBank, bounds: WeightBounds, points: dict) -> dict:
-    """Point -> (weights, largest weight change when its inputs move (NaN if they do not), move).
+def _evaluate(op, scale: str, bank: TeacherBank, bounds: WeightBounds, points: dict):
+    """Per point, in order: (P, K) weights, the largest weight change when its inputs
+    move (NaN if they do not), and the distance moved.
 
     A built-in token family takes one array call for all points and one for all moved
     cells; every other operator is called per point, on the bank, then the moved bank.
@@ -401,32 +405,17 @@ def _evaluate(op, scale: str, bank: TeacherBank, bounds: WeightBounds, points: d
         on = op._on([i for _, i, _ in points])
         w = op.cell_weights(cells, on, bank, bounds)
         w2 = op.cell_weights(validate_distribution(moved_cells), on, bank, bounds)
-        dw = np.where(moved > 1e-12, np.abs(w2 - w).max(axis=-1), np.nan)
-        return dict(zip(points, zip(w, dw.tolist(), moved.tolist())))
-    evaluated = {}
+        return w, np.where(moved > 1e-12, np.abs(w2 - w).max(axis=-1), np.nan), moved
+    evaluated = []
     for key, (args, draws) in points.items():
         w = np.asarray(op.weights(*args, bank, bounds), dtype=np.float64)
         bank2, moved = _perturbed_bank(bank, scale, key, PERTURB_EPS, draws)
         dw = np.nan
         if moved > 1e-12:
             dw = float(np.max(np.abs(op.weights(*args, bank2, bounds) - w)))
-        evaluated[key] = (w, dw, moved)
-    return evaluated
-
-
-def _basic_checks(report: ConformanceReport, w: np.ndarray, bounds: WeightBounds) -> None:
-    report.checks["normalization"].record(abs(float(w.sum()) - 1.0))
-    w_min = float(w.min())
-    report.checks["positivity"].record(-w_min if w_min <= 0 else 0.0)
-    report.checks["bounds"].record(max(bounds.w_min - w_min, float(w.max()) - bounds.w_max, 0.0))
-
-
-def _safety_monotonicity(report: ConformanceReport, w: np.ndarray, scores: np.ndarray) -> None:
-    # strict premise: a strictly safer teacher may not get strictly less weight
-    for a in range(len(w)):
-        for b in range(len(w)):
-            if scores[a] > scores[b]:
-                report.checks["safety_monotonicity"].record(max(float(w[b] - w[a]), 0.0))
+        evaluated.append((w, dw, moved))
+    w, dw, moved = zip(*evaluated)
+    return np.array(w), np.array(dw), np.array(moved)
 
 
 def check_conformance(op, scale: str, world: World, bounds: WeightBounds,
@@ -439,7 +428,8 @@ def check_conformance(op, scale: str, world: World, bounds: WeightBounds,
     weight change must stay within the declared Lipschitz constant times the
     distance moved. Failures are recorded in the report, never raised.
 
-    Operators are pure, so evaluations at repeated sample points are cached.
+    Operators are pure, so each distinct point is evaluated once, and each axiom's
+    magnitudes are computed once per point, on the (P, K) stack, then recorded per sample.
     """
     if scale not in ("token", "task", "context"):
         raise MskdError(f"unknown scale {scale!r}")
@@ -447,14 +437,15 @@ def check_conformance(op, scale: str, world: World, bounds: WeightBounds,
         raise MskdError("need at least one sample")
     bank = world.bank
     report = ConformanceReport(scale=scale, n_samples=n_samples)
-    report.checks["normalization"] = AxiomCheck("normalization", SUM_TOL)
-    report.checks["positivity"] = AxiomCheck("positivity", 0.0)
-    report.checks["bounds"] = AxiomCheck("bounds", SUM_TOL)
-    report.checks["regularity"] = AxiomCheck("regularity", bounds.lipschitz)
+    checks = report.checks
+    checks["normalization"] = AxiomCheck("normalization", SUM_TOL)
+    checks["positivity"] = AxiomCheck("positivity", 0.0)
+    checks["bounds"] = AxiomCheck("bounds", SUM_TOL)
+    checks["regularity"] = AxiomCheck("regularity", bounds.lipschitz)
     if scale in ("token", "context"):
-        report.checks["safety_monotonicity"] = AxiomCheck("safety_monotonicity", SUM_TOL)
+        checks["safety_monotonicity"] = AxiomCheck("safety_monotonicity", SUM_TOL)
     points: dict = {}  # each distinct point, first seen first: its arguments and draws
-    samples = []
+    keys, safe = [], []  # per sample: its point, and whether safety monotonicity applies
     for _ in range(n_samples):
         # a point: its key, the ``weights`` arguments before the bank, and
         # whether safety monotonicity applies there; the draws that move its
@@ -474,16 +465,22 @@ def check_conformance(op, scale: str, world: World, bounds: WeightBounds,
             points[key] = (args, sampler.uniform(-PERTURB_EPS, PERTURB_EPS, size=bank.k)
                            if scale == "task" else
                            sampler.normal(size=bank.array[_cells(bank, scale, key)].shape))
-        samples.append((key, safety))
-    evaluated = _evaluate(op, scale, bank, bounds, points)
-    for key, safety in samples:
-        w, dw, moved = evaluated[key]
-        _basic_checks(report, w, bounds)
-        if safety:
-            _safety_monotonicity(report, w, bank.safety_scores)
-        if np.isfinite(dw):
-            report.lipschitz_estimate = max(report.lipschitz_estimate, dw / moved)
-            report.checks["regularity"].record(dw / moved)
+        keys.append(key)
+        safe.append(safety)
+    w, dw, moved = _evaluate(op, scale, bank, bounds, points)
+    position = {key: n for n, key in enumerate(points)}
+    at = np.array([position[key] for key in keys])
+    lo, hi = w.min(axis=-1), w.max(axis=-1)
+    checks["normalization"].record(np.abs(w.sum(axis=-1) - 1.0)[at])
+    checks["positivity"].record(np.where(lo <= 0, -lo, 0.0)[at])
+    checks["bounds"].record(np.maximum(np.maximum(bounds.w_min - lo, hi - bounds.w_max), 0.0)[at])
+    if scale != "task":  # strict premise: a strictly safer teacher may not get strictly less weight
+        a, b = np.nonzero(bank.safety_scores[:, None] > bank.safety_scores)
+        w_safe = w[at[np.array(safe)]]
+        checks["safety_monotonicity"].record(np.maximum(w_safe[:, b] - w_safe[:, a], 0.0))
+    ratio = (dw / moved)[at][np.isfinite(dw[at])]
+    report.lipschitz_estimate = float(np.max(ratio, initial=0.0))
+    checks["regularity"].record(ratio)
     return report
 
 

@@ -37,6 +37,7 @@ import numpy as np
 from . import __version__
 from .composition import UnifiedWeightOperator, uniform_unified, weighted_ensemble
 from .core import (
+    CONSTRUCTION_TOL,
     ContextSpec,
     InputSpec,
     MskdError,
@@ -247,6 +248,10 @@ def parse_config_dict(doc: dict) -> ExperimentConfig:
         errors.append("trainer.ridge: must be positive for a safety run")
     if kind == "safety" and world and not any(c.is_safety_critical for c in world.contexts):
         errors.append("world.contexts: a safety run needs a safety-critical context")
+    if kind == "fixed_point" and bounds and world and min(  # the contraction needs two vectors
+            abs(world.bank.k * w - 1.0) for w in (bounds.w_min, bounds.w_max)) <= CONSTRUCTION_TOL:
+        errors.append(f"bounds: admit one weight vector for K={world.bank.k}; a fixed_point "
+                      "run needs K*w_min < 1 < K*w_max")
     if errors:
         raise ParseError("invalid config:\n  - " + "\n  - ".join(errors))
     return ExperimentConfig(
@@ -444,7 +449,9 @@ def _run_fixed_point(cfg: ExperimentConfig, rec: RunRecord) -> None:
     k = cfg.world.bank.k
     rho = estimate_contraction(fp_cfg, cfg.world, cfg.bounds, sampler, cfg.params["n_pairs"])
     rec.check("contraction_below_one", rho, 1.0 - 1e-9, compare="le")
-    trace = iterate_to_fixed_point(uniform_weights(k, cfg.bounds), fp_cfg, cfg.world, cfg.bounds)
+    starts = np.vstack([uniform_weights(k, cfg.bounds),
+                        sample_feasible_weights((cfg.params["n_starts"], k), cfg.bounds, sampler)])
+    trace, *others = iterate_to_fixed_point(starts, fp_cfg, cfg.world, cfg.bounds)
     rec.check("iteration_converged", trace.converged, True, compare="eq")
     w_star = trace.w_star
     envelope_ok = True
@@ -454,11 +461,7 @@ def _run_fixed_point(cfg: ExperimentConfig, rec: RunRecord) -> None:
         if lhs > (rho ** nstep) * d0 * (1.0 + 1e-6) + 1e-12:
             envelope_ok = False
     rec.check("geometric_envelope", envelope_ok, True, compare="eq")
-    spread = 0.0
-    for _ in range(cfg.params["n_starts"]):
-        w0 = sample_feasible_weights(k, cfg.bounds, sampler)
-        tr = iterate_to_fixed_point(w0, fp_cfg, cfg.world, cfg.bounds)
-        spread = max(spread, float(np.max(np.abs(tr.w_star - w_star))))
+    spread = max([0.0] + [float(np.max(np.abs(tr.w_star - w_star))) for tr in others])
     rec.check("fixed_point_unique", spread, 1e-6, compare="le")
     control = identical_teachers_world(k)
     control_bounds = WeightBounds(0.01, 0.99, cfg.bounds.lipschitz)

@@ -1,13 +1,20 @@
 """Weight-update dynamics: contraction, fixed points, robustness, variance."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mskd import dynamics, runner
 from mskd.composition import UnifiedWeightOperator, uniform_unified
-from mskd.core import (SAMPLE_BLOCK, MarginViolated, StudentParams, TaskSpec, WeightBounds,
-                       World, seeded_sampler, softmax)
+from mskd.core import (SAMPLE_BLOCK, ContextSpec, InputSpec, MarginViolated, MskdError,
+                       StudentParams, TaskSpec, TeacherBank, VocabularySpec, WeightBounds, World,
+                       seeded_sampler, softmax)
 from mskd.distill import compile_objective
 from mskd.dynamics import (
+    FixedPointTraces,
     WeightUpdateConfig,
     _ensemble_feedback,
     _single_sample_variance,
@@ -19,9 +26,12 @@ from mskd.dynamics import (
     weight_update_T,
 )
 from mskd.operators import ContextOperator, TaskOperator, TokenOperator, uniform_weights
-from mskd.runner import identical_teachers_world
+from mskd.runner import identical_teachers_world, parse_config, run_experiment
 
-from fixture_worlds import appendix_world, conformance_world, convergence_world, safety_world
+from fixture_worlds import (CONFIGS, appendix_world, conformance_world, convergence_world,
+                            safety_world)
+from reference_dynamics import (reference_contraction, reference_feedback,
+                                reference_fixed_point, reference_update, reference_weights)
 
 BOUNDS = WeightBounds(0.05, 0.95)
 
@@ -160,6 +170,129 @@ class TestFixedPoint:
         from mskd.core import MskdError
         with pytest.raises(MskdError):
             iterate_to_fixed_point(np.array([0.99, 0.01]), cfg, world, BOUNDS)
+
+
+FIXTURE_WORLDS = {"appendix": appendix_world, "convergence": convergence_world,
+                  "conformance": conformance_world, "safety": safety_world,
+                  "zero_weight_input": _zero_weight_input_world,
+                  "identical_teachers": lambda: identical_teachers_world(4)}
+
+
+@functools.cache
+def fixture_world(name: str) -> World:
+    return FIXTURE_WORLDS[name]()
+
+
+@st.composite
+def generated_worlds(draw) -> World:
+    """K up to 6 teachers over strictly positive tables; some inputs carry zero weight."""
+    k, v = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    n_inputs, n_contexts = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    input_weights = rng.random(n_inputs) * (rng.random(n_inputs) < 0.6)
+    input_weights[rng.integers(n_inputs)] += 1.0
+    table = {(x, c): rng.dirichlet(np.full(v, 0.7), size=k) + 1e-9
+             for x in range(n_inputs) for c in range(n_contexts)}
+    bank = TeacherBank(k, {cell: d / d.sum(axis=-1, keepdims=True) for cell, d in table.items()},
+                       {0: rng.random(k)}, rng.random(k))
+    return World(VocabularySpec(v),
+                 tuple(InputSpec(x, np.array([float(x)])) for x in range(n_inputs)),
+                 (TaskSpec(0, tuple(range(n_inputs)), input_weights / input_weights.sum(), 1.0),),
+                 tuple(ContextSpec(c, np.array([float(c)]), m)
+                       for c, m in enumerate(rng.dirichlet(np.ones(n_contexts)))), bank)
+
+
+def _assert_rows_match_references(world: World, shape, beta: float, seed: int) -> None:
+    bounds = WeightBounds(0.02, 0.9)
+    w = sample_feasible_weights((*shape, world.bank.k), bounds, seeded_sampler(seed))
+    feedback, update = _ensemble_feedback(w, world), weight_update_T(w, beta, world, bounds)
+    for row in np.ndindex(*shape):
+        assert feedback[row].tobytes() == reference_feedback(w[row], world).tobytes()
+        assert update[row].tobytes() == reference_update(w[row], beta, world, bounds).tobytes()
+
+
+def _assert_same_trace(trace, expected) -> None:
+    assert trace.iterates.tobytes() == expected.iterates.tobytes()
+    assert trace.distances.tobytes() == expected.distances.tobytes()
+    assert (trace.rho_hat, trace.converged) == (expected.rho_hat, expected.converged)
+
+
+STACK_SHAPES = st.lists(st.integers(1, 4), min_size=1, max_size=2)
+
+
+class TestStackedDynamics:
+    @pytest.mark.parametrize("name", FIXTURE_WORLDS)
+    @settings(max_examples=10, deadline=None)
+    @given(shape=STACK_SHAPES, beta=st.floats(0.01, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_fixture_world_rows_equal_one_vector_reference(self, name, shape, beta, seed):
+        _assert_rows_match_references(fixture_world(name), shape, beta, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(world=generated_worlds(), shape=STACK_SHAPES, beta=st.floats(0.01, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_generated_world_rows_equal_one_vector_reference(self, world, shape, beta, seed):
+        _assert_rows_match_references(world, shape, beta, seed)
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_one_draw_gives_the_per_pair_doubles(self, k):
+        bounds, n = WeightBounds(0.05, 0.6), 25
+        stacked, alone = seeded_sampler(k), seeded_sampler(k)
+        pairs = sample_feasible_weights((n, 2, k), bounds, stacked)
+        per_pair = [reference_weights(k, bounds, alone) for _ in range(2 * n)]
+        assert pairs.tobytes() == np.array(per_pair).tobytes()
+        assert stacked.uniform() == alone.uniform()
+
+    @pytest.mark.parametrize("name", FIXTURE_WORLDS)
+    @pytest.mark.parametrize("n_pairs", [1, 2, 60])
+    def test_contraction_equals_pair_by_pair(self, name, n_pairs):
+        world, cfg = fixture_world(name), WeightUpdateConfig(beta=0.4)
+        stacked, alone = seeded_sampler(n_pairs), seeded_sampler(n_pairs)
+        rho = estimate_contraction(cfg, world, BOUNDS, stacked, n_pairs)
+        assert rho == reference_contraction(cfg, world, BOUNDS, alone, n_pairs)
+        assert stacked.uniform() == alone.uniform()
+
+    @pytest.mark.parametrize("name", FIXTURE_WORLDS)
+    @pytest.mark.parametrize("max_iters", [1, 3, 1000])
+    def test_each_start_equals_its_solo_run(self, name, max_iters):
+        world, cfg = fixture_world(name), WeightUpdateConfig(0.3, max_iters, 1e-10)
+        starts = sample_feasible_weights((5, world.bank.k), BOUNDS, seeded_sampler(9))
+        settled = reference_fixed_point(starts[0], WeightUpdateConfig(0.3, 1000, 1e-10),
+                                        world, BOUNDS).w_star
+        starts = np.vstack([starts, settled])  # a start that stops at once
+        traces = iterate_to_fixed_point(starts, cfg, world, BOUNDS)
+        assert isinstance(traces, FixedPointTraces) and len(traces) == len(starts)
+        for start, trace in zip(starts, traces):
+            _assert_same_trace(trace, reference_fixed_point(start, cfg, world, BOUNDS))
+            _assert_same_trace(iterate_to_fixed_point(start, cfg, world, BOUNDS), trace)
+        assert traces.n_iters == sum(t.n_iters for t in traces)
+
+    def test_bounds_with_one_vector_give_no_evidence(self):
+        world, cfg = appendix_world(), WeightUpdateConfig()
+        with pytest.raises(MskdError, match="no evidence"):
+            estimate_contraction(cfg, world, WeightBounds(0.5, 0.5), seeded_sampler(0), 20)
+        assert reference_contraction(cfg, world, WeightBounds(0.5, 0.5), seeded_sampler(0), 20) == 0
+
+    def test_bundled_fixed_point_update_calls(self, monkeypatch):
+        # the bundled run: 200 + 50 contraction pairs and 11 starts (779 iterations
+        # together) make 1,279 update rows, one call per contraction and per iteration
+        calls, rows, iters = [], [], []
+        update, iterate = dynamics.weight_update_T, runner.iterate_to_fixed_point
+
+        def counted_update(w, *args):
+            calls.append(1)
+            rows.append(np.asarray(w)[..., 0].size)
+            return update(w, *args)
+
+        def counted_iterate(*args):
+            traces = iterate(*args)
+            iters.append(traces.n_iters)
+            return traces
+
+        monkeypatch.setattr(dynamics, "weight_update_T", counted_update)
+        monkeypatch.setattr(runner, "iterate_to_fixed_point", counted_iterate)
+        assert run_experiment(parse_config(CONFIGS / "fixed_point.json")).passed
+        assert sum(rows) == 1279 and sum(iters) == 779
+        assert len(calls) <= 80
 
 
 class TestPerturbation:

@@ -39,6 +39,7 @@ from mskd.operators import (
 from fixture_worlds import (appendix_world, conformance_world, convergence_world, large_doc,
                             safety_world, zero_entry_world)
 from reference_compile import reference_perturb_rows, reference_token_weights
+from reference_dynamics import reference_conformance
 
 # the Appendix A teacher rows
 APPENDIX_TEACHER_1 = (0.8, 0.15, 0.05)
@@ -502,6 +503,60 @@ class TestConformanceLoop:
                                    WeightBounds(0.05, 0.95), sampler, 60)
         assert sampler.uniform() == NEXT_DOUBLE[scale]
         assert report.lipschitz_estimate == LIPSCHITZ[scale]
+
+
+def violating_operator(scale: str):
+    """A custom operator that breaks positivity, the bounds and safety monotonicity.
+
+    On ``mixed_world`` (safety scores 0.9 > 0.2) its weights favour the less
+    safe of the first two teachers, go negative or past ``w_max`` at some points,
+    and read the moved bank, so every axiom records magnitudes that vary by point.
+    """
+    def fn(*args):
+        *point, bank, bounds = args
+        if scale == "token":
+            x, i, c = point
+            cell = bank.dists(x, c)[1, 0]
+        elif scale == "task":
+            x = i = c = point[0]
+            cell = bank.perf(point[0])[0]
+        else:
+            x, i, c = 0, 1 + point[0].id, point[0].id
+            cell = bank.dists(0, c)[1, 0]
+        rest = np.full(bank.k - 2, 0.1)  # any further teachers
+        return np.array([0.3 - 0.2 * i - 0.1 * x, 0.7 + 0.2 * i + 0.1 * cell + 0.05 * c, *rest])
+
+    return OPERATOR[scale]("custom", fn=fn)
+
+
+def _report_fields(report) -> tuple:
+    return (report.scale, report.n_samples, repr(report.lipschitz_estimate),
+            [(name, c.tol, c.passed, repr(c.worst_violation), c.n_checked)
+             for name, c in report.checks.items()])
+
+
+class TestConformanceStack:
+    @pytest.mark.parametrize("scale,family", [
+        ("token", "uniform"), ("token", "family_a"), ("token", "inverse_entropy"),
+        ("token", "family_c"), ("task", "uniform"), ("task", "family_c"),
+        ("context", "uniform"), ("context", "family_a"), ("context", "inverse_entropy"),
+        ("token", "violating"), ("task", "violating"), ("context", "violating")])
+    @pytest.mark.parametrize("make_world", [mixed_world, conformance_world])
+    def test_report_equals_per_sample_reference(self, scale, family, make_world):
+        world = make_world()
+        op = (violating_operator(scale) if family == "violating" else
+              TokenOperator(family, safety_tokens=world.vocab.safety_tokens) if scale == "token"
+              else OPERATOR[scale](family))
+        for seed in (0, 5):
+            stacked, alone = seeded_sampler(seed), seeded_sampler(seed)
+            report = check_conformance(op, scale, world, WeightBounds(0.05, 0.95), stacked, 300)
+            expected = reference_conformance(op, scale, world, WeightBounds(0.05, 0.95),
+                                             alone, 300)
+            assert _report_fields(report) == _report_fields(expected)
+            assert stacked.uniform() == alone.uniform()
+            if family == "violating":
+                assert set(report.failures()) >= {"positivity", "bounds", "normalization"} | (
+                    {"safety_monotonicity"} if scale != "task" else set())
 
 
 class TestParetoCompat:

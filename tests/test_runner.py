@@ -74,6 +74,19 @@ class TestParseConfig:
             parse_config_dict(doc)
         assert "0.6" in str(exc.value)
 
+    @pytest.mark.parametrize("w_min,w_max", [(0.5, 0.5), (0.1, 0.5), (0.5, 0.9)])
+    def test_fixed_point_bounds_with_one_vector_rejected(self, w_min, w_max, tmp_path):
+        # K = 2 teachers: K * w_min = 1 or K * w_max = 1 leaves only (0.5, 0.5), and no
+        # sampled pair could measure the contraction
+        doc = copy.deepcopy(BUNDLED_DOCS["fixed_point"])
+        doc["bounds"].update(w_min=w_min, w_max=w_max)
+        with pytest.raises(ParseError, match="bounds: admit one weight vector for K=2"):
+            parse_config_dict(doc)
+        assert _main_on(doc, "validate", tmp_path) == 2
+        doc["kind"] = "appendix_a"  # the other kinds sample no pairs
+        doc["params"] = {}
+        parse_config_dict(doc)
+
     def test_unresolved_teacher_reference(self):
         doc = minimal_doc()
         doc["world"]["teachers"]["table"] = doc["world"]["teachers"]["table"][:0]
@@ -233,9 +246,10 @@ sys.exit(0 if record.passed else 1)
 
 def test_traced_benchmark_probes_install(tmp_path):
     # perfbench/probes.py wraps public names of mskd by name: dropping one fails here;
-    # the safety run passes the Newton kernel's return value through the solver's probe
+    # the safety run passes the Newton kernel's return value through the solver's probe,
+    # and the fixed_point run the stacked traces through the iteration's probe
     root = Path(__file__).resolve().parent.parent
-    for name in ("appendix_a", "safety"):
+    for name in ("appendix_a", "safety", "fixed_point", "conformance"):
         done = subprocess.run([sys.executable, "-c", TRACED_RUN, str(root / "perfbench"),
                                str(root / "src"), str(CONFIGS / f"{name}.json"),
                                str(tmp_path / name)], capture_output=True, text=True)
@@ -253,6 +267,25 @@ class TestGoldenOutputs:
         doc = json.loads((CONFIGS / "rate.json").read_text())
         doc["params"]["n_seeds"] = RATE_SEEDS
         _assert_pinned_outputs("bundled", "0-rate/", parse_config_dict(doc), tmp_path / "rate")
+
+    # the bytes of the one-start, one-pair-at-a-time code at the edges of the fixed_point
+    # params: no sampled start, and a single contraction pair
+    @pytest.mark.parametrize("params,pinned", [
+        ({"n_starts": 0}, {
+            "fixed_point.csv": "7f527a4c65ee1f7f9471a82445eef47adb818210b8abc8f64de879d6687ffdf8",
+            "results.csv": "1ab4f3552712780166f0db622c41cda186dc53bd40f2b7acd4a85ab3ed218a86",
+            "summary.json": "737e4d00691c1c320cac59e359d65545d1a9abab679dac4d2b3b43bb507abbc9"}),
+        ({"n_pairs": 1}, {
+            "fixed_point.csv": "7f527a4c65ee1f7f9471a82445eef47adb818210b8abc8f64de879d6687ffdf8",
+            "results.csv": "cebff90ec27fd3fce6da798938bdda65b2866858cff4a250f741e4b137ff5e32",
+            "summary.json": "979b9078a0f6032f0e7db6cc33c4d041154ba83fdfc8575b02ab77e82d7ddd88"}),
+    ], ids=["no_starts", "one_pair"])
+    def test_fixed_point_edge_params_keep_their_bytes(self, params, pinned, tmp_path):
+        doc = copy.deepcopy(BUNDLED_DOCS["fixed_point"])
+        doc["params"].update(params)
+        out = emit_summary(run_experiment(parse_config_dict(doc)), tmp_path, quiet=True)
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in out.iterdir()} == pinned
 
     @pytest.mark.parametrize("index,name", list(enumerate(GOLDEN_LARGE)))
     def test_large_world_outputs_match_pinned_digests(self, index, name, tmp_path):
