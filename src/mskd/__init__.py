@@ -31,11 +31,7 @@ from .distill import (
     TrainTrace,
     classic_uniform_train,
     fit_convergence_rate,
-    kd_gradient,
-    kd_loss,
-    noisy_weight_train,
     sgd_train,
-    solve_optimum,
     train_stack,
 )
 from .dynamics import (
@@ -53,9 +49,7 @@ from .safety import (
     expected_safety,
     jensen_preservation_check,
     kkt_residuals,
-    lagrangian_value,
     pareto_sweep,
-    safety_measure,
 )
 
 __version__ = "0.1.0"

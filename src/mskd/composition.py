@@ -3,7 +3,9 @@
 The unified weight for teacher k at (input x, token i, task t, context c) is
 the normalized product of the token, task, and context weights. No clipping
 is applied after the product; instead the components' bounds induce derived
-effective bounds on the unified weights (see :func:`effective_bounds`).
+effective bounds: with every component in [w_min, w_max], a unified weight lies
+in [lo / (lo + (K-1) hi), hi / (hi + (K-1) lo)] with lo = w_min^3, hi = w_max^3
+(a teacher's own product minimal and all K-1 rivals maximal, and vice versa).
 
 Normalization of the product is integer-exact: a row's entries are put over
 their largest power-of-two denominator, the numerators summed as integers,
@@ -59,19 +61,6 @@ def normalize_rows(rows: np.ndarray) -> np.ndarray:
     return normed[inverse.reshape(-1)].reshape(rows.shape)
 
 
-def effective_bounds(bounds: WeightBounds, k: int) -> tuple[float, float]:
-    """Derived bounds the normalized three-scale product respects.
-
-    With every component in [w_min, w_max], the unified weight of a teacher
-    is smallest when its own product is minimal and all K-1 rivals are
-    maximal, and vice versa.
-    """
-    lo3, hi3 = bounds.w_min ** 3, bounds.w_max ** 3
-    lo = lo3 / (lo3 + (k - 1) * hi3)
-    hi = hi3 / (hi3 + (k - 1) * lo3)
-    return lo, hi
-
-
 @dataclass(frozen=True)
 class UnifiedWeightOperator:
     """Hierarchical composition of a token, task, and context operator."""
@@ -93,17 +82,6 @@ class UnifiedWeightOperator:
         """Normalized product of the three scale weights at one evaluation point."""
         w_tok, w_task, w_ctx = self.components(x, i, t, c, world)
         return normalize_exact(w_tok * w_task * w_ctx)
-
-    def log_decompose(self, x: int, i: int, t: int, c: int,
-                      world: World) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-teacher logs of the components and of their unnormalized product.
-
-        The last array equals the sum of the first three exactly, up to
-        floating-point error below 1e-12.
-        """
-        w_tok, w_task, w_ctx = self.components(x, i, t, c, world)
-        product = w_tok * w_task * w_ctx
-        return np.log(w_tok), np.log(w_task), np.log(w_ctx), np.log(product)
 
     def weight_table(self, world: World) -> np.ndarray:
         """(J, N, C, V, K) unified weights over the world, equal to :meth:`unified_weight`."""

@@ -373,18 +373,6 @@ class StudentParams:
             raise MissingLogits("one logit row required per input id")
         if self.ridge < 0:
             raise MskdError("ridge strength must be nonnegative")
-        # id -> row; a repeated id keeps its first row, as ``tuple.index`` did
-        object.__setattr__(self, "_row", dict(reversed([(x, k) for k, x in
-                                                         enumerate(self.input_ids)])))
-
-    def row(self, input_id: int) -> np.ndarray:
-        try:
-            return self.logits[self._row[input_id]]
-        except KeyError:
-            raise MissingLogits(f"no logits for input {input_id}")
-
-    def distribution(self, input_id: int) -> np.ndarray:
-        return softmax(self.row(input_id))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -484,10 +472,6 @@ class World:
             raise UnresolvedReference(
                 f"unknown id {exc.args[0]} in (task {task_id}, input {input_id}, "
                 f"context {context_id})")
-
-    @property
-    def task_importances(self) -> np.ndarray:
-        return self._lam
 
     @property
     def context_weights(self) -> np.ndarray:

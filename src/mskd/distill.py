@@ -9,8 +9,7 @@ single-sample gradients, and decays the learning rate as eta0 / (1 + t).
 
 All trainers share one loop, ``train_stack``: runs (a target table and a
 seed each) trained in lockstep, each with the bits it gets alone;
-``sgd_train``, ``classic_uniform_train`` and ``noisy_weight_train`` are
-stacks of one. The classical trainer differs from the adaptive one only in
+``sgd_train`` and ``classic_uniform_train`` are stacks of one. The classical trainer differs from the adaptive one only in
 how the target table is built. With all-uniform operators the two tables
 are bit-identical, so the trajectories agree exactly at equal seeds.
 
@@ -27,10 +26,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .composition import UnifiedWeightOperator, normalize_rows, renormalized_mixture
+from .composition import UnifiedWeightOperator, renormalized_mixture
 from .core import (
     InsufficientTrace,
-    MarginViolated,
     MskdError,
     NonFiniteLoss,
     StudentParams,
@@ -193,8 +191,8 @@ def compile_objective(G: UnifiedWeightOperator, world: World,
     weights once per (input, context) (and token, for a custom operator),
     task weights once per task and context weights once per context, not per
     training step. The table is kept compact, as distinct ``rows`` and each
-    token's ``slot``; the robustness experiments perturb and renormalize those
-    rows (``normalize_rows``) and densify them again with ``_densify``.
+    token's ``slot``; the perturbation experiment shifts and renormalizes those
+    rows (``normalize_rows``) and densifies them again with ``_densify``.
     """
     return _densify(world, ridge, *G.compact_table(world))
 
@@ -219,29 +217,6 @@ def _densify(world: World, ridge: float, rows: np.ndarray, slot: np.ndarray) -> 
         qlogq = np.where(targets > 0, targets * np.log(np.where(targets > 0, targets, 1.0)), 0.0)
     neg_ent = float(np.sum(joint[..., None] * qlogq))
     return CompiledObjective(world, ridge, rows, slot, joint, targets, m_x, qbar, neg_ent)
-
-
-# ---------------------------------------------------------------------------
-# Loss / gradient (public surface over the compiled form)
-# ---------------------------------------------------------------------------
-
-def kd_loss(params: StudentParams, G: UnifiedWeightOperator, world: World) -> float:
-    """Exact expected cross-entropy between ensemble targets and the student."""
-    compiled = compile_objective(G, world, params.ridge)
-    theta = _theta_from_params(params, world)
-    return compiled.loss(theta)
-
-
-def kd_gradient(params: StudentParams, G: UnifiedWeightOperator, world: World) -> np.ndarray:
-    """Analytic gradient over the logit table; matches central finite differences."""
-    compiled = compile_objective(G, world, params.ridge)
-    theta = _theta_from_params(params, world)
-    return compiled.grad(theta)
-
-
-def _theta_from_params(params: StudentParams, world: World) -> np.ndarray:
-    """The student's (N, V) logit table in the world's input order."""
-    return np.array([params.row(x.id) for x in world.inputs], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -349,32 +324,6 @@ def classic_uniform_train(config: TrainerConfig, world: World) -> tuple[StudentP
     return _train_alone(compiled, config)
 
 
-def noisy_weight_train(config: TrainerConfig, G: UnifiedWeightOperator, world: World,
-                       delta: float) -> tuple[StudentParams, TrainTrace]:
-    """Training against ``noisy_compiled``'s targets at the trainer's ridge and seed."""
-    return _train_alone(noisy_compiled(G, world, delta, config.ridge, config.seed), config)
-
-
-def noisy_compiled(G: UnifiedWeightOperator, world: World, delta: float, ridge: float,
-                   seed: int) -> CompiledObjective:
-    """The operator's targets with every weight row perturbed by bounded iid noise.
-
-    Noise of infinity-norm at most ``delta``, one C-order draw from the third ``spawn`` of
-    ``seed`` (apart from the training streams), is added to the weight table and each row
-    is renormalized. Perturbed weights must stay inside [w_min + delta, w_max - delta] or
-    ``MarginViolated`` is raised. ``delta = 0`` gives ``compile_objective``'s table exactly.
-    """
-    if not delta >= 0:  # NaN included
-        raise MskdError("perturbation scale must be nonnegative")
-    if delta == 0:
-        return compile_objective(G, world, ridge)
-    rows, lo, hi = G.weight_table(world), G.bounds.w_min + delta, G.bounds.w_max - delta
-    rows = rows + seeded_sampler(seed).spawn(3)[2].uniform(-delta, delta, size=rows.shape)
-    if np.any((rows < lo - 1e-15) | (rows > hi + 1e-15)):
-        raise MarginViolated(f"weight perturbation of scale {delta} leaves the margin [{lo}, {hi}]")
-    return _densify(world, ridge, normalize_rows(rows), np.arange(world.vocab.size))
-
-
 # ---------------------------------------------------------------------------
 # Full-batch solver (damped Newton, all logit blocks in lockstep)
 # ---------------------------------------------------------------------------
@@ -448,20 +397,12 @@ def _newton_directions(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     return d
 
 
-def solve_optimum(G: UnifiedWeightOperator, world: World, ridge: float,
-                  gtol: float = 1e-10) -> tuple[StudentParams, float]:
-    """Deterministic full-batch solve of the distillation objective.
+def solve_compiled(compiled: CompiledObjective, gtol: float = 1e-10) -> np.ndarray:
+    """Deterministic full-batch minimizer of the compiled objective, as (N, V) logits.
 
     With no ridge the realizable optimum is analytic (centered log targets);
-    otherwise each logit block is solved by damped Newton to the gradient
-    tolerance. Returns the optimal student and the optimal loss value.
+    otherwise each logit block is solved by damped Newton to the gradient tolerance.
     """
-    compiled = compile_objective(G, world, ridge)
-    theta = solve_compiled(compiled, gtol)
-    return compiled.params(theta), compiled.loss(theta)
-
-
-def solve_compiled(compiled: CompiledObjective, gtol: float = 1e-10) -> np.ndarray:
     if compiled.ridge == 0.0:
         if np.any(compiled.qbar <= 0.0):
             raise MskdError(

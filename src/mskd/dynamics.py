@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import UnifiedWeightOperator, normalize_rows
-from .core import (MarginViolated, MskdError, Sampler, StudentParams, World, WeightBounds,
-                   seeded_sampler, softmax)
-from .distill import (CompiledObjective, _densify, _theta_from_params, _uniform_compiled,
-                      compile_objective, solve_compiled)
+from .core import (MarginViolated, MskdError, Sampler, World, WeightBounds, seeded_sampler,
+                   softmax)
+from .distill import (CompiledObjective, _densify, _uniform_compiled, compile_objective,
+                      solve_compiled)
 from .operators import clip_normalize
 
 
@@ -251,9 +251,9 @@ def _single_sample_variance(compiled: CompiledObjective, theta: np.ndarray,
     return sq_sum / n_samples - float(np.sum(mean_g * mean_g))
 
 
-def gradient_variance_ratio(G: UnifiedWeightOperator, world: World, params: StudentParams,
+def gradient_variance_ratio(G: UnifiedWeightOperator, world: World, theta: np.ndarray,
                             n_samples: int = 10_000, seed: int = 0) -> VarianceResult:
-    """Measured stochastic-gradient variance against the bound ratio.
+    """Measured stochastic-gradient variance at the (N, V) logits ``theta`` against the bound.
 
     The baseline variance is measured under the classical uniform mixture
     with the same sampling stream; the measured variance under ``G`` must
@@ -262,7 +262,6 @@ def gradient_variance_ratio(G: UnifiedWeightOperator, world: World, params: Stud
     """
     if n_samples < 100:
         raise MskdError("need at least 100 samples")
-    theta = _theta_from_params(params, world)
     adaptive = compile_objective(G, world, 0.0)
     baseline = _uniform_compiled(world, 0.0)
     measured = _single_sample_variance(adaptive, theta, n_samples, seeded_sampler(seed))

@@ -315,13 +315,11 @@ class AxiomCheck:
     n_checked: int = 0
 
     def record(self, magnitudes) -> None:
-        """Record a magnitude, or an array of them in any order (a NaN is counted, not judged)."""
+        """Record a magnitude, or an array of them in any order; one not ``<= tol`` (NaN too) fails."""
         m = np.asarray(magnitudes, dtype=np.float64)
         self.n_checked += m.size
-        worst = float(np.fmax.reduce(m, axis=None, initial=self.worst_violation))
-        if worst > self.worst_violation:
-            self.worst_violation = worst
-        if np.any(m > self.tol):
+        self.worst_violation = float(np.max(m, initial=self.worst_violation))  # NaN propagates
+        if not np.all(m <= self.tol):
             self.passed = False
 
 
@@ -472,13 +470,13 @@ def check_conformance(op, scale: str, world: World, bounds: WeightBounds,
     at = np.array([position[key] for key in keys])
     lo, hi = w.min(axis=-1), w.max(axis=-1)
     checks["normalization"].record(np.abs(w.sum(axis=-1) - 1.0)[at])
-    checks["positivity"].record(np.where(lo <= 0, -lo, 0.0)[at])
+    checks["positivity"].record(np.where(lo > 0, 0.0, -lo)[at])
     checks["bounds"].record(np.maximum(np.maximum(bounds.w_min - lo, hi - bounds.w_max), 0.0)[at])
     if scale != "task":  # strict premise: a strictly safer teacher may not get strictly less weight
         a, b = np.nonzero(bank.safety_scores[:, None] > bank.safety_scores)
         w_safe = w[at[np.array(safe)]]
         checks["safety_monotonicity"].record(np.maximum(w_safe[:, b] - w_safe[:, a], 0.0))
-    ratio = (dw / moved)[at][np.isfinite(dw[at])]
+    ratio = (dw / moved)[at][moved[at] > 1e-12]  # the pairs whose inputs moved
     report.lipschitz_estimate = float(np.max(ratio, initial=0.0))
     checks["regularity"].record(ratio)
     return report

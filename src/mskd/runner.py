@@ -252,6 +252,14 @@ def parse_config_dict(doc: dict) -> ExperimentConfig:
             abs(world.bank.k * w - 1.0) for w in (bounds.w_min, bounds.w_max)) <= CONSTRUCTION_TOL:
         errors.append(f"bounds: admit one weight vector for K={world.bank.k}; a fixed_point "
                       "run needs K*w_min < 1 < K*w_max")
+    if kind == "fixed_point" and world:  # the weight update takes the log of every live entry
+        live = world.input_marginals()[:, None] * world.context_weights != 0.0
+        empty = np.argwhere(live[..., None] & ~(world.teacher_dists() > 0.0).any(axis=2))
+        if len(empty):  # the first (input, context, token) in world order
+            x, c, i = empty[0].tolist()
+            errors.append(f"world.teachers.table: token {i} has zero mass under every teacher "
+                          f"at input {world.inputs[x].id}, context {world.contexts[c].id}; a "
+                          "fixed_point run needs it positive in some teacher")
     if errors:
         raise ParseError("invalid config:\n  - " + "\n  - ".join(errors))
     return ExperimentConfig(
@@ -497,15 +505,13 @@ def _run_variance(cfg: ExperimentConfig, rec: RunRecord) -> None:
     n = cfg.params["n_samples"]
     theta = cfg.params["init_scale"] * seeded_sampler(cfg.seed).normal(
         size=(len(cfg.world.inputs), cfg.world.vocab.size))
-    from .core import StudentParams
-    params = StudentParams(tuple(x.id for x in cfg.world.inputs), theta)
     rows = []
-    res = gradient_variance_ratio(cfg.operator, cfg.world, params, n, seed=cfg.seed)
+    res = gradient_variance_ratio(cfg.operator, cfg.world, theta, n, seed=cfg.seed)
     rec.check("variance_within_bound", res.measured, res.bound, compare="le")
     rows.append(("configured", res.measured, res.base, res.bound,
                  res.w_min_observed, res.w_max_observed))
     uni = uniform_unified(cfg.bounds, cfg.world.vocab.safety_tokens)
-    res_u = gradient_variance_ratio(uni, cfg.world, params, n, seed=cfg.seed)
+    res_u = gradient_variance_ratio(uni, cfg.world, theta, n, seed=cfg.seed)
     rel = abs(res_u.measured - res_u.base) / res_u.base if res_u.base > 0 else 0.0
     rec.check("uniform_variance_matches_base", rel, 0.02, compare="le")
     rows.append(("uniform", res_u.measured, res_u.base, res_u.bound,
@@ -527,16 +533,19 @@ def _safety_config(cfg: ExperimentConfig) -> SafetyConfig:
 
 
 def _run_safety(cfg: ExperimentConfig, rec: RunRecord) -> None:
+    # one objective for both dual solves and the KKT check; the Jensen check
+    # compiles the world restricted to its safety-critical contexts
     scfg = _safety_config(cfg)
-    result = dual_ascent_solve(cfg.operator, cfg.world, scfg, cfg.trainer)
-    res = kkt_residuals(result.params, result.mu, cfg.operator, cfg.world, scfg)
+    compiled = compile_objective(cfg.operator, cfg.world, cfg.trainer.ridge)
+    result = dual_ascent_solve(compiled, scfg)
+    theta = result.params.logits
+    res = kkt_residuals(compiled, theta, result.mu, scfg)
     rec.check("kkt_stationarity", res.stationarity, 1e-3, compare="le")
     rec.check("kkt_slackness", res.slackness, 1e-3, compare="le")
     rec.check("kkt_primal", res.primal_violation, 1e-3, compare="le")
     rec.check("kkt_dual", res.dual_violation, 1e-3, compare="le")
     if cfg.params["s_min_inactive"] is not None:
-        r2 = dual_ascent_solve(cfg.operator, cfg.world,
-                               replace(scfg, s_min=cfg.params["s_min_inactive"]), cfg.trainer)
+        r2 = dual_ascent_solve(compiled, replace(scfg, s_min=cfg.params["s_min_inactive"]))
         rec.check("inactive_multiplier_zero", r2.mu, 0.0, 1e-12)
     jns = jensen_preservation_check(cfg.operator, cfg.world, scfg)
     rec.check("student_safety_at_least_ensemble", jns.passed, True, compare="eq")
@@ -546,8 +555,7 @@ def _run_safety(cfg: ExperimentConfig, rec: RunRecord) -> None:
                     h["feasibility"], h["slackness"]) for h in result.history])
     rec.add_table("kkt", ["stationarity", "slackness", "primal", "dual", "mu", "safety"],
                   [(res.stationarity, res.slackness, res.primal_violation,
-                    res.dual_violation, result.mu,
-                    expected_safety(result.params, cfg.world, scfg))])
+                    res.dual_violation, result.mu, expected_safety(theta, cfg.world, scfg))])
     rec.add_table("jensen", ["student_safety", "ensemble_safety", "passed"],
                   [(jns.student_safety, jns.ensemble_safety, jns.passed)])
 
@@ -555,7 +563,8 @@ def _run_safety(cfg: ExperimentConfig, rec: RunRecord) -> None:
 def _run_pareto(cfg: ExperimentConfig, rec: RunRecord) -> None:
     scfg = _safety_config(cfg)
     grid = list(np.linspace(0.0, cfg.params["mu_max"], cfg.params["n_mu"]))
-    points = pareto_sweep(cfg.operator, cfg.world, scfg, grid, ridge=cfg.params["ridge"])
+    compiled = compile_objective(cfg.operator, cfg.world, cfg.params["ridge"])
+    points = pareto_sweep(compiled, scfg, grid)
     safeties = np.array([p[2] for p in points])
     losses = np.array([p[1] for p in points])
     rec.check("safety_nondecreasing", bool(np.all(np.diff(safeties) >= -1e-9)),

@@ -9,6 +9,9 @@ exact equality at the realizable optimum.
 Constrained runs use Lagrangian dual ascent: full-batch minimization in the
 logits alternates with a projected multiplier step, safeguarded by step
 halving so the feasibility residual never increases after the first update.
+The dual ascent, the KKT check and the Pareto sweep all read one compiled
+distillation objective, and the measures take a student as its (N, V) logit
+table in the world's input order.
 """
 
 from __future__ import annotations
@@ -27,19 +30,11 @@ from .core import (
     NegativeMultiplier,
     NonConformantOperator,
     StudentParams,
-    VocabularySpec,
     World,
     seeded_sampler,
     softmax,
 )
-from .distill import (
-    CompiledObjective,
-    TrainerConfig,
-    _theta_from_params,
-    compile_objective,
-    minimize_blockwise,
-    solve_compiled,
-)
+from .distill import CompiledObjective, compile_objective, minimize_blockwise, solve_compiled
 from .operators import check_conformance
 
 JENSEN_CONFORMANCE_SAMPLES = 200  # context-operator conformance samples before the Jensen check
@@ -68,17 +63,6 @@ class SafetyConfig:
             raise MissingLabel(f"no ground-truth label for (input {input_id}, context {context_id})")
 
 
-def safety_measure(p, y_star: int, vocab: VocabularySpec) -> float:
-    """Reliability of a distribution on a ground-truth token.
-
-    Returns p(y*) when y* is safety-critical and 1 otherwise. Linear, hence
-    concave, in the distribution, and always within [0, 1].
-    """
-    if y_star in vocab.safety_tokens:
-        return float(np.asarray(p)[y_star])
-    return 1.0
-
-
 # ---------------------------------------------------------------------------
 # Expected safety and its derivatives
 # ---------------------------------------------------------------------------
@@ -104,9 +88,13 @@ def _in_order_sum(terms: np.ndarray):
     return np.cumsum(np.append(0.0, terms))[-1]
 
 
-def expected_safety(params: StudentParams, world: World, cfg: SafetyConfig) -> float:
-    """Exact expectation of the safety measure over the world's (x, c) measure."""
-    return _safety(_theta_from_params(params, world), _label_table(world, cfg))
+def expected_safety(theta: np.ndarray, world: World, cfg: SafetyConfig) -> float:
+    """Exact expectation of the safety measure of the logits ``theta`` over the (x, c) measure.
+
+    The measure reads the student's probability p(y*) of a safety-critical label y* and
+    is 1 on any other label: linear, hence concave, in the distribution, within [0, 1].
+    """
+    return _safety(theta, _label_table(world, cfg))
 
 
 def _safety(theta: np.ndarray, table) -> float:
@@ -128,11 +116,10 @@ def _safety_label_mass(world: World, table) -> tuple[np.ndarray, float]:
     return mass, _in_order_sum(pm[~critical])
 
 
-def expected_safety_gradient(params: StudentParams, world: World,
-                             cfg: SafetyConfig) -> np.ndarray:
-    """Analytic gradient of the expected safety with respect to the logits."""
+def expected_safety_gradient(theta: np.ndarray, world: World, cfg: SafetyConfig) -> np.ndarray:
+    """Analytic gradient of the expected safety with respect to the logits ``theta``."""
     mass, _ = _safety_label_mass(world, _label_table(world, cfg))
-    p = softmax(_theta_from_params(params, world))
+    p = softmax(theta)
     grad = np.zeros_like(p)
     eye = np.eye(p.shape[1])
     for y in np.flatnonzero(mass.any(axis=0)):  # one step per safety token, ascending
@@ -140,29 +127,9 @@ def expected_safety_gradient(params: StudentParams, world: World,
     return grad
 
 
-def max_achievable_safety(world: World, cfg: SafetyConfig) -> float:
-    """Supremum of the expected safety over all students (attained in the limit).
-
-    Per input the best distribution concentrates on the safety token with the
-    largest label mass; pairs with non-safety labels contribute 1 regardless.
-    """
-    mass, free = _safety_label_mass(world, _label_table(world, cfg))
-    return free + float(mass.max(axis=1).sum())
-
-
 # ---------------------------------------------------------------------------
 # Lagrangian machinery
 # ---------------------------------------------------------------------------
-
-def lagrangian_value(params: StudentParams, mu: float, G: UnifiedWeightOperator,
-                     world: World, cfg: SafetyConfig) -> float:
-    """Lagrangian of the safety-constrained problem: kd_loss - mu * safety."""
-    if mu < 0:
-        raise NegativeMultiplier(f"multiplier must be nonnegative, got {mu}")
-    compiled = compile_objective(G, world, params.ridge)
-    theta = _theta_from_params(params, world)
-    return compiled.loss(theta) - mu * expected_safety(params, world, cfg)
-
 
 def _lagrangian_block(compiled: CompiledObjective, mu: float, mass: np.ndarray):
     """Newton block kernels (value/gradient/Hessian, value) of loss - mu * safety for one solve.
@@ -182,11 +149,13 @@ class DualAscentResult:
     converged: bool
 
 
-def dual_ascent_solve(G: UnifiedWeightOperator, world: World, cfg: SafetyConfig,
-                      trainer: TrainerConfig, gtol: float = 1e-8) -> DualAscentResult:
-    """Safety-constrained solve by Lagrangian dual ascent.
+def dual_ascent_solve(compiled: CompiledObjective, cfg: SafetyConfig,
+                      gtol: float = 1e-8) -> DualAscentResult:
+    """Safety-constrained solve of the compiled objective by Lagrangian dual ascent.
 
-    Feasibility is pre-checked against the analytic safety supremum
+    Feasibility is pre-checked against the analytic safety supremum: per input
+    the best distribution concentrates on the safety token with the largest
+    label mass, and pairs with other labels contribute 1 regardless
     (``Infeasible`` if the threshold is unreachable). Each outer iteration
     solves the Lagrangian to gradient norm ``gtol`` warm-started from the
     previous solution, then takes a projected step on the multiplier; the
@@ -194,14 +163,13 @@ def dual_ascent_solve(G: UnifiedWeightOperator, world: World, cfg: SafetyConfig,
     Terminates when the feasibility and complementary-slackness residuals
     both fall below 1e-3, else raises ``DualStall``.
     """
-    if trainer.ridge <= 0:
+    if compiled.ridge <= 0:
         raise MskdError("dual ascent needs a strictly convex inner solve (positive ridge)")
-    table = _label_table(world, cfg)
-    mass, free = _safety_label_mass(world, table)
-    s_max = free + float(mass.max(axis=1).sum())  # max_achievable_safety
+    table = _label_table(compiled.world, cfg)
+    mass, free = _safety_label_mass(compiled.world, table)
+    s_max = free + float(mass.max(axis=1).sum())
     if s_max < cfg.s_min - 1e-6:
         raise Infeasible(f"maximum achievable safety {s_max:.6f} is below the threshold {cfg.s_min}")
-    compiled = compile_objective(G, world, trainer.ridge)
     mu = 0.0
     step = cfg.dual_step
     theta = minimize_blockwise(np.zeros_like(compiled.qbar),
@@ -235,18 +203,12 @@ class KKTResiduals:
     primal_violation: float
     dual_violation: float
 
-    def all_within(self, tol: float) -> bool:
-        return max(self.stationarity, self.slackness,
-                   self.primal_violation, self.dual_violation) <= tol
 
-
-def kkt_residuals(params: StudentParams, mu: float, G: UnifiedWeightOperator,
-                  world: World, cfg: SafetyConfig) -> KKTResiduals:
-    """First-order optimality residuals for the safety-constrained problem."""
-    compiled = compile_objective(G, world, params.ridge)
-    theta = _theta_from_params(params, world)
-    grad_l = compiled.grad(theta) - mu * expected_safety_gradient(params, world, cfg)
-    safety = expected_safety(params, world, cfg)
+def kkt_residuals(compiled: CompiledObjective, theta: np.ndarray, mu: float,
+                  cfg: SafetyConfig) -> KKTResiduals:
+    """First-order optimality residuals of the logits ``theta`` for the constrained problem."""
+    grad_l = compiled.grad(theta) - mu * expected_safety_gradient(theta, compiled.world, cfg)
+    safety = expected_safety(theta, compiled.world, cfg)
     return KKTResiduals(
         stationarity=float(np.linalg.norm(grad_l)),
         slackness=abs(mu * (safety - cfg.s_min)),
@@ -255,9 +217,9 @@ def kkt_residuals(params: StudentParams, mu: float, G: UnifiedWeightOperator,
     )
 
 
-def pareto_sweep(G: UnifiedWeightOperator, world: World, cfg: SafetyConfig,
-                 mu_grid, ridge: float = 0.01, gtol: float = 1e-8) -> list[tuple[float, float, float]]:
-    """Trace the loss-safety frontier by sweeping the multiplier.
+def pareto_sweep(compiled: CompiledObjective, cfg: SafetyConfig, mu_grid,
+                 gtol: float = 1e-8) -> list[tuple[float, float, float]]:
+    """Trace the compiled objective's loss-safety frontier by sweeping the multiplier.
 
     For each mu (nonnegative, ascending) the Lagrangian is minimized
     full-batch, warm-started from the previous point; returns
@@ -269,11 +231,10 @@ def pareto_sweep(G: UnifiedWeightOperator, world: World, cfg: SafetyConfig,
         raise NegativeMultiplier("all multipliers in the grid must be nonnegative")
     if np.any(np.diff(grid) < 0):
         raise MskdError("the multiplier grid must be ascending")
-    if ridge <= 0:
+    if compiled.ridge <= 0:
         raise MskdError("the sweep needs a strictly convex inner solve (positive ridge)")
-    compiled = compile_objective(G, world, ridge)
-    table = _label_table(world, cfg)
-    mass, _ = _safety_label_mass(world, table)
+    table = _label_table(compiled.world, cfg)
+    mass, _ = _safety_label_mass(compiled.world, table)
     theta = np.zeros_like(compiled.qbar)
     out = []
     for mu in grid:
@@ -303,13 +264,8 @@ def restrict_to_safety_contexts(world: World) -> World:
     return World(world.vocab, world.inputs, world.tasks, renorm, world.bank)
 
 
-def ensemble_expected_safety(G: UnifiedWeightOperator, world: World,
-                             cfg: SafetyConfig) -> float:
-    """Expected safety of the weighted ensemble targets themselves."""
-    return _ensemble_safety(compile_objective(G, world, 0.0), _label_table(world, cfg))
-
-
 def _ensemble_safety(compiled: CompiledObjective, table) -> float:
+    """Expected safety of the compiled ensemble targets themselves under a ``_label_table``."""
     # summed task by task, then in (x, c) order, skipping zero-measure points
     _, xi, ci, y, critical = table
     joint = compiled.joint[:, xi, ci]

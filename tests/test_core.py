@@ -218,7 +218,7 @@ class TestSampler:
         counts_t = np.bincount(tj, minlength=len(world.tasks))
         counts_x = np.bincount(xi, minlength=len(world.inputs))
         counts_c = np.bincount(ci, minlength=len(world.contexts))
-        np.testing.assert_allclose(counts_t / n, world.task_importances, atol=0.01)
+        np.testing.assert_allclose(counts_t / n, [t.importance for t in world.tasks], atol=0.01)
         np.testing.assert_allclose(counts_x / n, world.input_marginals(), atol=0.01)
         np.testing.assert_allclose(counts_c / n, world.context_weights, atol=0.01)
 
@@ -244,7 +244,7 @@ def _scalar_triples(world: World, draw, n: int) -> np.ndarray:
     order = [x.id for x in world.inputs]
     rows = []
     for _ in range(n):
-        tj = pick(world.task_importances)
+        tj = pick([t.importance for t in world.tasks])
         task = world.tasks[tj]
         xi = order.index(task.input_ids[pick(task.input_weights)])
         rows.append((tj, xi, pick(world.context_weights)))
@@ -339,7 +339,8 @@ class TestIndexStream:
         assert np.array_equal(np.stack(drawn, axis=1), expected)
         # the largest double below 1 never rounds a point up to the total, so only
         # u = 1, which no generator returns, reaches the clip to the last index
-        totals = [np.cumsum(w)[-1] for w in (world.task_importances, world.context_weights,
+        totals = [np.cumsum(w)[-1] for w in ([t.importance for t in world.tasks],
+                                              world.context_weights,
                                               *(t.input_weights for t in world.tasks))]
         assert all(total * (1.0 - 2.0 ** -53) < total for total in totals)
         edges = np.tile([0.0, 1.0 - 2.0 ** -53, 1.0], 4)
@@ -424,15 +425,18 @@ class TestWorld:
 
 
 class TestStudentParams:
-    def test_distribution_is_softmax(self):
-        s = StudentParams((0,), np.array([[0.0, 0.0, 0.0]]))
-        np.testing.assert_allclose(s.distribution(0), [1 / 3] * 3, atol=1e-15)
+    def test_logits_are_a_read_only_copy(self):
+        theta = np.zeros((1, 3))
+        s = StudentParams((0,), theta)
+        theta[0, 0] = 1.0
+        np.testing.assert_array_equal(s.logits, [[0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError):
+            s.logits[0, 0] = 2.0
 
-    def test_missing_input_raises(self):
+    def test_one_row_per_input_required(self):
         from mskd.core import MissingLogits
-        s = StudentParams((0,), np.array([[0.0, 0.0]]))
         with pytest.raises(MissingLogits):
-            s.row(5)
+            StudentParams((0, 5), np.array([[0.0, 0.0]]))
 
     def test_softmax_matches_validation(self):
         rng = np.random.default_rng(3)

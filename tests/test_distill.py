@@ -9,10 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mskd.composition import UnifiedWeightOperator, renormalized_mixture, uniform_unified
+from mskd.composition import (UnifiedWeightOperator, normalize_rows, renormalized_mixture,
+                              uniform_unified)
 from mskd import distill
 from mskd.core import (SAMPLE_BLOCK, MarginViolated, MskdError, NegativeMass, NonFiniteLoss,
-                       StudentParams, WeightBounds, normalize_exact, seeded_sampler, softmax)
+                       WeightBounds, normalize_exact, seeded_sampler, softmax)
 from mskd.distill import (
     InsufficientTrace,
     TrainerConfig,
@@ -23,12 +24,8 @@ from mskd.distill import (
     classic_uniform_train,
     compile_objective,
     fit_convergence_rate,
-    kd_gradient,
-    kd_loss,
-    noisy_compiled,
-    noisy_weight_train,
     sgd_train,
-    solve_optimum,
+    solve_compiled,
     train_stack,
 )
 from mskd.operators import ContextOperator, TaskOperator, TokenOperator, uniform_weights
@@ -52,38 +49,50 @@ def world():
     return convergence_world()
 
 
-class TestKdLoss:
+def noisy_compiled(G, world, delta, ridge, seed):
+    """The operator's targets with every weight row perturbed by bounded iid noise.
+
+    Noise of infinity-norm at most ``delta``, one C-order draw from the third ``spawn`` of
+    ``seed`` (apart from the training streams), is added to the weight table and each row
+    is renormalized. Perturbed weights must stay inside [w_min + delta, w_max - delta] or
+    ``MarginViolated`` is raised. ``delta = 0`` gives ``compile_objective``'s table exactly.
+    """
+    if delta == 0:
+        return compile_objective(G, world, ridge)
+    rows, lo, hi = G.weight_table(world), G.bounds.w_min + delta, G.bounds.w_max - delta
+    rows = rows + seeded_sampler(seed).spawn(3)[2].uniform(-delta, delta, size=rows.shape)
+    if np.any((rows < lo - 1e-15) | (rows > hi + 1e-15)):
+        raise MarginViolated(f"weight perturbation of scale {delta} leaves the margin [{lo}, {hi}]")
+    return _densify(world, ridge, normalize_rows(rows), np.arange(world.vocab.size))
+
+
+class TestLoss:
     def test_student_equal_target_gives_entropy(self):
         # one cell, so the target is a single distribution per input
         from mskd.core import entropy
         world = appendix_world()
-        g = adaptive_g()
-        compiled = compile_objective(g, world, 0.0)
+        compiled = compile_objective(adaptive_g(), world, 0.0)
         theta = np.log(compiled.qbar)
-        loss = kd_loss(compiled.params(theta), g, world)
+        loss = compiled.loss(compiled.params(theta).logits)
         assert loss == pytest.approx(entropy(compiled.qbar[0]), abs=1e-12)
         assert compiled.mean_kl(theta) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_student_cross_entropy_is_log_v(self):
-        world = appendix_world()
-        g = uniform_unified(WIDE)
-        params = StudentParams((0,), np.zeros((1, 3)))
-        assert kd_loss(params, g, world) == pytest.approx(math.log(3), abs=1e-12)
+        compiled = compile_objective(uniform_unified(WIDE), appendix_world())
+        assert compiled.loss(np.zeros((1, 3))) == pytest.approx(math.log(3), abs=1e-12)
 
     def test_ridge_at_origin_adds_nothing(self):
         world = appendix_world()
         g = uniform_unified(WIDE)
-        p0 = StudentParams((0,), np.zeros((1, 3)), ridge=0.0)
-        p1 = StudentParams((0,), np.zeros((1, 3)), ridge=0.01)
-        assert kd_loss(p0, g, world) == kd_loss(p1, g, world)
+        theta = np.zeros((1, 3))
+        assert compile_objective(g, world, 0.0).loss(theta) == \
+            compile_objective(g, world, 0.01).loss(theta)
 
 
-class TestKdGradient:
+class TestGradient:
     def test_zero_at_matched_student(self, world):
-        g = adaptive_g()
-        compiled = compile_objective(g, world, 0.0)
-        params = compiled.params(np.log(compiled.qbar))
-        grad = kd_gradient(params, g, world)
+        compiled = compile_objective(adaptive_g(), world, 0.0)
+        grad = compiled.grad(np.log(compiled.qbar))
         assert np.max(np.abs(grad)) < 1e-14
 
     def test_matches_central_differences(self, world):
@@ -260,12 +269,12 @@ class TestFullBatch:
             prev = cur
 
     def test_solver_reaches_tolerance(self, world):
-        g = adaptive_g()
-        params, loss_star = solve_optimum(g, world, 0.01, gtol=1e-10)
-        compiled = compile_objective(g, world, 0.01)
-        theta = np.array([params.row(x.id) for x in world.inputs])
+        compiled = compile_objective(adaptive_g(), world, 0.01)
+        theta = solve_compiled(compiled, gtol=1e-10)
         assert np.linalg.norm(compiled.grad(theta)) <= 1e-10
-        assert compiled.loss(theta) == pytest.approx(loss_star)
+        params = compiled.params(theta)  # the student: logits by input id, and its ridge
+        assert params.input_ids == tuple(x.id for x in world.inputs) and params.ridge == 0.01
+        assert np.array_equal(params.logits, theta)
 
     def test_exhausted_line_search_leaves_the_block(self):
         # f is flat, so no step passes the Armijo test: the solver must keep
@@ -301,14 +310,12 @@ class TestFullBatch:
         assert got.tobytes() == ref.tobytes() == np.array([[2.0 ** -46]]).tobytes()
 
     def test_ridge_free_optimum_is_log_target(self, world):
-        g = adaptive_g()
-        params, _ = solve_optimum(g, world, 0.0)
-        compiled = compile_objective(g, world, 0.0)
-        theta = np.array([params.row(x.id) for x in world.inputs])
+        compiled = compile_objective(adaptive_g(), world, 0.0)
+        theta = solve_compiled(compiled)
         np.testing.assert_allclose(np.linalg.norm(compiled.grad(theta)), 0.0, atol=1e-14)
         # the per-input aggregate target is matched exactly, so its KL vanishes
         for xi in range(theta.shape[0]):
-            p = params.distribution(world.inputs[xi].id)
+            p = softmax(theta[xi])
             q = compiled.qbar[xi]
             kl = float(np.sum(q * (np.log(q) - np.log(p))))
             assert abs(kl) <= 1e-12
@@ -369,10 +376,10 @@ class TestRateNonDegradation:
         fits = {}
         for name, g in (("adaptive", adaptive_g()),
                         ("uniform", uniform_unified(WIDE))):
-            _, loss_star = solve_optimum(g, world, 0.01, gtol=1e-10)
             cfg = TrainerConfig(eta0=40.0, steps=30_000, ridge=0.01, eval_every=300,
                                 init_scale=0.5)
             compiled = compile_objective(g, world, 0.01)
+            loss_star = compiled.loss(solve_compiled(compiled, gtol=1e-10))
             traces = [tr for _, tr in train_stack([(compiled, 300 + s) for s in range(6)], cfg)]
             fits[name] = fit_convergence_rate(average_traces(traces), loss_star).slope
         assert abs(fits["adaptive"] - fits["uniform"]) <= 0.2
@@ -410,27 +417,27 @@ class TestNoisyTrain:
     def test_zero_delta_identical_to_clean(self, world):
         cfg = TrainerConfig(eta0=1.0, steps=400, ridge=0.01, seed=3, eval_every=100)
         g = adaptive_g(WeightBounds(0.05, 0.95))
-        p_clean, t_clean = sgd_train(cfg, g, world)
-        p_noisy, t_noisy = noisy_weight_train(cfg, g, world, 0.0)
-        assert np.array_equal(p_clean.logits, p_noisy.logits)
+        (clean, t_clean), (noisy, t_noisy) = train_stack(
+            [(compile_objective(g, world, cfg.ridge), cfg.seed),
+             (noisy_compiled(g, world, 0.0, cfg.ridge, cfg.seed), cfg.seed)], cfg)
+        assert np.array_equal(clean, noisy)
         assert np.array_equal(t_clean.loss, t_noisy.loss)
 
     def test_margin_violation_raises(self, world):
-        cfg = TrainerConfig(eta0=1.0, steps=10, ridge=0.01, seed=3, eval_every=10)
         g = adaptive_g(WeightBounds(0.05, 0.95))
         with pytest.raises(MarginViolated):
-            noisy_weight_train(cfg, g, world, 0.44)
+            noisy_compiled(g, world, 0.44, 0.01, 3)
 
     def test_terminal_gap_scales_with_delta(self, world):
         g = adaptive_g(WeightBounds(0.05, 0.95))
-        _, loss_star = solve_optimum(g, world, 0.01, gtol=1e-10)
+        clean = compile_objective(g, world, 0.01)
+        loss_star = clean.loss(solve_compiled(clean, gtol=1e-10))
         deltas = [0.001, 0.01, 0.05]
         cfg = TrainerConfig(eta0=40.0, steps=30_000, ridge=0.01, seed=11,
                             eval_every=6000, init_scale=0.5)
-        # one stack of the three runs noisy_weight_train makes one delta at a time
+        # one stack of the three noisy runs, scored on the clean objective
         runs = [(noisy_compiled(g, world, d, cfg.ridge, cfg.seed), cfg.seed) for d in deltas]
-        gaps = [kd_loss(compiled.params(theta), g, world) - loss_star
-                for (theta, _), (compiled, _) in zip(train_stack(runs, cfg), runs)]
+        gaps = [clean.loss(theta) - loss_star for theta, _ in train_stack(runs, cfg)]
         d = np.array(deltas)
         gp = np.array(gaps)
         slope = float(np.sum(gp * d) / np.sum(d * d))

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from mskd import dynamics, runner
 from mskd.composition import UnifiedWeightOperator, uniform_unified
 from mskd.core import (SAMPLE_BLOCK, ContextSpec, InputSpec, MarginViolated, MskdError,
-                       StudentParams, TaskSpec, TeacherBank, VocabularySpec, WeightBounds, World,
-                       seeded_sampler, softmax)
+                       TaskSpec, TeacherBank, VocabularySpec, WeightBounds, World, seeded_sampler,
+                       softmax)
 from mskd.distill import compile_objective
 from mskd.dynamics import (
     FixedPointTraces,
@@ -340,35 +340,33 @@ class TestPerturbation:
 def variance_setup():
     world = convergence_world()
     rng = np.random.default_rng(1)
-    theta = rng.normal(size=(len(world.inputs), world.vocab.size))
-    params = StudentParams(tuple(x.id for x in world.inputs), theta)
-    return world, params
+    return world, rng.normal(size=(len(world.inputs), world.vocab.size))
 
 
 class TestGradientVariance:
 
     def test_uniform_operator_matches_base(self, variance_setup):
-        world, params = variance_setup
+        world, theta = variance_setup
         res = gradient_variance_ratio(uniform_unified(WeightBounds(0.01, 0.99)),
-                                      world, params, 2000, seed=5)
+                                      world, theta, 2000, seed=5)
         assert res.measured == res.base
         assert res.bound == pytest.approx(res.base, rel=1e-12)
 
     def test_adaptive_families_within_bound(self, variance_setup):
-        world, params = variance_setup
+        world, theta = variance_setup
         for fam in ("family_a", "family_b", "family_c", "inverse_entropy"):
             g = UnifiedWeightOperator(TokenOperator(fam), TaskOperator("family_c"),
                                       ContextOperator("family_a"), WeightBounds(0.01, 0.99))
-            res = gradient_variance_ratio(g, world, params, 2000, seed=5)
+            res = gradient_variance_ratio(g, world, theta, 2000, seed=5)
             assert res.measured <= res.bound * (1 + 1e-12), fam
 
     def test_single_cell_world_bound_holds(self):
         world = appendix_world()
         rng = np.random.default_rng(2)
-        params = StudentParams((0,), rng.normal(size=(1, 3)))
+        theta = rng.normal(size=(1, 3))
         g = UnifiedWeightOperator(TokenOperator("family_a"), TaskOperator("family_c"),
                                   ContextOperator("family_a"), WeightBounds(0.01, 0.99))
-        res = gradient_variance_ratio(g, world, params, 2000, seed=6)
+        res = gradient_variance_ratio(g, world, theta, 2000, seed=6)
         assert res.measured <= res.bound * (1 + 1e-12)
 
     @pytest.mark.parametrize("make_world", [convergence_world, safety_world, appendix_world])

@@ -405,6 +405,18 @@ class TestConformance:
         assert not report.checks["normalization"].passed
         assert report.checks["normalization"].worst_violation == pytest.approx(0.4, abs=1e-12)
 
+    def test_nan_weights_fail_and_show_as_the_worst_violation(self):
+        # a NaN magnitude compares False with the tolerance either way: it must fail
+        world = appendix_world()
+        op = TokenOperator("custom", fn=lambda x, i, c, bank, bounds: np.full(bank.k, np.nan))
+        report = check_conformance(op, "token", world, WeightBounds(0.05, 0.95),
+                                   seeded_sampler(3), 50)
+        assert not report.all_passed
+        for name in ("normalization", "positivity", "bounds", "regularity"):
+            check = report.checks[name]
+            assert not check.passed and math.isnan(check.worst_violation), name
+        assert math.isnan(report.lipschitz_estimate)
+
     def test_nonuniqueness_witness(self):
         # entropy-decay and inverse-variance weights differ by > 0.1 while
         # both conform on the two-teacher world (no safety tokens there)

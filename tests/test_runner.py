@@ -247,14 +247,34 @@ sys.exit(0 if record.passed else 1)
 def test_traced_benchmark_probes_install(tmp_path):
     # perfbench/probes.py wraps public names of mskd by name: dropping one fails here;
     # the safety run passes the Newton kernel's return value through the solver's probe,
-    # and the fixed_point run the stacked traces through the iteration's probe
+    # the fixed_point run the stacked traces through the iteration's probe, and the
+    # pareto, perturbation and variance runs their call forms through the probes that
+    # read arguments by name
     root = Path(__file__).resolve().parent.parent
-    for name in ("appendix_a", "safety", "fixed_point", "conformance"):
+    for name in ("appendix_a", "safety", "fixed_point", "conformance", "pareto", "perturbation",
+                 "variance"):
         done = subprocess.run([sys.executable, "-c", TRACED_RUN, str(root / "perfbench"),
                                str(root / "src"), str(CONFIGS / f"{name}.json"),
                                str(tmp_path / name)], capture_output=True, text=True)
         assert done.returncode == 0, done.stdout + done.stderr
         assert (tmp_path / name / "summary.json").is_file()
+
+
+@pytest.mark.parametrize("kind,compiles", [("safety", 2), ("pareto", 1)])
+def test_safety_experiments_compile_each_world_once(kind, compiles, monkeypatch):
+    # safety: one objective for both dual solves and the KKT check, and one for the
+    # Jensen check's restricted world; pareto: one objective for the whole sweep
+    from mskd import distill, dynamics, runner, safety
+    compile_objective, calls = distill.compile_objective, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compile_objective(*args, **kwargs)
+
+    for module in (distill, dynamics, runner, safety):  # each module calls its own import
+        monkeypatch.setattr(module, "compile_objective", counted)
+    assert run_experiment(parse_config(CONFIGS / f"{kind}.json")).passed
+    assert len(calls) == compiles
 
 
 class TestGoldenOutputs:
@@ -608,6 +628,18 @@ class TestCli:
         del doc["world"]["teachers"]["table"][4]
         assert _main_on(doc, command, tmp_path) == 2
         assert "not a full grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_token_without_mass_in_a_live_cell_exit_two(self, tmp_path, command, capsys):
+        # the weight update takes the log of each ensemble entry: a token no teacher
+        # gives mass to in a cell of positive measure is rejected before the run
+        doc = copy.deepcopy(BUNDLED_DOCS["fixed_point"])
+        doc["world"]["teachers"]["table"][0]["dists"] = [[0.8, 0.2, 0.0], [0.4, 0.6, 0.0]]
+        assert _main_on(doc, command, tmp_path) == 2
+        assert ("world.teachers.table: token 2 has zero mass under every teacher at input 0, "
+                "context 0") in capsys.readouterr().err
+        doc["world"]["teachers"]["table"][0]["dists"][1] = [0.4, 0.35, 0.25]  # one teacher has it
+        assert _main_on(doc, command, tmp_path) == 0
 
     def test_seed_override_changes_hash(self, tmp_path, capsys):
         p = CONFIGS / "appendix_a.json"

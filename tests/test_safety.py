@@ -15,6 +15,7 @@ from mskd.core import (
     ContextSpec,
     Infeasible,
     MissingLabel,
+    MskdError,
     NegativeMultiplier,
     NonConformantOperator,
     StudentParams,
@@ -23,25 +24,23 @@ from mskd.core import (
     VocabularySpec,
     WeightBounds,
     World,
+    softmax,
 )
-from mskd.distill import TrainerConfig, compile_objective, kd_loss, solve_compiled, solve_optimum
+from mskd.distill import compile_objective, solve_compiled
 from mskd.operators import ContextOperator, TaskOperator, TokenOperator
 from mskd.safety import (
     SafetyConfig,
+    _ensemble_safety,
     _label_table,
     _lagrangian_block,
     _safety_label_mass,
     dual_ascent_solve,
-    ensemble_expected_safety,
     expected_safety,
     expected_safety_gradient,
     jensen_preservation_check,
     kkt_residuals,
-    lagrangian_value,
-    max_achievable_safety,
     pareto_sweep,
     restrict_to_safety_contexts,
-    safety_measure,
 )
 
 from fixture_worlds import (
@@ -58,6 +57,7 @@ from reference_newton import (
     replay_large_safety_run,
     stalled_large_solves,
 )
+from reference_measures import safety_measure
 
 BOUNDS = WeightBounds(0.05, 0.95)
 
@@ -77,8 +77,13 @@ def labels():
     return safety_world_labels()
 
 
-def trainer_cfg():
-    return TrainerConfig(eta0=1.0, steps=100, ridge=0.01, seed=0, eval_every=50)
+def objective(world, g=None, ridge=0.01):
+    """The world's compiled objective under ``g`` (default ``adaptive_g()``), at ``ridge``."""
+    return compile_objective(g or adaptive_g(), world, ridge)
+
+
+def zero_logits(world):
+    return np.zeros((len(world.inputs), world.vocab.size))
 
 
 class TestSafetyMeasure:
@@ -104,47 +109,39 @@ class TestSafetyMeasure:
 class TestExpectedSafety:
     def test_all_labels_non_safety(self, world):
         cfg = SafetyConfig(0.5, {k: 3 for k in safety_world_labels()})
-        params = StudentParams(tuple(x.id for x in world.inputs),
-                               np.zeros((3, world.vocab.size)))
-        assert expected_safety(params, world, cfg) == pytest.approx(1.0)
+        assert expected_safety(zero_logits(world), world, cfg) == pytest.approx(1.0)
 
     def test_uniform_student_all_safety_labels(self, world):
         cfg = SafetyConfig(0.5, {k: 0 for k in safety_world_labels()})
-        params = StudentParams(tuple(x.id for x in world.inputs),
-                               np.zeros((3, world.vocab.size)))
-        assert expected_safety(params, world, cfg) == pytest.approx(1 / world.vocab.size)
+        assert expected_safety(zero_logits(world), world, cfg) == pytest.approx(1 / world.vocab.size)
 
     def test_ensemble_matched_student_appendix(self):
         world = appendix_safety_world()
         cfg = SafetyConfig(0.5, appendix_labels())
         w1 = (1 / 0.68) / (1 / 0.68 + 1 / 1.52)
         q = w1 * np.array([0.8, 0.15, 0.05]) + (1 - w1) * np.array([0.4, 0.35, 0.25])
-        params = StudentParams((0,), np.log(q)[None, :])
-        assert expected_safety(params, world, cfg) == pytest.approx(q[0], abs=1e-12)
+        assert expected_safety(np.log(q)[None, :], world, cfg) == pytest.approx(q[0], abs=1e-12)
         assert q[0] == pytest.approx(0.676, abs=5e-4)
 
     def test_missing_label_raises(self, world):
         cfg = SafetyConfig(0.5, {(0, 0): 0})
-        params = StudentParams(tuple(x.id for x in world.inputs),
-                               np.zeros((3, world.vocab.size)))
         with pytest.raises(MissingLabel):
-            expected_safety(params, world, cfg)
+            expected_safety(zero_logits(world), world, cfg)
 
     def test_gradient_matches_finite_differences(self, world, labels):
         cfg = SafetyConfig(0.5, labels)
         rng = np.random.default_rng(0)
         theta = rng.normal(size=(3, world.vocab.size))
-        params = StudentParams(tuple(x.id for x in world.inputs), theta)
-        grad = expected_safety_gradient(params, world, cfg)
+        grad = expected_safety_gradient(theta, world, cfg)
         h = 1e-5
         for _ in range(30):
             xi = int(rng.integers(0, 3))
             i = int(rng.integers(0, world.vocab.size))
             bump = theta.copy()
             bump[xi, i] += h
-            up = expected_safety(StudentParams(params.input_ids, bump), world, cfg)
+            up = expected_safety(bump, world, cfg)
             bump[xi, i] -= 2 * h
-            down = expected_safety(StudentParams(params.input_ids, bump), world, cfg)
+            down = expected_safety(bump, world, cfg)
             assert abs((up - down) / (2 * h) - grad[xi, i]) <= 1e-6
 
 
@@ -156,11 +153,11 @@ def _pair_measure(world):
     return world.input_marginals()[:, None] * world.context_weights[None, :]
 
 
-def ref_expected_safety(params, world, cfg):
+def ref_expected_safety(theta, world, cfg):
     pm = _pair_measure(world)
     total = 0.0
     for xi, inp in enumerate(world.inputs):
-        p = params.distribution(inp.id)
+        p = softmax(theta[xi])
         for ci, ctx in enumerate(world.contexts):
             if pm[xi, ci] == 0.0:
                 continue
@@ -184,11 +181,11 @@ def ref_label_mass(world, cfg):
     return mass, free
 
 
-def ref_gradient(params, world, cfg):
+def ref_gradient(theta, world, cfg):
     mass, _ = ref_label_mass(world, cfg)
     grad = np.zeros((len(world.inputs), world.vocab.size))
-    for xi, inp in enumerate(world.inputs):
-        p = params.distribution(inp.id)
+    for xi in range(len(world.inputs)):
+        p = softmax(theta[xi])
         for y in np.nonzero(mass[xi])[0]:
             unit = np.zeros(len(p))
             unit[y] = 1.0
@@ -240,15 +237,28 @@ REFERENCE_CASES = {
 }
 
 
+def ref_supremum(world, cfg):
+    """Supremum of the expected safety over all students (attained in the limit).
+
+    Per input the best distribution concentrates on the safety token with the
+    largest label mass; pairs with non-safety labels contribute 1 regardless.
+    """
+    mass, free = ref_label_mass(world, cfg)
+    return free + float(mass.max(axis=1).sum())
+
+
+def ensemble_safety(g, world, cfg):
+    """The expected safety of ``g``'s ensemble targets, read off its ridge-free objective."""
+    return _ensemble_safety(objective(world, g, 0.0), _label_table(world, cfg))
+
+
 def assert_matches_reference(world, cfg, theta):
-    params = StudentParams(tuple(x.id for x in world.inputs), theta)
-    assert expected_safety(params, world, cfg) == ref_expected_safety(params, world, cfg)
+    assert expected_safety(theta, world, cfg) == ref_expected_safety(theta, world, cfg)
     mass, free = _safety_label_mass(world, _label_table(world, cfg))
     ref_mass, ref_free = ref_label_mass(world, cfg)
     assert np.array_equal(mass, ref_mass) and free == ref_free
-    assert np.array_equal(expected_safety_gradient(params, world, cfg),
-                          ref_gradient(params, world, cfg))
-    assert max_achievable_safety(world, cfg) == ref_free + float(ref_mass.max(axis=1).sum())
+    assert np.array_equal(expected_safety_gradient(theta, world, cfg),
+                          ref_gradient(theta, world, cfg))
 
 
 class TestScalarReference:
@@ -263,7 +273,7 @@ class TestScalarReference:
                                      scale * rng.normal(size=(len(world.inputs), world.vocab.size)))
         g = UnifiedWeightOperator(TokenOperator("family_a", safety_tokens=world.vocab.safety_tokens),
                                   TaskOperator("family_c"), ContextOperator("family_b"), BOUNDS)
-        assert ensemble_expected_safety(g, world, cfg) == ref_ensemble_safety(g, world, cfg)
+        assert ensemble_safety(g, world, cfg) == ref_ensemble_safety(g, world, cfg)
 
     @settings(max_examples=60, deadline=None)
     @given(theta=arrays(np.float64, (3, 5), elements=st.floats(-40.0, 40.0)),
@@ -277,56 +287,59 @@ class TestScalarReference:
         assert_matches_reference(world, cfg, theta)
         g = UnifiedWeightOperator(TokenOperator("family_a", safety_tokens=safety_tokens),
                                   TaskOperator("family_c"), ContextOperator("family_c"), BOUNDS)
-        assert ensemble_expected_safety(g, world, cfg) == ref_ensemble_safety(g, world, cfg)
+        assert ensemble_safety(g, world, cfg) == ref_ensemble_safety(g, world, cfg)
 
     def test_positive_measure_pair_without_label_raises(self):
         world = zero_measure_world()
         labels = zero_measure_labels()
         del labels[(1, 2)]
         cfg = SafetyConfig(0.5, labels)
-        params = StudentParams((0, 1, 2), np.zeros((3, world.vocab.size)))
-        for measure in (lambda: expected_safety(params, world, cfg),
+        theta, compiled = zero_logits(world), objective(world)
+        for measure in (lambda: expected_safety(theta, world, cfg),
                         lambda: _label_table(world, cfg),
-                        lambda: expected_safety_gradient(params, world, cfg),
-                        lambda: ensemble_expected_safety(adaptive_g(), world, cfg),
-                        lambda: max_achievable_safety(world, cfg)):
+                        lambda: expected_safety_gradient(theta, world, cfg),
+                        lambda: kkt_residuals(compiled, theta, 0.0, cfg),
+                        lambda: dual_ascent_solve(compiled, cfg),
+                        lambda: pareto_sweep(compiled, cfg, [0.0])):
             with pytest.raises(MissingLabel):
                 measure()
 
 
 class TestLagrangian:
-    def test_mu_zero_equals_kd_loss(self, world, labels):
-        g = adaptive_g()
-        cfg = SafetyConfig(0.5, labels)
-        params = StudentParams(tuple(x.id for x in world.inputs),
-                               np.zeros((3, world.vocab.size)), ridge=0.01)
-        assert lagrangian_value(params, 0.0, g, world, cfg) == kd_loss(params, g, world)
+    """The Newton kernel of loss - mu * safety: its block values sum to the Lagrangian
+    less the multiplier times the free mass, which no student can move."""
+
+    @staticmethod
+    def lagrangian(compiled, mu, cfg, theta):
+        world = compiled.world
+        mass, free = _safety_label_mass(world, _label_table(world, cfg))
+        _, value = _lagrangian_block(compiled, mu, mass)
+        return float(value(np.arange(len(theta)), theta).sum()) - mu * free
+
+    def test_mu_zero_equals_loss(self, world, labels):
+        compiled = objective(world)
+        theta = zero_logits(world)
+        assert self.lagrangian(compiled, 0.0, SafetyConfig(0.5, labels), theta) == \
+            pytest.approx(compiled.loss(theta), abs=1e-12)
 
     def test_safety_one_everywhere_shifts_by_mu(self, world):
-        g = adaptive_g()
+        compiled = objective(world, ridge=0.0)
         cfg = SafetyConfig(0.5, {k: 3 for k in safety_world_labels()})
-        params = StudentParams(tuple(x.id for x in world.inputs),
-                               np.zeros((3, world.vocab.size)))
-        assert lagrangian_value(params, 1.0, g, world, cfg) == pytest.approx(
-            kd_loss(params, g, world) - 1.0)
+        theta = zero_logits(world)
+        assert self.lagrangian(compiled, 1.0, cfg, theta) == pytest.approx(
+            compiled.loss(theta) - 1.0, abs=1e-12)
 
     def test_compositional_identity(self, world, labels):
-        g = adaptive_g()
+        compiled = objective(world, ridge=0.02)
         cfg = SafetyConfig(0.7, labels)
-        rng = np.random.default_rng(1)
-        params = StudentParams(tuple(x.id for x in world.inputs),
-                               rng.normal(size=(3, world.vocab.size)), ridge=0.02)
+        theta = np.random.default_rng(1).normal(size=(3, world.vocab.size))
         mu = 1.7
-        expect = kd_loss(params, g, world) - mu * expected_safety(params, world, cfg)
-        assert lagrangian_value(params, mu, g, world, cfg) == pytest.approx(expect, abs=1e-12)
+        expect = compiled.loss(theta) - mu * expected_safety(theta, world, cfg)
+        assert self.lagrangian(compiled, mu, cfg, theta) == pytest.approx(expect, abs=1e-12)
 
     def test_negative_multiplier_rejected(self, world, labels):
-        g = adaptive_g()
-        cfg = SafetyConfig(0.5, labels)
-        params = StudentParams(tuple(x.id for x in world.inputs),
-                               np.zeros((3, world.vocab.size)))
         with pytest.raises(NegativeMultiplier):
-            lagrangian_value(params, -0.5, g, world, cfg)
+            pareto_sweep(objective(world), SafetyConfig(0.5, labels), [-0.5])
 
 
 class TestNewtonKernel:
@@ -391,10 +404,10 @@ class TestNewtonKernel:
         monkeypatch.setattr(distill, "StudentParams", counted("StudentParams", StudentParams))
         cfg = SafetyConfig(0.85, labels, dual_step=40.0)
         if solve == "dual_ascent":
-            res = dual_ascent_solve(adaptive_g(), world, cfg, trainer_cfg())
+            res = dual_ascent_solve(objective(world), cfg)
             assert len(res.history) > 2
         else:
-            pareto_sweep(adaptive_g(), world, cfg, np.linspace(0.0, 3.0, 6), ridge=0.01)
+            pareto_sweep(objective(world), cfg, np.linspace(0.0, 3.0, 6))
         # one label table per call; the one StudentParams is the dual ascent's result
         assert calls == {"_label_table": 1, "StudentParams": int(solve == "dual_ascent")}
 
@@ -492,70 +505,73 @@ class TestStackedNewton:
 
 class TestDualAscent:
     def test_active_constraint(self, world, labels):
-        g = adaptive_g()
+        compiled = objective(world)
         cfg = SafetyConfig(0.8, labels, dual_step=40.0)
-        res = dual_ascent_solve(g, world, cfg, trainer_cfg())
+        res = dual_ascent_solve(compiled, cfg)
         assert res.converged
         assert res.mu > 0
-        s = expected_safety(res.params, world, cfg)
+        s = expected_safety(res.params.logits, world, cfg)
         assert abs(s - 0.8) <= 1e-3
-        kk = kkt_residuals(res.params, res.mu, g, world, cfg)
-        assert kk.all_within(1e-3)
+        kk = kkt_residuals(compiled, res.params.logits, res.mu, cfg)
+        assert max(kk.stationarity, kk.slackness, kk.primal_violation, kk.dual_violation) <= 1e-3
 
     def test_inactive_constraint_gives_zero_multiplier(self, world, labels):
-        g = adaptive_g()
+        compiled = objective(world)
         cfg = SafetyConfig(0.3, labels, dual_step=40.0)
-        res = dual_ascent_solve(g, world, cfg, trainer_cfg())
+        res = dual_ascent_solve(compiled, cfg)
         assert res.mu == 0.0
-        unconstrained, _ = solve_optimum(g, world, 0.01, gtol=1e-8)
-        np.testing.assert_allclose(res.params.logits, unconstrained.logits, atol=1e-6)
+        unconstrained = solve_compiled(compiled, gtol=1e-8)
+        np.testing.assert_allclose(res.params.logits, unconstrained, atol=1e-6)
 
     def test_conflicting_labels_are_infeasible(self, world):
-        g = adaptive_g()
         cfg = SafetyConfig(0.95, safety_world_conflicting_labels(), dual_step=40.0)
-        assert max_achievable_safety(world, cfg) < 0.95
-        with pytest.raises(Infeasible):
-            dual_ascent_solve(g, world, cfg, trainer_cfg())
+        s_max = ref_supremum(world, cfg)
+        assert s_max < 0.95
+        with pytest.raises(Infeasible, match=f"maximum achievable safety {s_max:.6f} "):
+            dual_ascent_solve(objective(world), cfg)
 
     def test_feasibility_residual_monotone(self, world, labels):
-        g = adaptive_g()
         cfg = SafetyConfig(0.85, labels, dual_step=40.0)
-        res = dual_ascent_solve(g, world, cfg, trainer_cfg())
+        res = dual_ascent_solve(objective(world), cfg)
         feas = [h["feasibility"] for h in res.history]
         assert all(feas[i + 1] <= feas[i] + 1e-12 for i in range(1, len(feas) - 1))
+
+    @pytest.mark.parametrize("solve", ["dual_ascent", "pareto"])
+    def test_ridge_free_objective_rejected(self, world, labels, solve):
+        compiled, cfg = objective(world, ridge=0.0), SafetyConfig(0.8, labels)
+        with pytest.raises(MskdError, match="positive ridge"):
+            if solve == "dual_ascent":
+                dual_ascent_solve(compiled, cfg)
+            else:
+                pareto_sweep(compiled, cfg, [0.0, 1.0])
 
 
 class TestKKT:
     def test_unconstrained_optimum_zero_residuals(self, world, labels):
-        g = adaptive_g()
+        compiled = objective(world)
         cfg = SafetyConfig(0.3, labels)
-        params, _ = solve_optimum(g, world, 0.01, gtol=1e-8)
-        kk = kkt_residuals(params, 0.0, g, world, cfg)
+        kk = kkt_residuals(compiled, solve_compiled(compiled, gtol=1e-8), 0.0, cfg)
         assert kk.stationarity <= 1e-8
         assert kk.slackness == 0.0
         assert kk.dual_violation == 0.0
 
     def test_negative_multiplier_reported(self, world, labels):
-        g = adaptive_g()
         cfg = SafetyConfig(0.5, labels)
-        params = StudentParams(tuple(x.id for x in world.inputs),
-                               np.zeros((3, world.vocab.size)))
-        kk = kkt_residuals(params, -0.4, g, world, cfg)
+        kk = kkt_residuals(objective(world), zero_logits(world), -0.4, cfg)
         assert kk.dual_violation == pytest.approx(0.4)
 
 
 class TestParetoSweep:
     def test_zero_endpoint_is_unconstrained_optimum(self, world, labels):
-        g = adaptive_g()
+        compiled = objective(world)
         cfg = SafetyConfig(0.8, labels)
-        pts = pareto_sweep(g, world, cfg, [0.0], ridge=0.01)
-        _, loss_star = solve_optimum(g, world, 0.01, gtol=1e-8)
+        pts = pareto_sweep(compiled, cfg, [0.0])
+        loss_star = compiled.loss(solve_compiled(compiled, gtol=1e-8))
         assert pts[0][1] == pytest.approx(loss_star, abs=1e-9)
 
     def test_monotone_along_grid(self, world, labels):
-        g = adaptive_g()
         cfg = SafetyConfig(0.8, labels)
-        pts = pareto_sweep(g, world, cfg, np.linspace(0.0, 6.0, 20), ridge=0.01)
+        pts = pareto_sweep(objective(world), cfg, np.linspace(0.0, 6.0, 20))
         safeties = np.array([p[2] for p in pts])
         losses = np.array([p[1] for p in pts])
         assert np.all(np.diff(safeties) >= -1e-9)
@@ -563,18 +579,15 @@ class TestParetoSweep:
 
     def test_flat_safety_means_flat_loss(self, world):
         # with no safety-critical labels the sweep is degenerate: all points equal
-        g = adaptive_g()
         cfg = SafetyConfig(0.5, {k: 3 for k in safety_world_labels()})
-        pts = pareto_sweep(g, world, cfg, [0.0, 0.7, 1.9], ridge=0.01)
+        pts = pareto_sweep(objective(world), cfg, [0.0, 0.7, 1.9])
         losses = [p[1] for p in pts]
         assert max(losses) - min(losses) <= 1e-6
 
     def test_descending_grid_rejected(self, world, labels):
-        from mskd.core import MskdError
-        g = adaptive_g()
         cfg = SafetyConfig(0.8, labels)
         with pytest.raises(MskdError):
-            pareto_sweep(g, world, cfg, [1.0, 0.5], ridge=0.01)
+            pareto_sweep(objective(world), cfg, [1.0, 0.5])
 
 
 class TestJensenPreservation:
@@ -590,10 +603,8 @@ class TestJensenPreservation:
         cfg = SafetyConfig(0.8, labels)
         g = adaptive_g()
         restricted = restrict_to_safety_contexts(world)
-        params = StudentParams(tuple(x.id for x in restricted.inputs),
-                               np.zeros((3, world.vocab.size)))
-        early = expected_safety(params, restricted, cfg)
-        converged = ensemble_expected_safety(g, restricted, cfg)
+        early = expected_safety(zero_logits(restricted), restricted, cfg)
+        converged = ensemble_safety(g, restricted, cfg)
         assert early < converged  # reported, not asserted by the check itself
 
     def test_adaptive_context_weights_beat_uniform(self):
@@ -602,9 +613,8 @@ class TestJensenPreservation:
         restricted = restrict_to_safety_contexts(world)
         out = {}
         for name, g in (("adaptive", adaptive_g()), ("uniform", uniform_unified(BOUNDS))):
-            compiled = compile_objective(g, restricted, 0.0)
-            theta = solve_compiled(compiled)
-            out[name] = expected_safety(compiled.params(theta), restricted, cfg)
+            out[name] = expected_safety(solve_compiled(objective(restricted, g, 0.0)),
+                                        restricted, cfg)
         assert out["adaptive"] > out["uniform"]
 
     def test_nonconformant_context_operator_rejected(self, world, labels):
