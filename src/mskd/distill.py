@@ -8,7 +8,7 @@ convergence experiments. Targets are compiled once per run into dense arrays
 single-sample gradients, and decays the learning rate as eta0 / (1 + t).
 
 All trainers share one loop, ``train_stack``: runs (a target table and a
-seed each) trained in lockstep, each with the bits it gets alone;
+seed each) trained in event rounds, each with the bits it gets alone;
 ``sgd_train`` and ``classic_uniform_train`` are stacks of one. The classical trainer differs from the adaptive one only in
 how the target table is built. With all-uniform operators the two tables
 are bit-identical, so the trajectories agree exactly at equal seeds.
@@ -225,16 +225,16 @@ def _densify(world: World, ridge: float, rows: np.ndarray, slot: np.ndarray) -> 
 
 def train_stack(runs: Sequence[tuple[CompiledObjective, int]],
                 config: TrainerConfig) -> list[tuple[np.ndarray, TrainTrace]]:
-    """Train a stack of runs in lockstep; one ``(compiled, seed)`` pair per run.
+    """Train a stack of runs in event rounds; one ``(compiled, seed)`` pair per run.
 
-    Every run shares one world and ``config``'s schedule; its seed replaces
-    ``config.seed``. Each run gets the bits it gets when trained alone: its
-    own init and sample streams (``spawn(2)`` of its seed, triples in
-    ``SAMPLE_BLOCK`` blocks), its softmax in ``core.softmax``'s operation
-    order, and its own ``loss``/``grad``/``mean_kl`` records every
-    ``eval_every`` steps. A step takes the sampled row of every run, applies
-    the ridge decay to the whole stack and writes the updated rows back.
-    Returns each run's final (N, V) logits and trace, in stack order.
+    Every run shares one world and ``config``'s schedule; its seed replaces ``config.seed``.
+    Each run gets the bits it gets alone: its own init and sample streams (``spawn(2)`` of its
+    seed, triples in ``SAMPLE_BLOCK`` blocks), its softmax in ``core.softmax``'s operation
+    order, and its ``loss``/``grad``/``mean_kl`` operations in a stacked record every
+    ``eval_every`` steps. Between records each (run, input) row takes its own sampled steps,
+    round k the k-th of every row at once. A step's ridge decay waits until the row is next
+    touched (lazy regularization), then applies one factor at a time in step order, so it
+    rounds as a whole-stack decay does. Returns each run's final (N, V) logits and trace.
     """
     if not runs:
         raise MskdError("a training stack needs at least one run")
@@ -258,46 +258,74 @@ def train_stack(runs: Sequence[tuple[CompiledObjective, int]],
             theta[s] = config.init_scale * draw
         samplers.append(sample_rng)
     flat = theta.reshape(n_runs * n, v)
-    tables = np.stack([compiled.targets for compiled, _ in runs])
-    stack, row_base, cols = np.arange(n_runs), np.arange(n_runs) * n, np.arange(v)
-    records = [[] for _ in runs]
+    tables, qbar, m_x, neg_ent = (np.array([getattr(c, name) for c, _ in runs]) for name in
+                                  ("targets", "qbar", "m_x", "target_neg_entropy"))
+    stack, ridge, every, records = np.arange(n_runs), config.ridge, config.eval_every, []
 
     def record(step: int, lr: float) -> None:
-        for s, (compiled, _) in enumerate(runs):
-            loss = compiled.loss(theta[s])
-            if not np.isfinite(loss):
-                raise NonFiniteLoss(f"loss diverged at step {step} (stack run {s})")
-            g = compiled.grad(theta[s])
-            records[s].append((step, loss, compiled.mean_kl(theta[s]),
-                               float(np.linalg.norm(g)), lr))
+        # every run's loss, mean_kl and grad norm, with the operations of its methods
+        ce = -np.sum((m_x[..., None] * qbar * log_softmax(theta)).reshape(n_runs, -1), axis=1)
+        loss = ce + 0.5 * ridge * np.sum((theta * theta).reshape(n_runs, -1), axis=1)
+        if not (finite := np.isfinite(loss)).all():
+            raise NonFiniteLoss(f"loss diverged at step {step} (stack run {finite.argmin()})")
+        g = (m_x[..., None] * (softmax(theta) - qbar) + ridge * theta).reshape(n_runs, -1)
+        records.append(np.stack(np.broadcast_arrays(step, loss, neg_ent + ce,
+                                                    np.sqrt(np.vecdot(g, g)), lr)))
 
     record(0, config.eta0)
-    ridge, t = config.ridge, 0
+    t = 0
     for blocks in zip(*(world.sample_index_blocks(r, config.steps) for r in samplers)):
         tj, xi, ci = (np.stack(a, axis=1) for a in zip(*blocks))  # (B, S) each
         targets = tables[stack, tj, xi, ci]  # (B, S, V)
-        rows = xi + row_base  # each run's sampled row of ``flat``
-        cells = rows[..., None] * v + cols  # and its entries in ``flat.flat``
-        etas = config.eta0 / (1.0 + np.arange(t, t + len(rows)))
-        decays = 1.0 - etas * ridge
-        for r, cell, target, eta, c in zip(rows, cells, targets, etas.tolist(), decays.tolist()):
-            # in place, the IEEE operations of softmax(x) - target, c * x and x - eta * g
-            x = flat.take(r, axis=0)
-            g = x - np.maximum.reduce(x, axis=1, keepdims=True)
-            np.exp(g, g)
-            np.divide(g, np.add.reduce(g, axis=1, keepdims=True), g)
-            g -= target
-            if ridge > 0:
-                flat *= c
-                x = flat.take(r, axis=0)
-            g *= eta
-            x -= g
-            flat.put(cell, x)
-            t += 1
-            if t % config.eval_every == 0 or t == config.steps:
-                record(t, eta)
-    return [(theta[s], TrainTrace(*np.array(rec, dtype=np.float64).T))
-            for s, rec in enumerate(records)]
+        etas = config.eta0 / (1.0 + np.arange(t, t + len(xi)))
+        decays = np.append(1.0, 1.0 - etas * ridge)  # block step i decays by decays[i + 1]
+        ends = [0, *range(every - t % every, len(xi), every), len(xi)]  # windows to a record
+        for w0, w1 in zip(ends, ends[1:]):
+            rows = (xi[w0:w1] + stack * n).ravel()  # each event's row of ``flat``, step by step
+            e, count = len(rows), np.bincount(rows, minlength=len(flat))
+            order = np.argsort(-count, kind="stable")  # busiest first: a round's rows are a prefix
+            # each row's events, then its tail to the window's end (entry ``e + place``)
+            ev = np.argsort(np.append(np.argsort(order)[rows], range(len(flat))), kind="stable")
+            count = count[order] + 1  # and the tail
+            k = np.arange(len(ev)) - np.repeat(np.cumsum(count) - count, count)  # rank in its row
+            step = np.where(ev < e, w0 + ev // n_runs, w1)
+            prev = np.where(k == 0, w0 - 1, np.append(0, step[:-1]))  # its row's step before
+            by_round = np.argsort(np.where(ev < e, k, e), kind="stable")  # the tails last
+            ev, step, prev, k = ev[by_round], step[by_round], prev[by_round], k[by_round]
+            cut = [0, *(np.flatnonzero(np.diff(k[:e])) + 1).tolist(), e, len(ev)]
+            edge = cut  # no decay segments without a ridge
+            if ridge > 0:  # segments [row, decays[prev + 2 : step + 1]], each round's from 0
+                size = step - prev
+                at = np.cumsum(size) - size
+                seg = decays[np.repeat(prev - at, size) + np.arange(size.sum()) + 1]
+                edge = np.append(at, size.sum())[cut].tolist()
+                at -= np.repeat(edge[:-1], np.diff(cut))
+            target = targets[w0:w1].reshape(-1, v)[ev[:e]]
+            eta, c = etas[step[:e], None], decays[step[:e] + 1, None]
+            x_all = flat[order]
+            for r0, r1, e0, e1 in zip(cut, cut[1:], edge, edge[1:]):
+                x = x_all[:r1 - r0]
+                if ridge > 0:  # the deferred decays, in step order, one rounding per factor
+                    b = np.repeat(seg[e0:e1, None], v, axis=1)
+                    b[at[r0:r1]] = x
+                    np.multiply.reduceat(b, at[r0:r1], axis=0, out=x)
+                if r0 == e:  # the tail: decays alone
+                    break
+                # in place, the IEEE operations of softmax(x) - target, c * x and x - eta * g
+                g = x - np.maximum.reduce(x, axis=1, keepdims=True)
+                np.exp(g, g)
+                np.divide(g, np.add.reduce(g, axis=1, keepdims=True), g)
+                g -= target[r0:r1]
+                g *= eta[r0:r1]
+                if ridge > 0:
+                    x *= c[r0:r1]
+                x -= g
+            flat[order] = x_all
+            if (t + w1) % every == 0 or t + w1 == config.steps:
+                record(t + w1, float(etas[w1 - 1]))
+        t += len(xi)
+    records = np.array(records)  # (records, 5, S)
+    return [(theta[s], TrainTrace(*records[..., s].T)) for s in range(n_runs)]
 
 
 def _train_alone(compiled: CompiledObjective,

@@ -246,20 +246,30 @@ def parse_config_dict(doc: dict) -> ExperimentConfig:
                           "params.", world)
     if kind == "safety" and trainer and trainer.ridge <= 0:  # dual ascent's strict convexity
         errors.append("trainer.ridge: must be positive for a safety run")
-    if kind == "safety" and world and not any(c.is_safety_critical for c in world.contexts):
-        errors.append("world.contexts: a safety run needs a safety-critical context")
+    if kind == "safety" and world and not any(  # the Jensen check conditions on them
+            c.is_safety_critical and c.measure_weight > 0 for c in world.contexts):
+        errors.append("world.contexts: a safety run needs a safety-critical context with "
+                      "positive measure_weight")
     if kind == "fixed_point" and bounds and world and min(  # the contraction needs two vectors
             abs(world.bank.k * w - 1.0) for w in (bounds.w_min, bounds.w_max)) <= CONSTRUCTION_TOL:
         errors.append(f"bounds: admit one weight vector for K={world.bank.k}; a fixed_point "
                       "run needs K*w_min < 1 < K*w_max")
-    if kind == "fixed_point" and world:  # the weight update takes the log of every live entry
-        live = world.input_marginals()[:, None] * world.context_weights != 0.0
-        empty = np.argwhere(live[..., None] & ~(world.teacher_dists() > 0.0).any(axis=2))
-        if len(empty):  # the first (input, context, token) in world order
-            x, c, i = empty[0].tolist()
+    ridge_free = kind == "safety" or kind == "rate" and trainer and trainer.ridge == 0.0
+    if world and (kind == "fixed_point" or ridge_free):
+        # the weight update takes the log of every live entry, and a ridge-free optimum (rate's,
+        # or the Jensen check's on the safety-critical contexts) the log of each input's target
+        solved = [kind != "safety" or c.is_safety_critical for c in world.contexts]
+        live = world.input_marginals()[:, None] * world.context_weights * solved != 0.0
+        held = live[..., None] & (world.teacher_dists() > 0.0).any(axis=2)  # (N, C, V)
+        empty = np.argwhere(live[..., None] & ~held if kind == "fixed_point"
+                            else ~held.any(axis=1) & live.any())  # (x, c, i) or (x, i)
+        if len(empty):  # the first in world order
+            x, *c, i = empty[0].tolist()
+            where = (f"at input {world.inputs[x].id}, context {world.contexts[c[0]].id}; a "
+                     "fixed_point run" if c else f"in every live context of input "
+                     f"{world.inputs[x].id}; a ridge-free {kind} solve")
             errors.append(f"world.teachers.table: token {i} has zero mass under every teacher "
-                          f"at input {world.inputs[x].id}, context {world.contexts[c].id}; a "
-                          "fixed_point run needs it positive in some teacher")
+                          f"{where} needs it positive in some teacher")
     if errors:
         raise ParseError("invalid config:\n  - " + "\n  - ".join(errors))
     return ExperimentConfig(

@@ -31,9 +31,9 @@ def test_index_block(benchmark, compiled):
     benchmark(compiled.world.sample_index_arrays, sampler, SAMPLE_BLOCK)
 
 
-@pytest.mark.parametrize("n_runs", [1, 10])
+@pytest.mark.parametrize("n_runs", [1, 2, 10])  # 2: the stack of the benchmark's rate run
 def test_sgd_step(benchmark, compiled, n_runs):
-    """``SAMPLE_BLOCK`` lockstep steps of an ``n_runs``-run stack, recorded only at both ends.
+    """``SAMPLE_BLOCK`` steps of an ``n_runs``-run stack, recorded only at both ends.
 
     The loop has no separately callable step: one stacked step is the time
     over ``SAMPLE_BLOCK`` (``extra_info["steps"]``), less two eval records.

@@ -81,6 +81,16 @@ def zero_entry_world() -> World:
     return parse_config_dict(doc).world
 
 
+def zero_measure_world() -> World:
+    """The convergence world with input 1's task weights moved to input 0: 1 is never sampled."""
+    doc = bundled_doc("train")
+    for task in doc["world"]["tasks"]:
+        weights = dict(task["inputs"])
+        weights[0], weights[1] = weights[0] + weights[1], 0.0
+        task["inputs"] = [[i, weights[i]] for i, _ in task["inputs"]]
+    return parse_config_dict(doc).world
+
+
 def safety_world() -> World:
     """Two teachers, five tokens, two safety-critical contexts.
 

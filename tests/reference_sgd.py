@@ -1,4 +1,4 @@
-"""The per-run SGD loop the lockstep trainer must reproduce bit for bit.
+"""The per-run SGD loop the stacked trainer must reproduce bit for bit.
 
 One run at a time, one Python step per sample: the init and sample streams,
 the step order (gradient at the pre-decay row, ridge decay of the whole

@@ -32,7 +32,7 @@ from mskd.operators import ContextOperator, TaskOperator, TokenOperator, uniform
 from mskd.runner import emit_summary, parse_config_dict, run_experiment
 
 from fixture_worlds import (appendix_world, bundled_doc, conformance_world, convergence_world,
-                            zero_entry_world)
+                            zero_entry_world, zero_measure_world)
 from reference_newton import reference_newton
 from reference_sgd import reference_sgd
 
@@ -188,46 +188,73 @@ class TestSgdTrain:
 
 
 class TestTrainStack:
-    """The lockstep trainer against the per-run reference loop, bit for bit."""
+    """The event-round trainer against the per-run reference loop, bit for bit."""
 
-    WORLDS = {"convergence": convergence_world(), "appendix": appendix_world()}
+    # the appendix world has one input, so each run's row takes every step; input 1 of the
+    # zero-measure world is never sampled, so its row only ever decays
+    WORLDS = {"convergence": convergence_world(), "appendix": appendix_world(),
+              "zero_measure": zero_measure_world()}
     TRACE_COLUMNS = ("steps", "loss", "mean_kl", "grad_norm", "lr")
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
     def tables(world_name: str, ridge: float) -> dict:
-        """Adaptive, classic and noisy target tables of one world, compiled at ``ridge``."""
+        """Adaptive, classic, noisy and diverging target tables of one world, at ``ridge``."""
         world = TestTrainStack.WORLDS[world_name]
         g = adaptive_g(WeightBounds(0.05, 0.95))
-        return {"adaptive": compile_objective(g, world, ridge),
-                "classic": _uniform_compiled(world, ridge),
-                "noisy": noisy_compiled(g, world, 0.01, ridge, 9)}
+        adaptive = compile_objective(g, world, ridge)
+        # targets far outside the simplex: the logits overflow within a few steps
+        return {"adaptive": adaptive, "classic": _uniform_compiled(world, ridge),
+                "noisy": noisy_compiled(g, world, 0.01, ridge, 9),
+                "diverging": dataclasses.replace(adaptive, targets=adaptive.targets * 1e307)}
 
-    def assert_same_bits(self, got, compiled, config, seed):
-        theta, trace = got
-        ref_theta, ref_trace = reference_sgd(compiled, config, seed)
-        assert theta.tobytes() == ref_theta.tobytes()
-        for name in self.TRACE_COLUMNS:
-            assert getattr(trace, name).tobytes() == getattr(ref_trace, name).tobytes(), name
-
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(world_name=st.sampled_from(sorted(WORLDS)),
            runs=st.lists(st.tuples(st.sampled_from(["adaptive", "classic", "noisy"]),
-                                   st.integers(0, 3)), min_size=1, max_size=4),
+                                   st.integers(0, 3)), min_size=1, max_size=10),
+           diverging=st.sampled_from([(), (0,), (3, 9)]),
            ridge=st.sampled_from([0.0, 0.01, 0.2]),
            init_scale=st.sampled_from([0.0, 0.5]),
            eta0=st.sampled_from([1.0, 40.0]),
            steps=st.sampled_from([0, 1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1,
                                   2 * SAMPLE_BLOCK + 5]),
-           eval_every=st.sampled_from([7, 333, SAMPLE_BLOCK]))
-    def test_each_run_keeps_its_bits(self, world_name, runs, ridge, init_scale, eta0, steps,
-                                     eval_every):
+           eval_every=st.sampled_from([1, 7, 333, SAMPLE_BLOCK, 3 * SAMPLE_BLOCK]))
+    @example(world_name="appendix", runs=[("adaptive", 0), ("classic", 1)] * 5, diverging=(),
+             ridge=0.01, init_scale=0.5, eta0=40.0, steps=SAMPLE_BLOCK + 1, eval_every=1)
+    @example(world_name="zero_measure", runs=[("adaptive", 2), ("noisy", 3)], diverging=(),
+             ridge=0.2, init_scale=0.5, eta0=1.0, steps=2 * SAMPLE_BLOCK + 5,
+             eval_every=3 * SAMPLE_BLOCK)
+    @example(world_name="convergence", runs=[("classic", 0), ("adaptive", 1)] * 2,
+             diverging=(3, 9), ridge=0.0, init_scale=0.0, eta0=40.0, steps=SAMPLE_BLOCK,
+             eval_every=7)
+    def test_each_run_keeps_its_bits(self, world_name, runs, diverging, ridge, init_scale, eta0,
+                                     steps, eval_every):
+        # each run against its reference alone; with a diverging run, the stack raises at the
+        # first record where some run's loss is not finite, naming the first such run
         tables = self.tables(world_name, ridge)
         config = TrainerConfig(eta0=eta0, steps=steps, ridge=ridge, seed=99,
                                eval_every=eval_every, init_scale=init_scale)
+        runs = [("diverging", seed) if s % len(runs) in {d % len(runs) for d in diverging}
+                else (kind, seed) for s, (kind, seed) in enumerate(runs)]
         stack = [(tables[kind], seed) for kind, seed in runs]
-        for got, (compiled, seed) in zip(train_stack(stack, config), stack, strict=True):
-            self.assert_same_bits(got, compiled, config, seed)
+        refs, diverged = [], []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s, (compiled, seed) in enumerate(stack):
+                try:
+                    refs.append(reference_sgd(compiled, config, seed))
+                except NonFiniteLoss as alone:
+                    diverged.append((int(str(alone).split("step ")[1]), s))
+            if diverged:
+                with pytest.raises(NonFiniteLoss) as raised:
+                    train_stack(stack, config)
+                step, s = min(diverged)
+                assert str(raised.value) == f"loss diverged at step {step} (stack run {s})"
+                return
+            got = train_stack(stack, config)
+        for (theta, trace), (ref_theta, ref_trace) in zip(got, refs, strict=True):
+            assert theta.tobytes() == ref_theta.tobytes()
+            for name in self.TRACE_COLUMNS:
+                assert getattr(trace, name).tobytes() == getattr(ref_trace, name).tobytes(), name
 
     def test_diverging_run_names_the_step(self, world):
         compiled = compile_objective(adaptive_g(), world, 0.01)

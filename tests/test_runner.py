@@ -569,16 +569,19 @@ class TestCli:
         assert _main_on(doc, command, tmp_path) == 2
         assert str(path[-1]) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["trainer.ridge", "world.contexts"])
+    @pytest.mark.parametrize("field", ["trainer.ridge", "world.contexts", "measure_weight"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_safety_precondition_exit_two(self, tmp_path, field, command, capsys):
-        # dual ascent needs a positive ridge, the Jensen check a safety-critical context
+        # dual ascent needs a positive ridge, the Jensen check a safety-critical context of
+        # positive measure to condition on
         doc = copy.deepcopy(BUNDLED_DOCS["safety"])
         if field == "trainer.ridge":
             doc["trainer"]["ridge"] = 0.0
-        else:
-            for context in doc["world"]["contexts"]:
+        for context in doc["world"]["contexts"]:
+            if field == "world.contexts":
                 context["safety_critical"] = False
+            elif field == "measure_weight":
+                context["measure_weight"] = 0.0 if context["safety_critical"] else 1.0
         assert _main_on(doc, command, tmp_path) == 2
         assert field in capsys.readouterr().err
 
@@ -640,6 +643,34 @@ class TestCli:
                 "context 0") in capsys.readouterr().err
         doc["world"]["teachers"]["table"][0]["dists"][1] = [0.4, 0.35, 0.25]  # one teacher has it
         assert _main_on(doc, command, tmp_path) == 0
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("kind,token", [("rate", 9), ("safety", 4)])
+    def test_token_without_mass_for_a_ridge_free_solve_exit_two(self, tmp_path, command, kind,
+                                                                token, capsys):
+        # rate at ridge 0 and the safety run's Jensen check solve for centered log targets:
+        # a token that no teacher gives mass to in any live context of an input (for safety,
+        # any live safety-critical context) has no finite logit, and is rejected before the run
+        doc = copy.deepcopy(BUNDLED_DOCS[kind])
+        if kind == "rate":
+            doc["trainer"]["ridge"] = 0.0
+        solved = {c["id"] for c in doc["world"]["contexts"]
+                  if kind == "rate" or c["safety_critical"]}
+        for cell in doc["world"]["teachers"]["table"]:
+            if cell["input"] == 0 and cell["context"] in solved:
+                cell["dists"] = [[*row[:-1], 0.0] for row in cell["dists"]]
+                cell["dists"] = [[p / sum(row) for p in row] for row in cell["dists"]]
+        assert _main_on(doc, command, tmp_path) == 2
+        assert (f"world.teachers.table: token {token} has zero mass under every teacher in every "
+                f"live context of input 0; a ridge-free {kind} solve needs it positive in some "
+                "teacher") in capsys.readouterr().err
+        if command == "validate":  # a positive ridge, or mass in a plain context, solves finitely
+            if kind == "rate":
+                doc["trainer"]["ridge"] = 0.01
+            else:
+                doc["world"]["contexts"] = [{**c, "safety_critical": True}
+                                            for c in doc["world"]["contexts"]]
+            assert _main_on(doc, command, tmp_path) == 0
 
     def test_seed_override_changes_hash(self, tmp_path, capsys):
         p = CONFIGS / "appendix_a.json"
