@@ -7,11 +7,12 @@ convergence experiments. Targets are compiled once per run into dense arrays
 (task, input, context) triples with the declared measure, applies
 single-sample gradients, and decays the learning rate as eta0 / (1 + t).
 
-All trainers share one loop, ``train_stack``: runs (a target table and a
-seed each) trained in event rounds, each with the bits it gets alone;
-``sgd_train`` and ``classic_uniform_train`` are stacks of one. The classical trainer differs from the adaptive one only in
-how the target table is built. With all-uniform operators the two tables
-are bit-identical, so the trajectories agree exactly at equal seeds.
+All trainers share one loop, ``train_stack``: runs (a target table and a seed each) trained
+in event rounds, one window per sample block, each with the bits it gets alone; eval records
+fold per-row copies with their deferred decays. ``sgd_train`` and ``classic_uniform_train``
+are stacks of one. The classical trainer differs from the adaptive one only in how the target
+table is built. With all-uniform operators the two tables are bit-identical, so the
+trajectories agree exactly at equal seeds.
 
 The damped-Newton solver ``minimize_blockwise`` makes one stacked kernel call
 per iteration and one for all line-search halvings, builds Hessians only for
@@ -230,11 +231,13 @@ def train_stack(runs: Sequence[tuple[CompiledObjective, int]],
     Every run shares one world and ``config``'s schedule; its seed replaces ``config.seed``.
     Each run gets the bits it gets alone: its own init and sample streams (``spawn(2)`` of its
     seed, triples in ``SAMPLE_BLOCK`` blocks), its softmax in ``core.softmax``'s operation
-    order, and its ``loss``/``grad``/``mean_kl`` operations in a stacked record every
-    ``eval_every`` steps. Between records each (run, input) row takes its own sampled steps,
-    round k the k-th of every row at once. A step's ridge decay waits until the row is next
-    touched (lazy regularization), then applies one factor at a time in step order, so it
-    rounds as a whole-stack decay does. Returns each run's final (N, V) logits and trace.
+    order, and its ``loss``/``grad``/``mean_kl`` operations in a record every ``eval_every``
+    steps. In each sample block each (run, input) row takes its own sampled steps, round k the
+    k-th of every row at once. A step's ridge decay waits until the row is next touched (lazy
+    regularization), then applies one factor at a time in step order, so it rounds as a
+    whole-stack decay does. Records do not cut the block: for each record every row keeps a
+    copy after its last step before it, folded with the decays deferred since, and the block's
+    records are one stacked evaluation. Returns each run's final (N, V) logits and trace.
     """
     if not runs:
         raise MskdError("a training stack needs at least one run")
@@ -262,70 +265,94 @@ def train_stack(runs: Sequence[tuple[CompiledObjective, int]],
                                   ("targets", "qbar", "m_x", "target_neg_entropy"))
     stack, ridge, every, records = np.arange(n_runs), config.ridge, config.eval_every, []
 
-    def record(step: int, lr: float) -> None:
-        # every run's loss, mean_kl and grad norm, with the operations of its methods
-        ce = -np.sum((m_x[..., None] * qbar * log_softmax(theta)).reshape(n_runs, -1), axis=1)
-        loss = ce + 0.5 * ridge * np.sum((theta * theta).reshape(n_runs, -1), axis=1)
+    def record(step: np.ndarray, lr: np.ndarray, th: np.ndarray) -> None:
+        # every run's loss, mean_kl and grad norm at the (J, S, N, V) logits of J records, with
+        # the operations of its methods; the first record, in step order, that diverged raises
+        ce = -np.sum((m_x[..., None] * qbar * log_softmax(th)).reshape(*th.shape[:2], -1), axis=2)
+        loss = ce + 0.5 * ridge * np.sum((th * th).reshape(*th.shape[:2], -1), axis=2)
         if not (finite := np.isfinite(loss)).all():
-            raise NonFiniteLoss(f"loss diverged at step {step} (stack run {finite.argmin()})")
-        g = (m_x[..., None] * (softmax(theta) - qbar) + ridge * theta).reshape(n_runs, -1)
-        records.append(np.stack(np.broadcast_arrays(step, loss, neg_ent + ce,
-                                                    np.sqrt(np.vecdot(g, g)), lr)))
+            m = finite.all(axis=1).argmin()
+            raise NonFiniteLoss(f"loss diverged at step {step[m]} (stack run {finite[m].argmin()})")
+        g = (m_x[..., None] * (softmax(th) - qbar) + ridge * th).reshape(*th.shape[:2], -1)
+        records.append(np.stack(np.broadcast_arrays(step[:, None], loss, neg_ent + ce,
+                                                    np.sqrt(np.vecdot(g, g)), lr[:, None]), axis=1))
 
-    record(0, config.eta0)
+    record(np.array([0]), np.array([config.eta0]), theta[None])
     t = 0
     for blocks in zip(*(world.sample_index_blocks(r, config.steps) for r in samplers)):
         tj, xi, ci = (np.stack(a, axis=1) for a in zip(*blocks))  # (B, S) each
-        targets = tables[stack, tj, xi, ci]  # (B, S, V)
-        etas = config.eta0 / (1.0 + np.arange(t, t + len(xi)))
+        done = np.arange(t + 1, t + len(xi) + 1)  # the step count after each block step
+        rec = np.flatnonzero((done % every == 0) | (done == config.steps)) + 1  # block steps done
+        etas = config.eta0 / done  # eta0 / (1 + t) of each block step
         decays = np.append(1.0, 1.0 - etas * ridge)  # block step i decays by decays[i + 1]
-        ends = [0, *range(every - t % every, len(xi), every), len(xi)]  # windows to a record
-        for w0, w1 in zip(ends, ends[1:]):
-            rows = (xi[w0:w1] + stack * n).ravel()  # each event's row of ``flat``, step by step
-            e, count = len(rows), np.bincount(rows, minlength=len(flat))
-            order = np.argsort(-count, kind="stable")  # busiest first: a round's rows are a prefix
-            # each row's events, then its tail to the window's end (entry ``e + place``)
-            ev = np.argsort(np.append(np.argsort(order)[rows], range(len(flat))), kind="stable")
-            count = count[order] + 1  # and the tail
-            k = np.arange(len(ev)) - np.repeat(np.cumsum(count) - count, count)  # rank in its row
-            step = np.where(ev < e, w0 + ev // n_runs, w1)
-            prev = np.where(k == 0, w0 - 1, np.append(0, step[:-1]))  # its row's step before
-            by_round = np.argsort(np.where(ev < e, k, e), kind="stable")  # the tails last
-            ev, step, prev, k = ev[by_round], step[by_round], prev[by_round], k[by_round]
-            cut = [0, *(np.flatnonzero(np.diff(k[:e])) + 1).tolist(), e, len(ev)]
-            edge = cut  # no decay segments without a ridge
-            if ridge > 0:  # segments [row, decays[prev + 2 : step + 1]], each round's from 0
-                size = step - prev
-                at = np.cumsum(size) - size
-                seg = decays[np.repeat(prev - at, size) + np.arange(size.sum()) + 1]
-                edge = np.append(at, size.sum())[cut].tolist()
-                at -= np.repeat(edge[:-1], np.diff(cut))
-            target = targets[w0:w1].reshape(-1, v)[ev[:e]]
-            eta, c = etas[step[:e], None], decays[step[:e] + 1, None]
-            x_all = flat[order]
-            for r0, r1, e0, e1 in zip(cut, cut[1:], edge, edge[1:]):
-                x = x_all[:r1 - r0]
-                if ridge > 0:  # the deferred decays, in step order, one rounding per factor
-                    b = np.repeat(seg[e0:e1, None], v, axis=1)
-                    b[at[r0:r1]] = x
-                    np.multiply.reduceat(b, at[r0:r1], axis=0, out=x)
-                if r0 == e:  # the tail: decays alone
-                    break
-                # in place, the IEEE operations of softmax(x) - target, c * x and x - eta * g
-                g = x - np.maximum.reduce(x, axis=1, keepdims=True)
-                np.exp(g, g)
-                np.divide(g, np.add.reduce(g, axis=1, keepdims=True), g)
-                g -= target[r0:r1]
-                g *= eta[r0:r1]
-                if ridge > 0:
-                    x *= c[r0:r1]
-                x -= g
-            flat[order] = x_all
-            if (t + w1) % every == 0 or t + w1 == config.steps:
-                record(t + w1, float(etas[w1 - 1]))
+        rows = (xi + stack * n).ravel()  # each event's row of ``flat``, step by step
+        e, count = len(rows), np.bincount(rows, minlength=len(flat))
+        order = np.argsort(-count, kind="stable")  # busiest first: a round's rows are a prefix
+        # each row's events, then its tail to the block's end (entry ``e + place``)
+        ev = np.argsort(np.append(np.argsort(order)[rows], range(len(flat))), kind="stable")
+        count = count[order] + 1  # and the tail
+        place = np.arange(len(flat)).repeat(count)  # each entry's row, by its place in ``order``
+        k = np.arange(len(ev)) - (np.cumsum(count) - count)[place]  # rank in its row
+        step = np.where(ev < e, ev // n_runs, len(xi))
+        prev = np.where(k == 0, -1, np.append(0, step[:-1]))  # its row's step before
+        by_round = np.argsort(np.where(ev < e, k, e), kind="stable")  # the tails last
+        ev, step, prev, k, place = (a[by_round] for a in (ev, step, prev, k, place))
+        cut = [0, *(np.flatnonzero(np.diff(k[:e])) + 1).tolist(), e, len(ev)]
+        # entry i's row stays as i's round finds it over block steps (prev, step]: if records
+        # fall there, the round copies the row, to fold with the decays up to each record
+        held, j = np.nonzero((prev[:, None] < rec) & (rec <= step[:, None]))  # (entry, record)
+        held, src = np.unique(held, return_inverse=True)  # the entries that copy, each pair's copy
+        taken, take = np.searchsorted(held, cut).tolist(), place[held]
+        edge = cut  # no decay segments without a ridge
+        if ridge > 0:  # segments [row, decays[prev + 2 : step + 1]], each round's from 0
+            seg, at = _decay_segments(decays, prev, step)
+            edge = np.append(at, len(seg))[cut].tolist()
+            at -= np.repeat(edge[:-1], np.diff(cut))
+        target = tables[stack, tj, xi, ci].reshape(-1, v)[ev[:e]]
+        eta, c = etas[step[:e], None], decays[step[:e] + 1, None]
+        x_all, snaps = flat[order], np.empty((len(held), v))
+        for r0, r1, e0, e1, s0, s1 in zip(cut, cut[1:], edge, edge[1:], taken, taken[1:]):
+            x = x_all[:r1 - r0]
+            if s0 < s1:
+                snaps[s0:s1] = x[take[s0:s1]]
+            if ridge > 0:  # the deferred decays, in step order, one rounding per factor
+                b = seg[e0:e1, None].repeat(v, axis=1)
+                b[at[r0:r1]] = x
+                np.multiply.reduceat(b, at[r0:r1], axis=0, out=x)
+            if r0 == e:  # the tail: decays alone
+                break
+            # in place, the IEEE operations of softmax(x) - target, c * x and x - eta * g
+            g = x - np.maximum.reduce(x, axis=1, keepdims=True)
+            np.exp(g, g)
+            np.divide(g, np.add.reduce(g, axis=1, keepdims=True), g)
+            g -= target[r0:r1]
+            g *= eta[r0:r1]
+            if ridge > 0:
+                x *= c[r0:r1]
+            x -= g
+        flat[order] = x_all
+        if len(rec):
+            folded = snaps[src]
+            if ridge > 0:  # each copy's chain [row, decays[prev + 2 : step + 1]]: a record's
+                # left fold is a prefix of it, and one reduceat takes each as a segment
+                since = prev[held]
+                seg, at = _decay_segments(decays, since, step[held])
+                b = np.append(seg, 1.0)[:, None].repeat(v, axis=1)  # (a row to end the last)
+                b[at] = snaps
+                ends = np.stack([at[src], at[src] + rec[j] - since[src]], axis=1).ravel()
+                folded = np.multiply.reduceat(b, ends, axis=0)[::2]  # the odd segments: filler
+            logits = folded[np.argsort(j * len(flat) + order[take[src]])]  # by record, then row
+            record(t + rec, etas[rec - 1], logits.reshape(len(rec), n_runs, n, v))
         t += len(xi)
-    records = np.array(records)  # (records, 5, S)
+    records = np.concatenate(records)  # (records, 5, S)
     return [(theta[s], TrainTrace(*records[..., s].T)) for s in range(n_runs)]
+
+
+def _decay_segments(decays: np.ndarray, prev: np.ndarray, stop: np.ndarray):
+    """Segments [row, decays[prev + 2 : stop + 1]] of one array (row a placeholder), and starts."""
+    size = stop - prev
+    at = np.cumsum(size) - size
+    return decays[(prev - at).repeat(size) + np.arange(size.sum()) + 1], at
 
 
 def _train_alone(compiled: CompiledObjective,
@@ -445,6 +472,9 @@ def solve_compiled(compiled: CompiledObjective, gtol: float = 1e-10) -> np.ndarr
 # Convergence-rate fitting
 # ---------------------------------------------------------------------------
 
+FIT_POINTS = 10  # the usable eval points a convergence-rate fit needs at least
+
+
 @dataclass(frozen=True)
 class RateFit:
     slope: float
@@ -462,9 +492,9 @@ def fit_convergence_rate(trace: TrainTrace, loss_star: float) -> RateFit:
     usable = (trace.steps >= 1) & (trace.loss > loss_star)
     steps = trace.steps[usable]
     gaps = trace.loss[usable] - loss_star
-    if steps.shape[0] < 10:
-        raise InsufficientTrace(
-            f"need at least 10 usable eval points above the floor, got {steps.shape[0]}")
+    if steps.shape[0] < FIT_POINTS:
+        raise InsufficientTrace(f"need at least {FIT_POINTS} usable eval points above the floor, "
+                                f"got {steps.shape[0]}")
     start = steps.shape[0] // 2
     x = np.log(steps[start:].astype(np.float64))
     y = np.log(gaps[start:])

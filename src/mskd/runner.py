@@ -50,6 +50,7 @@ from .core import (
     seeded_sampler,
 )
 from .distill import (
+    FIT_POINTS,
     CompiledObjective,
     TrainerConfig,
     _uniform_compiled,
@@ -244,6 +245,13 @@ def parse_config_dict(doc: dict) -> ExperimentConfig:
             schema = {**schema, "ridge": (float, trainer.ridge, *schema["ridge"][2:])}
         params = _collect(errors, "params", read_section, doc.get("params", {}), schema,
                           "params.", world)
+    if kind == "rate" and trainer and (  # the records after step 0
+            evals := -(-trainer.steps // trainer.eval_every)) < FIT_POINTS:
+        errors.append(f"trainer: a rate fit needs at least {FIT_POINTS} eval records after step "
+                      f"0, got ceil(steps / eval_every) = {evals}")
+    if kind == "rate" and params and params["slope_low"] > params["slope_high"]:
+        errors.append(f"params: slope_low {params['slope_low']} exceeds slope_high "
+                      f"{params['slope_high']}; no slope passes both rate checks")
     if kind == "safety" and trainer and trainer.ridge <= 0:  # dual ascent's strict convexity
         errors.append("trainer.ridge: must be positive for a safety run")
     if kind == "safety" and world and not any(  # the Jensen check conditions on them

@@ -199,14 +199,16 @@ class TestTrainStack:
     @staticmethod
     @functools.lru_cache(maxsize=None)
     def tables(world_name: str, ridge: float) -> dict:
-        """Adaptive, classic, noisy and diverging target tables of one world, at ``ridge``."""
+        """Adaptive, classic, noisy, diverging and late-diverging tables of one world."""
         world = TestTrainStack.WORLDS[world_name]
         g = adaptive_g(WeightBounds(0.05, 0.95))
         adaptive = compile_objective(g, world, ridge)
-        # targets far outside the simplex: the logits overflow within a few steps
+        # targets far outside the simplex: the logits overflow within a few steps, or at eta0 1
+        # only after dozens (on the appendix world at ridge 0.01, the loss at step 63)
         return {"adaptive": adaptive, "classic": _uniform_compiled(world, ridge),
                 "noisy": noisy_compiled(g, world, 0.01, ridge, 9),
-                "diverging": dataclasses.replace(adaptive, targets=adaptive.targets * 1e307)}
+                "diverging": dataclasses.replace(adaptive, targets=adaptive.targets * 1e307),
+                "late": dataclasses.replace(adaptive, targets=adaptive.targets * 4e153)}
 
     @settings(max_examples=30, deadline=None)
     @given(world_name=st.sampled_from(sorted(WORLDS)),
@@ -218,7 +220,8 @@ class TestTrainStack:
            eta0=st.sampled_from([1.0, 40.0]),
            steps=st.sampled_from([0, 1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1,
                                   2 * SAMPLE_BLOCK + 5]),
-           eval_every=st.sampled_from([1, 7, 333, SAMPLE_BLOCK, 3 * SAMPLE_BLOCK]))
+           eval_every=st.sampled_from([1, 7, 250, 333, SAMPLE_BLOCK // 2, SAMPLE_BLOCK,
+                                       3 * SAMPLE_BLOCK]))
     @example(world_name="appendix", runs=[("adaptive", 0), ("classic", 1)] * 5, diverging=(),
              ridge=0.01, init_scale=0.5, eta0=40.0, steps=SAMPLE_BLOCK + 1, eval_every=1)
     @example(world_name="zero_measure", runs=[("adaptive", 2), ("noisy", 3)], diverging=(),
@@ -226,6 +229,14 @@ class TestTrainStack:
              eval_every=3 * SAMPLE_BLOCK)
     @example(world_name="convergence", runs=[("classic", 0), ("adaptive", 1)] * 2,
              diverging=(3, 9), ridge=0.0, init_scale=0.0, eta0=40.0, steps=SAMPLE_BLOCK,
+             eval_every=7)
+    # a record every step: the rows of input 1 take no step between any two records
+    @example(world_name="zero_measure", runs=[("adaptive", 0), ("noisy", 1), ("classic", 2)],
+             diverging=(), ridge=0.2, init_scale=0.5, eta0=1.0, steps=2 * SAMPLE_BLOCK + 5,
+             eval_every=1)
+    # run 1 first diverges at step 63, the ninth record of its block
+    @example(world_name="appendix", runs=[("adaptive", 0), ("late", 1), ("classic", 2)],
+             diverging=(), ridge=0.01, init_scale=0.5, eta0=1.0, steps=SAMPLE_BLOCK + 1,
              eval_every=7)
     def test_each_run_keeps_its_bits(self, world_name, runs, diverging, ridge, init_scale, eta0,
                                      steps, eval_every):

@@ -2,9 +2,12 @@
 
 A public name that only tests call is a wrapper to delete, and its tests are
 restated on the library's own paths. The check reads the source with ``ast``:
-a name counts as called when some module other than ``__init__`` loads it as a
-name or an attribute. Matching by name alone is coarse (a method shares the
-count of every attribute of its name), but it never counts a test as a caller.
+a name counts as called when some module other than ``__init__`` loads it
+(``ast.Load``) as a name, calls it as an attribute (``x.name(...)``), or loads
+it as an attribute that is no field of a library dataclass (reading
+``trace.mean_kl`` is not a call of ``CompiledObjective.mean_kl``). Matching by
+name alone is coarse (a method shares the count of every attribute of its
+name), but it never counts a test as a caller.
 """
 
 import ast
@@ -19,6 +22,7 @@ PROBE_PINNED = {
     "distill.classic_uniform_train": "probed as distill.sgd through its runner import",
     "composition.UnifiedWeightOperator.unified_weight": "probed as composition.unified_weight",
     "composition.UnifiedWeightOperator.ensemble_target": "probed as composition.ensemble_target",
+    "distill.CompiledObjective.mean_kl": "probed as distill.eval",
 }
 
 
@@ -33,15 +37,34 @@ def _public_definitions(tree: ast.Module, module: str):
                     yield f"{module}.{node.name}.{item.name}", item.name
 
 
+def _dataclass_fields(tree: ast.Module):
+    """The field names of each ``@dataclass`` class of a module."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            yield from (item.target.id for item in node.body if isinstance(item, ast.AnnAssign))
+
+
+def _loaded_names(tree: ast.Module, fields: set[str]):
+    """Names loaded, attributes called, and other attributes loaded that are no field."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and (
+                id(node) in called or node.attr not in fields):
+            yield node.attr
+
+
 def _library_names() -> tuple[dict[str, str], set[str]]:
     """Every public definition, and every name the library (bar ``__init__``) loads."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    fields = {name for tree in trees.values() for name in _dataclass_fields(tree)}
     defined, loaded = {}, set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for path, tree in trees.items():
         defined.update(_public_definitions(tree, path.stem))
         if path.name != "__init__.py":
-            loaded |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-            loaded |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            loaded |= set(_loaded_names(tree, fields))
     return defined, loaded
 
 

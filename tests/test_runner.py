@@ -672,6 +672,33 @@ class TestCli:
                                             for c in doc["world"]["contexts"]]
             assert _main_on(doc, command, tmp_path) == 0
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("trainer,evals", [({"steps": 10}, 1), ({"eval_every": 60000}, 1),
+                                               ({"steps": 2250}, 9), ({"steps": 0}, 0)])
+    def test_rate_schedule_with_too_few_records_exit_two(self, tmp_path, command, trainer, evals,
+                                                         capsys):
+        # the power-law fit needs 10 eval records after step 0, ceil(steps / eval_every) of
+        # them: a shorter schedule is rejected before any seed trains
+        doc = copy.deepcopy(BUNDLED_DOCS["rate"])
+        doc["trainer"].update(trainer)  # the bundled schedule records every 250 steps
+        assert _main_on(doc, command, tmp_path) == 2
+        assert ("trainer: a rate fit needs at least 10 eval records after step 0, got "
+                f"ceil(steps / eval_every) = {evals}") in capsys.readouterr().err
+        if command == "validate":  # one step more gives the tenth record
+            doc["trainer"].update(steps=2251, eval_every=250)
+            assert _main_on(doc, command, tmp_path) == 0
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_rate_empty_slope_interval_exit_two(self, tmp_path, command, capsys):
+        # no fitted slope passes both slope checks of an empty interval
+        doc = copy.deepcopy(BUNDLED_DOCS["rate"])
+        doc["params"].update(slope_low=-0.5, slope_high=-1.5)
+        assert _main_on(doc, command, tmp_path) == 2
+        assert "params: slope_low -0.5 exceeds slope_high -1.5" in capsys.readouterr().err
+        if command == "validate":  # an interval of one slope is not empty
+            doc["params"].update(slope_low=-1.0, slope_high=-1.0)
+            assert _main_on(doc, command, tmp_path) == 0
+
     def test_seed_override_changes_hash(self, tmp_path, capsys):
         p = CONFIGS / "appendix_a.json"
         main(["run", str(p), "--out", str(tmp_path / "a"), "--quiet"])
