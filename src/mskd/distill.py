@@ -15,8 +15,9 @@ table is built. With all-uniform operators the two tables are bit-identical, so 
 trajectories agree exactly at equal seeds.
 
 The damped-Newton solver ``minimize_blockwise`` makes one stacked kernel call
-per iteration and one for all line-search halvings, builds Hessians only for
-the blocks still open, and gives every block the bits a per-block loop gives it.
+at step 1 and one for all line-search halvings, reuses the accepted trial's
+evaluation, builds Hessians only for the blocks still open, retires a block at
+a bitwise fixed point, and gives every block the bits a per-block loop gives it.
 """
 
 from __future__ import annotations
@@ -127,61 +128,50 @@ class CompiledObjective:
         return StudentParams(tuple(x.id for x in self.world.inputs), theta, self.ridge)
 
     def block(self, xi: np.ndarray, rows: np.ndarray, labels=None):
-        """Values, gradients and Hessian builder of inputs ``xi``'s loss shares at (a, V) ``rows``.
+        """Values, gradients and softmax rows of inputs ``xi``'s loss shares at (a, V) ``rows``.
 
-        ``hessians(keep)`` builds the (k, V, V) Hessians of the rows a boolean mask keeps (all by
-        default). ``labels``, an ``(on, w)`` pair of (N, V) tables, subtracts ``w[x, y] * p[y]``
-        (p = softmax of the row) for each token y with ``on[x, y]``, in ascending order: a
-        Lagrangian's safety terms. Each row gets the bits a one-row evaluation gives it.
+        ``labels``, an ``(on, w)`` pair of (N, V) tables, subtracts ``w[x, y] * p[y]`` (p = softmax
+        of the row) for each token y with ``on[x, y]``, in ascending order: a Lagrangian's safety
+        terms. Each row gets the bits a one-row evaluation gives it.
         """
-        f, p, terms = self._block_f(xi, rows, labels)
-        m = self.m_x[xi][:, None]
-        g = m * (p - self.qbar[xi]) + self.ridge * rows
-        ds = [0.0 - p[r] for _, r, _ in terms]
-        for (y, r, c), d in zip(terms, ds):
-            d[:, y] += 1.0  # e_y - p
-            g[r] -= c[:, None] * d
-
-        def hessians(keep=None):
-            keep = np.ones(len(p), dtype=bool) if keep is None else keep
-            q, at = p[keep], np.cumsum(keep) - 1  # the kept rows, and each row's place among them
-            pp = q[:, :, None] * q[:, None, :]
-            h = np.subtract(0.0, pp)  # diag(p) - outer(p, p), in place
-            np.einsum("ijj->ij", h)[...] = q - q * q  # (einsum's diagonal is a writable view)
-            h *= m[keep][..., None]
-            np.einsum("ijj->ij", h)[...] += self.ridge
-            for (_, r, c), d in zip(terms, ds):
-                kept = keep[r]
-                r, c, d = at[r[kept]], c[kept], d[kept]
-                t = d[:, :, None] * d[:, None, :]
-                np.einsum("ijj->ij", t)[...] -= q[r]  # outer(d, d) - diag(p)
-                t += pp[r]
-                t *= c[:, None, None]
-                h[r] -= t
-            return h
-
-        return f, g, hessians
-
-    def block_value(self, xi: np.ndarray, rows: np.ndarray, labels=None) -> np.ndarray:
-        """The values of ``block`` alone."""
-        return self._block_f(xi, rows, labels)[0]
-
-    def _block_f(self, xi, rows, labels):
-        """``block``'s values, the rows' softmax and each label term (y, rows, w * p[y])."""
         z = rows - rows.max(axis=-1, keepdims=True)  # one pass of softmax's and log_softmax's ops
         e = np.exp(z)
         s = e.sum(axis=-1, keepdims=True)
         p = e / s
         f = -self.m_x[xi] * np.vecdot(self.qbar[xi], z - np.log(s)) \
             + 0.5 * self.ridge * np.vecdot(rows, rows)
-        terms = []
-        if labels is not None:
-            on, w = labels[0][xi], labels[1][xi]
-            for y in on.any(axis=0).nonzero()[0].tolist():
-                r = on[:, y].nonzero()[0]
-                terms.append((y, r, w[r, y] * p[r, y]))
-                f[r] -= terms[-1][2]
-        return f, p, terms
+        g = self.m_x[xi][:, None] * (p - self.qbar[xi]) + self.ridge * rows
+        for r, c, d in self._label_terms(xi, p, labels):
+            f[r] -= c
+            g[r] -= c[:, None] * d
+        return f, g, p
+
+    def block_hessians(self, xi: np.ndarray, p: np.ndarray, labels=None) -> np.ndarray:
+        """The (k, V, V) Hessians of ``block`` at the rows whose softmax rows are ``p``."""
+        pp = p[:, :, None] * p[:, None, :]
+        h = np.subtract(0.0, pp)  # diag(p) - outer(p, p), in place
+        np.einsum("ijj->ij", h)[...] = p - p * p  # (einsum's diagonal is a writable view)
+        h *= self.m_x[xi][:, None, None]
+        np.einsum("ijj->ij", h)[...] += self.ridge
+        for r, c, d in self._label_terms(xi, p, labels):
+            t = d[:, :, None] * d[:, None, :]
+            np.einsum("ijj->ij", t)[...] -= p[r]  # outer(d, d) - diag(p)
+            t += pp[r]
+            t *= c[:, None, None]
+            h[r] -= t
+        return h
+
+    @staticmethod
+    def _label_terms(xi, p, labels):
+        """Each label token's term (rows, w * p[y], e_y - p) of the softmax rows ``p``, by token."""
+        if labels is None:
+            return
+        on, w = labels[0][xi], labels[1][xi]
+        for y in on.any(axis=0).nonzero()[0].tolist():
+            r = on[:, y].nonzero()[0]
+            d = 0.0 - p[r]
+            d[:, y] += 1.0
+            yield r, w[r, y] * p[r, y], d
 
 
 def compile_objective(G: UnifiedWeightOperator, world: World,
@@ -383,17 +373,18 @@ def classic_uniform_train(config: TrainerConfig, world: World) -> tuple[StudentP
 # Full-batch solver (damped Newton, all logit blocks in lockstep)
 # ---------------------------------------------------------------------------
 
-def minimize_blockwise(theta0: np.ndarray, block_fgh: Callable, block_value: Callable,
+def minimize_blockwise(theta0: np.ndarray, block: Callable, block_hessians: Callable,
                        gtol: float, max_iter: int = 200) -> np.ndarray:
     """Minimize a block-separable objective with damped Newton steps, all blocks in lockstep.
 
-    ``block_fgh(xi, rows) -> (values, gradients, hessians)`` evaluates blocks ``xi`` at the
-    (a, V) stack ``rows``; ``hessians(keep)`` builds the (k, V, V) Hessians of the rows a
-    boolean mask selects, and ``block_value`` gives the values alone. Hessians are built only
-    for the blocks still open after the gradient test. Backtracking line search and
-    Levenberg damping keep descent where a block Hessian is indefinite. A block stops at
-    gradient norm ``gtol / sqrt(n_blocks)`` (so the full gradient norm is within gtol), after
-    ``max_iter`` iterations, or where its line search finds no decrease.
+    ``block(xi, rows) -> (values, gradients, p)`` evaluates blocks ``xi`` at the (a, V) stack
+    ``rows``, and ``block_hessians(xi, p)`` builds their (a, V, V) Hessians from its ``p``, only
+    for the blocks still open after the gradient test. Backtracking line search and Levenberg
+    damping keep descent where a block Hessian is indefinite; the accepted trial's evaluation
+    is the next iterate's. A block stops at gradient norm ``gtol / sqrt(n_blocks)`` (so the full
+    gradient norm is within gtol), after ``max_iter`` iterations, or where its accepted step
+    leaves its row bitwise unchanged (no decrease found, or a step below the row's rounding):
+    each later iteration would repeat the same values and step.
     """
     theta = np.array(theta0, dtype=np.float64)
     if not len(theta):
@@ -401,29 +392,35 @@ def minimize_blockwise(theta0: np.ndarray, block_fgh: Callable, block_value: Cal
     per_block = gtol / np.sqrt(len(theta))
     halvings = np.ldexp(1.0, -np.arange(1, 47))  # line-search steps after 1: to 2**-46 > 1e-14
     xi = np.arange(len(theta))
-    f, g, hessians = block_fgh(xi, theta)
+    f, g, p = block(xi, theta)
     for _ in range(max_iter):
         active = ~(np.sqrt(np.vecdot(g, g)) <= per_block)
         if not active.all():
-            xi, f, g = xi[active], f[active], g[active]
+            xi, f, g, p = xi[active], f[active], g[active], p[active]
             if not len(xi):
                 break
-        d = _newton_directions(g, hessians(active))
-        slope, rows, step = np.vecdot(g, d), theta[xi], np.ones(len(xi))
+        d = _newton_directions(g, block_hessians(xi, p))
+        slope, rows = np.vecdot(g, d), theta[xi]
         # step 1 for every block, then every halving for the blocks it fails, in one call each
-        failed = (~(block_value(xi, rows + d) <= f + 1e-4 * slope)).nonzero()[0]
+        new = rows + d
+        f_new, g_new, p_new = block(xi, new)
+        failed = (~(f_new <= f + 1e-4 * slope)).nonzero()[0]
         if len(failed):
+            new[failed] = rows[failed]  # a block whose line search finds no decrease stays
             trial = rows[failed, None] + halvings[:, None] * d[failed, None]  # (b, 46, V)
-            values = block_value(np.repeat(xi[failed], len(halvings)),
-                                 trial.reshape(-1, d.shape[1])).reshape(trial.shape[:2])
-            passed = values <= f[failed, None] + 1e-4 * halvings * slope[failed, None]
-            step[failed] = np.where(passed.any(axis=1), halvings[passed.argmax(axis=1)], 0.0)
-            moved = step > 0.0  # a block whose line search finds no decrease stays at its row
-            xi, rows, step, d = xi[moved], rows[moved], step[moved], d[moved]
-            if not len(xi):
-                break
-        theta[xi] = rows = rows + step[:, None] * d
-        f, g, hessians = block_fgh(xi, rows)
+            trial = trial.reshape(-1, d.shape[1])
+            ft, gt, pt = block(np.repeat(xi[failed], len(halvings)), trial)
+            bound = f[failed, None] + 1e-4 * halvings * slope[failed, None]
+            passed = ft.reshape(bound.shape) <= bound
+            won, first = passed.any(axis=1), passed.argmax(axis=1)
+            at, pick = failed[won], np.flatnonzero(won) * len(halvings) + first[won]
+            new[at], f_new[at], g_new[at], p_new[at] = trial[pick], ft[pick], gt[pick], pt[pick]
+            del trial, ft, gt, pt  # not held through the next Hessian build: peak memory
+        theta[xi] = new  # a row left bitwise where it was would repeat this iteration: it is done
+        moved = (new.view(np.uint64) != rows.view(np.uint64)).any(axis=1)
+        xi, f, g, p = xi[moved], f_new[moved], g_new[moved], p_new[moved]
+        if not len(xi):
+            break
     return theta
 
 
@@ -464,8 +461,8 @@ def solve_compiled(compiled: CompiledObjective, gtol: float = 1e-10) -> np.ndarr
                 "ridge-free optimum needs strictly positive targets (finite logits)")
         logq = np.log(compiled.qbar)
         return logq - logq.mean(axis=1, keepdims=True)
-    return minimize_blockwise(np.zeros_like(compiled.qbar), compiled.block, compiled.block_value,
-                              gtol)
+    return minimize_blockwise(np.zeros_like(compiled.qbar), compiled.block,
+                              compiled.block_hessians, gtol)
 
 
 # ---------------------------------------------------------------------------

@@ -132,13 +132,13 @@ def expected_safety_gradient(theta: np.ndarray, world: World, cfg: SafetyConfig)
 # ---------------------------------------------------------------------------
 
 def _lagrangian_block(compiled: CompiledObjective, mu: float, mass: np.ndarray):
-    """Newton block kernels (value/gradient/Hessian, value) of loss - mu * safety for one solve.
+    """Newton block kernels (value/gradient/softmax, Hessians) of loss - mu * safety for one solve.
 
     Every label of positive mass is a term, even at mu = 0: it can still flip a zero's sign.
     """
     labels = (mass != 0, mu * mass)
     return (lambda xi, rows: compiled.block(xi, rows, labels),
-            lambda xi, rows: compiled.block_value(xi, rows, labels))
+            lambda xi, p: compiled.block_hessians(xi, p, labels))
 
 
 @dataclass
@@ -175,8 +175,8 @@ def dual_ascent_solve(compiled: CompiledObjective, cfg: SafetyConfig,
     theta = minimize_blockwise(np.zeros_like(compiled.qbar),
                                *_lagrangian_block(compiled, mu, mass), gtol)
     history: list[dict] = []
+    safety = _safety(theta, table)
     for it in range(cfg.max_dual_iters):
-        safety = _safety(theta, table)
         feas = max(0.0, cfg.s_min - safety)
         slack = abs(mu * (safety - cfg.s_min))
         history.append({"iter": it, "mu": mu, "safety": safety,
@@ -188,11 +188,11 @@ def dual_ascent_solve(compiled: CompiledObjective, cfg: SafetyConfig,
             mu_new = max(0.0, mu + step * (cfg.s_min - safety))
             theta_new = minimize_blockwise(theta, *_lagrangian_block(compiled, mu_new, mass),
                                            gtol)
-            feas_new = max(0.0, cfg.s_min - _safety(theta_new, table))
-            if feas_new <= feas + 1e-12 or step < 1e-8:
+            safety_new = _safety(theta_new, table)
+            if max(0.0, cfg.s_min - safety_new) <= feas + 1e-12 or step < 1e-8:
                 break
             step *= 0.5
-        mu, theta = mu_new, theta_new
+        mu, theta, safety = mu_new, theta_new, safety_new
     raise DualStall(f"dual ascent did not meet residual targets in {cfg.max_dual_iters} iterations")
 
 

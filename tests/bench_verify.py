@@ -48,18 +48,28 @@ def test_compile_layer(benchmark, part):
         benchmark(normalize_rows, rows + 1e-3 * np.linspace(-1.0, 1.0, world.bank.k))
 
 
-def test_lagrangian_block(benchmark):
-    """One stacked value/gradient call on every safety-world Lagrangian block (mu = 0.5), with
-    the Hessians of every block built."""
+def _safety_world_kernels():
+    """The Lagrangian kernels of the safety world (mu = 0.5), every block and a row stack."""
     world = safety_world()
     g = UnifiedWeightOperator(TokenOperator("family_a"), TaskOperator("family_c"),
                               ContextOperator("family_a"), WeightBounds(0.05, 0.95))
     compiled = compile_objective(g, world, 0.01)
     cfg = SafetyConfig(0.9, safety_world_labels())
     mass, _ = _safety_label_mass(world, _label_table(world, cfg))
-    fgh, _ = _lagrangian_block(compiled, 0.5, mass)
     rows = np.random.default_rng(0).normal(size=compiled.qbar.shape)
-    benchmark(lambda: fgh(np.arange(len(rows)), rows)[2]())
+    return _lagrangian_block(compiled, 0.5, mass), np.arange(len(rows)), rows
+
+
+def test_lagrangian_block(benchmark):
+    """One stacked value/gradient call on every safety-world Lagrangian block (mu = 0.5)."""
+    (block, _), xi, rows = _safety_world_kernels()
+    benchmark(block, xi, rows)
+
+
+def test_block_hessians(benchmark):
+    """The Hessians of every safety-world Lagrangian block (mu = 0.5), from their softmax rows."""
+    (block, block_hessians), xi, rows = _safety_world_kernels()
+    benchmark(block_hessians, xi, block(xi, rows)[2])
 
 
 def test_lagrangian_solve(benchmark):

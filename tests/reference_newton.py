@@ -6,7 +6,8 @@ halving, and the value/gradient/Hessian of one input's share of the loss
 minus its safety label terms. ``distill.minimize_blockwise`` and
 ``CompiledObjective.block`` keep these bits for every block of a stack;
 ``reference_lagrangian_block`` returns each block's Hessian itself, where the
-stacked kernel returns a builder.
+stacked kernel returns the softmax rows ``CompiledObjective.block_hessians``
+builds them from.
 """
 
 import numpy as np
@@ -53,11 +54,12 @@ def reference_newton(theta0: np.ndarray, block_fgh, gtol: float, max_iter: int =
     """Damped Newton, one block after another; ``block_fgh(x_index, row)``.
 
     ``stats``, if given, counts the paths taken: ``singular`` undamped
-    Hessians, ``damped`` solves, ``exhausted`` line searches and blocks that
-    ran out of ``max_iter``.
+    Hessians, ``damped`` solves, ``exhausted`` line searches, ``fixed_point``
+    accepted steps that leave the row bitwise unchanged, and blocks that ran
+    out of ``max_iter``.
     """
     stats = {} if stats is None else stats
-    for key in ("singular", "damped", "exhausted", "max_iter"):
+    for key in ("singular", "damped", "exhausted", "fixed_point", "max_iter"):
         stats.setdefault(key, 0)
     theta = np.array(theta0, dtype=np.float64)
     n = theta.shape[0]
@@ -94,6 +96,7 @@ def reference_newton(theta0: np.ndarray, block_fgh, gtol: float, max_iter: int =
             else:  # no step decreases f enough: the block stays at its current row
                 stats["exhausted"] += 1
                 break
+            stats["fixed_point"] += (row + step * d).tobytes() == row.tobytes()
             row, f, g, h = row + step * d, f2, g2, h2
         else:
             stats["max_iter"] += max_iter > 0
@@ -105,44 +108,46 @@ def replay_large_safety_run() -> list[dict]:
     """Replay the seed-0 large-world safety run and record every Newton solve it makes.
 
     Runs the benchmark's generated safety config (its dual ascent, then the
-    one at the inactive threshold) with the solver and kernel wrapped. Each
+    one at the inactive threshold) with the solver and kernels wrapped. Each
     record holds the solve's ``compiled`` objective, label ``mass``, ``mu``,
-    ``theta0`` and ``gtol``, and counts: ``calls`` to the value/gradient/Hessian
-    kernel, the ``rows`` those calls evaluate, the Hessian rows ``built``, the
-    rows ``solved`` for a Newton direction, and ``closed_built``, Hessian rows
-    built for a block the gradient test had closed.
+    ``theta0``, ``gtol`` and result ``theta``, and counts: ``calls`` to the
+    value/gradient kernel, the ``rows`` those calls evaluate, the Hessian
+    ``builds`` and the rows ``built``, the rows ``solved`` for a Newton
+    direction, and ``closed_built``, solved Hessian rows of a block the
+    gradient test had closed.
     """
     cfg = parse_config_dict(large_doc("safety"))
     solves, solve, lagrangian_block = [], safety.minimize_blockwise, safety._lagrangian_block
     directions = distill._newton_directions
+    counts = ("calls", "rows", "builds", "built", "solved", "closed_built")
 
     def recorded_block(compiled, mu, mass):
-        fgh, value = lagrangian_block(compiled, mu, mass)
-        record = {"compiled": compiled, "mass": mass, "mu": mu}
-        record.update(dict.fromkeys(("calls", "rows", "built", "solved", "closed_built"), 0))
+        block, block_hessians = lagrangian_block(compiled, mu, mass)
+        record = {"compiled": compiled, "mass": mass, "mu": mu, **dict.fromkeys(counts, 0)}
         solves.append(record)
 
         def counted(xi, rows):
             record["calls"] += 1
             record["rows"] += len(xi)
-            f, g, hessians = fgh(xi, rows)
+            return block(xi, rows)
 
-            def counted_hessians(keep):
-                closed = np.sqrt(np.vecdot(g, g)) <= record["gtol"] / np.sqrt(len(record["theta0"]))
-                record["built"] += int(np.count_nonzero(keep))
-                record["closed_built"] += int(np.count_nonzero(keep & closed))
-                return hessians(keep)
+        def counted_hessians(xi, p):
+            record["builds"] += 1
+            record["built"] += len(xi)
+            return block_hessians(xi, p)
 
-            return f, g, counted_hessians
+        return counted, counted_hessians
 
-        return counted, value
-
-    def recorded_solve(theta0, block_fgh, block_value, gtol):
+    def recorded_solve(theta0, block, block_hessians, gtol):
         solves[-1].update(theta0=np.array(theta0), gtol=gtol)
-        return solve(theta0, block_fgh, block_value, gtol)
+        solves[-1]["theta"] = solve(theta0, block, block_hessians, gtol)
+        return solves[-1]["theta"]
 
     def recorded_directions(g, h):
-        solves[-1]["solved"] += len(g)
+        record = solves[-1]
+        closed = np.sqrt(np.vecdot(g, g)) <= record["gtol"] / np.sqrt(len(record["theta0"]))
+        record["solved"] += len(g)
+        record["closed_built"] += int(np.count_nonzero(closed))
         return directions(g, h)
 
     safety._lagrangian_block, safety.minimize_blockwise = recorded_block, recorded_solve
@@ -155,14 +160,17 @@ def replay_large_safety_run() -> list[dict]:
     return solves
 
 
-def stalled_large_solves(max_iter: int = 200):
-    """The solves of the seed-0 large-world dual ascent in which a block runs ``max_iter`` times.
+def stalled_large_solves():
+    """The solves of the seed-0 large-world safety run that leave a block short of ``gtol``.
 
     Returns the replayed safety run's compiled objective, its label mass and
-    each such solve's ``(mu, theta0)``. A solve makes one kernel call per
-    iteration after its first, so those solves are the ones with more than
-    ``max_iter`` calls.
+    each such solve's ``(mu, theta0)``: those whose result has a block with a
+    gradient norm above the per-block tolerance ``gtol / sqrt(n_blocks)``.
     """
-    solves = replay_large_safety_run()
-    stalled = [(s["mu"], s["theta0"]) for s in solves if s["calls"] > max_iter]
+    solves, stalled = replay_large_safety_run(), []
+    for s in solves:
+        xi = np.arange(len(s["theta"]))
+        _, g, _ = safety._lagrangian_block(s["compiled"], s["mu"], s["mass"])[0](xi, s["theta"])
+        if (np.sqrt(np.vecdot(g, g)) > s["gtol"] / np.sqrt(len(xi))).any():
+            stalled.append((s["mu"], s["theta0"]))
     return solves[0]["compiled"], solves[0]["mass"], stalled

@@ -318,31 +318,30 @@ class TestFullBatch:
         # f is flat, so no step passes the Armijo test: the solver must keep
         # every row where it is rather than creep along the halved step
         theta0 = np.array([[1.0, -2.0, 0.5], [0.25, 0.0, -1.0]])
-        def fgh(xi, rows):
-            return np.zeros(len(xi)), rows.copy(), lambda keep: np.tile(
-                np.eye(rows.shape[1]), (np.count_nonzero(keep), 1, 1))
+        def block(xi, rows):
+            return np.zeros(len(xi)), rows.copy(), rows
 
-        def value(xi, rows):
-            return np.zeros(len(xi))
+        def block_hessians(xi, p):
+            return np.tile(np.eye(p.shape[1]), (len(xi), 1, 1))
 
-        np.testing.assert_array_equal(distill.minimize_blockwise(theta0, fgh, value, gtol=1e-10),
-                                      theta0)
+        np.testing.assert_array_equal(
+            distill.minimize_blockwise(theta0, block, block_hessians, gtol=1e-10), theta0)
 
     def test_last_halving_is_tried(self):
         # f(x) = -x + K x^2 at x = 0 with the direction d = 1: the Armijo test
         # passes for steps up to 0.9999 / K: only the last trial, 2**-46, does
         k = 0.75 * 2.0 ** 46
-        def fgh(xi, rows):
-            return value(xi, rows), 2.0 * k * rows - 1.0, lambda keep: np.ones((1, 1, 1))[keep]
+        def block(xi, rows):
+            return -rows[:, 0] + k * rows[:, 0] * rows[:, 0], 2.0 * k * rows - 1.0, rows
 
-        def value(xi, rows):
-            return -rows[:, 0] + k * rows[:, 0] * rows[:, 0]
+        def block_hessians(xi, p):
+            return np.ones((len(xi), 1, 1))
 
         theta0 = np.zeros((1, 1))
-        got = distill.minimize_blockwise(theta0, fgh, value, gtol=0.0, max_iter=1)
+        got = distill.minimize_blockwise(theta0, block, block_hessians, gtol=0.0, max_iter=1)
         def ref_fgh(xi, row):
-            f, g, hessians = fgh([xi], row[None])
-            return f[0], g[0], hessians([True])[0]
+            f, g, p = block([xi], row[None])
+            return f[0], g[0], block_hessians([xi], p)[0]
 
         ref = reference_newton(theta0, ref_fgh, gtol=0.0, max_iter=1)
         assert got.tobytes() == ref.tobytes() == np.array([[2.0 ** -46]]).tobytes()

@@ -500,6 +500,13 @@ class TestCli:
         assert main(["run", str(CONFIGS / "appendix_a.json"), "--out", str(out), "--quiet"]) == 3
         assert "output error:" in capsys.readouterr().err
 
+    def test_dual_stall_exit_three(self, tmp_path, capsys):
+        doc = copy.deepcopy(BUNDLED_DOCS["safety"])
+        doc["params"]["max_dual_iters"] = 1
+        assert _main_on(doc, "run", tmp_path, "--quiet") == 3
+        assert "dual ascent did not meet residual targets in 1 iterations" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_nan_literal_exit_two(self, tmp_path, command):
         p = tmp_path / "nan.json"

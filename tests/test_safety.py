@@ -13,6 +13,7 @@ from mskd import distill, safety
 from mskd.composition import UnifiedWeightOperator, uniform_unified
 from mskd.core import (
     ContextSpec,
+    DualStall,
     Infeasible,
     MissingLabel,
     MskdError,
@@ -313,8 +314,8 @@ class TestLagrangian:
     def lagrangian(compiled, mu, cfg, theta):
         world = compiled.world
         mass, free = _safety_label_mass(world, _label_table(world, cfg))
-        _, value = _lagrangian_block(compiled, mu, mass)
-        return float(value(np.arange(len(theta)), theta).sum()) - mu * free
+        block, _ = _lagrangian_block(compiled, mu, mass)
+        return float(block(np.arange(len(theta)), theta)[0].sum()) - mu * free
 
     def test_mu_zero_equals_loss(self, world, labels):
         compiled = objective(world)
@@ -351,23 +352,23 @@ class TestNewtonKernel:
         rng, masks = np.random.default_rng(3), np.random.default_rng(4)
         n = len(world.inputs)
         for mu in (0.0, 0.4, 7.5):
-            kernel, value = _lagrangian_block(compiled, mu, mass)
+            block, block_hessians = _lagrangian_block(compiled, mu, mass)
             ref = reference_lagrangian_block(compiled, mu, mass)
             for scale in (0.0, 1.0, 10.0, 800.0):  # 800: some probabilities underflow to 0
                 # every block once, then a stack that repeats and reorders them
                 for xi in (np.arange(n), rng.integers(0, n, size=7)):
                     rows = scale * rng.normal(size=(len(xi), world.vocab.size))
-                    f, g, hessians = kernel(xi, rows)
-                    assert value(xi, rows).tobytes() == f.tobytes()
+                    f, g, p = block(xi, rows)
                     refs = [ref(x, rows[i]) for i, x in enumerate(xi.tolist())]
                     for i, (rf, rg, _) in enumerate(refs):
                         assert f[i] == rf and np.array_equal(g[i], rg)
                         assert np.array_equal(np.signbit(g[i]), np.signbit(rg))
+                        assert p[i].tobytes() == softmax(rows[i]).tobytes()
                     # every row's Hessian, then those of a random selection of the rows;
                     # equal bytes: equal bits, the signs of zeros among them
                     rh, keep = np.array([r[2] for r in refs]), masks.random(len(xi)) < 0.5
-                    assert hessians().tobytes() == rh.tobytes()
-                    assert hessians(keep).tobytes() == rh[keep].tobytes()
+                    assert block_hessians(xi, p).tobytes() == rh.tobytes()
+                    assert block_hessians(xi[keep], p[keep]).tobytes() == rh[keep].tobytes()
 
     def test_zero_weight_label_terms_still_apply(self, world):
         # at mu = 0 a label term subtracts zeros, and those still turn a -0.0
@@ -379,15 +380,15 @@ class TestNewtonKernel:
                                        m_x=np.full(len(world.inputs), 5e-324))
         xi = np.arange(len(world.inputs))
         rows = np.full((len(xi), world.vocab.size), -0.0)
-        fgh, _ = _lagrangian_block(compiled, 0.0, mass)
+        block, block_hessians = _lagrangian_block(compiled, 0.0, mass)
         ref = reference_lagrangian_block(compiled, 0.0, mass)
-        _, g, hessians = fgh(xi, rows)
-        h, keep = hessians(), np.arange(len(xi)) % 2 == 0
+        _, g, p = block(xi, rows)
+        h, keep = block_hessians(xi, p), np.arange(len(xi)) % 2 == 0
         for i in xi.tolist():
             _, rg, rh = ref(i, rows[i])
             assert np.array_equal(np.signbit(g[i]), np.signbit(rg))
             assert np.array_equal(np.signbit(h[i]), np.signbit(rh))
-        assert hessians(keep).tobytes() == h[keep].tobytes()
+        assert block_hessians(xi[keep], p[keep]).tobytes() == h[keep].tobytes()
         assert not np.array_equal(np.signbit(g), np.signbit(compiled.block(xi, rows)[1]))
 
     @pytest.mark.parametrize("solve", ["dual_ascent", "pareto"])
@@ -454,6 +455,7 @@ class TestStackedNewton:
         "damped": ("safety", 3, 0.01, 5.0, 0.0, 1, 1e-8, 200),
         "singular": ("safety", 3, 0.0, 0.0, 800.0, 1, 0.0, 200),
         "exhausted": ("safety", 3, 0.0, 0.0, 30.0, 1, 0.0, 200),
+        "fixed_point": ("convergence", 3, 0.01, 0.0, 0.0, 1, 0.0, 200),
         "max_iter": ("convergence", 8, 0.01, 0.5, 0.0, 1, 0.0, 3),
     }
 
@@ -479,27 +481,38 @@ class TestStackedNewton:
         self.solve_both(world_name, n_blocks, ridge, mu, scale, seed, gtol, max_iter)
 
     def test_stalled_large_world_solves(self):
-        # the seed-0 large dual ascent stalls two blocks (inputs 22 and 24) for
-        # all 200 iterations, in two solves; both keep the per-block bits
+        # the seed-0 large dual ascent leaves two blocks short of the tolerance, in two solves:
+        # input 22 (mu 34.344) moves on all 200 iterations; from iteration 120 on, each
+        # accepted step leaves input 24 (mu 34.557) bitwise where it is, and the stack retires
+        # it there. Both keep the per-block bits
         compiled, mass, stalled = stalled_large_solves()
         assert len(stalled) == 2
-        for mu, theta0 in stalled:
-            stats = {}
+        for (mu, theta0), fixed_at in zip(stalled, (None, 120)):
+            stats, iters = {}, []
+            block, block_hessians = _lagrangian_block(compiled, mu, mass)
+
+            def counted(xi, p):  # one Hessian build per iteration
+                iters.append(len(xi))
+                return block_hessians(xi, p)
+
             ref = reference_newton(theta0, reference_lagrangian_block(compiled, mu, mass),
                                    1e-8, 200, stats)
-            got = distill.minimize_blockwise(theta0, *_lagrangian_block(compiled, mu, mass), 1e-8)
+            got = distill.minimize_blockwise(theta0, block, counted, 1e-8)
             assert stats["max_iter"] == 1
+            assert stats["fixed_point"] == (0 if fixed_at is None else 201 - fixed_at)
+            assert len(iters) == (fixed_at or 200)
             assert got.tobytes() == ref.tobytes()
 
     def test_hessians_only_for_open_blocks(self):
-        # the seed-0 large safety run: 79 solves, 686 kernel calls over 7,320
-        # rows, of which only the 4,792 still open after the gradient test get a
-        # Hessian, and every one of those is solved
+        # the seed-0 large safety run: 79 solves, 955 kernel calls (trials included) over
+        # 24,444 rows; 527 Hessian builds, of only the 4,712 rows still open after the
+        # gradient test, and every one of those is solved
         solves = replay_large_safety_run()
         assert len(solves) == 79
-        assert sum(s["calls"] for s in solves) == 686
-        assert sum(s["rows"] for s in solves) == 7320
-        assert sum(s["built"] for s in solves) == sum(s["solved"] for s in solves) == 4792
+        assert sum(s["calls"] for s in solves) == 955
+        assert sum(s["rows"] for s in solves) == 24444
+        assert sum(s["builds"] for s in solves) == 527
+        assert sum(s["built"] for s in solves) == sum(s["solved"] for s in solves) == 4712
         assert sum(s["closed_built"] for s in solves) == 0
 
 
@@ -522,6 +535,11 @@ class TestDualAscent:
         assert res.mu == 0.0
         unconstrained = solve_compiled(compiled, gtol=1e-8)
         np.testing.assert_allclose(res.params.logits, unconstrained, atol=1e-6)
+
+    def test_stall_raises(self, world, labels):
+        cfg = SafetyConfig(0.8, labels, dual_step=40.0, max_dual_iters=1)
+        with pytest.raises(DualStall, match="did not meet residual targets in 1 iterations"):
+            dual_ascent_solve(objective(world), cfg)
 
     def test_conflicting_labels_are_infeasible(self, world):
         cfg = SafetyConfig(0.95, safety_world_conflicting_labels(), dual_step=40.0)
