@@ -8,7 +8,8 @@ check, message)``, where a default of ``...`` marks a required field.
 of its schema: absent fields take their defaults, and present ones come back
 as their kind. It names every unknown, missing and bad field, one line per
 field, so a bad config exits with code 2 before anything runs. Non-finite
-numbers are left to the config parser's own walk of the document.
+numbers are left to the config parser's own walk of the document. The keys of
+``PARAMS`` are the experiment kinds; ``KIND_CHECKS`` holds their cross-section checks.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import ParseError, World
+from .core import CONSTRUCTION_TOL, ParseError, World
+from .distill import FIT_POINTS
 
 
 def _numbers(v: list) -> bool:
@@ -157,8 +159,8 @@ PARAMS = {
         "must be one nonnegative number per teacher")},
     "conformance": {"n_samples": (int, 1000, *_at_least(1)), "scales": (
         list, ["token", "task", "context"],
-        lambda v, _: all(s in ("token", "task", "context") for s in v),
-        "must be a list of 'token', 'task' and 'context'")},
+        lambda v, _: 0 < len(v) == len({s for s in v if s in ("token", "task", "context")}),
+        "must be a nonempty list of distinct scales: 'token', 'task' and 'context'")},
     "train": {"compare_classic": (bool, False)},
     "rate": {"n_seeds": (int, 10, *_at_least(1)), "kl_tol": (float, 1e-3, *_NONNEGATIVE),
              "slope_low": (float, -1.3), "slope_high": (float, -0.7)},
@@ -174,4 +176,53 @@ PARAMS = {
     "safety": {**_SAFETY_PARAMS, "s_min_inactive": (float, None, *_UNIT)},
     "pareto": {**_SAFETY_PARAMS, "mu_max": (float, 2.0, *_NONNEGATIVE),
                "n_mu": (int, 20, *_at_least(1)), "ridge": (float, 0.01, *_POSITIVE)},
+}
+
+
+def _zero_mass(world: World, solved, per_cell: bool, solve: str) -> str | None:
+    """The line naming the first token, in world order, whose log ``solve`` needs and no teacher
+    holds: in one live cell of the ``solved`` contexts if ``per_cell``, else in all of an input's."""
+    live = world.input_marginals()[:, None] * world.context_weights * solved != 0.0
+    held = live[..., None] & (world.teacher_dists() > 0.0).any(axis=2)  # (N, C, V)
+    empty = np.argwhere(live[..., None] & ~held if per_cell
+                        else ~held.any(axis=1) & live.any())  # (x, c, i) or (x, i)
+    if len(empty):  # the first in world order
+        x, *c, i = empty[0].tolist()
+        where = (f"at input {world.inputs[x].id}, context {world.contexts[c[0]].id}" if c
+                 else f"in every live context of input {world.inputs[x].id}")
+        return (f"world.teachers.table: token {i} has zero mass under every teacher {where}; "
+                f"{solve} needs it positive in some teacher")
+    return None
+
+
+# kind -> its checks across the parsed sections, run in order: each takes (params, world,
+# bounds, trainer), any of them None if it did not parse, and returns an error line or None
+KIND_CHECKS = {
+    "appendix_a": (lambda p, w, b, t: w and (w.bank.k != 2 or w.vocab.size < 3) and (
+        f"world: an appendix_a run needs 2 teachers and at least 3 tokens, got K={w.bank.k}, "
+        f"V={w.vocab.size}") or None,),  # the suite reads two weights, three ensemble entries
+    "rate": (  # the fit reads ceil(steps / eval_every) records after step 0
+        lambda p, w, b, t: t and (n := -(-t.steps // t.eval_every)) < FIT_POINTS and (
+            f"trainer: a rate fit needs at least {FIT_POINTS} eval records after step 0, got "
+            f"ceil(steps / eval_every) = {n}") or None,
+        lambda p, w, b, t: p and p["slope_low"] > p["slope_high"] and (
+            f"params: slope_low {p['slope_low']} exceeds slope_high {p['slope_high']}; "
+            "no slope passes both rate checks") or None,
+        lambda p, w, b, t: w and t and t.ridge == 0.0 and _zero_mass(
+            w, True, False, "a ridge-free rate solve") or None),
+    "fixed_point": (  # the contraction needs two weight vectors, the update every log
+        lambda p, w, b, t: b and w and min(abs(w.bank.k * x - 1.0) for x in (
+            b.w_min, b.w_max)) <= CONSTRUCTION_TOL and (
+            f"bounds: admit one weight vector for K={w.bank.k}; a fixed_point run needs "
+            "K*w_min < 1 < K*w_max") or None,
+        lambda p, w, b, t: w and _zero_mass(w, True, True, "a fixed_point run") or None),
+    "safety": (  # dual ascent needs strict convexity, the Jensen check a context to condition on
+        lambda p, w, b, t: t and t.ridge <= 0 and (
+            "trainer.ridge: must be positive for a safety run") or None,
+        lambda p, w, b, t: w and not any(
+            c.is_safety_critical and c.measure_weight > 0 for c in w.contexts) and (
+            "world.contexts: a safety run needs a safety-critical context with positive "
+            "measure_weight") or None,
+        lambda p, w, b, t: w and _zero_mass(w, [c.is_safety_critical for c in w.contexts],
+                                            False, "a ridge-free safety solve") or None),
 }

@@ -37,7 +37,6 @@ import numpy as np
 from . import __version__
 from .composition import UnifiedWeightOperator, uniform_unified, weighted_ensemble
 from .core import (
-    CONSTRUCTION_TOL,
     ContextSpec,
     InputSpec,
     MskdError,
@@ -50,7 +49,6 @@ from .core import (
     seeded_sampler,
 )
 from .distill import (
-    FIT_POINTS,
     CompiledObjective,
     TrainerConfig,
     _uniform_compiled,
@@ -81,6 +79,7 @@ from .operators import (
 )
 from .params import (
     BOUNDS_FIELDS,
+    KIND_CHECKS,
     OPERATOR_FIELDS,
     PARAMS,
     TRAINER_FIELDS,
@@ -97,10 +96,7 @@ from .safety import (
     pareto_sweep,
 )
 
-EXPERIMENT_KINDS = (
-    "appendix_a", "conformance", "train", "rate", "fixed_point",
-    "perturbation", "variance", "safety", "pareto",
-)
+EXPERIMENT_KINDS = tuple(PARAMS)
 
 CONFIG_FIELDS = ("kind", "seed", "world", "bounds", "operators", "trainer", "params", "out")
 
@@ -245,39 +241,8 @@ def parse_config_dict(doc: dict) -> ExperimentConfig:
             schema = {**schema, "ridge": (float, trainer.ridge, *schema["ridge"][2:])}
         params = _collect(errors, "params", read_section, doc.get("params", {}), schema,
                           "params.", world)
-    if kind == "rate" and trainer and (  # the records after step 0
-            evals := -(-trainer.steps // trainer.eval_every)) < FIT_POINTS:
-        errors.append(f"trainer: a rate fit needs at least {FIT_POINTS} eval records after step "
-                      f"0, got ceil(steps / eval_every) = {evals}")
-    if kind == "rate" and params and params["slope_low"] > params["slope_high"]:
-        errors.append(f"params: slope_low {params['slope_low']} exceeds slope_high "
-                      f"{params['slope_high']}; no slope passes both rate checks")
-    if kind == "safety" and trainer and trainer.ridge <= 0:  # dual ascent's strict convexity
-        errors.append("trainer.ridge: must be positive for a safety run")
-    if kind == "safety" and world and not any(  # the Jensen check conditions on them
-            c.is_safety_critical and c.measure_weight > 0 for c in world.contexts):
-        errors.append("world.contexts: a safety run needs a safety-critical context with "
-                      "positive measure_weight")
-    if kind == "fixed_point" and bounds and world and min(  # the contraction needs two vectors
-            abs(world.bank.k * w - 1.0) for w in (bounds.w_min, bounds.w_max)) <= CONSTRUCTION_TOL:
-        errors.append(f"bounds: admit one weight vector for K={world.bank.k}; a fixed_point "
-                      "run needs K*w_min < 1 < K*w_max")
-    ridge_free = kind == "safety" or kind == "rate" and trainer and trainer.ridge == 0.0
-    if world and (kind == "fixed_point" or ridge_free):
-        # the weight update takes the log of every live entry, and a ridge-free optimum (rate's,
-        # or the Jensen check's on the safety-critical contexts) the log of each input's target
-        solved = [kind != "safety" or c.is_safety_critical for c in world.contexts]
-        live = world.input_marginals()[:, None] * world.context_weights * solved != 0.0
-        held = live[..., None] & (world.teacher_dists() > 0.0).any(axis=2)  # (N, C, V)
-        empty = np.argwhere(live[..., None] & ~held if kind == "fixed_point"
-                            else ~held.any(axis=1) & live.any())  # (x, c, i) or (x, i)
-        if len(empty):  # the first in world order
-            x, *c, i = empty[0].tolist()
-            where = (f"at input {world.inputs[x].id}, context {world.contexts[c[0]].id}; a "
-                     "fixed_point run" if c else f"in every live context of input "
-                     f"{world.inputs[x].id}; a ridge-free {kind} solve")
-            errors.append(f"world.teachers.table: token {i} has zero mass under every teacher "
-                          f"{where} needs it positive in some teacher")
+        errors += filter(None, (check(params, world, bounds, trainer)
+                                for check in KIND_CHECKS.get(kind, ())))
     if errors:
         raise ParseError("invalid config:\n  - " + "\n  - ".join(errors))
     return ExperimentConfig(
@@ -660,14 +625,9 @@ def emit_summary(record: RunRecord, out_dir, quiet: bool = False) -> Path:
 # ---------------------------------------------------------------------------
 
 def _resolve_out(cfg: ExperimentConfig, cli_out: str | None) -> str:
-    if cli_out:
-        return cli_out
-    if cfg.out:
-        return cfg.out
-    env = os.environ.get(OUTPUT_ENV_VAR)
-    if env:
-        return str(Path(env) / f"{cfg.kind}-{cfg.config_hash}")
-    return str(Path("out") / f"{cfg.kind}-{cfg.config_hash}")
+    """``--out``, else the config's ``out``, else ``<kind>-<hash>`` under $AWKD_OUT or ``out``."""
+    return cli_out or cfg.out or str(
+        Path(os.environ.get(OUTPUT_ENV_VAR) or "out") / f"{cfg.kind}-{cfg.config_hash}")
 
 
 def main(argv=None) -> int:
@@ -685,8 +645,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list-kinds":
-        for kind in EXPERIMENT_KINDS:
-            print(kind)
+        print(*EXPERIMENT_KINDS, sep="\n")
         return 0
 
     try:

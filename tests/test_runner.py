@@ -706,6 +706,102 @@ class TestCli:
             doc["params"].update(slope_low=-1.0, slope_high=-1.0)
             assert _main_on(doc, command, tmp_path) == 0
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("world,got", [("two_tokens", "K=2, V=2"), ("one_teacher", "K=1, V=3")],
+                             ids=["two_tokens", "one_teacher"])
+    def test_appendix_world_the_suite_cannot_read_exit_two(self, tmp_path, command, world, got,
+                                                           capsys):
+        # the suite reads two teacher weights and three ensemble entries: such a world once
+        # validated, then died in a bare IndexError at run time (exit 1)
+        doc = copy.deepcopy(BUNDLED_DOCS["appendix_a"])
+        teachers = doc["world"]["teachers"]
+        if world == "two_tokens":
+            doc["world"]["vocab"]["size"] = 2
+            teachers["table"][0]["dists"] = [[0.8, 0.2], [0.4, 0.6]]
+        else:
+            teachers.update(count=1, perf_scores={"0": [0.8]}, safety_scores=[0.9])
+            teachers["table"][0]["dists"] = teachers["table"][0]["dists"][:1]
+            doc["bounds"]["w_max"] = 1.0
+            doc["params"]["given_entropies"] = [0.68]
+        assert _main_on(doc, command, tmp_path) == 2
+        assert ("- world: an appendix_a run needs 2 teachers and at least 3 tokens, got "
+                f"{got}\n") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("scales", [[], ["task", "task"]], ids=["empty", "repeated"])
+    def test_conformance_scales_empty_or_repeated_exit_two(self, tmp_path, command, scales,
+                                                           capsys):
+        # no scale ran and passed "0/0 assertions"; a repeated one wrote two assertions of
+        # one name
+        doc = copy.deepcopy(BUNDLED_DOCS["conformance"])
+        doc["params"]["scales"] = scales
+        assert _main_on(doc, command, tmp_path) == 2
+        assert ("- params.scales: must be a nonempty list of distinct scales: 'token', 'task' "
+                "and 'context'\n") in capsys.readouterr().err
+        if command == "validate":  # one scale is enough
+            doc["params"]["scales"] = ["task"]
+            assert _main_on(doc, command, tmp_path) == 0
+
+    @pytest.mark.parametrize("kind,case", [("rate", "rate"), ("safety", "safety_context"),
+                                           ("safety", "safety_mass"),
+                                           ("safety", "safety_world_unparsed"),
+                                           ("fixed_point", "fixed_point")])
+    def test_kind_checks_report_every_line_in_order(self, kind, case):
+        # one document trips several of a kind's cross-section checks: each reports its own
+        # line, after the sections' own lines, in the order the checks are declared
+        doc = copy.deepcopy(BUNDLED_DOCS[kind])
+        if kind == "rate":
+            doc["trainer"].update(steps=10, ridge=0.0)
+            doc["params"].update(slope_low=-0.5, slope_high=-1.5)
+        elif kind == "safety":
+            doc["trainer"]["ridge"] = 0.0
+        if case == "fixed_point":
+            doc["bounds"].update(w_min=0.5, w_max=0.9)
+            doc["params"]["beta"] = 2.0
+            doc["world"]["teachers"]["table"][0]["dists"] = [[0.8, 0.2, 0.0], [0.4, 0.6, 0.0]]
+        elif case == "safety_context":
+            for context in doc["world"]["contexts"]:
+                context["safety_critical"] = False
+        elif case == "safety_world_unparsed":  # the checks that read no world still run
+            del doc["world"]["teachers"]["perf_scores"]["0"]
+        if case in ("rate", "safety_mass"):  # the last token, at input 0, in every solved cell
+            solved = {c["id"] for c in doc["world"]["contexts"]
+                      if kind == "rate" or c["safety_critical"]}
+            for cell in doc["world"]["teachers"]["table"]:
+                if cell["input"] == 0 and cell["context"] in solved:
+                    cell["dists"] = [[*row[:-1], 0.0] for row in cell["dists"]]
+                    cell["dists"] = [[p / sum(row) for p in row] for row in cell["dists"]]
+        ridge_free = ("has zero mass under every teacher in every live context of input 0; a "
+                      f"ridge-free {kind} solve needs it positive in some teacher")
+        expected = {
+            "rate": [
+                "trainer: a rate fit needs at least 10 eval records after step 0, got "
+                "ceil(steps / eval_every) = 1",
+                "params: slope_low -0.5 exceeds slope_high -1.5; no slope passes both rate "
+                "checks",
+                f"world.teachers.table: token 9 {ridge_free}"],
+            "safety_context": [
+                "trainer.ridge: must be positive for a safety run",
+                "world.contexts: a safety run needs a safety-critical context with positive "
+                "measure_weight"],
+            "safety_mass": [
+                "trainer.ridge: must be positive for a safety run",
+                f"world.teachers.table: token 4 {ridge_free}"],
+            "fixed_point": [
+                "params.beta: must lie in (0, 1]",
+                "bounds: admit one weight vector for K=2; a fixed_point run needs "
+                "K*w_min < 1 < K*w_max",
+                "world.teachers.table: token 2 has zero mass under every teacher at input 0, "
+                "context 0; a fixed_point run needs it positive in some teacher"],
+            "safety_world_unparsed": [
+                "world.teachers.perf_scores: no scores for task 0",
+                "trainer.ridge: must be positive for a safety run"],
+        }[case]
+        with pytest.raises(ParseError) as exc:
+            parse_config_dict(doc)
+        assert str(exc.value) == "invalid config:\n  - " + "\n  - ".join(expected)
+
     def test_seed_override_changes_hash(self, tmp_path, capsys):
         p = CONFIGS / "appendix_a.json"
         main(["run", str(p), "--out", str(tmp_path / "a"), "--quiet"])
