@@ -5,7 +5,6 @@ from .core import (
     InputSpec,
     MskdError,
     Sampler,
-    StudentParams,
     TaskSpec,
     TeacherBank,
     VocabularySpec,

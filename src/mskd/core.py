@@ -3,9 +3,9 @@
 Everything downstream (weight operators, composition, trainers, dynamics,
 safety) works on the immutable types defined here: a finite vocabulary with an
 optional safety-critical token subset, finite input/task/context sets with
-sampling weights, a bank of lookup-table teachers, weight bounds, and a tabular
-softmax student. All types validate their invariants at construction time and
-freeze their arrays, so instances are safe to share across workers.
+sampling weights, a bank of lookup-table teachers, and weight bounds; the student
+is a plain (N, V) logit array. All types validate their invariants at construction
+time and freeze their arrays, so instances are safe to share across workers.
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ class MissingScores(MskdError):
 
 class DimensionMismatch(MskdError):
     """Vector lengths disagree."""
-
-
-class MissingLogits(MskdError):
-    """The student has no logit vector for a referenced input."""
 
 
 class NonFiniteLoss(MskdError):
@@ -210,9 +206,9 @@ class TaskSpec:
         object.__setattr__(self, "input_weights", w)
         if len(self.input_ids) != w.shape[0]:
             raise DimensionMismatch("input id / weight length mismatch")
-        if np.any(w < 0) or self.importance < 0:
+        if not (np.all(w >= 0) and self.importance >= 0):  # NaN included
             raise MskdError("task sampling weights and importance must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > CONSTRUCTION_TOL:
+        if not abs(float(w.sum()) - 1.0) <= CONSTRUCTION_TOL:
             raise NotNormalized(f"task {self.id} sampling weights sum to {float(w.sum())!r}")
 
 
@@ -227,7 +223,7 @@ class ContextSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "features", _freeze(np.atleast_1d(self.features)))
-        if self.measure_weight < 0:
+        if not self.measure_weight >= 0:  # NaN included
             raise MskdError("context measure weight must be nonnegative")
 
 
@@ -357,24 +353,6 @@ class WeightBounds:
         return bool(np.all(w >= self.w_min - tol) and np.all(w <= self.w_max + tol))
 
 
-@dataclass(frozen=True)
-class StudentParams:
-    """Tabular softmax student: one logit vector per input id."""
-
-    input_ids: tuple[int, ...]
-    logits: np.ndarray          # (n_inputs, V)
-    ridge: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "input_ids", tuple(self.input_ids))
-        arr = _freeze(np.atleast_2d(np.asarray(self.logits, dtype=np.float64)))
-        object.__setattr__(self, "logits", arr)
-        if arr.shape[0] != len(self.input_ids):
-            raise MissingLogits("one logit row required per input id")
-        if self.ridge < 0:
-            raise MskdError("ridge strength must be nonnegative")
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax along the last axis."""
     z = np.asarray(logits, dtype=np.float64)
@@ -420,10 +398,10 @@ class World:
         if len(dims) != 1:
             raise MskdError(f"input feature dimensions differ: {sorted(dims)}")
         lam = np.array([t.importance for t in self.tasks])
-        if abs(float(lam.sum()) - 1.0) > CONSTRUCTION_TOL:
+        if not abs(float(lam.sum()) - 1.0) <= CONSTRUCTION_TOL:  # NaN included
             raise NotNormalized(f"task importances sum to {float(lam.sum())!r}")
         mu = np.array([c.measure_weight for c in self.contexts])
-        if abs(float(mu.sum()) - 1.0) > CONSTRUCTION_TOL:
+        if not abs(float(mu.sum()) - 1.0) <= CONSTRUCTION_TOL:
             raise NotNormalized(f"context measure weights sum to {float(mu.sum())!r}")
         for name, specs in (("input", self.inputs), ("task", self.tasks), ("context", self.contexts)):
             if len({s.id for s in specs}) != len(specs):
@@ -488,6 +466,10 @@ class World:
     def input_marginals(self) -> np.ndarray:
         """Aggregate sampling weight of each input (marginal over tasks/contexts)."""
         return self.joint_measure().sum(axis=(0, 2))
+
+    def pair_measure(self) -> np.ndarray:
+        """(n_inputs, n_contexts) sampling probabilities of (input, context) pairs."""
+        return self.input_marginals()[:, None] * self.context_weights
 
     def sample_index_arrays(self, sampler: "Sampler",
                             n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -33,7 +33,6 @@ from .core import (
     InsufficientTrace,
     MskdError,
     NonFiniteLoss,
-    StudentParams,
     World,
     log_softmax,
     normalize_exact,  # unused here; perfbench/probes.py wraps distill.normalize_exact
@@ -123,9 +122,6 @@ class CompiledObjective:
         logp = log_softmax(theta)
         ce = -float(np.sum(self.m_x[:, None] * self.qbar * logp))
         return self.target_neg_entropy + ce
-
-    def params(self, theta: np.ndarray) -> StudentParams:
-        return StudentParams(tuple(x.id for x in self.world.inputs), theta, self.ridge)
 
     def block(self, xi: np.ndarray, rows: np.ndarray, labels=None):
         """Values, gradients and softmax rows of inputs ``xi``'s loss shares at (a, V) ``rows``.
@@ -345,28 +341,19 @@ def _decay_segments(decays: np.ndarray, prev: np.ndarray, stop: np.ndarray):
     return decays[(prev - at).repeat(size) + np.arange(size.sum()) + 1], at
 
 
-def _train_alone(compiled: CompiledObjective,
-                 config: TrainerConfig) -> tuple[StudentParams, TrainTrace]:
-    """A stack of one run at ``config.seed``."""
-    [(theta, trace)] = train_stack([(compiled, config.seed)], config)
-    return compiled.params(theta), trace
-
-
 def sgd_train(config: TrainerConfig, G: UnifiedWeightOperator,
-              world: World) -> tuple[StudentParams, TrainTrace]:
-    """Single-sample stochastic gradient training against the operator's targets."""
-    compiled = compile_objective(G, world, config.ridge)
-    return _train_alone(compiled, config)
+              world: World) -> tuple[np.ndarray, TrainTrace]:
+    """Single-sample SGD against the operator's targets: the final (N, V) logits and trace."""
+    return train_stack([(compile_objective(G, world, config.ridge), config.seed)], config)[0]
 
 
-def classic_uniform_train(config: TrainerConfig, world: World) -> tuple[StudentParams, TrainTrace]:
+def classic_uniform_train(config: TrainerConfig, world: World) -> tuple[np.ndarray, TrainTrace]:
     """Reference trainer for classical uniform-mixture distillation.
 
     Builds its targets directly as the equal-weight teacher mixture, without
     any weight operators, then trains it in the same loop as ``sgd_train``.
     """
-    compiled = _uniform_compiled(world, config.ridge)
-    return _train_alone(compiled, config)
+    return train_stack([(_uniform_compiled(world, config.ridge), config.seed)], config)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ def _ensemble_feedback(w: np.ndarray, world: World) -> np.ndarray:
     positive. Each (row, cell) pair is its own matrix-vector product, so a
     row gets the bits it gets alone.
     """
-    weight = world.input_marginals()[:, None] * world.context_weights
+    weight = world.pair_measure()
     live = weight != 0.0
     dists = world.teacher_dists()[live]  # (cells, K, V) in (input, context) order
     log_q = np.log(w[..., None, None, :] @ dists)  # (..., cells, 1, V)
@@ -180,9 +180,9 @@ def perturbation_experiment(G: UnifiedWeightOperator, world: World, delta_list,
     fitted as distance = C * delta.
     """
     deltas = np.asarray(delta_list, dtype=np.float64)
-    if np.any(deltas < 0):
+    if not np.all(deltas >= 0):  # NaN included
         raise MskdError("perturbation scales must be nonnegative")
-    if ridge <= 0:
+    if not ridge > 0:
         raise MskdError("the perturbation experiment needs a strongly convex solve")
     direction = seeded_sampler(seed).normal(size=world.bank.k)
     direction -= direction.mean()

@@ -134,7 +134,7 @@ def inverse_entropy_weights_from_entropies(entropies, bounds: WeightBounds) -> n
 def task_weights_performance(t: int, bank: TeacherBank, bounds: WeightBounds,
                              tau: float = 0.5) -> np.ndarray:
     """Performance softmax: raw_k = exp(perf[k, t] / tau)."""
-    if tau <= 0:
+    if not tau > 0:  # NaN included
         raise MskdError(f"temperature must be positive, got {tau}")
     return clip_normalize(np.exp(bank.perf(t) / tau), bounds)
 
@@ -229,7 +229,7 @@ class TokenOperator:
 
     def __post_init__(self):
         _check_family(self, "token", TOKEN_FAMILIES)
-        if self.family == "family_a" and self.alpha <= 0:
+        if self.family == "family_a" and not self.alpha > 0:  # NaN included
             raise MskdError(f"alpha must be positive, got {self.alpha}")
         object.__setattr__(self, "safety_tokens", frozenset(self.safety_tokens))
 

@@ -136,8 +136,8 @@ def _labels(rows: list, world: World | None) -> bool | str:
     known = {"input": {x.id for x in world.inputs}, "context": {c.id for c in world.contexts},
              "token": range(world.vocab.size)}
     pairs = Counter((r["input"], r["context"]) for r in rows)
-    pm = world.input_marginals()[:, None] * world.context_weights[None, :]  # as _label_table
-    needed = [(world.inputs[x].id, world.contexts[c].id) for x, c in zip(*np.nonzero(pm))]
+    needed = [(world.inputs[x].id, world.contexts[c].id)
+              for x, c in zip(*np.nonzero(world.pair_measure()))]
     problems = [f"unknown {f} {r[f]}" for r in rows for f in known if r[f] not in known[f]]
     problems += [f"two labels for (input {x}, context {c})" for (x, c), n in pairs.items() if n > 1]
     problems += [f"no label for (input {x}, context {c})" for x, c in needed if (x, c) not in pairs]
@@ -181,13 +181,19 @@ PARAMS = {
 
 def _zero_mass(world: World, solved, per_cell: bool, solve: str) -> str | None:
     """The line naming the first token, in world order, whose log ``solve`` needs and no teacher
-    holds: in one live cell of the ``solved`` contexts if ``per_cell``, else in all of an input's."""
-    live = world.input_marginals()[:, None] * world.context_weights * solved != 0.0
+    holds: in one live cell of the ``solved`` contexts if ``per_cell``, else in all of an input's.
+    Without ``per_cell`` an input that no task samples has no target at all, and its line says so."""
+    pm = world.pair_measure()
+    live = pm * solved != 0.0
     held = live[..., None] & (world.teacher_dists() > 0.0).any(axis=2)  # (N, C, V)
-    empty = np.argwhere(live[..., None] & ~held if per_cell
-                        else ~held.any(axis=1) & live.any())  # (x, c, i) or (x, i)
+    unsampled = ~pm.any(axis=1)
+    empty = np.argwhere(live[..., None] & ~held if per_cell  # (x, c, i) or (x, i)
+                        else ~held.any(axis=1) & live.any(axis=1)[:, None] | unsampled[:, None])
     if len(empty):  # the first in world order
         x, *c, i = empty[0].tolist()
+        if not c and unsampled[x]:
+            return (f"world.tasks: input {world.inputs[x].id} has no sampling weight in any task; "
+                    f"{solve} needs every input sampled")
         where = (f"at input {world.inputs[x].id}, context {world.contexts[c[0]].id}" if c
                  else f"in every live context of input {world.inputs[x].id}")
         return (f"world.teachers.table: token {i} has zero mass under every teacher {where}; "

@@ -521,8 +521,7 @@ def _run_safety(cfg: ExperimentConfig, rec: RunRecord) -> None:
     scfg = _safety_config(cfg)
     compiled = compile_objective(cfg.operator, cfg.world, cfg.trainer.ridge)
     result = dual_ascent_solve(compiled, scfg)
-    theta = result.params.logits
-    res = kkt_residuals(compiled, theta, result.mu, scfg)
+    res = kkt_residuals(compiled, result.theta, result.mu, scfg)
     rec.check("kkt_stationarity", res.stationarity, 1e-3, compare="le")
     rec.check("kkt_slackness", res.slackness, 1e-3, compare="le")
     rec.check("kkt_primal", res.primal_violation, 1e-3, compare="le")
@@ -538,7 +537,7 @@ def _run_safety(cfg: ExperimentConfig, rec: RunRecord) -> None:
                     h["feasibility"], h["slackness"]) for h in result.history])
     rec.add_table("kkt", ["stationarity", "slackness", "primal", "dual", "mu", "safety"],
                   [(res.stationarity, res.slackness, res.primal_violation,
-                    res.dual_violation, result.mu, expected_safety(theta, cfg.world, scfg))])
+                    res.dual_violation, result.mu, expected_safety(result.theta, cfg.world, scfg))])
     rec.add_table("jensen", ["student_safety", "ensemble_safety", "passed"],
                   [(jns.student_safety, jns.ensemble_safety, jns.passed)])
 

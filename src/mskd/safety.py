@@ -29,7 +29,6 @@ from .core import (
     MskdError,
     NegativeMultiplier,
     NonConformantOperator,
-    StudentParams,
     World,
     seeded_sampler,
     softmax,
@@ -75,7 +74,7 @@ def _label_table(world: World, cfg: SafetyConfig):
     there), and a mask of the safety-critical labels. ``MissingLabel`` if a
     positive-measure pair has no label; zero-measure pairs need none.
     """
-    pm = world.input_marginals()[:, None] * world.context_weights[None, :]
+    pm = world.pair_measure()
     xi, ci = np.nonzero(pm)
     y = np.array([cfg.label(world.inputs[x].id, world.contexts[c].id)
                   for x, c in zip(xi.tolist(), ci.tolist())], dtype=np.intp)
@@ -143,10 +142,9 @@ def _lagrangian_block(compiled: CompiledObjective, mu: float, mass: np.ndarray):
 
 @dataclass
 class DualAscentResult:
-    params: StudentParams
+    theta: np.ndarray  # (N, V) logits of the solution
     mu: float
     history: list[dict]
-    converged: bool
 
 
 def dual_ascent_solve(compiled: CompiledObjective, cfg: SafetyConfig,
@@ -163,7 +161,7 @@ def dual_ascent_solve(compiled: CompiledObjective, cfg: SafetyConfig,
     Terminates when the feasibility and complementary-slackness residuals
     both fall below 1e-3, else raises ``DualStall``.
     """
-    if compiled.ridge <= 0:
+    if not compiled.ridge > 0:  # NaN included
         raise MskdError("dual ascent needs a strictly convex inner solve (positive ridge)")
     table = _label_table(compiled.world, cfg)
     mass, free = _safety_label_mass(compiled.world, table)
@@ -183,7 +181,7 @@ def dual_ascent_solve(compiled: CompiledObjective, cfg: SafetyConfig,
                         "kd_loss": compiled.loss(theta), "feasibility": feas,
                         "slackness": slack})
         if feas <= 1e-3 and slack <= 1e-3:
-            return DualAscentResult(compiled.params(theta), mu, history, True)
+            return DualAscentResult(theta, mu, history)
         while True:
             mu_new = max(0.0, mu + step * (cfg.s_min - safety))
             theta_new = minimize_blockwise(theta, *_lagrangian_block(compiled, mu_new, mass),
@@ -227,11 +225,11 @@ def pareto_sweep(compiled: CompiledObjective, cfg: SafetyConfig, mu_grid,
     and the distillation loss nondecreasing.
     """
     grid = np.asarray(mu_grid, dtype=np.float64)
-    if np.any(grid < 0):
+    if not np.all(grid >= 0):  # NaN included
         raise NegativeMultiplier("all multipliers in the grid must be nonnegative")
-    if np.any(np.diff(grid) < 0):
+    if not np.all(np.diff(grid) >= 0):
         raise MskdError("the multiplier grid must be ascending")
-    if compiled.ridge <= 0:
+    if not compiled.ridge > 0:
         raise MskdError("the sweep needs a strictly convex inner solve (positive ridge)")
     table = _label_table(compiled.world, cfg)
     mass, _ = _safety_label_mass(compiled.world, table)

@@ -149,9 +149,9 @@ def test_criterion_3_nonuniqueness_witness():
 
 def test_criterion_4_uniform_special_case(toy_world):
     cfg = TrainerConfig(eta0=1.0, steps=10_000, ridge=0.01, seed=7, eval_every=500)
-    p_uni, t_uni = sgd_train(cfg, uniform_unified(WIDE), toy_world)
-    p_classic, t_classic = classic_uniform_train(cfg, toy_world)
-    ok = (np.array_equal(p_uni.logits, p_classic.logits)
+    theta_uni, t_uni = sgd_train(cfg, uniform_unified(WIDE), toy_world)
+    theta_classic, t_classic = classic_uniform_train(cfg, toy_world)
+    ok = (np.array_equal(theta_uni, theta_classic)
           and np.array_equal(t_uni.loss, t_classic.loss)
           and np.array_equal(t_uni.mean_kl, t_classic.mean_kl)
           and np.array_equal(t_uni.grad_norm, t_classic.grad_norm))
@@ -249,7 +249,7 @@ def test_criterion_9_safety():
     cfg = SafetyConfig(0.8, labels, dual_step=40.0)
     compiled = compile_objective(g, world, trainer.ridge)
     res = dual_ascent_solve(compiled, cfg)
-    kk = kkt_residuals(compiled, res.params.logits, res.mu, cfg)
+    kk = kkt_residuals(compiled, res.theta, res.mu, cfg)
     inactive = dual_ascent_solve(compiled, SafetyConfig(0.3, labels, dual_step=40.0))
     points = pareto_sweep(compiled, cfg, np.linspace(0.0, 6.0, 20))  # at ridge 0.01 too
     safeties = np.array([p[2] for p in points])

@@ -1,5 +1,6 @@
 """Core types: distribution validation, entropy, bounds, sampler determinism."""
 
+import copy
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from mskd.core import (
     MskdError,
     NegativeMass,
     NotNormalized,
-    StudentParams,
     TaskSpec,
     TeacherBank,
     VocabularySpec,
@@ -182,15 +182,30 @@ class TestWeightBounds:
         WeightBounds(0.2, 0.8).check_feasible(2)
 
 
+def _world_with_context_weight(v: float) -> World:
+    """The convergence world with its first context weight set to ``v`` past the spec's check."""
+    world = convergence_world()
+    context = copy.copy(world.contexts[0])
+    object.__setattr__(context, "measure_weight", v)
+    return World(world.vocab, world.inputs, world.tasks, (context, *world.contexts[1:]),
+                 world.bank)
+
+
 @pytest.mark.parametrize("make", [
     lambda v: WeightBounds(0.01, 0.99, lipschitz=v),
     lambda v: TrainerConfig(eta0=v),
     lambda v: TrainerConfig(ridge=v),
     lambda v: WeightUpdateConfig(tol=v),
-], ids=["lipschitz", "eta0", "ridge", "tol"])
+    lambda v: TaskSpec(0, (0,), [v], 1.0),
+    lambda v: TaskSpec(0, (0,), [1.0], v),
+    lambda v: ContextSpec(0, [0.0], v),
+    _world_with_context_weight,
+], ids=["lipschitz", "eta0", "ridge", "tol", "input_weight", "importance", "measure_weight",
+        "world"])
 @pytest.mark.parametrize("value", [math.nan, -1.0])
 def test_nan_and_negative_settings_rejected(make, value):
-    # NaN fails no `x <= 0` check; a NaN Lipschitz bound would pass every regularity check
+    # NaN fails no `x <= 0` check; a NaN Lipschitz bound would pass every regularity check,
+    # and a NaN sampling weight would make the joint measure NaN
     with pytest.raises(MskdError):
         make(value)
 
@@ -424,20 +439,7 @@ class TestWorld:
             World(world.vocab, world.inputs, parts["tasks"], parts["contexts"], world.bank)
 
 
-class TestStudentParams:
-    def test_logits_are_a_read_only_copy(self):
-        theta = np.zeros((1, 3))
-        s = StudentParams((0,), theta)
-        theta[0, 0] = 1.0
-        np.testing.assert_array_equal(s.logits, [[0.0, 0.0, 0.0]])
-        with pytest.raises(ValueError):
-            s.logits[0, 0] = 2.0
-
-    def test_one_row_per_input_required(self):
-        from mskd.core import MissingLogits
-        with pytest.raises(MissingLogits):
-            StudentParams((0, 5), np.array([[0.0, 0.0]]))
-
+class TestSoftmax:
     def test_softmax_matches_validation(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

@@ -73,7 +73,7 @@ class TestLoss:
         world = appendix_world()
         compiled = compile_objective(adaptive_g(), world, 0.0)
         theta = np.log(compiled.qbar)
-        loss = compiled.loss(compiled.params(theta).logits)
+        loss = compiled.loss(theta)
         assert loss == pytest.approx(entropy(compiled.qbar[0]), abs=1e-12)
         assert compiled.mean_kl(theta) == pytest.approx(0.0, abs=1e-12)
 
@@ -128,15 +128,15 @@ class TestSgdTrain:
 
     def test_zero_steps_returns_initial(self, world):
         cfg = TrainerConfig(eta0=1.0, steps=0, ridge=0.01, seed=1, eval_every=10)
-        params, trace = sgd_train(cfg, adaptive_g(), world)
-        np.testing.assert_array_equal(params.logits, 0.0)
+        theta, trace = sgd_train(cfg, adaptive_g(), world)
+        np.testing.assert_array_equal(theta, 0.0)
         assert trace.steps.tolist() == [0]
 
     def test_uniform_matches_classic_bit_for_bit(self, world):
         cfg = TrainerConfig(eta0=1.0, steps=3000, ridge=0.01, seed=7, eval_every=500)
-        p_uni, t_uni = sgd_train(cfg, uniform_unified(WIDE), world)
-        p_classic, t_classic = classic_uniform_train(cfg, world)
-        assert np.array_equal(p_uni.logits, p_classic.logits)
+        theta_uni, t_uni = sgd_train(cfg, uniform_unified(WIDE), world)
+        theta_classic, t_classic = classic_uniform_train(cfg, world)
+        assert np.array_equal(theta_uni, theta_classic)
         assert np.array_equal(t_uni.loss, t_classic.loss)
         assert np.array_equal(t_uni.mean_kl, t_classic.mean_kl)
         assert np.array_equal(t_uni.grad_norm, t_classic.grad_norm)
@@ -144,9 +144,9 @@ class TestSgdTrain:
     def test_reproducible_at_equal_seed(self, world):
         cfg = TrainerConfig(eta0=2.0, steps=500, ridge=0.01, seed=5,
                             eval_every=100, init_scale=0.5)
-        p1, t1 = sgd_train(cfg, adaptive_g(), world)
-        p2, t2 = sgd_train(cfg, adaptive_g(), world)
-        assert np.array_equal(p1.logits, p2.logits)
+        theta1, t1 = sgd_train(cfg, adaptive_g(), world)
+        theta2, t2 = sgd_train(cfg, adaptive_g(), world)
+        assert np.array_equal(theta1, theta2)
         assert np.array_equal(t1.loss, t2.loss)
 
     def test_block_draws_match_one_step_at_a_time(self, world, monkeypatch):
@@ -167,24 +167,24 @@ class TestSgdTrain:
         steps = SAMPLE_BLOCK + 17
         cfg = TrainerConfig(eta0=2.0, steps=steps, ridge=0.01, seed=3, eval_every=100,
                             init_scale=0.5)
-        params, _ = sgd_train(cfg, adaptive_g(), world)
+        trained, _ = sgd_train(cfg, adaptive_g(), world)
         init_rng, sample_rng = seeded_sampler(3).spawn(2)
         targets = compile_objective(adaptive_g(), world, 0.01).targets
-        theta = 0.5 * init_rng.normal(size=params.logits.shape)
+        theta = 0.5 * init_rng.normal(size=trained.shape)
         for t in range(steps):
             eta = 2.0 / (1.0 + t)
             tj, xi, ci = np.concatenate(world.sample_index_arrays(sample_rng, 1))
             g = softmax(theta[xi]) - targets[tj, xi, ci]
             theta *= 1.0 - eta * 0.01
             theta[xi] -= eta * g
-        assert np.array_equal(params.logits, theta)
+        assert np.array_equal(trained, theta)
         assert spawned[1].uniform() == sample_rng.uniform()  # 3 doubles taken per step
 
     def test_adaptive_differs_from_classic(self, world):
         cfg = TrainerConfig(eta0=1.0, steps=500, ridge=0.01, seed=7, eval_every=100)
-        p_a, _ = sgd_train(cfg, adaptive_g(), world)
-        p_c, _ = classic_uniform_train(cfg, world)
-        assert not np.array_equal(p_a.logits, p_c.logits)
+        theta_a, _ = sgd_train(cfg, adaptive_g(), world)
+        theta_c, _ = classic_uniform_train(cfg, world)
+        assert not np.array_equal(theta_a, theta_c)
 
 
 class TestTrainStack:
@@ -310,9 +310,6 @@ class TestFullBatch:
         compiled = compile_objective(adaptive_g(), world, 0.01)
         theta = solve_compiled(compiled, gtol=1e-10)
         assert np.linalg.norm(compiled.grad(theta)) <= 1e-10
-        params = compiled.params(theta)  # the student: logits by input id, and its ridge
-        assert params.input_ids == tuple(x.id for x in world.inputs) and params.ridge == 0.01
-        assert np.array_equal(params.logits, theta)
 
     def test_exhausted_line_search_leaves_the_block(self):
         # f is flat, so no step passes the Armijo test: the solver must keep

@@ -1,6 +1,7 @@
 """Weight-update dynamics: contraction, fixed points, robustness, variance."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -327,6 +328,13 @@ class TestPerturbation:
         n_cells = len(world.inputs) * len(world.contexts)  # a custom token operator: every token
         assert calls == {"token": n_cells * world.vocab.size,
                          "task": len(world.tasks), "context": len(world.contexts)}
+
+    @pytest.mark.parametrize("deltas,ridge", [([math.nan], 0.01), ([-1e-3, 1e-2], 0.01),
+                                              ([1e-2], math.nan), ([1e-2], 0.0)],
+                             ids=["nan_delta", "negative_delta", "nan_ridge", "zero_ridge"])
+    def test_bad_scales_and_ridge_rejected(self, deltas, ridge):
+        with pytest.raises(MskdError, match="must be nonnegative|strongly convex"):
+            perturbation_experiment(adaptive_g(), convergence_world(), deltas, ridge=ridge)
 
     def test_margin_violation(self):
         world = convergence_world()

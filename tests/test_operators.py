@@ -205,6 +205,17 @@ class TestTokenKernels:
         assert float(moved.max()) == worst
 
 
+@pytest.mark.parametrize("make", [
+    lambda v: TokenOperator("family_a", alpha=v),
+    lambda v: task_weights_performance(0, conformance_world().bank, WIDE, tau=v),
+], ids=["alpha", "tau"])
+@pytest.mark.parametrize("value", [math.nan, 0.0])
+def test_nan_and_nonpositive_parameters_rejected(make, value):
+    # NaN fails no `x <= 0` check; a NaN tau would fail late, in a ZeroMass naming no tau
+    with pytest.raises(operators.MskdError, match="must be positive"):
+        make(value)
+
+
 class TestInverseEntropy:
     def test_reported_entropy_inputs(self):
         # with the reported H values taken as given inputs

@@ -7,7 +7,8 @@ a name counts as called when some module other than ``__init__`` loads it
 it as an attribute that is no field of a library dataclass (reading
 ``trace.mean_kl`` is not a call of ``CompiledObjective.mean_kl``). Matching by
 name alone is coarse (a method shares the count of every attribute of its
-name), but it never counts a test as a caller.
+name), but it never counts a test as a caller. Likewise every name a module
+imports is loaded in that module.
 """
 
 import ast
@@ -23,6 +24,12 @@ PROBE_PINNED = {
     "composition.UnifiedWeightOperator.unified_weight": "probed as composition.unified_weight",
     "composition.UnifiedWeightOperator.ensemble_target": "probed as composition.ensemble_target",
     "distill.CompiledObjective.mean_kl": "probed as distill.eval",
+}
+# imports kept only because perfbench/probes.py wraps the importing module's binding
+PROBE_IMPORTS = {
+    "distill.normalize_exact": "probed as core.normalize_exact",
+    "runner.sgd_train": "probed as distill.sgd",
+    "runner.classic_uniform_train": "probed as distill.sgd",
 }
 
 
@@ -79,3 +86,28 @@ def test_probe_pinned_names_are_still_needed():
     defined, loaded = _library_names()
     assert PROBE_PINNED.keys() <= defined.keys()
     assert {name for name in PROBE_PINNED if defined[name] in loaded} == set()
+
+
+def _unloaded_imports() -> set[str]:
+    """``module.name`` of each name a module (bar ``__init__``) imports and never loads."""
+    unloaded = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names}
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unloaded |= {f"{path.stem}.{name}" for name in imported - loaded}
+    return unloaded
+
+
+def test_every_import_is_loaded():
+    assert _unloaded_imports() - PROBE_IMPORTS.keys() == set()
+
+
+def test_probe_imports_are_still_unloaded():
+    # a pinned import the module comes to load, or one that goes, leaves this list
+    assert PROBE_IMPORTS.keys() <= _unloaded_imports()

@@ -680,6 +680,30 @@ class TestCli:
             assert _main_on(doc, command, tmp_path) == 0
 
     @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("kind,dropped", [("rate", 7), ("safety", 2)])
+    def test_unsampled_input_for_a_ridge_free_solve_exit_two(self, tmp_path, command, kind,
+                                                             dropped, capsys):
+        # an input that no task samples has no target, so the centered-log solve has no
+        # finite logits for it: its line names the input's sampling weight, not a token
+        doc = copy.deepcopy(BUNDLED_DOCS[kind])
+        if kind == "rate":
+            doc["trainer"]["ridge"] = 0.0
+        for task in doc["world"]["tasks"]:  # the dropped input's weight moves to the first
+            moved = sum(w for x, w in task["inputs"] if x == dropped)
+            task["inputs"] = [[x, w] for x, w in task["inputs"] if x != dropped]
+            task["inputs"][0][1] += moved
+        if kind == "safety":  # a pair of zero measure needs no label
+            doc["params"]["labels"] = [r for r in doc["params"]["labels"] if r["input"] != dropped]
+        assert _main_on(doc, command, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert (f"- world.tasks: input {dropped} has no sampling weight in any task; a ridge-free "
+                f"{kind} solve needs every input sampled\n") in err
+        assert "zero mass" not in err
+        if command == "validate" and kind == "rate":  # a positive ridge solves finitely
+            doc["trainer"]["ridge"] = 0.01
+            assert _main_on(doc, command, tmp_path) == 0
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("trainer,evals", [({"steps": 10}, 1), ({"eval_every": 60000}, 1),
                                                ({"steps": 2250}, 9), ({"steps": 0}, 0)])
     def test_rate_schedule_with_too_few_records_exit_two(self, tmp_path, command, trainer, evals,
