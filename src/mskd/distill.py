@@ -9,10 +9,10 @@ single-sample gradients, and decays the learning rate as eta0 / (1 + t).
 
 All trainers share one loop, ``train_stack``: runs (a target table and a seed each) trained
 in event rounds, one window per sample block, each with the bits it gets alone; eval records
-fold per-row copies with their deferred decays. ``sgd_train`` and ``classic_uniform_train``
-are stacks of one. The classical trainer differs from the adaptive one only in how the target
-table is built. With all-uniform operators the two tables are bit-identical, so the
-trajectories agree exactly at equal seeds.
+fold per-row copies with their deferred decays, and a block's worth is one stacked evaluation.
+``sgd_train`` and ``classic_uniform_train`` are stacks of one. The classical trainer differs
+from the adaptive one only in how the target table is built. With all-uniform operators the
+two tables are bit-identical, so the trajectories agree exactly at equal seeds.
 
 The damped-Newton solver ``minimize_blockwise`` makes one stacked kernel call
 at step 1 and one for all line-search halvings, reuses the accepted trial's
@@ -30,6 +30,7 @@ import numpy as np
 
 from .composition import UnifiedWeightOperator, renormalized_mixture
 from .core import (
+    SAMPLE_BLOCK,
     InsufficientTrace,
     MskdError,
     NonFiniteLoss,
@@ -222,8 +223,9 @@ def train_stack(runs: Sequence[tuple[CompiledObjective, int]],
     k-th of every row at once. A step's ridge decay waits until the row is next touched (lazy
     regularization), then applies one factor at a time in step order, so it rounds as a
     whole-stack decay does. Records do not cut the block: for each record every row keeps a
-    copy after its last step before it, folded with the decays deferred since, and the block's
-    records are one stacked evaluation. Returns each run's final (N, V) logits and trace.
+    copy after its last step before it, folded with the decays deferred since; once
+    ``SAMPLE_BLOCK`` records are pending, or at the end, they are one stacked evaluation.
+    Returns each run's final (N, V) logits and trace.
     """
     if not runs:
         raise MskdError("a training stack needs at least one run")
@@ -249,11 +251,15 @@ def train_stack(runs: Sequence[tuple[CompiledObjective, int]],
     flat = theta.reshape(n_runs * n, v)
     tables, qbar, m_x, neg_ent = (np.array([getattr(c, name) for c, _ in runs]) for name in
                                   ("targets", "qbar", "m_x", "target_neg_entropy"))
+    cells, tables = tables.shape[:-1], tables.reshape(-1, v)  # (S, J, N, C) cells of V rows
     stack, ridge, every, records = np.arange(n_runs), config.ridge, config.eval_every, []
+    pending = [(np.array([0]), np.array([config.eta0]), theta[None].copy())]  # (steps, lrs, logits)
 
-    def record(step: np.ndarray, lr: np.ndarray, th: np.ndarray) -> None:
-        # every run's loss, mean_kl and grad norm at the (J, S, N, V) logits of J records, with
-        # the operations of its methods; the first record, in step order, that diverged raises
+    def record() -> None:
+        # each run's loss, mean_kl and grad norm at the (J, S, N, V) logits of the J pending
+        # records, by its methods' operations; the first record, in step order, that diverged raises
+        step, lr, th = (np.concatenate(a) for a in zip(*pending))
+        pending.clear()
         ce = -np.sum((m_x[..., None] * qbar * log_softmax(th)).reshape(*th.shape[:2], -1), axis=2)
         loss = ce + 0.5 * ridge * np.sum((th * th).reshape(*th.shape[:2], -1), axis=2)
         if not (finite := np.isfinite(loss)).all():
@@ -263,7 +269,6 @@ def train_stack(runs: Sequence[tuple[CompiledObjective, int]],
         records.append(np.stack(np.broadcast_arrays(step[:, None], loss, neg_ent + ce,
                                                     np.sqrt(np.vecdot(g, g)), lr[:, None]), axis=1))
 
-    record(np.array([0]), np.array([config.eta0]), theta[None])
     t = 0
     for blocks in zip(*(world.sample_index_blocks(r, config.steps) for r in samplers)):
         tj, xi, ci = (np.stack(a, axis=1) for a in zip(*blocks))  # (B, S) each
@@ -274,28 +279,31 @@ def train_stack(runs: Sequence[tuple[CompiledObjective, int]],
         rows = (xi + stack * n).ravel()  # each event's row of ``flat``, step by step
         e, count = len(rows), np.bincount(rows, minlength=len(flat))
         order = np.argsort(-count, kind="stable")  # busiest first: a round's rows are a prefix
+        key = np.min_scalar_type(max(e, len(flat)))  # stable sorts of 8/16-bit ints are radix sorts
         # each row's events, then its tail to the block's end (entry ``e + place``)
-        ev = np.argsort(np.append(np.argsort(order)[rows], range(len(flat))), kind="stable")
+        ev = np.append(np.argsort(order)[rows], range(len(flat))).astype(key).argsort(kind="stable")
         count = count[order] + 1  # and the tail
         place = np.arange(len(flat)).repeat(count)  # each entry's row, by its place in ``order``
         k = np.arange(len(ev)) - (np.cumsum(count) - count)[place]  # rank in its row
         step = np.where(ev < e, ev // n_runs, len(xi))
         prev = np.where(k == 0, -1, np.append(0, step[:-1]))  # its row's step before
-        by_round = np.argsort(np.where(ev < e, k, e), kind="stable")  # the tails last
+        by_round = np.where(ev < e, k, e).astype(key).argsort(kind="stable")  # the tails last
         ev, step, prev, k, place = (a[by_round] for a in (ev, step, prev, k, place))
         cut = [0, *(np.flatnonzero(np.diff(k[:e])) + 1).tolist(), e, len(ev)]
         # entry i's row stays as i's round finds it over block steps (prev, step]: if records
         # fall there, the round copies the row, to fold with the decays up to each record
-        held, j = np.nonzero((prev[:, None] < rec) & (rec <= step[:, None]))  # (entry, record)
-        held, src = np.unique(held, return_inverse=True)  # the entries that copy, each pair's copy
-        taken, take = np.searchsorted(held, cut).tolist(), place[held]
+        on = (prev < rec[:, None]) & (rec[:, None] <= step)  # (record, entry)
+        (j, pair), held = np.nonzero(on), np.flatnonzero(on.any(axis=0))  # the entries that copy
+        src, take = np.searchsorted(held, pair), place[held]  # each pair's copy, each copy's row
+        taken = np.searchsorted(held, cut).tolist()
         edge = cut  # no decay segments without a ridge
         if ridge > 0:  # segments [row, decays[prev + 2 : step + 1]], each round's from 0
             seg, at = _decay_segments(decays, prev, step)
             edge = np.append(at, len(seg))[cut].tolist()
             at -= np.repeat(edge[:-1], np.diff(cut))
-        target = tables[stack, tj, xi, ci].reshape(-1, v)[ev[:e]]
-        eta, c = etas[step[:e], None], decays[step[:e] + 1, None]
+        target = tables[np.ravel_multi_index((stack, tj, xi, ci), cells).ravel()[ev[:e]]]
+        # per-event (e, V) rows, so that the round's g * eta and x * c are same-shape ufuncs
+        eta, c = (a[step[:e]].repeat(v).reshape(e, v) for a in (etas, decays[1:]))
         x_all, snaps = flat[order], np.empty((len(held), v))
         for r0, r1, e0, e1, s0, s1 in zip(cut, cut[1:], edge, edge[1:], taken, taken[1:]):
             x = x_all[:r1 - r0]
@@ -328,8 +336,12 @@ def train_stack(runs: Sequence[tuple[CompiledObjective, int]],
                 ends = np.stack([at[src], at[src] + rec[j] - since[src]], axis=1).ravel()
                 folded = np.multiply.reduceat(b, ends, axis=0)[::2]  # the odd segments: filler
             logits = folded[np.argsort(j * len(flat) + order[take[src]])]  # by record, then row
-            record(t + rec, etas[rec - 1], logits.reshape(len(rec), n_runs, n, v))
+            pending.append((t + rec, etas[rec - 1], logits.reshape(len(rec), n_runs, n, v)))
         t += len(xi)
+        if sum(len(s) for s, _, _ in pending) >= SAMPLE_BLOCK:  # under two blocks of records held
+            record()
+    if pending:
+        record()
     records = np.concatenate(records)  # (records, 5, S)
     return [(theta[s], TrainTrace(*records[..., s].T)) for s in range(n_runs)]
 

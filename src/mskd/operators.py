@@ -74,7 +74,7 @@ def clip_normalize(raw, bounds: WeightBounds) -> np.ndarray:
     w = np.asarray(raw, dtype=np.float64)
     bounds.check_feasible(w.shape[-1])
     total = w.sum(axis=-1, keepdims=True)
-    if (w < 0).any() or (total <= 0).any():
+    if not ((w >= 0).all() and (total > 0).all()):  # NaN included
         raise ZeroMass("raw weights must be positive with positive total mass")
     u = w / total
     lo, hi = bounds.w_min, bounds.w_max
@@ -231,6 +231,8 @@ class TokenOperator:
         _check_family(self, "token", TOKEN_FAMILIES)
         if self.family == "family_a" and not self.alpha > 0:  # NaN included
             raise MskdError(f"alpha must be positive, got {self.alpha}")
+        if not np.isfinite(self.alpha):  # any family: else it fails only when evaluated
+            raise MskdError(f"alpha must be finite, got {self.alpha}")
         object.__setattr__(self, "safety_tokens", frozenset(self.safety_tokens))
 
     def weights(self, x: int, i: int, c: int, bank: TeacherBank,

@@ -31,16 +31,20 @@ def test_index_block(benchmark, compiled):
     benchmark(compiled.world.sample_index_arrays, sampler, SAMPLE_BLOCK)
 
 
+@pytest.mark.parametrize("eval_every", [SAMPLE_BLOCK, 250])  # 250: the rate config's records
 @pytest.mark.parametrize("n_runs", [1, 2, 10])  # 2: the stack of the benchmark's rate run
-def test_sgd_step(benchmark, compiled, n_runs):
-    """``SAMPLE_BLOCK`` steps of an ``n_runs``-run stack, recorded only at both ends.
+def test_sgd_step(benchmark, compiled, n_runs, eval_every):
+    """``SAMPLE_BLOCK`` steps of an ``n_runs``-run stack, recorded every ``eval_every`` steps.
 
     The loop has no separately callable step: one stacked step is the time
-    over ``SAMPLE_BLOCK`` (``extra_info["steps"]``), less two eval records.
+    over ``SAMPLE_BLOCK`` (``extra_info["steps"]``) at ``eval_every`` ``SAMPLE_BLOCK``, less
+    two eval records; at 250 (six records, ``extra_info["records"]``) the difference is the
+    time of four more trace evaluation records.
     """
     config = TrainerConfig(eta0=1.0, steps=SAMPLE_BLOCK, ridge=compiled.ridge,
-                           eval_every=SAMPLE_BLOCK)
+                           eval_every=eval_every)
     benchmark.extra_info["steps"] = SAMPLE_BLOCK
+    benchmark.extra_info["records"] = 1 + -(-SAMPLE_BLOCK // eval_every)
     benchmark(train_stack, [(compiled, seed) for seed in range(n_runs)], config)
 
 

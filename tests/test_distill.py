@@ -279,6 +279,53 @@ class TestTrainStack:
             with pytest.raises(NonFiniteLoss, match=rf"at step {step} \(stack run 1\)"):
                 train_stack([(compiled, 1), (broken, 2)], config)
 
+    @staticmethod
+    def record_sizes(monkeypatch) -> list:
+        """The records of each stacked record evaluation (one ``log_softmax`` call each)."""
+        sizes, log_softmax = [], distill.log_softmax
+
+        def counted(th):
+            sizes.append(len(th))
+            return log_softmax(th)
+
+        monkeypatch.setattr(distill, "log_softmax", counted)
+        return sizes
+
+    def test_bundled_rate_records_are_one_evaluation(self, monkeypatch):
+        # the benchmark's rate run: 2 seeds x 50,000 steps over 49 sample blocks, a record every
+        # 250 steps; its 201 records wait for one another (one evaluation per block before)
+        cfg = parse_config_dict(bundled_doc("rate"))
+        compiled = compile_objective(cfg.operator, cfg.world, cfg.trainer.ridge)
+        sizes = self.record_sizes(monkeypatch)
+        train_stack([(compiled, cfg.trainer.seed + s) for s in range(2)], cfg.trainer)
+        assert sum(sizes) == 201 and len(sizes) <= 2
+
+    def test_dense_records_are_evaluated_block_by_block(self, world, monkeypatch):
+        # a record every step: the records pending are evaluated once SAMPLE_BLOCK of them
+        # wait, so no evaluation holds two blocks of them
+        compiled = compile_objective(adaptive_g(), world, 0.01)
+        config = TrainerConfig(steps=3 * SAMPLE_BLOCK + 1, ridge=0.01, eval_every=1)
+        sizes = self.record_sizes(monkeypatch)
+        train_stack([(compiled, 0), (compiled, 1)], config)
+        assert sum(sizes) == 3 * SAMPLE_BLOCK + 2
+        assert len(sizes) >= sum(sizes) // SAMPLE_BLOCK and max(sizes) < 2 * SAMPLE_BLOCK
+
+    def test_deferred_divergence_names_its_step(self, world, monkeypatch):
+        # run 1 diverges in the first sample block; its records wait three more blocks, and the
+        # one evaluation at the end names the first record at which it diverged
+        compiled = compile_objective(adaptive_g(), world, 0.01)
+        broken = dataclasses.replace(compiled, targets=compiled.targets * 1e307)
+        config = TrainerConfig(eta0=40.0, steps=3 * SAMPLE_BLOCK + 1, ridge=0.01,
+                               eval_every=250, init_scale=0.5)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteLoss, match="at step 250$"):
+                reference_sgd(broken, config, 2)
+            sizes = self.record_sizes(monkeypatch)
+            with pytest.raises(NonFiniteLoss) as raised:
+                train_stack([(compiled, 1), (broken, 2)], config)
+        assert str(raised.value) == "loss diverged at step 250 (stack run 1)"
+        assert sizes == [14]  # steps 0, 250, ..., 3000 and 3073
+
     def test_runs_must_share_world_shape_and_ridge(self, world):
         compiled = compile_objective(adaptive_g(), world, 0.01)
         config = TrainerConfig(steps=10, ridge=0.01)

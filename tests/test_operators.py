@@ -205,14 +205,28 @@ class TestTokenKernels:
         assert float(moved.max()) == worst
 
 
-@pytest.mark.parametrize("make", [
-    lambda v: TokenOperator("family_a", alpha=v),
-    lambda v: task_weights_performance(0, conformance_world().bank, WIDE, tau=v),
-], ids=["alpha", "tau"])
-@pytest.mark.parametrize("value", [math.nan, 0.0])
-def test_nan_and_nonpositive_parameters_rejected(make, value):
-    # NaN fails no `x <= 0` check; a NaN tau would fail late, in a ZeroMass naming no tau
-    with pytest.raises(operators.MskdError, match="must be positive"):
+def _alpha(family):
+    return lambda v: TokenOperator(family, alpha=v)
+
+
+def _tau(v):
+    return task_weights_performance(0, conformance_world().bank, WIDE, tau=v)
+
+
+@pytest.mark.parametrize("make,value,message", [
+    *(pytest.param(make, value, "must be positive", id=f"{value}-{name}")
+      for value in (math.nan, 0.0)
+      for name, make in (("alpha", _alpha("family_a")), ("tau", _tau))),
+    *(pytest.param(_alpha(family), math.nan, "alpha must be finite", id=f"nan-alpha-{family}")
+      for family in ("uniform", "inverse_entropy", "family_b", "family_c")),
+    pytest.param(_alpha("family_a"), math.inf, "alpha must be finite", id="inf-alpha"),
+    pytest.param(lambda v: clip_normalize(np.array([v, 1.0]), WIDE), math.nan,
+                 "raw weights must be positive", id="nan-clip_normalize"),
+])
+def test_nan_and_nonpositive_parameters_rejected(make, value, message):
+    # NaN fails no `x <= 0` check: a NaN alpha, tau or raw weight would fail late, in a ZeroMass
+    # naming none of them
+    with pytest.raises(operators.MskdError, match=message):
         make(value)
 
 

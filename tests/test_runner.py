@@ -507,6 +507,15 @@ class TestCli:
         assert "dual ascent did not meet residual targets in 1 iterations" in \
             capsys.readouterr().err
 
+    def test_diverging_training_exit_three(self, tmp_path, capsys):
+        # eta0 1e5 overflows the logits in the first of 3 sample blocks; the records are
+        # evaluated after the last, and the first one that diverged is named
+        doc = copy.deepcopy(BUNDLED_DOCS["train"])
+        doc["trainer"]["eta0"] = 1e5
+        with np.errstate(all="ignore"):
+            assert _main_on(doc, "run", tmp_path, "--quiet") == 3
+        assert "loss diverged at step 500 (stack run 0)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_nan_literal_exit_two(self, tmp_path, command):
         p = tmp_path / "nan.json"
