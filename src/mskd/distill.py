@@ -8,8 +8,8 @@ convergence experiments. Targets are compiled once per run into dense arrays
 single-sample gradients, and decays the learning rate as eta0 / (1 + t).
 
 All trainers share one loop, ``train_stack``: runs (a target table and a seed each) trained
-in event rounds, one window per sample block, each with the bits it gets alone; eval records
-fold per-row copies with their deferred decays, and a block's worth is one stacked evaluation.
+in event rounds, one window per sample block, each with the bits it gets alone. Deferred ridge
+decays fold by one row gather from a buffer of a window's rows, record copies and decay factors.
 ``sgd_train`` and ``classic_uniform_train`` are stacks of one. The classical trainer differs
 from the adaptive one only in how the target table is built. With all-uniform operators the
 two tables are bit-identical, so the trajectories agree exactly at equal seeds.
@@ -60,6 +60,9 @@ class TrainerConfig:
     init_scale: float = 0.0
 
     def __post_init__(self):
+        for name in ("steps", "eval_every"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise MskdError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not self.eta0 > 0:  # NaN included
             raise MskdError("eta0 must be positive")
         if self.steps < 0:
@@ -70,6 +73,9 @@ class TrainerConfig:
             raise MskdError("eval_every must be positive")
         if not self.init_scale >= 0:  # NaN included
             raise MskdError("init_scale must be nonnegative")
+        for name in ("eta0", "ridge", "init_scale"):
+            if not np.isfinite(getattr(self, name)):
+                raise MskdError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass
@@ -211,6 +217,7 @@ def _densify(world: World, ridge: float, rows: np.ndarray, slot: np.ndarray) -> 
 # Stochastic training
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverged run is reported as NonFiniteLoss
 def train_stack(runs: Sequence[tuple[CompiledObjective, int]],
                 config: TrainerConfig) -> list[tuple[np.ndarray, TrainTrace]]:
     """Train a stack of runs in event rounds; one ``(compiled, seed)`` pair per run.
@@ -220,10 +227,11 @@ def train_stack(runs: Sequence[tuple[CompiledObjective, int]],
     seed, triples in ``SAMPLE_BLOCK`` blocks), its softmax in ``core.softmax``'s operation
     order, and its ``loss``/``grad``/``mean_kl`` operations in a record every ``eval_every``
     steps. In each sample block each (run, input) row takes its own sampled steps, round k the
-    k-th of every row at once. A step's ridge decay waits until the row is next touched (lazy
-    regularization), then applies one factor at a time in step order, so it rounds as a
-    whole-stack decay does. Records do not cut the block: for each record every row keeps a
-    copy after its last step before it, folded with the decays deferred since; once
+    k-th of every row at once. Records do not cut the block: every row keeps a copy after its
+    last step before each. A step's ridge decay waits until the row (or copy) is next needed
+    (lazy regularization); one buffer holds a window's rows, copies and a V-wide row per decay
+    factor, so a fold is one ``take`` of each chain [row, factors in step order] and one
+    ``reduceat``, a left fold that rounds after each factor as a whole-stack decay does. Once
     ``SAMPLE_BLOCK`` records are pending, or at the end, they are one stacked evaluation.
     Returns each run's final (N, V) logits and trace.
     """
@@ -252,7 +260,7 @@ def train_stack(runs: Sequence[tuple[CompiledObjective, int]],
     tables, qbar, m_x, neg_ent = (np.array([getattr(c, name) for c, _ in runs]) for name in
                                   ("targets", "qbar", "m_x", "target_neg_entropy"))
     cells, tables = tables.shape[:-1], tables.reshape(-1, v)  # (S, J, N, C) cells of V rows
-    stack, ridge, every, records = np.arange(n_runs), config.ridge, config.eval_every, []
+    stack, ridge, every, records, t = np.arange(n_runs), config.ridge, config.eval_every, [], 0
     pending = [(np.array([0]), np.array([config.eta0]), theta[None].copy())]  # (steps, lrs, logits)
 
     def record() -> None:
@@ -269,7 +277,8 @@ def train_stack(runs: Sequence[tuple[CompiledObjective, int]],
         records.append(np.stack(np.broadcast_arrays(step[:, None], loss, neg_ent + ce,
                                                     np.sqrt(np.vecdot(g, g)), lr[:, None]), axis=1))
 
-    t = 0
+    buf = np.empty((2 * len(flat) + (n_runs + 1) * SAMPLE_BLOCK + 1, v))  # a copy per entry at most
+    target, eta, c = np.empty((3, n_runs * SAMPLE_BLOCK, v))  # every window reuses them: no churn
     for blocks in zip(*(world.sample_index_blocks(r, config.steps) for r in samplers)):
         tj, xi, ci = (np.stack(a, axis=1) for a in zip(*blocks))  # (B, S) each
         done = np.arange(t + 1, t + len(xi) + 1)  # the step count after each block step
@@ -296,23 +305,24 @@ def train_stack(runs: Sequence[tuple[CompiledObjective, int]],
         (j, pair), held = np.nonzero(on), np.flatnonzero(on.any(axis=0))  # the entries that copy
         src, take = np.searchsorted(held, pair), place[held]  # each pair's copy, each copy's row
         taken = np.searchsorted(held, cut).tolist()
-        edge = cut  # no decay segments without a ridge
-        if ridge > 0:  # segments [row, decays[prev + 2 : step + 1]], each round's from 0
-            seg, at = _decay_segments(decays, prev, step)
-            edge = np.append(at, len(seg))[cut].tolist()
+        low = len(flat) + len(held)  # buf: the rows by ``order``, copies, decays[k] at low + k
+        buf[:len(flat)], buf[low:low + len(decays)] = flat[order], decays[:, None]
+        x_all, snaps = buf[:len(flat)], buf[len(flat):low]
+        edge = cut  # no decay chains without a ridge
+        if ridge > 0:  # each entry's chain [row, decays[prev + 2 : step + 1]], each round's from 0
+            chain, at = _fold_index(place, prev, step, low)
+            edge = np.append(at, len(chain))[cut].tolist()
             at -= np.repeat(edge[:-1], np.diff(cut))
-        target = tables[np.ravel_multi_index((stack, tj, xi, ci), cells).ravel()[ev[:e]]]
+        cell = np.ravel_multi_index((stack, tj, xi, ci), cells).ravel()[ev[:e]]
+        tables.take(cell, axis=0, out=target[:e], mode="clip")  # valid cells: no buffered copy
         # per-event (e, V) rows, so that the round's g * eta and x * c are same-shape ufuncs
-        eta, c = (a[step[:e]].repeat(v).reshape(e, v) for a in (etas, decays[1:]))
-        x_all, snaps = flat[order], np.empty((len(held), v))
+        eta[:e], c[:e] = etas[step[:e], None], decays[1:][step[:e], None]
         for r0, r1, e0, e1, s0, s1 in zip(cut, cut[1:], edge, edge[1:], taken, taken[1:]):
             x = x_all[:r1 - r0]
             if s0 < s1:
                 snaps[s0:s1] = x[take[s0:s1]]
             if ridge > 0:  # the deferred decays, in step order, one rounding per factor
-                b = seg[e0:e1, None].repeat(v, axis=1)
-                b[at[r0:r1]] = x
-                np.multiply.reduceat(b, at[r0:r1], axis=0, out=x)
+                np.multiply.reduceat(buf.take(chain[e0:e1], axis=0), at[r0:r1], axis=0, out=x)
             if r0 == e:  # the tail: decays alone
                 break
             # in place, the IEEE operations of softmax(x) - target, c * x and x - eta * g
@@ -327,13 +337,11 @@ def train_stack(runs: Sequence[tuple[CompiledObjective, int]],
         flat[order] = x_all
         if len(rec):
             folded = snaps[src]
-            if ridge > 0:  # each copy's chain [row, decays[prev + 2 : step + 1]]: a record's
+            if ridge > 0:  # each copy's chain [copy, decays[prev + 2 : step + 1]]: a record's
                 # left fold is a prefix of it, and one reduceat takes each as a segment
-                since = prev[held]
-                seg, at = _decay_segments(decays, since, step[held])
-                b = np.append(seg, 1.0)[:, None].repeat(v, axis=1)  # (a row to end the last)
-                b[at] = snaps
-                ends = np.stack([at[src], at[src] + rec[j] - since[src]], axis=1).ravel()
+                chain, at = _fold_index(np.arange(len(flat), low), prev[held], step[held], low)
+                ends = np.stack([at[src], at[src] + rec[j] - prev[pair]], axis=1).ravel()
+                b = buf.take(np.append(chain, low), axis=0)  # decays[0] = 1.0 ends the last
                 folded = np.multiply.reduceat(b, ends, axis=0)[::2]  # the odd segments: filler
             logits = folded[np.argsort(j * len(flat) + order[take[src]])]  # by record, then row
             pending.append((t + rec, etas[rec - 1], logits.reshape(len(rec), n_runs, n, v)))
@@ -346,11 +354,13 @@ def train_stack(runs: Sequence[tuple[CompiledObjective, int]],
     return [(theta[s], TrainTrace(*records[..., s].T)) for s in range(n_runs)]
 
 
-def _decay_segments(decays: np.ndarray, prev: np.ndarray, stop: np.ndarray):
-    """Segments [row, decays[prev + 2 : stop + 1]] of one array (row a placeholder), and starts."""
+def _fold_index(rows: np.ndarray, prev: np.ndarray, stop: np.ndarray, low: int):
+    """Row indices of chains [rows[i], low + prev[i] + 2, ..., low + stop[i]], and their starts."""
     size = stop - prev
     at = np.cumsum(size) - size
-    return decays[(prev - at).repeat(size) + np.arange(size.sum()) + 1], at
+    chain = (low + 1 + prev - at).repeat(size) + np.arange(size.sum())
+    chain[at] = rows
+    return chain, at
 
 
 def sgd_train(config: TrainerConfig, G: UnifiedWeightOperator,

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,23 @@ class TestSgdTrain:
     def test_negative_init_scale_rejected(self, init_scale):
         with pytest.raises(MskdError, match="init_scale"):
             TrainerConfig(init_scale=init_scale)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("eta0", math.inf, "must be finite, got inf"),
+        ("ridge", math.inf, "must be finite, got inf"),
+        ("init_scale", math.inf, "must be finite, got inf"),
+        ("steps", 1.5, "must be an integer, got 1.5"),
+        ("steps", 1000.0, "must be an integer, got 1000.0"),
+        ("steps", math.inf, "must be an integer, got inf"),
+        ("eval_every", math.nan, "must be an integer, got nan"),
+        ("eval_every", 2.5, "must be an integer, got 2.5"),
+    ])
+    def test_non_finite_and_non_integral_settings_rejected(self, field, value, message):
+        # the CLI parser rejects these first; a config built in code fails here, not mid-run
+        with pytest.raises(MskdError, match=f"^{field} {message}$"):
+            TrainerConfig(**{field: value})
+        valid = {"steps": np.int64(5), "eval_every": np.int32(5)}.get(field, 2.0)  # numpy ints pass
+        TrainerConfig(**{field: valid})
 
     def test_zero_steps_returns_initial(self, world):
         cfg = TrainerConfig(eta0=1.0, steps=0, ridge=0.01, seed=1, eval_every=10)
@@ -309,6 +327,20 @@ class TestTrainStack:
         train_stack([(compiled, 0), (compiled, 1)], config)
         assert sum(sizes) == 3 * SAMPLE_BLOCK + 2
         assert len(sizes) >= sum(sizes) // SAMPLE_BLOCK and max(sizes) < 2 * SAMPLE_BLOCK
+
+    def test_dense_records_fold_in_bounded_memory(self):
+        # a record every step: a row's copies between two of its steps share one chain of
+        # decays, so the fold holds each factor once per copy, not once per (record, copy)
+        # pair (a fold per pair peaks at about 104 MiB here)
+        compiled = self.tables("zero_measure", 0.01)["adaptive"]
+        config = TrainerConfig(steps=SAMPLE_BLOCK + 1, ridge=0.01, eval_every=1)
+        tracemalloc.start()
+        try:
+            train_stack([(compiled, 0), (compiled, 1)], config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 28 * 2**20  # about 2x the 14 MiB measured
 
     def test_deferred_divergence_names_its_step(self, world, monkeypatch):
         # run 1 diverges in the first sample block; its records wait three more blocks, and the

@@ -3,6 +3,8 @@
 import copy
 import hashlib
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -515,6 +517,24 @@ class TestCli:
         with np.errstate(all="ignore"):
             assert _main_on(doc, "run", tmp_path, "--quiet") == 3
         assert "loss diverged at step 500 (stack run 0)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eta0", [1e5, 1e200])
+    def test_diverging_training_prints_only_its_error(self, tmp_path, eta0):
+        # the overflow is reported as the typed error alone: no numpy RuntimeWarning (with a
+        # library source line) reaches stderr before it, under Python's default warning filter
+        doc = copy.deepcopy(BUNDLED_DOCS["train"])
+        doc["trainer"]["eta0"] = eta0
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from mskd.runner import main; "
+             "sys.exit(main(sys.argv[1:]))", "run", str(tmp_path / "config.json"),
+             "--out", str(tmp_path / "o"), "--quiet"],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONWARNINGS": "default"},
+            capture_output=True, text=True)
+        assert done.returncode == 3
+        assert re.fullmatch(r"runtime error: \[kind=train config=\w+\] "
+                            r"loss diverged at step 500 \(stack run 0\)\n", done.stderr)
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_nan_literal_exit_two(self, tmp_path, command):
