@@ -7,13 +7,13 @@ effective bounds: with every component in [w_min, w_max], a unified weight lies
 in [lo / (lo + (K-1) hi), hi / (hi + (K-1) lo)] with lo = w_min^3, hi = w_max^3
 (a teacher's own product minimal and all K-1 rivals maximal, and vice versa).
 
-Normalization of the product is integer-exact: a row's entries are put over
-their largest power-of-two denominator, the numerators summed as integers,
+Normalization of the product is integer-exact: a row's entries are written as
+integer mantissas shifted to the row's smallest exponent, summed as integers,
 and each entry is one correctly-rounded integer division by that sum. So
 algebraically uniform configurations produce bit-identical uniform weights,
 which lets an all-uniform adaptive trainer reproduce the classical
 uniform-mixture trainer exactly. The weight table is kept as the token operator's
-distinct rows and each token's row; each distinct row is normalized once.
+distinct rows and each token's row; the distinct rows are normalized once, as one stack.
 """
 
 from __future__ import annotations
@@ -55,10 +55,9 @@ def renormalized_mixture(weight_rows: np.ndarray, dists: np.ndarray) -> np.ndarr
 
 
 def normalize_rows(rows: np.ndarray) -> np.ndarray:
-    """:func:`normalize_exact` of every length-K row, once per distinct row, as a new array."""
+    """:func:`normalize_exact` of every length-K row, in one call on the distinct rows."""
     distinct, inverse = np.unique(rows.reshape(-1, rows.shape[-1]), axis=0, return_inverse=True)
-    normed = np.array([normalize_exact(r) for r in distinct])
-    return normed[inverse.reshape(-1)].reshape(rows.shape)
+    return normalize_exact(distinct)[inverse.reshape(-1)].reshape(rows.shape)
 
 
 @dataclass(frozen=True)

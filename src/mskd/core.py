@@ -144,20 +144,24 @@ def entropy(p):
 
 
 def normalize_exact(raw: np.ndarray) -> np.ndarray:
-    """Normalize a positive vector with one correctly-rounded division per entry.
+    """Normalize a positive vector, or each row of an (R, K) stack, rounding once per entry.
 
-    The entries are put over their largest (power-of-two) denominator and their
-    numerators summed as integers; each entry is one integer true division by that
-    sum, which CPython rounds correctly. So algebraically equal inputs produce
-    bit-identical outputs (e.g. a product of uniform weight vectors normalizes to
-    exactly ``1/K`` per entry, for every K).
+    ``np.frexp`` writes each entry as a 53-bit integer mantissa times a power of two. A row's
+    mantissas, as Python integers, are shifted to the row's smallest nonzero exponent and
+    summed; each entry is one integer true division by that sum, which CPython rounds
+    correctly. So algebraically equal inputs produce bit-identical outputs (e.g. a product of
+    uniform weight vectors normalizes to exactly ``1/K`` per entry, for every K).
     """
-    ratios = [v.as_integer_ratio() for v in np.asarray(raw, dtype=np.float64).tolist()]
-    den = max([d for _, d in ratios], default=1)
-    nums = [n * (den // d) for n, d in ratios]
-    if (total := sum(nums)) <= 0:
+    rows = np.asarray(raw, dtype=np.float64)
+    if not np.isfinite(rows).all():  # np.frexp would pass them: name the first
+        bad = rows[~np.isfinite(rows)][0]
+        raise (ValueError if np.isnan(bad) else OverflowError)(f"cannot normalize {bad}")
+    m, e = np.frexp(rows)
+    low = np.min(e, axis=-1, initial=2048, where=m != 0.0, keepdims=True)
+    nums = np.ldexp(m, 53).astype(np.int64).astype(object) << np.maximum(e - low, 0)
+    if not ((total := nums.sum(axis=-1, keepdims=True)) > 0).all():
         raise ZeroMass("cannot normalize a vector with no positive mass")
-    return np.array([n / total for n in nums])
+    return (nums / total).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

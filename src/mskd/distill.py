@@ -15,9 +15,10 @@ from the adaptive one only in how the target table is built. With all-uniform op
 two tables are bit-identical, so the trajectories agree exactly at equal seeds.
 
 The damped-Newton solver ``minimize_blockwise`` makes one stacked kernel call
-at step 1 and one for all line-search halvings, reuses the accepted trial's
-evaluation, builds Hessians only for the blocks still open, retires a block at
-a bitwise fixed point, and gives every block the bits a per-block loop gives it.
+at step 1 and one for all line-search halvings (one call for both after step 1
+failed every block), reuses the accepted trial's evaluation, builds Hessians
+only for the blocks still open, retires a block at a bitwise fixed point, and
+gives every block the bits a per-block loop gives it.
 """
 
 from __future__ import annotations
@@ -133,9 +134,9 @@ class CompiledObjective:
     def block(self, xi: np.ndarray, rows: np.ndarray, labels=None):
         """Values, gradients and softmax rows of inputs ``xi``'s loss shares at (a, V) ``rows``.
 
-        ``labels``, an ``(on, w)`` pair of (N, V) tables, subtracts ``w[x, y] * p[y]`` (p = softmax
-        of the row) for each token y with ``on[x, y]``, in ascending order: a Lagrangian's safety
-        terms. Each row gets the bits a one-row evaluation gives it.
+        ``labels``, ``(y, on, w)`` columns of (N,) tables in ascending token order, subtracts
+        ``w[x] * p[y]`` (p = softmax of the row) for each token y with ``on[x]``: a Lagrangian's
+        safety terms. Each row gets the bits a one-row evaluation gives it.
         """
         z = rows - rows.max(axis=-1, keepdims=True)  # one pass of softmax's and log_softmax's ops
         e = np.exp(z)
@@ -167,14 +168,14 @@ class CompiledObjective:
     @staticmethod
     def _label_terms(xi, p, labels):
         """Each label token's term (rows, w * p[y], e_y - p) of the softmax rows ``p``, by token."""
-        if labels is None:
-            return
-        on, w = labels[0][xi], labels[1][xi]
-        for y in on.any(axis=0).nonzero()[0].tolist():
-            r = on[:, y].nonzero()[0]
+        for y, on, w in labels or ():
+            if (hit := on[xi]).all():  # every row carries y: no row gather
+                r = slice(None)
+            elif not len(r := hit.nonzero()[0]):
+                continue
             d = 0.0 - p[r]
             d[:, y] += 1.0
-            yield r, w[r, y] * p[r, y], d
+            yield r, w[xi[r]] * p[r, y], d
 
 
 def compile_objective(G: UnifiedWeightOperator, world: World,
@@ -389,8 +390,10 @@ def minimize_blockwise(theta0: np.ndarray, block: Callable, block_hessians: Call
     ``block(xi, rows) -> (values, gradients, p)`` evaluates blocks ``xi`` at the (a, V) stack
     ``rows``, and ``block_hessians(xi, p)`` builds their (a, V, V) Hessians from its ``p``, only
     for the blocks still open after the gradient test. Backtracking line search and Levenberg
-    damping keep descent where a block Hessian is indefinite; the accepted trial's evaluation
-    is the next iterate's. A block stops at gradient norm ``gtol / sqrt(n_blocks)`` (so the full
+    damping keep descent where a block Hessian is indefinite. Step 1 is one call and the 46
+    halvings of the blocks it fails one more; once step 1 has failed every open block, the next
+    iteration's step 1 and halvings are one call. The accepted trial's evaluation is the next
+    iterate's. A block stops at gradient norm ``gtol / sqrt(n_blocks)`` (so the full
     gradient norm is within gtol), after ``max_iter`` iterations, or where its accepted step
     leaves its row bitwise unchanged (no decrease found, or a step below the row's rounding):
     each later iteration would repeat the same values and step.
@@ -399,8 +402,8 @@ def minimize_blockwise(theta0: np.ndarray, block: Callable, block_hessians: Call
     if not len(theta):
         return theta
     per_block = gtol / np.sqrt(len(theta))
-    halvings = np.ldexp(1.0, -np.arange(1, 47))  # line-search steps after 1: to 2**-46 > 1e-14
-    xi = np.arange(len(theta))
+    ladder = np.ldexp(1.0, -np.arange(47))  # line-search steps 1, 1/2, ..., 2**-46 > 1e-14
+    xi, stalled = np.arange(len(theta)), False
     f, g, p = block(xi, theta)
     for _ in range(max_iter):
         active = ~(np.sqrt(np.vecdot(g, g)) <= per_block)
@@ -410,21 +413,27 @@ def minimize_blockwise(theta0: np.ndarray, block: Callable, block_hessians: Call
                 break
         d = _newton_directions(g, block_hessians(xi, p))
         slope, rows = np.vecdot(g, d), theta[xi]
-        # step 1 for every block, then every halving for the blocks it fails, in one call each
-        new = rows + d
-        f_new, g_new, p_new = block(xi, new)
-        failed = (~(f_new <= f + 1e-4 * slope)).nonzero()[0]
+        # step 1 for every block, then every halving for the blocks it fails, in one call each;
+        # after an iteration where step 1 failed every block, step 1 joins the halvings' call
+        if stalled:
+            new, (f_new, g_new, p_new) = rows.copy(), map(np.empty_like, (f, g, p))
+            failed, steps = np.arange(len(xi)), ladder
+        else:
+            new = rows + d
+            f_new, g_new, p_new = block(xi, new)
+            failed, steps = (~(f_new <= f + 1e-4 * slope)).nonzero()[0], ladder[1:]
         if len(failed):
             new[failed] = rows[failed]  # a block whose line search finds no decrease stays
-            trial = rows[failed, None] + halvings[:, None] * d[failed, None]  # (b, 46, V)
+            trial = rows[failed, None] + steps[:, None] * d[failed, None]  # (b, steps, V)
             trial = trial.reshape(-1, d.shape[1])
-            ft, gt, pt = block(np.repeat(xi[failed], len(halvings)), trial)
-            bound = f[failed, None] + 1e-4 * halvings * slope[failed, None]
+            ft, gt, pt = block(np.repeat(xi[failed], len(steps)), trial)
+            bound = f[failed, None] + 1e-4 * steps * slope[failed, None]
             passed = ft.reshape(bound.shape) <= bound
             won, first = passed.any(axis=1), passed.argmax(axis=1)
-            at, pick = failed[won], np.flatnonzero(won) * len(halvings) + first[won]
+            at, pick = failed[won], np.flatnonzero(won) * len(steps) + first[won]
             new[at], f_new[at], g_new[at], p_new[at] = trial[pick], ft[pick], gt[pick], pt[pick]
             del trial, ft, gt, pt  # not held through the next Hessian build: peak memory
+        stalled = len(failed) == len(xi) and not (stalled and passed[:, 0].any())
         theta[xi] = new  # a row left bitwise where it was would repeat this iteration: it is done
         moved = (new.view(np.uint64) != rows.view(np.uint64)).any(axis=1)
         xi, f, g, p = xi[moved], f_new[moved], g_new[moved], p_new[moved]
@@ -440,14 +449,13 @@ def _newton_directions(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     Levenberg damping, doubled from 1e-8 until it descends, or past 1e12 steepest descent.
     """
     h += 0.0  # h + 0 * I, as a one-block loop solves it: -0.0 entries become +0.0
-    eye = np.eye(h.shape[-1])
     try:
         d = np.linalg.solve(h, -g[..., None])[..., 0]
         retry, first_damp = ~(np.vecdot(g, d) < 0), 1e-8
     except np.linalg.LinAlgError:  # some Hessian is singular: every block solves alone
         d, retry, first_damp = np.empty_like(g), np.ones(len(g), dtype=bool), 0.0
     for i in retry.nonzero()[0].tolist():
-        d[i], damp = -g[i], first_damp
+        d[i], damp, eye = -g[i], first_damp, np.eye(h.shape[-1])
         while damp <= 1e12:
             with contextlib.suppress(np.linalg.LinAlgError):
                 di = np.linalg.solve(h[i] + damp * eye, -g[i])

@@ -120,9 +120,9 @@ OPERATOR_FIELDS = {"token": {"family": (str, "uniform"), "alpha": (float, 1.0, *
                              "safety_adjustment": (bool, True)},
                    "task": {"family": (str, "uniform"), "tau": (float, 0.5, *_POSITIVE)},
                    "context": {"family": (str, "uniform")}}
-TRAINER_FIELDS = {"eta0": (float, 1.0), "steps": (int, 1000), "ridge": (float, 0.0),
-                  "eval_every": (int, 100), "init_scale": (float, 0.0, *_NONNEGATIVE),
-                  "seed": (int, 0, *_NONNEGATIVE)}
+TRAINER_FIELDS = {"eta0": (float, 1.0, *_POSITIVE), "steps": (int, 1000, *_NONNEGATIVE),
+                  "ridge": (float, 0.0, *_NONNEGATIVE), "eval_every": (int, 100, *_at_least(1)),
+                  "init_scale": (float, 0.0, *_NONNEGATIVE), "seed": (int, 0, *_NONNEGATIVE)}
 
 
 def _labels(rows: list, world: World | None) -> bool | str:

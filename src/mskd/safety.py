@@ -134,8 +134,9 @@ def _lagrangian_block(compiled: CompiledObjective, mu: float, mass: np.ndarray):
     """Newton block kernels (value/gradient/softmax, Hessians) of loss - mu * safety for one solve.
 
     Every label of positive mass is a term, even at mu = 0: it can still flip a zero's sign.
+    The label tokens are resolved once per solve, as ``(y, on, w)`` columns.
     """
-    labels = (mass != 0, mu * mass)
+    labels = [(y, mass[:, y] != 0, mu * mass[:, y]) for y in np.flatnonzero(mass.any(axis=0))]
     return (lambda xi, rows: compiled.block(xi, rows, labels),
             lambda xi, p: compiled.block_hessians(xi, p, labels))
 

@@ -37,15 +37,18 @@ def test_conformance_pass(benchmark, scale, op):
 @pytest.mark.parametrize("part", ["weight_table", "normalize_rows"])
 def test_compile_layer(benchmark, part):
     """The generated large world's ``weight_table`` (all three scales and the row
-    normalization), or ``normalize_rows`` of its compact rows shifted as the
-    perturbation experiment shifts them."""
+    normalization), or one stacked ``normalize_rows`` of its compact rows shifted as the
+    perturbation experiment shifts them at its first delta."""
     cfg = parse_config_dict(large_doc("perturbation"))
     g, world = cfg.operator, cfg.world
     if part == "weight_table":
         benchmark(g.weight_table, world)
     else:
         rows, _ = g.compact_table(world)
-        benchmark(normalize_rows, rows + 1e-3 * np.linspace(-1.0, 1.0, world.bank.k))
+        direction = seeded_sampler(cfg.seed).normal(size=world.bank.k)  # the experiment's
+        direction -= direction.mean()
+        direction /= np.max(np.abs(direction))
+        benchmark(normalize_rows, rows + cfg.params["deltas"][0] * direction)
 
 
 def _safety_world_kernels():

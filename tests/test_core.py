@@ -128,6 +128,8 @@ _MANTISSA = st.floats(1.0, 2.0, exclude_max=True)
 # a double anywhere in the range, subnormals included, or a zero, 0.25 or 1/3
 _ENTRY = st.one_of(st.builds(math.ldexp, _MANTISSA, st.integers(-1074, 1023)),
                    st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 1 / 3, 5e-324]))
+# a stack entry: a zero, a magnitude from the smallest subnormal to 1e304, or an ``_ENTRY``
+_STACK_ENTRY = st.one_of(st.just(0.0), st.floats(5e-324, 1e304), _ENTRY)
 
 
 @st.composite
@@ -159,10 +161,32 @@ class TestNormalizeExact:
     def test_algebraically_uniform_rows_are_exactly_uniform(self, k):
         assert np.all(normalize_exact(np.full(k, 1.0 / 3) * 0.7) == 1.0 / k)
 
+    @given(st.integers(1, 8).flatmap(lambda k: st.lists(
+        st.lists(_STACK_ENTRY, min_size=k, max_size=k), min_size=1, max_size=6)))
+    @settings(max_examples=200, deadline=None)
+    def test_stack_rows_equal_the_fraction_reference(self, rows):
+        if not all(any(v > 0 for v in row) for row in rows):
+            with pytest.raises(ZeroMass):
+                normalize_exact(np.array(rows))
+            return
+        got = normalize_exact(np.array(rows))
+        assert got.shape == (len(rows), len(rows[0]))
+        for row, out in zip(rows, got):
+            assert out.tobytes() == fraction_normalize(row).tobytes()
+
     @pytest.mark.parametrize("row", [[0.0], [0.0] * 8, [], [-1.0, 0.5], [-5e-324, 0.0]])
     def test_non_positive_total_rejected(self, row):
         with pytest.raises(ZeroMass):
             normalize_exact(np.array(row))
+        with pytest.raises(ZeroMass):  # one such row fails a stack
+            normalize_exact(np.array([[1.0] * len(row), row]))
+
+    @pytest.mark.parametrize("value,error", [(math.nan, ValueError), (math.inf, OverflowError),
+                                             (-math.inf, OverflowError)])
+    def test_non_finite_entry_rejected(self, value, error):
+        for raw in ([1.0, value], [[0.5, 0.5], [value, 1.0]]):
+            with pytest.raises(error):
+                normalize_exact(np.array(raw))
 
 
 class TestWeightBounds:

@@ -654,6 +654,26 @@ class TestCli:
         assert f"- {section}.init_scale: must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("field,value,line", [
+        ("eta0", 0.0, "must be positive"), ("steps", -1, "must be nonnegative"),
+        ("ridge", -1.0, "must be nonnegative"), ("eval_every", 0, "must be at least 1")])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_bad_trainer_field_named_by_path(self, tmp_path, field, value, line, command, capsys):
+        # TrainerConfig once reported these, as "trainer: eta0 must be positive", without the path
+        doc = copy.deepcopy(BUNDLED_DOCS["train"])
+        doc["trainer"][field] = value
+        assert _main_on(doc, command, tmp_path) == 2
+        assert f"- trainer.{field}: {line}\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_every_bad_trainer_field_reported(self, tmp_path, capsys):
+        # once only the first, as "trainer: eta0 must be positive"
+        doc = copy.deepcopy(BUNDLED_DOCS["train"])
+        doc["trainer"].update(eta0=0, steps=-1)
+        assert _main_on(doc, "validate", tmp_path) == 2
+        assert capsys.readouterr().err.endswith(
+            "  - trainer.eta0: must be positive\n  - trainer.steps: must be nonnegative\n")
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_task_without_perf_scores_exit_two(self, tmp_path, command, capsys):
         doc = copy.deepcopy(BUNDLED_DOCS["conformance"])

@@ -481,33 +481,42 @@ class TestStackedNewton:
         # the seed-0 large dual ascent leaves two blocks short of the tolerance, in two solves:
         # input 22 (mu 34.344) moves on all 200 iterations; from iteration 120 on, each
         # accepted step leaves input 24 (mu 34.557) bitwise where it is, and the stack retires
-        # it there. Both keep the per-block bits
+        # it there. Both keep the per-block bits. At iteration 2 step 1 fails every open block,
+        # so from then on each iteration evaluates all 47 steps of its blocks in one kernel call
         compiled, mass, stalled = stalled_large_solves()
         assert len(stalled) == 2
         for (mu, theta0), fixed_at in zip(stalled, (None, 120)):
-            stats, iters = {}, []
+            stats, iters, calls = {}, [], []
             block, block_hessians = _lagrangian_block(compiled, mu, mass)
 
             def counted(xi, p):  # one Hessian build per iteration
                 iters.append(len(xi))
+                calls.append([])
                 return block_hessians(xi, p)
+
+            def counted_block(xi, rows):  # the rows of each kernel call, by iteration
+                if calls:
+                    calls[-1].append(len(xi))
+                return block(xi, rows)
 
             ref = reference_newton(theta0, reference_lagrangian_block(compiled, mu, mass),
                                    1e-8, 200, stats)
-            got = distill.minimize_blockwise(theta0, block, counted, 1e-8)
+            got = distill.minimize_blockwise(theta0, counted_block, counted, 1e-8)
             assert stats["max_iter"] == 1
             assert stats["fixed_point"] == (0 if fixed_at is None else 201 - fixed_at)
             assert len(iters) == (fixed_at or 200)
             assert got.tobytes() == ref.tobytes()
+            assert calls[2] == [iters[2], 46 * iters[2]]  # step 1, then the 46 halvings
+            assert calls[3:] == [[47 * k] for k in iters[3:]]
 
     def test_hessians_only_for_open_blocks(self):
-        # the seed-0 large safety run: 79 solves, 955 kernel calls (trials included) over
-        # 24,444 rows; 527 Hessian builds, of only the 4,712 rows still open after the
+        # the seed-0 large safety run: 79 solves, 635 kernel calls (trials included) over
+        # 24,490 rows; 527 Hessian builds, of only the 4,712 rows still open after the
         # gradient test, and every one of those is solved
         solves = replay_large_safety_run()
         assert len(solves) == 79
-        assert sum(s["calls"] for s in solves) == 955
-        assert sum(s["rows"] for s in solves) == 24444
+        assert sum(s["calls"] for s in solves) == 635
+        assert sum(s["rows"] for s in solves) == 24490
         assert sum(s["builds"] for s in solves) == 527
         assert sum(s["built"] for s in solves) == sum(s["solved"] for s in solves) == 4712
         assert sum(s["closed_built"] for s in solves) == 0
