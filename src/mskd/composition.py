@@ -115,9 +115,5 @@ class UnifiedWeightOperator:
 def uniform_unified(bounds: WeightBounds,
                     safety_tokens: frozenset[int] = frozenset()) -> UnifiedWeightOperator:
     """The all-uniform composition (classical equal-weight distillation)."""
-    return UnifiedWeightOperator(
-        TokenOperator("uniform", safety_tokens=safety_tokens),
-        TaskOperator("uniform"),
-        ContextOperator("uniform"),
-        bounds,
-    )
+    return UnifiedWeightOperator(TokenOperator(safety_tokens=safety_tokens), TaskOperator(),
+                                 ContextOperator(), bounds)

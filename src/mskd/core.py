@@ -94,6 +94,51 @@ class UnresolvedReference(MskdError):
 
 
 # ---------------------------------------------------------------------------
+# Field checks: a config class's FIELDS maps each field to (JSON kind, *check)
+# ---------------------------------------------------------------------------
+
+def at_least(lo: int) -> tuple:
+    return (lambda v, _: v >= lo), f"must be at least {lo}"
+
+
+UNIT = (lambda v, _: 0 < v <= 1, "must lie in (0, 1]")
+POSITIVE = (lambda v, _: v > 0, "must be positive")
+NONNEGATIVE = (lambda v, _: v >= 0, "must be nonnegative")
+_NUMERIC = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
+
+
+def finite_sum(values) -> bool:
+    """Whether ``values`` are numbers with a finite float sum (hence each one finite)."""
+    try:
+        return math.isfinite(math.fsum(values))
+    except (TypeError, ValueError, OverflowError):  # a non-number, inf - inf, an overflow
+        return False
+
+
+def field_problem(value, kind: type, check=None, message: str = "", world=None) -> str | None:
+    """What is wrong with ``value`` as a field of ``kind``, or None.
+
+    An int field takes an integer (numpy's too), a float field a finite number, and neither
+    a bool. ``check(value, world)`` returns True, False for ``message``, or a problem.
+    """
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, _NUMERIC.get(kind, kind)):
+        return f"must be {({int: 'an integer', float: 'a number'}).get(kind, kind.__name__)}"
+    if kind is float and not finite_sum([value]):
+        return "must be finite"
+    verdict = check is None or check(value, world)
+    return verdict if isinstance(verdict, str) else None if verdict else message
+
+
+def check_fields(obj) -> None:
+    """One ``MskdError`` naming, with its value, each field of ``obj`` its ``FIELDS`` rejects."""
+    problems = [f"{name}: {problem}, got {getattr(obj, name)!r}"
+                for name, entry in obj.FIELDS.items()
+                if (problem := field_problem(getattr(obj, name), *entry))]
+    if problems:
+        raise MskdError("; ".join(problems))
+
+
+# ---------------------------------------------------------------------------
 # Probability vectors
 # ---------------------------------------------------------------------------
 
@@ -336,15 +381,16 @@ class TeacherBank:
 class WeightBounds:
     """Per-teacher weight interval [w_min, w_max] plus a declared Lipschitz bound."""
 
-    w_min: float
-    w_max: float
+    w_min: float = 0.01
+    w_max: float = 0.99
     lipschitz: float = 25.0
+    FIELDS = {"w_min": (float, *POSITIVE), "w_max": (float, *POSITIVE),
+              "lipschitz": (float, *POSITIVE)}
 
     def __post_init__(self):
-        if not (0.0 < self.w_min <= self.w_max < math.inf):
-            raise InfeasibleBounds(f"need 0 < w_min <= w_max < inf, got [{self.w_min}, {self.w_max}]")
-        if not self.lipschitz > 0:  # NaN included
-            raise MskdError("declared Lipschitz constant must be positive")
+        check_fields(self)
+        if self.w_min > self.w_max:
+            raise InfeasibleBounds(f"need w_min <= w_max, got [{self.w_min}, {self.w_max}]")
 
     def check_feasible(self, k: int) -> None:
         """Reject (w_min, w_max, K) combinations no normalized vector can satisfy."""

@@ -31,11 +31,15 @@ import numpy as np
 
 from .composition import UnifiedWeightOperator, renormalized_mixture
 from .core import (
+    NONNEGATIVE,
+    POSITIVE,
     SAMPLE_BLOCK,
     InsufficientTrace,
     MskdError,
     NonFiniteLoss,
     World,
+    at_least,
+    check_fields,
     log_softmax,
     normalize_exact,  # unused here; perfbench/probes.py wraps distill.normalize_exact
     seeded_sampler,
@@ -59,24 +63,11 @@ class TrainerConfig:
     seed: int = 0
     eval_every: int = 100
     init_scale: float = 0.0
+    FIELDS = {"eta0": (float, *POSITIVE), "steps": (int, *NONNEGATIVE),
+              "ridge": (float, *NONNEGATIVE), "eval_every": (int, *at_least(1)),
+              "init_scale": (float, *NONNEGATIVE), "seed": (int, *NONNEGATIVE)}
 
-    def __post_init__(self):
-        for name in ("steps", "eval_every"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise MskdError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not self.eta0 > 0:  # NaN included
-            raise MskdError("eta0 must be positive")
-        if self.steps < 0:
-            raise MskdError("step count must be nonnegative")
-        if not self.ridge >= 0:  # NaN included
-            raise MskdError("ridge strength must be nonnegative")
-        if self.eval_every < 1:
-            raise MskdError("eval_every must be positive")
-        if not self.init_scale >= 0:  # NaN included
-            raise MskdError("init_scale must be nonnegative")
-        for name in ("eta0", "ridge", "init_scale"):
-            if not np.isfinite(getattr(self, name)):
-                raise MskdError(f"{name} must be finite, got {getattr(self, name)}")
+    __post_init__ = check_fields
 
 
 @dataclass

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import UnifiedWeightOperator, normalize_rows
-from .core import (MarginViolated, MskdError, Sampler, World, WeightBounds, seeded_sampler,
-                   softmax)
+from .core import (POSITIVE, UNIT, MarginViolated, MskdError, Sampler, World, WeightBounds,
+                   at_least, check_fields, seeded_sampler, softmax)
 from .distill import (CompiledObjective, _densify, _uniform_compiled, compile_objective,
                       solve_compiled)
 from .operators import clip_normalize
@@ -30,12 +30,9 @@ class WeightUpdateConfig:
     beta: float = 0.3
     max_iters: int = 500
     tol: float = 1e-10
+    FIELDS = {"beta": (float, *UNIT), "max_iters": (int, *at_least(1)), "tol": (float, *POSITIVE)}
 
-    def __post_init__(self):
-        if not 0.0 < self.beta <= 1.0:
-            raise MskdError(f"beta must lie in (0, 1], got {self.beta}")
-        if self.max_iters < 1 or not self.tol > 0:  # NaN included
-            raise MskdError("max_iters must be positive and tol > 0")
+    __post_init__ = check_fields
 
 
 @dataclass

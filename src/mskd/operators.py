@@ -39,6 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
+    POSITIVE,
     ContextSpec,
     MskdError,
     Sampler,
@@ -47,6 +48,7 @@ from .core import (
     WeightBounds,
     World,
     ZeroMass,
+    check_fields,
     entropy,
     validate_distribution,
 )
@@ -131,14 +133,6 @@ def inverse_entropy_weights_from_entropies(entropies, bounds: WeightBounds) -> n
 # Task- and context-scale families
 # ---------------------------------------------------------------------------
 
-def task_weights_performance(t: int, bank: TeacherBank, bounds: WeightBounds,
-                             tau: float = 0.5) -> np.ndarray:
-    """Performance softmax: raw_k = exp(perf[k, t] / tau)."""
-    if not tau > 0:  # NaN included
-        raise MskdError(f"temperature must be positive, got {tau}")
-    return clip_normalize(np.exp(bank.perf(t) / tau), bounds)
-
-
 def _inverse_mean_entropy(cells: np.ndarray, bounds: WeightBounds) -> np.ndarray:
     """Weights proportional to 1/(each teacher's entropy averaged over a stack of cells)."""
     return inverse_entropy_weights_from_entropies(entropy(cells).mean(axis=0), bounds)
@@ -185,8 +179,8 @@ TOKEN_FAMILIES: dict[str, Callable | None] = {
     "custom": None,
 }
 # Task entries: family A is 1/(loss + 1e-6) with loss = 1 - perf, family B linear in perf
-# (floored away from zero), inverse_entropy task-agnostic by design (a global uncertainty
-# tier over the table's cells in insertion order).
+# (floored away from zero), family C the softmax exp(perf / tau), inverse_entropy task-agnostic
+# by design (a global uncertainty tier over the table's cells in insertion order).
 TASK_FAMILIES: dict[str, Callable] = {
     "uniform": lambda op, t, bank, bounds: uniform_weights(bank.k, bounds),
     "inverse_entropy": lambda op, t, bank, bounds: _inverse_mean_entropy(
@@ -194,7 +188,7 @@ TASK_FAMILIES: dict[str, Callable] = {
     "family_a": lambda op, t, bank, bounds: clip_normalize(
         1.0 / ((1.0 - bank.perf(t)) + VARIANCE_FLOOR), bounds),
     "family_b": lambda op, t, bank, bounds: clip_normalize(bank.perf(t) + VARIANCE_FLOOR, bounds),
-    "family_c": lambda op, t, bank, bounds: task_weights_performance(t, bank, bounds, op.tau),
+    "family_c": lambda op, t, bank, bounds: clip_normalize(np.exp(bank.perf(t) / op.tau), bounds),
     "custom": lambda op, *a: op.fn(*a),
 }
 # Context entries, off the safety-critical set (``ContextOperator.weights``): consistency
@@ -210,9 +204,13 @@ CONTEXT_FAMILIES: dict[str, Callable] = {
 }
 
 
-def _check_family(op, scale: str, families: dict[str, Callable]) -> None:
-    if op.family not in families:
-        raise MskdError(f"unknown {scale} family {op.family!r}")
+def _family(families: dict[str, Callable]) -> tuple:
+    return (lambda v, _: v in families), f"must be one of {', '.join(map(repr, families))}"
+
+
+def _check(op, scale: str) -> None:
+    """``op``'s field checks, then a callable for a custom family."""
+    check_fields(op)
     if op.family == "custom" and op.fn is None:
         raise MskdError(f"custom {scale} operator needs a callable")
 
@@ -226,13 +224,11 @@ class TokenOperator:
     safety_tokens: frozenset[int] = frozenset()
     safety_adjustment: bool = True
     fn: Callable | None = None
+    FIELDS = {"family": (str, *_family(TOKEN_FAMILIES)), "alpha": (float, *POSITIVE),
+              "safety_adjustment": (bool,)}
 
     def __post_init__(self):
-        _check_family(self, "token", TOKEN_FAMILIES)
-        if self.family == "family_a" and not self.alpha > 0:  # NaN included
-            raise MskdError(f"alpha must be positive, got {self.alpha}")
-        if not np.isfinite(self.alpha):  # any family: else it fails only when evaluated
-            raise MskdError(f"alpha must be finite, got {self.alpha}")
+        _check(self, "token")
         object.__setattr__(self, "safety_tokens", frozenset(self.safety_tokens))
 
     def weights(self, x: int, i: int, c: int, bank: TeacherBank,
@@ -280,9 +276,10 @@ class TaskOperator:
     family: str = "uniform"
     tau: float = 0.5
     fn: Callable | None = None
+    FIELDS = {"family": (str, *_family(TASK_FAMILIES)), "tau": (float, *POSITIVE)}
 
     def __post_init__(self):
-        _check_family(self, "task", TASK_FAMILIES)
+        _check(self, "task")
 
     def weights(self, t: int, bank: TeacherBank, bounds: WeightBounds) -> np.ndarray:
         return np.asarray(TASK_FAMILIES[self.family](self, t, bank, bounds), dtype=np.float64)
@@ -294,9 +291,10 @@ class ContextOperator:
 
     family: str = "uniform"
     fn: Callable | None = None
+    FIELDS = {"family": (str, *_family(CONTEXT_FAMILIES))}
 
     def __post_init__(self):
-        _check_family(self, "context", CONTEXT_FAMILIES)
+        _check(self, "context")
 
     def weights(self, c: ContextSpec, bank: TeacherBank, bounds: WeightBounds) -> np.ndarray:
         if c.is_safety_critical and self.family not in ("uniform", "custom"):

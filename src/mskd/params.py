@@ -1,15 +1,15 @@
 """Field schemas (kind, default, check) of every config object, and their reader.
 
-Each object of the world, the ``bounds``, each scale of ``operators``, the
-``trainer`` and each experiment kind's ``params`` are declared once here, as
-schemas: field name -> ``(JSON kind, default)`` or ``(JSON kind, default,
-check, message)``, where a default of ``...`` marks a required field.
-``read_section`` resolves an object into a read-only mapping with every field
-of its schema: absent fields take their defaults, and present ones come back
-as their kind. It names every unknown, missing and bad field, one line per
-field, so a bad config exits with code 2 before anything runs. Non-finite
-numbers are left to the config parser's own walk of the document. The keys of
-``PARAMS`` are the experiment kinds; ``KIND_CHECKS`` holds their cross-section checks.
+A schema maps each field name to ``(JSON kind, default)`` or ``(JSON kind, default,
+check, message)``, where a default of ``...`` marks a required field. The objects of
+the world and each kind's ``params`` are declared here; the ``bounds``, each scale of
+``operators``, the ``trainer`` and the ``fixed_point`` and safety params are their
+config classes' ``FIELDS`` (``schema``), so the parser and the constructors check the
+same values. ``read_section`` resolves an object into a read-only mapping with every
+field of its schema: absent fields take their defaults, and present ones come back as
+their kind. It names every unknown, missing and bad field, one line per field, so a bad
+config exits with code 2 before anything runs. The keys of ``PARAMS`` are the
+experiment kinds; ``KIND_CHECKS`` holds their cross-section checks.
 """
 
 from __future__ import annotations
@@ -20,8 +20,11 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import CONSTRUCTION_TOL, ParseError, World
+from .core import (CONSTRUCTION_TOL, NONNEGATIVE, POSITIVE, UNIT, ParseError, World, at_least,
+                   field_problem, finite_sum)
 from .distill import FIT_POINTS
+from .dynamics import WeightUpdateConfig
+from .safety import SafetyConfig
 
 
 def _numbers(v: list) -> bool:
@@ -29,21 +32,14 @@ def _numbers(v: list) -> bool:
     return set(map(type, v)) <= {int, float}
 
 
-def json_value(kind: type, value, name: str):
-    """``value``, not copied, if it is a JSON value of ``kind`` (an integer passes, as a float)."""
-    if isinstance(value, bool) != (kind is bool) or \
-            not isinstance(value, (int, float) if kind is float else kind):
-        raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
-    return float(value) if kind is float else value
-
-
 def read_section(section: dict, schema: dict, prefix: str, world: World | None = None):
     """``section`` resolved against ``schema``; a ``ParseError`` holds one line per bad field.
 
-    An integer passes as a float, and null passes where the default is null.
-    A field whose default is ``...`` is required, as is a ``section`` given as ``...``.
-    ``check(value, world)`` (world None if it did not parse) returns True,
-    False for the entry's message, or the text of a more specific problem.
+    Each field is judged by ``core.field_problem`` (``world`` None if it did not parse): an
+    integer passes as a float and comes back as one, and null passes where the default is
+    null. A field whose default is ``...`` is required, as is a ``section`` given as ``...``.
+    A number read as a non-finite float gets the line of the config parser's walk of the
+    document, ``path: non-finite number``, which the parser reports once.
     """
     if not isinstance(section, dict):
         problem = "missing field" if section is ... else "must be an object"
@@ -54,29 +50,25 @@ def read_section(section: dict, schema: dict, prefix: str, world: World | None =
         value = section.get(name, default)
         if value is ...:
             errors.append(f"{prefix}{name}: missing field")
-            continue
-        try:
-            if value is not None or default is not None:
-                value = json_value(kind, value, f"{prefix}{name}:")
-        except TypeError as exc:
-            errors.append(str(exc))
-            continue
-        verdict = value is None or not check or check[0](value, world)
-        if verdict is not True:
-            errors.append(f"{prefix}{name}: {verdict or check[1]}")
-        fields[name] = value
+        elif type(value) in (int, float) and not finite_sum([value]) and (
+                kind is float or type(value) is float):  # read as a float
+            errors.append(f"{prefix}{name}: non-finite number")
+        elif (value is not None or default is not None) and (
+                problem := field_problem(value, kind, *check, world=world)):
+            errors.append(f"{prefix}{name}: {problem}")
+        else:
+            fields[name] = float(value) if kind is float and value is not None else value
     if errors:
         raise ParseError(*errors)
     return MappingProxyType(fields)
 
 
-def _at_least(lo: int) -> tuple:
-    return (lambda v, _: v >= lo), f"must be at least {lo}"
+def schema(cls, **cli_defaults) -> dict:
+    """A config dataclass's ``FIELDS`` as a schema, each default the class's unless given."""
+    return {name: (kind, cli_defaults.get(name, getattr(cls, name, ...)), *check)
+            for name, (kind, *check) in cls.FIELDS.items()}
 
 
-_UNIT = (lambda v, _: 0 < v <= 1, "must lie in (0, 1]")
-_POSITIVE = (lambda v, _: v > 0, "must be positive")
-_NONNEGATIVE = (lambda v, _: v >= 0, "must be nonnegative")
 _NUMBER_LIST = (lambda v, _: _numbers(v), "must be a list of numbers")
 
 
@@ -114,15 +106,6 @@ WORLD_FIELDS = {
         list, ..., lambda v, _: all(isinstance(r, list) and _numbers(r) for r in v),
         "must be a list of lists of numbers")},
 }
-# the bounds, operator and trainer schemas (the trainer's seed defaults to the config's seed)
-BOUNDS_FIELDS = {"w_min": (float, 0.01), "w_max": (float, 0.99), "lipschitz": (float, 25.0)}
-OPERATOR_FIELDS = {"token": {"family": (str, "uniform"), "alpha": (float, 1.0, *_POSITIVE),
-                             "safety_adjustment": (bool, True)},
-                   "task": {"family": (str, "uniform"), "tau": (float, 0.5, *_POSITIVE)},
-                   "context": {"family": (str, "uniform")}}
-TRAINER_FIELDS = {"eta0": (float, 1.0, *_POSITIVE), "steps": (int, 1000, *_NONNEGATIVE),
-                  "ridge": (float, 0.0, *_NONNEGATIVE), "eval_every": (int, 100, *_at_least(1)),
-                  "init_scale": (float, 0.0, *_NONNEGATIVE), "seed": (int, 0, *_NONNEGATIVE)}
 
 
 def _labels(rows: list, world: World | None) -> bool | str:
@@ -144,10 +127,8 @@ def _labels(rows: list, world: World | None) -> bool | str:
     return "; ".join(problems) or True
 
 
-_SAFETY_PARAMS = {"s_min": (float, 0.5, *_UNIT), "dual_step": (float, 0.5, *_POSITIVE),
-                  "max_dual_iters": (int, 200, *_at_least(1)),
-                  "labels": (list, ..., _labels,
-                             "must be a list of {input, context, token} objects of integers")}
+_SAFETY_PARAMS = {**schema(SafetyConfig, s_min=0.5), "labels": (
+    list, ..., _labels, "must be a list of {input, context, token} objects of integers")}
 
 # kind -> the params its suite reads; a "ridge" defaults to the trainer's ridge where
 # that is positive
@@ -157,25 +138,24 @@ PARAMS = {
         lambda v, world: _numbers(v) and min(v, default=-1) >= 0
         and (world is None or len(v) == world.bank.k),
         "must be one nonnegative number per teacher")},
-    "conformance": {"n_samples": (int, 1000, *_at_least(1)), "scales": (
+    "conformance": {"n_samples": (int, 1000, *at_least(1)), "scales": (
         list, ["token", "task", "context"],
         lambda v, _: 0 < len(v) == len({s for s in v if s in ("token", "task", "context")}),
         "must be a nonempty list of distinct scales: 'token', 'task' and 'context'")},
     "train": {"compare_classic": (bool, False)},
-    "rate": {"n_seeds": (int, 10, *_at_least(1)), "kl_tol": (float, 1e-3, *_NONNEGATIVE),
+    "rate": {"n_seeds": (int, 10, *at_least(1)), "kl_tol": (float, 1e-3, *NONNEGATIVE),
              "slope_low": (float, -1.3), "slope_high": (float, -0.7)},
-    "fixed_point": {"beta": (float, 0.3, *_UNIT), "max_iters": (int, 500, *_at_least(1)),
-                    "tol": (float, 1e-10, *_POSITIVE), "n_pairs": (int, 100, *_at_least(1)),
-                    "n_starts": (int, 10, *_at_least(0))},
-    "perturbation": {"ridge": (float, 0.01, *_POSITIVE), "deltas": (
+    "fixed_point": {**schema(WeightUpdateConfig), "n_pairs": (int, 100, *at_least(1)),
+                    "n_starts": (int, 10, *at_least(0))},
+    "perturbation": {"ridge": (float, 0.01, *POSITIVE), "deltas": (
         list, [1e-3, 1e-2, 1e-1],
         lambda v, _: _numbers(v) and min(v, default=-1) >= 0 and max(v) > 0,
         "must be a list of nonnegative numbers, at least one positive")},
-    "variance": {"n_samples": (int, 10_000, *_at_least(100)),
-                 "init_scale": (float, 1.0, *_NONNEGATIVE)},
-    "safety": {**_SAFETY_PARAMS, "s_min_inactive": (float, None, *_UNIT)},
-    "pareto": {**_SAFETY_PARAMS, "mu_max": (float, 2.0, *_NONNEGATIVE),
-               "n_mu": (int, 20, *_at_least(1)), "ridge": (float, 0.01, *_POSITIVE)},
+    "variance": {"n_samples": (int, 10_000, *at_least(100)),
+                 "init_scale": (float, 1.0, *NONNEGATIVE)},
+    "safety": {**_SAFETY_PARAMS, "s_min_inactive": (float, None, *UNIT)},
+    "pareto": {**_SAFETY_PARAMS, "mu_max": (float, 2.0, *NONNEGATIVE),
+               "n_mu": (int, 20, *at_least(1)), "ridge": (float, 0.01, *POSITIVE)},
 }
 
 

@@ -25,7 +25,6 @@ import argparse
 import datetime
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -37,6 +36,7 @@ import numpy as np
 from . import __version__
 from .composition import UnifiedWeightOperator, uniform_unified, weighted_ensemble
 from .core import (
+    NONNEGATIVE,
     ContextSpec,
     InputSpec,
     MskdError,
@@ -46,6 +46,7 @@ from .core import (
     VocabularySpec,
     WeightBounds,
     World,
+    finite_sum,
     seeded_sampler,
 )
 from .distill import (
@@ -77,16 +78,7 @@ from .operators import (
     inverse_entropy_weights_from_entropies,
     uniform_weights,
 )
-from .params import (
-    BOUNDS_FIELDS,
-    KIND_CHECKS,
-    OPERATOR_FIELDS,
-    PARAMS,
-    TRAINER_FIELDS,
-    WORLD_FIELDS,
-    json_value,
-    read_section,
-)
+from .params import KIND_CHECKS, PARAMS, WORLD_FIELDS, read_section, schema
 from .safety import (
     SafetyConfig,
     dual_ascent_solve,
@@ -99,6 +91,7 @@ from .safety import (
 EXPERIMENT_KINDS = tuple(PARAMS)
 
 CONFIG_FIELDS = ("kind", "seed", "world", "bounds", "operators", "trainer", "params", "out")
+OPERATORS = {"token": TokenOperator, "task": TaskOperator, "context": ContextOperator}
 
 OUTPUT_ENV_VAR = "AWKD_OUT"
 
@@ -135,25 +128,17 @@ def _non_finite_paths(doc) -> list[str]:
         path, node = stack.pop()
         if isinstance(node, dict):
             stack += ((f"{path}.{key}", value) for key, value in node.items())
-        elif isinstance(node, (list, tuple)) and not _finite_sum(node):
+        elif isinstance(node, (list, tuple)) and not finite_sum(node):
             stack += ((f"{path}[{i}]", value) for i, value in enumerate(node))
-        elif isinstance(node, (int, float)) and not _finite_sum([node]):
+        elif isinstance(node, (int, float)) and not finite_sum([node]):
             found.append(path.lstrip("."))
     return found[::-1]  # the stack visits the leaves last to first
 
 
-def _finite_sum(values) -> bool:
-    """Whether ``values`` are numbers with a finite float sum (hence each one finite)."""
+def _collect(errors: list[str], section: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, or None after adding one line to ``errors`` if it raises."""
     try:
-        return math.isfinite(math.fsum(values))
-    except (TypeError, ValueError, OverflowError):  # a non-number, inf - inf, an overflow
-        return False
-
-
-def _collect(errors: list[str], section: str, build, *args):
-    """``build(*args)``, or None after adding one line to ``errors`` if it raises."""
-    try:
-        return build(*args)
+        return build(*args, **kwargs)
     except ParseError as exc:  # already one line per bad field
         errors += exc.args
     except (MskdError, LookupError, ValueError, TypeError, AttributeError, ArithmeticError) as exc:
@@ -190,8 +175,13 @@ def _build_world(wd: dict) -> World:
                               c["safety_critical"]) for c in contexts], bank)
 
 
+def _build(cls, node, path: str, **cli_defaults):
+    """The config class ``cls`` built from the object at ``path``, read against its ``FIELDS``."""
+    return cls(**read_section(node, schema(cls, **cli_defaults), f"{path}."))
+
+
 def _build_bounds(bd: dict, world: World | None) -> WeightBounds:
-    bounds = WeightBounds(**read_section(bd, BOUNDS_FIELDS, "bounds."))
+    bounds = _build(WeightBounds, bd, "bounds")
     if world is not None:
         bounds.check_feasible(world.bank.k)
     return bounds
@@ -199,18 +189,16 @@ def _build_bounds(bd: dict, world: World | None) -> WeightBounds:
 
 def _build_operator(ops: dict, world: World | None,
                     bounds: WeightBounds | None) -> UnifiedWeightOperator | None:
-    scales = read_section(ops, {scale: (dict, {}) for scale in OPERATOR_FIELDS}, "operators.")
-    tok, task, ctx = (read_section(scales[scale], schema, f"operators.{scale}.")
-                      for scale, schema in OPERATOR_FIELDS.items())
-    safety_tokens = world.vocab.safety_tokens if world is not None else frozenset()
-    scale_ops = (TokenOperator(**tok, safety_tokens=safety_tokens), TaskOperator(**task),
-                 ContextOperator(**ctx))
-    return None if bounds is None else UnifiedWeightOperator(*scale_ops, bounds)
-
-
-def _build_trainer(tr: dict, seed: int) -> TrainerConfig:
-    schema = {**TRAINER_FIELDS, "seed": (int, seed, *TRAINER_FIELDS["seed"][2:])}
-    return TrainerConfig(**read_section(tr, schema, "trainer."))
+    """The unified operator, after each scale is read and built under its own path."""
+    scales = read_section(ops, {scale: (dict, {}) for scale in OPERATORS}, "operators.")
+    errors = []
+    tok, task, ctx = [_collect(errors, f"operators.{scale}", _build, cls, scales[scale],
+                               f"operators.{scale}") for scale, cls in OPERATORS.items()]
+    if errors:
+        raise ParseError(*errors)
+    if world is not None:
+        tok = replace(tok, safety_tokens=world.vocab.safety_tokens)
+    return None if bounds is None else UnifiedWeightOperator(tok, task, ctx, bounds)
 
 
 def parse_config_dict(doc: dict) -> ExperimentConfig:
@@ -222,15 +210,15 @@ def parse_config_dict(doc: dict) -> ExperimentConfig:
     kind = doc.get("kind")
     if kind not in EXPERIMENT_KINDS:
         errors.append(f"kind: expected one of {EXPERIMENT_KINDS}, got {kind!r}")
-    seed = _collect(errors, "seed", json_value, int, doc.get("seed", 0), "seed")
-    if seed is not None and seed < 0:
-        errors.append("seed: must be nonnegative")
+    top = _collect(errors, "seed", read_section, {"seed": doc.get("seed", 0)},
+                   {"seed": (int, 0, *NONNEGATIVE)}, "")
+    seed = top and top["seed"]
     world = _collect(errors, "world", _build_world, doc.get("world", ...))
     bounds = _collect(errors, "bounds", _build_bounds, doc.get("bounds", {}), world)
     operator = _collect(errors, "operators", _build_operator, doc.get("operators", {}),
                         world, bounds)
-    trainer = _collect(errors, "trainer", _build_trainer, doc.get("trainer", {}),
-                       max(seed or 0, 0))
+    trainer = _collect(errors, "trainer", _build, TrainerConfig, doc.get("trainer", {}),
+                       "trainer", seed=seed or 0)  # the trainer's seed defaults to the config's
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
         errors.append("out: must be a string")
@@ -243,8 +231,8 @@ def parse_config_dict(doc: dict) -> ExperimentConfig:
                           "params.", world)
         errors += filter(None, (check(params, world, bounds, trainer)
                                 for check in KIND_CHECKS.get(kind, ())))
-    if errors:
-        raise ParseError("invalid config:\n  - " + "\n  - ".join(errors))
+    if errors:  # a non-finite number's line comes from the walk and from its section
+        raise ParseError("invalid config:\n  - " + "\n  - ".join(dict.fromkeys(errors)))
     return ExperimentConfig(
         kind=kind, world=world, bounds=bounds, operator=operator, trainer=trainer,
         params=params, seed=seed, out=out, config_hash=_canonical_hash(doc), raw=doc,
@@ -455,7 +443,7 @@ def _run_fixed_point(cfg: ExperimentConfig, rec: RunRecord) -> None:
     spread = max([0.0] + [float(np.max(np.abs(tr.w_star - w_star))) for tr in others])
     rec.check("fixed_point_unique", spread, 1e-6, compare="le")
     control = identical_teachers_world(k)
-    control_bounds = WeightBounds(0.01, 0.99, cfg.bounds.lipschitz)
+    control_bounds = WeightBounds(lipschitz=cfg.bounds.lipschitz)
     rho_control = estimate_contraction(fp_cfg, control, control_bounds, sampler, 50)
     rec.check("constant_target_ratio", rho_control, 1.0 - beta, 1e-9)
     rec.add_table("fixed_point", ["iteration", "distance"],

@@ -23,6 +23,8 @@ import numpy as np
 
 from .composition import UnifiedWeightOperator
 from .core import (
+    POSITIVE,
+    UNIT,
     DualStall,
     Infeasible,
     MissingLabel,
@@ -30,6 +32,8 @@ from .core import (
     NegativeMultiplier,
     NonConformantOperator,
     World,
+    at_least,
+    check_fields,
     seeded_sampler,
     softmax,
 )
@@ -47,12 +51,11 @@ class SafetyConfig:
     labels: Mapping[tuple[int, int], int]   # (input id, context id) -> token
     dual_step: float = 0.5
     max_dual_iters: int = 200
+    FIELDS = {"s_min": (float, *UNIT), "dual_step": (float, *POSITIVE),
+              "max_dual_iters": (int, *at_least(1))}
 
     def __post_init__(self):
-        if not 0.0 < self.s_min <= 1.0:
-            raise MskdError(f"safety threshold must lie in (0, 1], got {self.s_min}")
-        if not 0 < self.dual_step < np.inf:
-            raise MskdError(f"dual step must be positive and finite, got {self.dual_step}")
+        check_fields(self)
         object.__setattr__(self, "labels", dict(self.labels))
 
     def label(self, input_id: int, context_id: int) -> int:

@@ -30,6 +30,8 @@ from mskd.core import (
 )
 from mskd.distill import TrainerConfig
 from mskd.dynamics import WeightUpdateConfig
+from mskd.operators import ContextOperator, TaskOperator, TokenOperator
+from mskd.safety import SafetyConfig
 
 from fixture_worlds import conformance_world, convergence_world, safety_world
 from reference_compile import fraction_normalize, reference_entropy
@@ -204,6 +206,37 @@ class TestWeightBounds:
 
     def test_feasible_case_passes(self):
         WeightBounds(0.2, 0.8).check_feasible(2)
+
+
+FAMILIES = "'uniform', 'inverse_entropy', 'family_a', 'family_b', 'family_c', 'custom'"
+
+
+@pytest.mark.parametrize("make,message", [
+    # a bad w_min once hid a zero lipschitz, in "need 0 < w_min <= w_max < inf"
+    (lambda: WeightBounds(-0.1, 0.99, 0.0),
+     "w_min: must be positive, got -0.1; lipschitz: must be positive, got 0.0"),
+    (lambda: WeightBounds(0.01, math.inf), "w_max: must be finite, got inf"),
+    (lambda: TrainerConfig(seed=-1), "seed: must be nonnegative, got -1"),
+    (lambda: TrainerConfig(eta0="1", steps=True), "eta0: must be a number, got '1'; "
+                                                  "steps: must be an integer, got True"),
+    (lambda: SafetyConfig(0.5, {}, max_dual_iters=0), "max_dual_iters: must be at least 1, got 0"),
+    (lambda: SafetyConfig(0.0, {}, dual_step=math.inf),
+     "s_min: must lie in (0, 1], got 0.0; dual_step: must be finite, got inf"),
+    (lambda: WeightUpdateConfig(1.5, 0, 0.0), "beta: must lie in (0, 1], got 1.5; "
+                                              "max_iters: must be at least 1, got 0; "
+                                              "tol: must be positive, got 0.0"),
+    (lambda: TokenOperator("family_z", alpha=0.0, safety_adjustment=1),
+     f"family: must be one of {FAMILIES}, got 'family_z'; alpha: must be positive, got 0.0; "
+     "safety_adjustment: must be bool, got 1"),
+    (lambda: TaskOperator("family_c", tau=0.0), "tau: must be positive, got 0.0"),
+    (lambda: ContextOperator("custom"), "custom context operator needs a callable"),
+], ids=["bounds", "w_max", "seed", "kinds", "max_dual_iters", "safety", "weight_update", "token",
+        "task", "custom"])
+def test_config_fields_named_with_their_values(make, message):
+    # each config class checks its FIELDS at construction, the rules the config parser applies
+    with pytest.raises(MskdError) as exc:
+        make()
+    assert str(exc.value) == message
 
 
 def _world_with_context_weight(v: float) -> World:

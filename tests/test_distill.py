@@ -139,7 +139,7 @@ class TestSgdTrain:
     ])
     def test_non_finite_and_non_integral_settings_rejected(self, field, value, message):
         # the CLI parser rejects these first; a config built in code fails here, not mid-run
-        with pytest.raises(MskdError, match=f"^{field} {message}$"):
+        with pytest.raises(MskdError, match=f"^{field}: {message}$"):
             TrainerConfig(**{field: value})
         valid = {"steps": np.int64(5), "eval_every": np.int32(5)}.get(field, 2.0)  # numpy ints pass
         TrainerConfig(**{field: valid})

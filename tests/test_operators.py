@@ -32,7 +32,6 @@ from mskd.operators import (
     clip_normalize,
     context_weights_safety,
     inverse_entropy_weights_from_entropies,
-    task_weights_performance,
     uniform_weights,
 )
 
@@ -165,10 +164,11 @@ class TestTokenKernels:
         assert calls == [(x.id, i, c.id) for x in world.inputs for c in world.contexts
                          for i in range(v)]
 
-    def test_family_a_alpha_checked_at_construction(self):
-        with pytest.raises(operators.MskdError, match="alpha must be positive"):
-            TokenOperator("family_a", alpha=0.0)
-        TokenOperator("family_c", alpha=0.0)  # family C does not require it
+    @pytest.mark.parametrize("family", TOKEN_FAMILIES)
+    def test_alpha_checked_at_construction(self, family):
+        # every family, as the config parser checks it: family C once took alpha 0
+        with pytest.raises(operators.MskdError, match=r"^alpha: must be positive, got 0\.0$"):
+            TokenOperator(family, alpha=0.0)
 
     @pytest.mark.parametrize("name", ["conformance", "zero_entries", "safety"])
     @pytest.mark.parametrize("family", TOKEN_FAMILIES)
@@ -210,16 +210,16 @@ def _alpha(family):
 
 
 def _tau(v):
-    return task_weights_performance(0, conformance_world().bank, WIDE, tau=v)
+    return TaskOperator("family_c", tau=v).weights(0, conformance_world().bank, WIDE)
 
 
 @pytest.mark.parametrize("make,value,message", [
-    *(pytest.param(make, value, "must be positive", id=f"{value}-{name}")
-      for value in (math.nan, 0.0)
+    *(pytest.param(make, value, f"^{name}: must be {problem}, got {value}$", id=f"{value}-{name}")
+      for value, problem in ((math.nan, "finite"), (0.0, "positive"))
       for name, make in (("alpha", _alpha("family_a")), ("tau", _tau))),
-    *(pytest.param(_alpha(family), math.nan, "alpha must be finite", id=f"nan-alpha-{family}")
+    *(pytest.param(_alpha(family), math.nan, "alpha: must be finite", id=f"nan-alpha-{family}")
       for family in ("uniform", "inverse_entropy", "family_b", "family_c")),
-    pytest.param(_alpha("family_a"), math.inf, "alpha must be finite", id="inf-alpha"),
+    pytest.param(_alpha("family_a"), math.inf, "alpha: must be finite", id="inf-alpha"),
     pytest.param(lambda v: clip_normalize(np.array([v, 1.0]), WIDE), math.nan,
                  "raw weights must be positive", id="nan-clip_normalize"),
 ])
@@ -332,14 +332,14 @@ class TestTaskPerformance:
         from mskd.core import TeacherBank
         table = {(0, 0): np.array([APPENDIX_TEACHER_1, APPENDIX_TEACHER_2])}
         bank = TeacherBank(2, table, {0: np.array([0.7, 0.7])}, np.array([0.5, 0.5]))
-        np.testing.assert_allclose(task_weights_performance(0, bank, WIDE, tau=0.5),
+        np.testing.assert_allclose(TaskOperator("family_c", tau=0.5).weights(0, bank, WIDE),
                                    [0.5, 0.5], atol=1e-15)
 
     def test_softmax_oracle(self):
         from mskd.core import TeacherBank
         table = {(0, 0): np.array([APPENDIX_TEACHER_1, APPENDIX_TEACHER_2])}
         bank = TeacherBank(2, table, {0: np.array([0.9, 0.5])}, np.array([0.5, 0.5]))
-        w = task_weights_performance(0, bank, WIDE, tau=0.2)
+        w = TaskOperator("family_c", tau=0.2).weights(0, bank, WIDE)
         e1, e2 = math.exp(0.9 / 0.2), math.exp(0.5 / 0.2)
         assert w[0] == pytest.approx(e1 / (e1 + e2), abs=1e-12)
         assert w[0] == pytest.approx(0.8808, abs=5e-5)
@@ -348,14 +348,14 @@ class TestTaskPerformance:
         from mskd.core import TeacherBank
         table = {(0, 0): np.array([APPENDIX_TEACHER_1, APPENDIX_TEACHER_2])}
         bank = TeacherBank(2, table, {0: np.array([0.9, 0.1])}, np.array([0.5, 0.5]))
-        w = task_weights_performance(0, bank, WIDE, tau=1e9)
+        w = TaskOperator("family_c", tau=1e9).weights(0, bank, WIDE)
         np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-6)
 
     def test_missing_scores(self):
         from mskd.core import MissingScores
         world = appendix_world()
         with pytest.raises(MissingScores):
-            task_weights_performance(99, world.bank, WIDE)
+            TaskOperator("family_c").weights(99, world.bank, WIDE)
 
 
 class TestContextSafety:

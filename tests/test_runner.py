@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,11 +12,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mskd.core import MskdError, ParseError
-from mskd.params import PARAMS
+from mskd.core import MskdError, ParseError, WeightBounds
+from mskd.distill import TrainerConfig
+from mskd.dynamics import WeightUpdateConfig
+from mskd.operators import ContextOperator, TaskOperator, TokenOperator
+from mskd.params import PARAMS, read_section, schema
+from mskd.safety import SafetyConfig
 from mskd.runner import (
     EXPERIMENT_KINDS,
     emit_summary,
@@ -448,6 +453,77 @@ class TestParamsSchema:
             "params.betta", "params.beta", "params.max_iters", "params.n_starts"]
 
 
+# each config class: the CLI defaults its schema takes (params.schema), and the constructor
+# arguments of the fields its FIELDS do not declare or the CLI defaults
+CONFIG_CLASSES = [(TrainerConfig, {}, {}), (WeightBounds, {}, {}), (TokenOperator, {}, {}),
+                  (TaskOperator, {}, {}), (ContextOperator, {}, {}),
+                  (SafetyConfig, {"s_min": 0.5}, {"s_min": 0.5, "labels": {}}),
+                  (WeightUpdateConfig, {}, {})]
+# JSON values of every kind, with the edges of the checks: zeros, bounds, non-finite numbers,
+# integers beyond the float range and the family names
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-3, 3), st.floats(-2.0, 2.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, 1e-300, 10 ** 400, -10 ** 400, 0.99, 0.999, 0.005]),
+    st.text(max_size=3), st.sampled_from(["uniform", "inverse_entropy", "family_a", "family_b",
+                                          "family_c", "family_z"]),
+    st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(),
+                                                         max_size=1))
+
+
+def _breaks_a_cross_field_invariant(name: str, value) -> bool:
+    """w_min above the default w_max, w_max below the default w_min, or a custom family,
+    which needs a callable: rules between fields, which a section read alone does not judge."""
+    number = type(value) in (int, float) and abs(value) < math.inf  # a NaN compares false
+    return (name == "w_min" and number and value > WeightBounds.w_max
+            or name == "w_max" and number and 0 < value < WeightBounds.w_min
+            or name == "family" and value == "custom")
+
+
+class TestConfigFields:
+    @pytest.mark.parametrize("cls,cli_defaults,extra,name", [
+        pytest.param(cls, cli_defaults, extra, name, id=f"{cls.__name__}.{name}")
+        for cls, cli_defaults, extra in CONFIG_CLASSES for name in cls.FIELDS])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_parser_and_constructor_accept_the_same_values(self, cls, cli_defaults, extra, name,
+                                                           data):
+        # one FIELDS entry is both checks: the library once took a family C alpha of 0 and
+        # the parser a lipschitz of 0, each of which the other refused
+        value = data.draw(JSON_VALUES)
+        assume(not _breaks_a_cross_field_invariant(name, value))
+        try:
+            fields = read_section({name: value}, schema(cls, **cli_defaults), "section.")
+        except ParseError:
+            fields = None
+        try:
+            built = cls(**{**extra, name: value})
+        except MskdError:
+            built = None
+        assert (fields is None) == (built is None), (name, value, fields, built)
+        if fields is not None:  # the section as read, defaults included, builds too
+            cls(**{**extra, **fields})
+
+    def test_empty_sections_build_the_class_defaults(self):
+        # the dataclass default is the only default; the parser adds the trainer's seed (the
+        # config's) and s_min's 0.5
+        doc = copy.deepcopy(BUNDLED_DOCS["conformance"])
+        doc.update(seed=7, bounds={}, operators={}, trainer={})
+        cfg = parse_config_dict(doc)
+        assert cfg.bounds == WeightBounds()
+        assert cfg.operator.token_op == TokenOperator(safety_tokens=cfg.world.vocab.safety_tokens)
+        assert (cfg.operator.task_op, cfg.operator.context_op) == (TaskOperator(), ContextOperator())
+        assert cfg.trainer == TrainerConfig(seed=7)
+        doc = copy.deepcopy(BUNDLED_DOCS["safety"])
+        cfg = parse_config_dict({**doc, "params": {"labels": doc["params"]["labels"]}})
+        labels = {(r["input"], r["context"]): r["token"] for r in cfg.params["labels"]}
+        assert SafetyConfig(labels=labels, **{k: cfg.params[k] for k in SafetyConfig.FIELDS}) == \
+            SafetyConfig(0.5, labels)
+        params = parse_config_dict({**BUNDLED_DOCS["fixed_point"], "params": {}}).params
+        assert WeightUpdateConfig(**{k: params[k] for k in WeightUpdateConfig.FIELDS}) == \
+            WeightUpdateConfig()
+
+
 def _main_on(doc: dict, command: str, tmp_path: Path, *flags: str) -> int:
     """The exit code of ``mskd <command>`` on ``doc`` written to a file (runs write under tmp)."""
     p = tmp_path / "config.json"
@@ -673,6 +749,63 @@ class TestCli:
         assert _main_on(doc, "validate", tmp_path) == 2
         assert capsys.readouterr().err.endswith(
             "  - trainer.eta0: must be positive\n  - trainer.steps: must be nonnegative\n")
+
+    @pytest.mark.parametrize("kind,params", [
+        ("safety", {"s_min": 0.0, "dual_step": 0.0, "max_dual_iters": 0}),
+        ("fixed_point", {"beta": 0.0, "max_iters": 0, "tol": 0.0})])
+    def test_every_bad_config_field_named_in_one_run(self, tmp_path, kind, params, capsys):
+        # bounds and the family names were once checked only by their constructors, which
+        # named neither path nor value, and only the first bad field of a section
+        doc = copy.deepcopy(BUNDLED_DOCS[kind])
+        bad = {"bounds": {"w_min": -0.1, "w_max": 0.0, "lipschitz": 0.0},
+               "operators.token": {"family": "family_z", "alpha": 0.0, "safety_adjustment": 1},
+               "operators.task": {"family": "family_z", "tau": 0.0},
+               "operators.context": {"family": "family_z"},
+               "trainer": {"eta0": 0.0, "steps": -1, "ridge": -1.0, "eval_every": 0,
+                           "init_scale": -1.0, "seed": -1},
+               "params": params}
+        doc.update(bounds=bad["bounds"], trainer=bad["trainer"], operators={
+            scale: bad[f"operators.{scale}"] for scale in ("token", "task", "context")})
+        doc["params"].update(params)
+        assert _main_on(doc, "validate", tmp_path) == 2
+        lines = capsys.readouterr().err.splitlines()[1:]
+        assert [line.split(": ")[0] for line in lines] == [
+            f"  - {section}.{name}" for section, fields in bad.items() for name in fields]
+        assert "  - operators.context.family: must be one of 'uniform', 'inverse_entropy', " \
+               "'family_a', 'family_b', 'family_c', 'custom'" in lines
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_each_operator_scale_reported(self, tmp_path, command, capsys):
+        # the three scales were read in one pass: the first bad scale hid the others
+        doc = copy.deepcopy(BUNDLED_DOCS["conformance"])
+        doc["operators"] = {"token": {"alpha": 0}, "task": {"tau": 0}, "context": {"famliy": "x"}}
+        assert _main_on(doc, command, tmp_path) == 2
+        assert capsys.readouterr().err.endswith(
+            "  - operators.token.alpha: must be positive\n  - operators.task.tau: must be "
+            "positive\n  - operators.context.famliy: unknown field\n")
+        doc["operators"] = {"token": {"family": "custom"}, "context": {"family": "custom"}}
+        assert _main_on(doc, command, tmp_path) == 2  # a constructor's error names its scale
+        assert capsys.readouterr().err.endswith(
+            "  - operators.token: custom token operator needs a callable\n"
+            "  - operators.context: custom context operator needs a callable\n")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])  # NaN, Infinity, -Infinity
+    @pytest.mark.parametrize("kind,path", [
+        ("train", ("trainer", "ridge")), ("train", ("trainer", "eta0")),
+        ("train", ("trainer", "steps")), ("train", ("bounds", "lipschitz")),
+        ("conformance", ("operators", "task", "tau")), ("fixed_point", ("params", "beta")),
+        ("safety", ("params", "max_dual_iters")), ("train", ("seed",))],
+        ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
+    def test_non_finite_number_named_once(self, tmp_path, value, kind, path, capsys):
+        # "ridge": NaN once gave a second line, "trainer.ridge: must be nonnegative"
+        doc = copy.deepcopy(BUNDLED_DOCS[kind])
+        node = doc
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+        assert _main_on(doc, "validate", tmp_path) == 2
+        assert capsys.readouterr().err == (
+            f"config error: invalid config:\n  - {'.'.join(path)}: non-finite number\n")
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_task_without_perf_scores_exit_two(self, tmp_path, command, capsys):
