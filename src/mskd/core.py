@@ -148,7 +148,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def validate_distribution(p, vocab_size: int | None = None) -> np.ndarray:
+def validate_distribution(p) -> np.ndarray:
     """Validate a raw vector, or each vector along the last axis of a stack, as a distribution.
 
     Returns a read-only float64 array of the same shape. Entries in (-1e-12, 0)
@@ -159,8 +159,6 @@ def validate_distribution(p, vocab_size: int | None = None) -> np.ndarray:
     arr = np.asarray(p, dtype=np.float64)
     if arr.ndim < 1:
         raise DimensionMismatch(f"expected probability vectors, got shape {arr.shape}")
-    if vocab_size is not None and arr.shape[-1] != vocab_size:
-        raise DimensionMismatch(f"expected length {vocab_size}, got {arr.shape[-1]}")
     if np.any(arr < -CONSTRUCTION_TOL):
         worst = float(arr.min())
         raise NegativeMass(f"entry {worst} below -{CONSTRUCTION_TOL}")
@@ -219,10 +217,10 @@ class VocabularySpec:
 
     size: int
     safety_tokens: frozenset[int] = frozenset()
+    FIELDS = {"size": (int, *at_least(2))}
 
     def __post_init__(self):
-        if self.size < 2:
-            raise MskdError(f"vocabulary size must be >= 2, got {self.size}")
+        check_fields(self)
         object.__setattr__(self, "safety_tokens", frozenset(self.safety_tokens))
         bad = [i for i in self.safety_tokens if not 0 <= i < self.size]
         if bad:
@@ -248,15 +246,17 @@ class TaskSpec:
     input_ids: tuple[int, ...]
     input_weights: np.ndarray
     importance: float
+    FIELDS = {"importance": (float, *NONNEGATIVE)}
 
     def __post_init__(self):
+        check_fields(self)
         object.__setattr__(self, "input_ids", tuple(self.input_ids))
         w = _freeze(np.asarray(self.input_weights, dtype=np.float64))
         object.__setattr__(self, "input_weights", w)
         if len(self.input_ids) != w.shape[0]:
             raise DimensionMismatch("input id / weight length mismatch")
-        if not (np.all(w >= 0) and self.importance >= 0):  # NaN included
-            raise MskdError("task sampling weights and importance must be nonnegative")
+        if not np.all(w >= 0):  # NaN included
+            raise MskdError(f"task {self.id} sampling weights must be nonnegative")
         if not abs(float(w.sum()) - 1.0) <= CONSTRUCTION_TOL:
             raise NotNormalized(f"task {self.id} sampling weights sum to {float(w.sum())!r}")
 
@@ -269,11 +269,11 @@ class ContextSpec:
     features: np.ndarray
     measure_weight: float
     is_safety_critical: bool = False
+    FIELDS = {"measure_weight": (float, *NONNEGATIVE)}
 
     def __post_init__(self):
+        check_fields(self)
         object.__setattr__(self, "features", _freeze(np.atleast_1d(self.features)))
-        if not self.measure_weight >= 0:  # NaN included
-            raise MskdError("context measure weight must be nonnegative")
 
 
 class _AxisIndex(dict):
@@ -315,11 +315,11 @@ class TeacherBank:
     table: InitVar[Mapping[tuple[int, int], np.ndarray]]
     perf_scores: Mapping[int, np.ndarray]
     safety_scores: np.ndarray
+    FIELDS = {"num_teachers": (int, *at_least(1))}
 
     def __post_init__(self, table):
+        check_fields(self)
         k = self.num_teachers
-        if k < 1:
-            raise MskdError("need at least one teacher")
         inputs = _AxisIndex("input", (x for x, _ in table))
         contexts = _AxisIndex("context", (c for _, c in table))
         if len(table) != len(inputs) * len(contexts):
@@ -399,8 +399,8 @@ class WeightBounds:
                 f"bounds [{self.w_min}, {self.w_max}] infeasible for K={k}: "
                 f"need K*w_min <= 1 <= K*w_max")
 
-    def contains(self, w: np.ndarray, tol: float = SUM_TOL) -> bool:
-        return bool(np.all(w >= self.w_min - tol) and np.all(w <= self.w_max + tol))
+    def contains(self, w: np.ndarray) -> bool:
+        return bool(np.all(w >= self.w_min - SUM_TOL) and np.all(w <= self.w_max + SUM_TOL))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

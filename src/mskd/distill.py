@@ -374,6 +374,9 @@ def classic_uniform_train(config: TrainerConfig, world: World) -> tuple[np.ndarr
 # Full-batch solver (damped Newton, all logit blocks in lockstep)
 # ---------------------------------------------------------------------------
 
+NEWTON_GTOL = 1e-8  # gradient-norm tolerance of the safety solves and the perturbation experiment
+
+
 def minimize_blockwise(theta0: np.ndarray, block: Callable, block_hessians: Callable,
                        gtol: float, max_iter: int = 200) -> np.ndarray:
     """Minimize a block-separable objective with damped Newton steps, all blocks in lockstep.

@@ -18,9 +18,11 @@ import numpy as np
 from .composition import UnifiedWeightOperator, normalize_rows
 from .core import (POSITIVE, UNIT, MarginViolated, MskdError, Sampler, World, WeightBounds,
                    at_least, check_fields, seeded_sampler, softmax)
-from .distill import (CompiledObjective, _densify, _uniform_compiled, compile_objective,
-                      solve_compiled)
+from .distill import (NEWTON_GTOL, CompiledObjective, _densify, _uniform_compiled,
+                      compile_objective, solve_compiled)
 from .operators import clip_normalize
+
+MIN_VARIANCE_SAMPLES = 100  # the fewest samples a gradient-variance measurement takes
 
 
 @dataclass(frozen=True)
@@ -78,15 +80,14 @@ def _ensemble_feedback(w: np.ndarray, world: World) -> np.ndarray:
     return np.cumsum(terms, axis=-2)[..., -1, :]  # summed cell by cell, in order
 
 
-def weight_update_T(w, beta: float, world: World, bounds: WeightBounds) -> np.ndarray:
+def weight_update_T(w, config: WeightUpdateConfig, world: World,
+                    bounds: WeightBounds) -> np.ndarray:
     """One step of the weight-update operator, on a vector or each row of a (..., K) stack.
 
-    Moves ``w`` a fraction ``beta`` toward the softmax of the feedback
+    Moves ``w`` a fraction ``config.beta`` toward the softmax of the feedback
     scores, then re-projects onto the bounded simplex. Deterministic.
     """
-    if not 0.0 < beta <= 1.0:
-        raise MskdError(f"beta must lie in (0, 1], got {beta}")
-    w = np.asarray(w, dtype=np.float64)
+    w, beta = np.asarray(w, dtype=np.float64), config.beta
     return clip_normalize((1.0 - beta) * w + beta * softmax(_ensemble_feedback(w, world)), bounds)
 
 
@@ -105,7 +106,7 @@ def iterate_to_fixed_point(w0, config: WeightUpdateConfig, world: World, bounds:
         raise MskdError("starting weights must be normalized and within bounds")
     history, moving, n_iters = [w.copy()], np.arange(len(w)), np.zeros(len(w), dtype=int)
     while moving.size and len(history) <= config.max_iters:
-        w_next = weight_update_T(w[moving], config.beta, world, bounds)
+        w_next = weight_update_T(w[moving], config, world, bounds)
         d = np.max(np.abs(w_next - w[moving]), axis=-1)
         w[moving], n_iters[moving] = w_next, n_iters[moving] + 1
         history.append(w.copy())
@@ -127,7 +128,7 @@ def sample_feasible_weights(size, bounds: WeightBounds, sampler: Sampler) -> np.
 
 
 def estimate_contraction(config: WeightUpdateConfig, world: World, bounds: WeightBounds,
-                         sampler: Sampler, n_pairs: int = 100) -> float:
+                         sampler: Sampler, n_pairs: int) -> float:
     """Empirical contraction ratio over sampled feasible weight pairs.
 
     rho_hat = max ||T(w) - T(w')||_inf / ||w - w'||_inf over the pairs at least
@@ -142,7 +143,7 @@ def estimate_contraction(config: WeightUpdateConfig, world: World, bounds: Weigh
     if not apart.any():
         raise MskdError(f"no sampled weight pair in [{bounds.w_min}, {bounds.w_max}] is 1e-12 "
                         f"apart for K={world.bank.k}: the contraction ratio has no evidence")
-    t = weight_update_T(w[apart], config.beta, world, bounds)
+    t = weight_update_T(w[apart], config, world, bounds)
     num = np.max(np.abs(t[:, 0] - t[:, 1]), axis=-1)
     return float(np.fmax.reduce(num / denom[apart], initial=0.0))  # a NaN ratio is skipped
 
@@ -164,8 +165,7 @@ class PerturbationResult:
 
 
 def perturbation_experiment(G: UnifiedWeightOperator, world: World, delta_list,
-                            ridge: float = 0.01, seed: int = 0,
-                            gtol: float = 1e-8) -> PerturbationResult:
+                            ridge: float, seed: int = 0) -> PerturbationResult:
     """Solution sensitivity to a fixed-direction weight perturbation.
 
     One zero-sum direction of unit infinity-norm is drawn per experiment and
@@ -173,7 +173,7 @@ def perturbation_experiment(G: UnifiedWeightOperator, world: World, delta_list,
     keeps the renormalization exact, isolating the delta scaling. The
     operator is compiled once; per delta its distinct weight rows are shifted,
     renormalized and densified. Both the clean and perturbed objectives are
-    solved full-batch to ``gtol`` and the parameter distance recorded, then
+    solved full-batch to ``NEWTON_GTOL`` and the parameter distance recorded, then
     fitted as distance = C * delta.
     """
     deltas = np.asarray(delta_list, dtype=np.float64)
@@ -194,14 +194,14 @@ def perturbation_experiment(G: UnifiedWeightOperator, world: World, delta_list,
         xi = np.argwhere(outside)[0][1]  # first (task, input, context) cell in order
         raise MarginViolated(f"shift of norm {shift} leaves [{bounds.w_min}, {bounds.w_max}] "
                              f"at input {world.inputs[xi].id}")
-    theta0 = solve_compiled(base, gtol)
+    theta0 = solve_compiled(base, NEWTON_GTOL)
     distances = []
     for d in deltas:
         if d == 0.0:
             distances.append(0.0)
             continue
         shifted = _densify(world, ridge, normalize_rows(base.rows + d * direction), base.slot)
-        theta_d = solve_compiled(shifted, gtol)
+        theta_d = solve_compiled(shifted, NEWTON_GTOL)
         distances.append(float(np.linalg.norm(theta_d - theta0)))
     dist = np.array(distances)
     pos = deltas > 0
@@ -249,7 +249,7 @@ def _single_sample_variance(compiled: CompiledObjective, theta: np.ndarray,
 
 
 def gradient_variance_ratio(G: UnifiedWeightOperator, world: World, theta: np.ndarray,
-                            n_samples: int = 10_000, seed: int = 0) -> VarianceResult:
+                            n_samples: int, seed: int = 0) -> VarianceResult:
     """Measured stochastic-gradient variance at the (N, V) logits ``theta`` against the bound.
 
     The baseline variance is measured under the classical uniform mixture
@@ -257,8 +257,8 @@ def gradient_variance_ratio(G: UnifiedWeightOperator, world: World, theta: np.nd
     stay below (w_max_obs / w_min_obs)^2 times the baseline, where the
     extremes are observed over the operator's unified weights on this world.
     """
-    if n_samples < 100:
-        raise MskdError("need at least 100 samples")
+    if n_samples < MIN_VARIANCE_SAMPLES:
+        raise MskdError(f"need at least {MIN_VARIANCE_SAMPLES} samples")
     adaptive = compile_objective(G, world, 0.0)
     baseline = _uniform_compiled(world, 0.0)
     measured = _single_sample_variance(adaptive, theta, n_samples, seeded_sampler(seed))

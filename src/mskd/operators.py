@@ -417,7 +417,7 @@ def _evaluate(op, scale: str, bank: TeacherBank, bounds: WeightBounds, points: d
 
 
 def check_conformance(op, scale: str, world: World, bounds: WeightBounds,
-                      sampler: Sampler, n_samples: int = 1000) -> ConformanceReport:
+                      sampler: Sampler, n_samples: int) -> ConformanceReport:
     """Sample evaluation points and test every axiom at the given scale.
 
     Regularity pairs each evaluation with one where the teacher distributions
@@ -486,27 +486,19 @@ def check_conformance(op, scale: str, world: World, bounds: WeightBounds,
 # Pareto compatibility (task scale)
 # ---------------------------------------------------------------------------
 
-def check_pareto_compat(losses: Sequence[Callable[[np.ndarray], float]] | None = None,
-                        lambda_grid: Sequence[float] | None = None,
-                        grid_points: np.ndarray | None = None,
-                        tol: float = 1e-12) -> bool:
+def check_pareto_compat(lambda_grid: Sequence[float] | None = None) -> bool:
     """Scalarization sanity check on a convex two-task toy instance.
 
-    For every mixing coefficient in ``lambda_grid``, the grid minimizer of
-    ``lam * l1 + (1 - lam) * l2`` must not be Pareto-dominated by any other
-    grid point (brute-force dominance scan). Convexity of the toy losses is a
-    precondition; concave counterexamples are out of scope.
+    The task losses are (th - 1)^2 and (th + 1)^2 on a grid of th in [-2, 2]
+    with step 0.01. For every mixing coefficient in ``lambda_grid`` (11 points
+    over [0, 1] by default), the grid minimizer of ``lam * l1 + (1 - lam) * l2``
+    must not be Pareto-dominated by any other grid point (brute-force dominance
+    scan, tolerance 1e-12).
     """
-    if losses is None:
-        losses = (lambda th: float((th - 1.0) ** 2), lambda th: float((th + 1.0) ** 2))
-    if len(losses) != 2:
-        raise MskdError("the toy instance uses exactly two task losses")
     if lambda_grid is None:
         lambda_grid = np.linspace(0.0, 1.0, 11)
-    if grid_points is None:
-        grid_points = np.arange(-2.0, 2.0 + 1e-12, 0.01)
-    l1 = np.array([losses[0](th) for th in grid_points])
-    l2 = np.array([losses[1](th) for th in grid_points])
+    th, tol = np.arange(-2.0, 2.0 + 1e-12, 0.01), 1e-12
+    l1, l2 = (th - 1.0) ** 2, (th + 1.0) ** 2
     for lam in lambda_grid:
         scalar = lam * l1 + (1.0 - lam) * l2
         best = int(np.argmin(scalar))

@@ -3,13 +3,14 @@
 A schema maps each field name to ``(JSON kind, default)`` or ``(JSON kind, default,
 check, message)``, where a default of ``...`` marks a required field. The objects of
 the world and each kind's ``params`` are declared here; the ``bounds``, each scale of
-``operators``, the ``trainer`` and the ``fixed_point`` and safety params are their
-config classes' ``FIELDS`` (``schema``), so the parser and the constructors check the
-same values. ``read_section`` resolves an object into a read-only mapping with every
-field of its schema: absent fields take their defaults, and present ones come back as
-their kind. It names every unknown, missing and bad field, one line per field, so a bad
-config exits with code 2 before anything runs. The keys of ``PARAMS`` are the
-experiment kinds; ``KIND_CHECKS`` holds their cross-section checks.
+``operators``, the ``trainer``, the ``fixed_point`` and safety params and the ranged world
+fields (``vocab.size``, ``importance``, ``measure_weight``, ``teachers.count``) are their
+classes' ``FIELDS`` (``schema``), so the parser and the constructors check the same values.
+``read_section`` resolves an object into a read-only mapping with every field of its
+schema: absent fields take their defaults, and present ones come back as their kind. It
+names every unknown, missing and bad field, one line per field, so a bad config exits
+with code 2 before anything runs. The keys of ``PARAMS`` are the experiment kinds;
+``KIND_CHECKS`` holds their cross-section checks.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import (CONSTRUCTION_TOL, NONNEGATIVE, POSITIVE, UNIT, ParseError, World, at_least,
-                   field_problem, finite_sum)
+from .core import (CONSTRUCTION_TOL, NONNEGATIVE, POSITIVE, UNIT, ContextSpec, ParseError, TaskSpec,
+                   TeacherBank, VocabularySpec, World, at_least, field_problem, finite_sum)
 from .distill import FIT_POINTS
-from .dynamics import WeightUpdateConfig
+from .dynamics import MIN_VARIANCE_SAMPLES, WeightUpdateConfig
 from .safety import SafetyConfig
 
 
@@ -85,20 +86,20 @@ def _scores_by_task(scores: dict, _) -> bool | str:
     return all(isinstance(s, list) and _numbers(s) for s in scores.values())
 
 
-# the objects of a world, by kind
+# the objects of a world, by kind; a ranged field is its spec class's FIELDS entry
 WORLD_FIELDS = {
     "world": {"vocab": (dict, ...), "inputs": (list, ...), "tasks": (list, ...),
               "contexts": (list, ...), "teachers": (dict, ...)},
-    "vocab": {"size": (int, ...), "safety_tokens": (
+    "vocab": {**schema(VocabularySpec), "safety_tokens": (
         list, [], lambda v, _: all(type(i) is int for i in v), "must be a list of token ids")},
     "input": {"id": (int, ...), "features": (list, ..., *_NUMBER_LIST)},
     "task": {"id": (int, ...), "inputs": (
         list, ..., lambda v, _: all(isinstance(p, list) and len(p) == 2 and type(p[0]) is int
                                     and _numbers(p[1:]) for p in v),
-        "must be a list of [input id, weight] pairs"), "importance": (float, ...)},
-    "context": {"id": (int, ...), "features": (list, ..., *_NUMBER_LIST),
-                "measure_weight": (float, ...), "safety_critical": (bool, False)},
-    "teachers": {"count": (int, ...), "table": (list, ...),
+        "must be a list of [input id, weight] pairs"), **schema(TaskSpec)},
+    "context": {"id": (int, ...), "features": (list, ..., *_NUMBER_LIST), **schema(ContextSpec),
+                "safety_critical": (bool, False)},
+    "teachers": {"count": schema(TeacherBank)["num_teachers"], "table": (list, ...),
                  "perf_scores": (dict, ..., _scores_by_task,
                                  "must map each task id to a list of numbers"),
                  "safety_scores": (list, ..., *_NUMBER_LIST)},
@@ -151,7 +152,7 @@ PARAMS = {
         list, [1e-3, 1e-2, 1e-1],
         lambda v, _: _numbers(v) and min(v, default=-1) >= 0 and max(v) > 0,
         "must be a list of nonnegative numbers, at least one positive")},
-    "variance": {"n_samples": (int, 10_000, *at_least(100)),
+    "variance": {"n_samples": (int, 10_000, *at_least(MIN_VARIANCE_SAMPLES)),
                  "init_scale": (float, 1.0, *NONNEGATIVE)},
     "safety": {**_SAFETY_PARAMS, "s_min_inactive": (float, None, *UNIT)},
     "pareto": {**_SAFETY_PARAMS, "mu_max": (float, 2.0, *NONNEGATIVE),

@@ -37,7 +37,8 @@ from .core import (
     seeded_sampler,
     softmax,
 )
-from .distill import CompiledObjective, compile_objective, minimize_blockwise, solve_compiled
+from .distill import (NEWTON_GTOL, CompiledObjective, compile_objective, minimize_blockwise,
+                      solve_compiled)
 from .operators import check_conformance
 
 JENSEN_CONFORMANCE_SAMPLES = 200  # context-operator conformance samples before the Jensen check
@@ -151,15 +152,14 @@ class DualAscentResult:
     history: list[dict]
 
 
-def dual_ascent_solve(compiled: CompiledObjective, cfg: SafetyConfig,
-                      gtol: float = 1e-8) -> DualAscentResult:
+def dual_ascent_solve(compiled: CompiledObjective, cfg: SafetyConfig) -> DualAscentResult:
     """Safety-constrained solve of the compiled objective by Lagrangian dual ascent.
 
     Feasibility is pre-checked against the analytic safety supremum: per input
     the best distribution concentrates on the safety token with the largest
     label mass, and pairs with other labels contribute 1 regardless
     (``Infeasible`` if the threshold is unreachable). Each outer iteration
-    solves the Lagrangian to gradient norm ``gtol`` warm-started from the
+    solves the Lagrangian to gradient norm ``NEWTON_GTOL`` warm-started from the
     previous solution, then takes a projected step on the multiplier; the
     step is halved whenever it would increase the feasibility residual.
     Terminates when the feasibility and complementary-slackness residuals
@@ -175,7 +175,7 @@ def dual_ascent_solve(compiled: CompiledObjective, cfg: SafetyConfig,
     mu = 0.0
     step = cfg.dual_step
     theta = minimize_blockwise(np.zeros_like(compiled.qbar),
-                               *_lagrangian_block(compiled, mu, mass), gtol)
+                               *_lagrangian_block(compiled, mu, mass), NEWTON_GTOL)
     history: list[dict] = []
     safety = _safety(theta, table)
     for it in range(cfg.max_dual_iters):
@@ -189,7 +189,7 @@ def dual_ascent_solve(compiled: CompiledObjective, cfg: SafetyConfig,
         while True:
             mu_new = max(0.0, mu + step * (cfg.s_min - safety))
             theta_new = minimize_blockwise(theta, *_lagrangian_block(compiled, mu_new, mass),
-                                           gtol)
+                                           NEWTON_GTOL)
             safety_new = _safety(theta_new, table)
             if max(0.0, cfg.s_min - safety_new) <= feas + 1e-12 or step < 1e-8:
                 break
@@ -219,8 +219,8 @@ def kkt_residuals(compiled: CompiledObjective, theta: np.ndarray, mu: float,
     )
 
 
-def pareto_sweep(compiled: CompiledObjective, cfg: SafetyConfig, mu_grid,
-                 gtol: float = 1e-8) -> list[tuple[float, float, float]]:
+def pareto_sweep(compiled: CompiledObjective, cfg: SafetyConfig,
+                 mu_grid) -> list[tuple[float, float, float]]:
     """Trace the compiled objective's loss-safety frontier by sweeping the multiplier.
 
     For each mu (nonnegative, ascending) the Lagrangian is minimized
@@ -240,7 +240,7 @@ def pareto_sweep(compiled: CompiledObjective, cfg: SafetyConfig, mu_grid,
     theta = np.zeros_like(compiled.qbar)
     out = []
     for mu in grid:
-        theta = minimize_blockwise(theta, *_lagrangian_block(compiled, mu, mass), gtol)
+        theta = minimize_blockwise(theta, *_lagrangian_block(compiled, mu, mass), NEWTON_GTOL)
         out.append((float(mu), compiled.loss(theta), _safety(theta, table)))
     return out
 

@@ -70,10 +70,10 @@ class TestValidateDistribution:
         p = validate_distribution([1.0, -1e-13, 1e-13])
         assert p[1] == 0.0
 
-    def test_wrong_length_rejected(self):
+    def test_scalar_rejected(self):
         from mskd.core import DimensionMismatch
         with pytest.raises(DimensionMismatch):
-            validate_distribution([0.5, 0.5], vocab_size=3)
+            validate_distribution(1.0)
 
     def test_result_is_read_only(self):
         p = validate_distribution([0.25, 0.75])
@@ -230,8 +230,13 @@ FAMILIES = "'uniform', 'inverse_entropy', 'family_a', 'family_b', 'family_c', 'c
      "safety_adjustment: must be bool, got 1"),
     (lambda: TaskOperator("family_c", tau=0.0), "tau: must be positive, got 0.0"),
     (lambda: ContextOperator("custom"), "custom context operator needs a callable"),
+    # the world specs once raised their own texts, such as "vocabulary size must be >= 2, got 1"
+    (lambda: VocabularySpec(1), "size: must be at least 2, got 1"),
+    (lambda: TaskSpec(0, (0,), [1.0], -1), "importance: must be nonnegative, got -1"),
+    (lambda: ContextSpec(0, [0.0], math.nan), "measure_weight: must be finite, got nan"),
+    (lambda: TeacherBank(0, {}, {}, []), "num_teachers: must be at least 1, got 0"),
 ], ids=["bounds", "w_max", "seed", "kinds", "max_dual_iters", "safety", "weight_update", "token",
-        "task", "custom"])
+        "task", "custom", "vocab", "importance", "measure_weight", "teachers"])
 def test_config_fields_named_with_their_values(make, message):
     # each config class checks its FIELDS at construction, the rules the config parser applies
     with pytest.raises(MskdError) as exc:

@@ -46,16 +46,16 @@ class TestConstantTargetControl:
     def test_update_is_affine_with_ratio_one_minus_beta(self):
         world = identical_teachers_world(3)
         bounds = WeightBounds(0.01, 0.99)
-        beta = 0.3
+        cfg = WeightUpdateConfig(beta=0.3)
         sampler = seeded_sampler(0)
         for _ in range(20):
             w = sample_feasible_weights(3, bounds, sampler)
             w2 = sample_feasible_weights(3, bounds, sampler)
-            num = np.max(np.abs(weight_update_T(w, beta, world, bounds)
-                                - weight_update_T(w2, beta, world, bounds)))
+            num = np.max(np.abs(weight_update_T(w, cfg, world, bounds)
+                                - weight_update_T(w2, cfg, world, bounds)))
             den = np.max(np.abs(w - w2))
             if den > 1e-12:
-                assert num / den == pytest.approx(1.0 - beta, abs=1e-9)
+                assert num / den == pytest.approx(1.0 - cfg.beta, abs=1e-9)
 
     def test_estimated_ratio_matches_one_minus_beta(self):
         world = identical_teachers_world(3)
@@ -67,8 +67,9 @@ class TestConstantTargetControl:
     def test_full_step_converges_immediately(self):
         world = identical_teachers_world(2)
         bounds = WeightBounds(0.01, 0.99)
-        w1 = weight_update_T(np.array([0.9, 0.1]), 1.0, world, bounds)
-        w2 = weight_update_T(w1, 1.0, world, bounds)
+        cfg = WeightUpdateConfig(beta=1.0)
+        w1 = weight_update_T(np.array([0.9, 0.1]), cfg, world, bounds)
+        w2 = weight_update_T(w1, cfg, world, bounds)
         np.testing.assert_allclose(w1, w2, atol=1e-15)
 
     def test_ratio_decreases_with_beta(self):
@@ -120,7 +121,7 @@ class TestFixedPoint:
         # long-iteration oracle: brute-force iteration from a far start
         w = np.array([0.9, 0.1])
         for _ in range(10_000):
-            w = weight_update_T(w, 0.3, world, BOUNDS)
+            w = weight_update_T(w, cfg, world, BOUNDS)
         np.testing.assert_allclose(trace.w_star, w, atol=1e-9)
 
     def test_preconverged_start_stops_at_once(self):
@@ -161,7 +162,7 @@ class TestFixedPoint:
         sampler = seeded_sampler(4)
         for _ in range(50):
             w = sample_feasible_weights(3, BOUNDS, sampler)
-            out = weight_update_T(w, 0.45, world, BOUNDS)
+            out = weight_update_T(w, WeightUpdateConfig(beta=0.45), world, BOUNDS)
             assert abs(out.sum() - 1.0) <= 1e-9
             assert BOUNDS.contains(out)
 
@@ -206,7 +207,8 @@ def generated_worlds(draw) -> World:
 def _assert_rows_match_references(world: World, shape, beta: float, seed: int) -> None:
     bounds = WeightBounds(0.02, 0.9)
     w = sample_feasible_weights((*shape, world.bank.k), bounds, seeded_sampler(seed))
-    feedback, update = _ensemble_feedback(w, world), weight_update_T(w, beta, world, bounds)
+    update = weight_update_T(w, WeightUpdateConfig(beta=beta), world, bounds)
+    feedback = _ensemble_feedback(w, world)
     for row in np.ndindex(*shape):
         assert feedback[row].tobytes() == reference_feedback(w[row], world).tobytes()
         assert update[row].tobytes() == reference_update(w[row], beta, world, bounds).tobytes()

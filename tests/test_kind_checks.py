@@ -4,12 +4,19 @@
 ``runner.parse_config_dict`` runs them in one loop. The CLI module keeps no
 rule of its own for one kind: the guard below reads ``runner.py`` with ``ast``
 and fails on any comparison of ``kind`` (or ``<object>.kind``) with a string
-literal, so a new per-kind rule goes into the registry.
+literal, so a new per-kind rule goes into the registry. A second guard reads
+every library signature with ``inspect`` and fails on a keyword default that
+repeats the ``PARAMS`` default of a field of the same name: the runner passes
+each such value, so the schema's default is the only one.
 """
 
 import ast
+import importlib
+import inspect
+import pkgutil
 from pathlib import Path
 
+import mskd
 from mskd import runner
 from mskd.params import KIND_CHECKS, PARAMS
 
@@ -50,3 +57,35 @@ def test_runner_compares_no_kind_with_a_string_literal():
              and any(map(_is_kind, [node.left, *node.comparators]))
              and any(map(_is_text, [node.left, *node.comparators]))]
     assert found == []
+
+
+def _library_functions():
+    """(qualified name, function) of each function and method an ``mskd`` module defines.
+
+    The constructors of the config classes are left out: their defaults are the declarations
+    that ``params.schema`` reads (a class with ``FIELDS``).
+    """
+    for info in pkgutil.iter_modules(mskd.__path__):
+        module = importlib.import_module(f"mskd.{info.name}")
+        for obj in vars(module).values():
+            members = vars(obj).items() if inspect.isclass(obj) else [("", obj)]
+            for name, fn in members:
+                if (inspect.isfunction(fn) and fn.__module__ == module.__name__
+                        and not (name == "__init__" and hasattr(obj, "FIELDS"))):
+                    yield f"{module.__name__}.{fn.__qualname__}", fn
+
+
+def _same_json_value(a, b) -> bool:
+    """Whether a keyword default ``a`` is the JSON value ``b`` (a bool is no number)."""
+    return (type(a) in (bool, int, float, str, list)
+            and isinstance(a, bool) == isinstance(b, bool) and a == b)
+
+
+def test_no_library_default_repeats_a_params_default():
+    declared = [(name, entry[1]) for schema in PARAMS.values() for name, entry in schema.items()]
+    repeated = sorted({f"{qualname}: {p.name}={p.default!r}"
+                       for qualname, fn in _library_functions()
+                       for p in inspect.signature(fn).parameters.values()
+                       for name, default in declared
+                       if p.name == name and _same_json_value(p.default, default)})
+    assert repeated == []

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mskd.core import MskdError, ParseError, WeightBounds
+from mskd.core import ContextSpec, MskdError, ParseError, TaskSpec, VocabularySpec, WeightBounds
 from mskd.distill import TrainerConfig
 from mskd.dynamics import WeightUpdateConfig
 from mskd.operators import ContextOperator, TaskOperator, TokenOperator
@@ -377,6 +377,17 @@ QUICK_DOCS = {**BUNDLED_DOCS, "rate": {**BUNDLED_DOCS["rate"], "trainer": {
     **BUNDLED_DOCS["rate"]["trainer"], "steps": 2000, "eval_every": 100}}}
 
 
+def _mutate_ranged_world_field(doc, data) -> None:
+    """Give one world field that a spec class ranges a new value, in place: ``vocab.size``,
+    a task's ``importance``, a context's ``measure_weight`` or ``teachers.count``."""
+    world = doc["world"]
+    node, name = data.draw(st.sampled_from([
+        (world["vocab"], "size"), *((task, "importance") for task in world["tasks"]),
+        *((ctx, "measure_weight") for ctx in world["contexts"]), (world["teachers"], "count")]))
+    node[name] = copy.deepcopy(data.draw(st.one_of(MUTANTS, st.integers(-1, 4),
+                                                   st.floats(-1.0, 1.5))))
+
+
 class TestFuzzedConfigs:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -395,8 +406,10 @@ class TestFuzzedConfigs:
     def test_validated_params_run(self, data):
         # a config that validates may fail its assertions or raise a typed
         # runtime error (exit 3), but no bare exception may escape the suite
-        text = _fuzzed_text(QUICK_DOCS[data.draw(st.sampled_from(EXPERIMENT_KINDS))], data,
-                            fields=("seed", "trainer", "operators", "bounds", "params"))
+        doc = copy.deepcopy(QUICK_DOCS[data.draw(st.sampled_from(EXPERIMENT_KINDS))])
+        if data.draw(st.booleans()):
+            _mutate_ranged_world_field(doc, data)
+        text = _fuzzed_text(doc, data, fields=("seed", "trainer", "operators", "bounds", "params"))
         try:
             cfg = parse_config_dict(json.loads(text))
         except ParseError:
@@ -458,7 +471,9 @@ class TestParamsSchema:
 CONFIG_CLASSES = [(TrainerConfig, {}, {}), (WeightBounds, {}, {}), (TokenOperator, {}, {}),
                   (TaskOperator, {}, {}), (ContextOperator, {}, {}),
                   (SafetyConfig, {"s_min": 0.5}, {"s_min": 0.5, "labels": {}}),
-                  (WeightUpdateConfig, {}, {})]
+                  (WeightUpdateConfig, {}, {}), (VocabularySpec, {}, {}),
+                  (TaskSpec, {}, {"id": 0, "input_ids": (0,), "input_weights": [1.0]}),
+                  (ContextSpec, {}, {"id": 0, "features": [0.0]})]
 # JSON values of every kind, with the edges of the checks: zeros, bounds, non-finite numbers,
 # integers beyond the float range and the family names
 JSON_VALUES = st.one_of(
@@ -773,6 +788,27 @@ class TestCli:
             f"  - {section}.{name}" for section, fields in bad.items() for name in fields]
         assert "  - operators.context.family: must be one of 'uniform', 'inverse_entropy', " \
                "'family_a', 'family_b', 'family_c', 'custom'" in lines
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_every_bad_world_field_named_in_one_run(self, tmp_path, command, capsys):
+        # the world specs once checked these fields alone: only the first was printed, without
+        # its path, as "world: vocabulary size must be >= 2, got 1"; now each field gets a line,
+        # in the order the world is read (vocab, inputs, tasks, contexts, teachers)
+        doc = copy.deepcopy(BUNDLED_DOCS["train"])
+        world = doc["world"]
+        world["vocab"]["size"] = 1
+        world["tasks"][0]["importance"] = -1
+        world["contexts"][-1]["measure_weight"] = -1
+        world["teachers"]["count"] = 0
+        last = len(world["contexts"]) - 1
+        assert _main_on(doc, command, tmp_path) == 2
+        assert capsys.readouterr().err == (
+            "config error: invalid config:\n"
+            "  - world.vocab.size: must be at least 2\n"
+            "  - world.tasks[0].importance: must be nonnegative\n"
+            f"  - world.contexts[{last}].measure_weight: must be nonnegative\n"
+            "  - world.teachers.count: must be at least 1\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_each_operator_scale_reported(self, tmp_path, command, capsys):
