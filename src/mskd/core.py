@@ -118,12 +118,12 @@ def finite_sum(values) -> bool:
 def field_problem(value, kind: type, check=None, message: str = "", world=None) -> str | None:
     """What is wrong with ``value`` as a field of ``kind``, or None.
 
-    An int field takes an integer (numpy's too), a float field a finite number, and neither
-    a bool. ``check(value, world)`` returns True, False for ``message``, or a problem.
+    An int field takes an integer (numpy's too) and a float field a number, each finite as a
+    float and not a bool; ``check(value, world)`` returns True, False for ``message``, or a problem.
     """
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, _NUMERIC.get(kind, kind)):
         return f"must be {({int: 'an integer', float: 'a number'}).get(kind, kind.__name__)}"
-    if kind is float and not finite_sum([value]):
+    if kind in _NUMERIC and not finite_sum([value]):
         return "must be finite"
     verdict = check is None or check(value, world)
     return verdict if isinstance(verdict, str) else None if verdict else message

@@ -92,6 +92,14 @@ class TrainTrace:
 # Compiled objective
 # ---------------------------------------------------------------------------
 
+def _objective(th: np.ndarray, m_x: np.ndarray, qbar: np.ndarray, ridge: float, neg_ent):
+    """Loss, mean KL and gradient at (..., N, V) logits; each (N, V) table sums as one array."""
+    qlogp, sq = (np.sum(a.reshape(*a.shape[:-2], -1), axis=-1)  # -qlogp is the cross-entropy
+                 for a in (m_x[..., None] * qbar * log_softmax(th), th * th))
+    return (-qlogp + 0.5 * ridge * sq, neg_ent - qlogp,
+            m_x[..., None] * (softmax(th) - qbar) + ridge * th)
+
+
 @dataclass
 class CompiledObjective:
     """Dense target tables and measure arrays for one (operator, world) pair."""
@@ -108,19 +116,14 @@ class CompiledObjective:
 
     def loss(self, theta: np.ndarray) -> float:
         """Expected cross-entropy against the targets plus the ridge term."""
-        logp = log_softmax(theta)
-        ce = -float(np.sum(self.m_x[:, None] * self.qbar * logp))
-        return ce + 0.5 * self.ridge * float(np.sum(theta * theta))
+        return float(_objective(theta, self.m_x, self.qbar, self.ridge, self.target_neg_entropy)[0])
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
-        p = softmax(theta)
-        return self.m_x[:, None] * (p - self.qbar) + self.ridge * theta
+        return _objective(theta, self.m_x, self.qbar, self.ridge, self.target_neg_entropy)[2]
 
     def mean_kl(self, theta: np.ndarray) -> float:
         """E over (task, input, context) of KL(target || student)."""
-        logp = log_softmax(theta)
-        ce = -float(np.sum(self.m_x[:, None] * self.qbar * logp))
-        return self.target_neg_entropy + ce
+        return float(_objective(theta, self.m_x, self.qbar, self.ridge, self.target_neg_entropy)[1])
 
     def block(self, xi: np.ndarray, rows: np.ndarray, labels=None):
         """Values, gradients and softmax rows of inputs ``xi``'s loss shares at (a, V) ``rows``.
@@ -260,13 +263,12 @@ def train_stack(runs: Sequence[tuple[CompiledObjective, int]],
         # records, by its methods' operations; the first record, in step order, that diverged raises
         step, lr, th = (np.concatenate(a) for a in zip(*pending))
         pending.clear()
-        ce = -np.sum((m_x[..., None] * qbar * log_softmax(th)).reshape(*th.shape[:2], -1), axis=2)
-        loss = ce + 0.5 * ridge * np.sum((th * th).reshape(*th.shape[:2], -1), axis=2)
+        loss, kl, g = _objective(th, m_x, qbar, ridge, neg_ent)
         if not (finite := np.isfinite(loss)).all():
             m = finite.all(axis=1).argmin()
             raise NonFiniteLoss(f"loss diverged at step {step[m]} (stack run {finite[m].argmin()})")
-        g = (m_x[..., None] * (softmax(th) - qbar) + ridge * th).reshape(*th.shape[:2], -1)
-        records.append(np.stack(np.broadcast_arrays(step[:, None], loss, neg_ent + ce,
+        g = g.reshape(*th.shape[:2], -1)
+        records.append(np.stack(np.broadcast_arrays(step[:, None], loss, kl,
                                                     np.sqrt(np.vecdot(g, g)), lr[:, None]), axis=1))
 
     buf = np.empty((2 * len(flat) + (n_runs + 1) * SAMPLE_BLOCK + 1, v))  # a copy per entry at most
@@ -300,11 +302,9 @@ def train_stack(runs: Sequence[tuple[CompiledObjective, int]],
         low = len(flat) + len(held)  # buf: the rows by ``order``, copies, decays[k] at low + k
         buf[:len(flat)], buf[low:low + len(decays)] = flat[order], decays[:, None]
         x_all, snaps = buf[:len(flat)], buf[len(flat):low]
-        edge = cut  # no decay chains without a ridge
-        if ridge > 0:  # each entry's chain [row, decays[prev + 2 : step + 1]], each round's from 0
-            chain, at = _fold_index(place, prev, step, low)
-            edge = np.append(at, len(chain))[cut].tolist()
-            at -= np.repeat(edge[:-1], np.diff(cut))
+        chain, at = _fold_index(place, prev, step, low)  # each entry's chain, row first
+        edge = np.append(at, len(chain))[cut].tolist()
+        at -= np.repeat(edge[:-1], np.diff(cut))  # each round's chains index from 0
         cell = np.ravel_multi_index((stack, tj, xi, ci), cells).ravel()[ev[:e]]
         tables.take(cell, axis=0, out=target[:e], mode="clip")  # valid cells: no buffered copy
         # per-event (e, V) rows, so that the round's g * eta and x * c are same-shape ufuncs
@@ -313,8 +313,8 @@ def train_stack(runs: Sequence[tuple[CompiledObjective, int]],
             x = x_all[:r1 - r0]
             if s0 < s1:
                 snaps[s0:s1] = x[take[s0:s1]]
-            if ridge > 0:  # the deferred decays, in step order, one rounding per factor
-                np.multiply.reduceat(buf.take(chain[e0:e1], axis=0), at[r0:r1], axis=0, out=x)
+            # the deferred decays, in step order, one rounding per factor (1.0 at ridge 0: exact)
+            np.multiply.reduceat(buf.take(chain[e0:e1], axis=0), at[r0:r1], axis=0, out=x)
             if r0 == e:  # the tail: decays alone
                 break
             # in place, the IEEE operations of softmax(x) - target, c * x and x - eta * g
@@ -323,18 +323,16 @@ def train_stack(runs: Sequence[tuple[CompiledObjective, int]],
             np.divide(g, np.add.reduce(g, axis=1, keepdims=True), g)
             g -= target[r0:r1]
             g *= eta[r0:r1]
-            if ridge > 0:
-                x *= c[r0:r1]
+            x *= c[r0:r1]
             x -= g
         flat[order] = x_all
         if len(rec):
-            folded = snaps[src]
-            if ridge > 0:  # each copy's chain [copy, decays[prev + 2 : step + 1]]: a record's
-                # left fold is a prefix of it, and one reduceat takes each as a segment
-                chain, at = _fold_index(np.arange(len(flat), low), prev[held], step[held], low)
-                ends = np.stack([at[src], at[src] + rec[j] - prev[pair]], axis=1).ravel()
-                b = buf.take(np.append(chain, low), axis=0)  # decays[0] = 1.0 ends the last
-                folded = np.multiply.reduceat(b, ends, axis=0)[::2]  # the odd segments: filler
+            # each copy's chain [copy, decays[prev + 2 : step + 1]]: a record's left fold is a
+            # prefix of it, and one reduceat takes each as a segment
+            chain, at = _fold_index(np.arange(len(flat), low), prev[held], step[held], low)
+            ends = np.stack([at[src], at[src] + rec[j] - prev[pair]], axis=1).ravel()
+            b = buf.take(np.append(chain, low), axis=0)  # decays[0] = 1.0 ends the last
+            folded = np.multiply.reduceat(b, ends, axis=0)[::2]  # the odd segments: filler
             logits = folded[np.argsort(j * len(flat) + order[take[src]])]  # by record, then row
             pending.append((t + rec, etas[rec - 1], logits.reshape(len(rec), n_runs, n, v)))
         t += len(xi)

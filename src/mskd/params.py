@@ -39,8 +39,8 @@ def read_section(section: dict, schema: dict, prefix: str, world: World | None =
     Each field is judged by ``core.field_problem`` (``world`` None if it did not parse): an
     integer passes as a float and comes back as one, and null passes where the default is
     null. A field whose default is ``...`` is required, as is a ``section`` given as ``...``.
-    A number read as a non-finite float gets the line of the config parser's walk of the
-    document, ``path: non-finite number``, which the parser reports once.
+    A number whose float value is not finite, in a field of any kind, gets the line of the
+    parser's walk of the document, ``path: non-finite number``, which the parser reports once.
     """
     if not isinstance(section, dict):
         problem = "missing field" if section is ... else "must be an object"
@@ -51,8 +51,7 @@ def read_section(section: dict, schema: dict, prefix: str, world: World | None =
         value = section.get(name, default)
         if value is ...:
             errors.append(f"{prefix}{name}: missing field")
-        elif type(value) in (int, float) and not finite_sum([value]) and (
-                kind is float or type(value) is float):  # read as a float
+        elif type(value) in (int, float) and not finite_sum([value]):  # whatever the kind
             errors.append(f"{prefix}{name}: non-finite number")
         elif (value is not None or default is not None) and (
                 problem := field_problem(value, kind, *check, world=world)):

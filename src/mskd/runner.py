@@ -46,8 +46,10 @@ from .core import (
     VocabularySpec,
     WeightBounds,
     World,
+    entropy,
     finite_sum,
     seeded_sampler,
+    write_csv,
 )
 from .distill import (
     CompiledObjective,
@@ -165,6 +167,8 @@ def _build_world(wd: dict) -> World:
                for t in tasks if t and td and str(t["id"]) not in td["perf_scores"]]
     if errors:
         raise ParseError(*errors)
+    if inputs and not cells:  # an empty table: the line of World's first lookup, whatever the count
+        raise MskdError(f"teacher table missing cell: no entries for input {inputs[0]['id']}")
     bank = TeacherBank(td["count"], {(c["input"], c["context"]): c["dists"] for c in cells},
                        {int(t): s for t, s in td["perf_scores"].items()}, td["safety_scores"])
     return World(VocabularySpec(vocab["size"], frozenset(vocab["safety_tokens"])),
@@ -325,7 +329,6 @@ def _run_appendix_a(cfg: ExperimentConfig, rec: RunRecord) -> None:
     for i, reported in enumerate((0.68, 0.21, 0.11)):
         rec.check(f"adaptive_vs_reported_{i}", float(q_adaptive[i]), reported, 0.005)
     rec.check("adaptive_gain_on_truth", float(q_adaptive[0] - q_uniform[0]), 0.07, compare="ge")
-    from .core import entropy
     recomputed = [entropy(p) for p in dists]
     w_nats = inverse_entropy_weights_from_entropies(recomputed, cfg.bounds)
     rec.add_table("weights", ["scheme", "teacher_1", "teacher_2"], [
@@ -582,7 +585,6 @@ def emit_summary(record: RunRecord, out_dir, quiet: bool = False) -> Path:
         raise MskdError("refusing to emit an empty summary (no assertions, no tables)")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    from .core import write_csv
     for name, (header, rows) in sorted(record.tables.items()):
         write_csv(out / f"{name}.csv", header, rows)
     summary = {

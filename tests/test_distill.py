@@ -252,6 +252,10 @@ class TestTrainStack:
     @example(world_name="zero_measure", runs=[("adaptive", 0), ("noisy", 1), ("classic", 2)],
              diverging=(), ridge=0.2, init_scale=0.5, eta0=1.0, steps=2 * SAMPLE_BLOCK + 5,
              eval_every=1)
+    # ridge-free runs fold decay factors of exactly 1.0, a record's fold across a block edge too
+    @example(world_name="convergence", runs=[("adaptive", 0), ("classic", 1), ("adaptive", 2)],
+             diverging=(), ridge=0.0, init_scale=0.5, eta0=1.0, steps=2 * SAMPLE_BLOCK + 5,
+             eval_every=1)
     # run 1 first diverges at step 63, the ninth record of its block
     @example(world_name="appendix", runs=[("adaptive", 0), ("late", 1), ("classic", 2)],
              diverging=(), ridge=0.01, init_scale=0.5, eta0=1.0, steps=SAMPLE_BLOCK + 1,

@@ -811,6 +811,24 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_teacher_count_beyond_any_table_named_once(self, tmp_path, command, capsys):
+        # a count whose float overflows was also built into a bank, whose line quoted all 401
+        # digits; a finite count too large to allocate, with an empty table, read "teacher
+        # cells must be numeric (K, V) arrays" where a count of 3 names the missing cell
+        doc = copy.deepcopy(BUNDLED_DOCS["train"])
+        doc["world"]["teachers"]["count"] = 10**400
+        assert _main_on(doc, command, tmp_path) == 2
+        assert capsys.readouterr().err == (
+            "config error: invalid config:\n  - world.teachers.count: non-finite number\n")
+        for count in (10**30, 3):
+            doc["world"]["teachers"].update(count=count, table=[])
+            assert _main_on(doc, command, tmp_path) == 2
+            assert capsys.readouterr().err == (
+                "config error: invalid config:\n"
+                "  - world: teacher table missing cell: no entries for input 0\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
     def test_each_operator_scale_reported(self, tmp_path, command, capsys):
         # the three scales were read in one pass: the first bad scale hid the others
         doc = copy.deepcopy(BUNDLED_DOCS["conformance"])
