@@ -92,12 +92,16 @@ class TrainTrace:
 # Compiled objective
 # ---------------------------------------------------------------------------
 
-def _objective(th: np.ndarray, m_x: np.ndarray, qbar: np.ndarray, ridge: float, neg_ent):
-    """Loss, mean KL and gradient at (..., N, V) logits; each (N, V) table sums as one array."""
+def _fit_terms(th: np.ndarray, m_x: np.ndarray, qbar: np.ndarray, ridge: float, neg_ent):
+    """Loss and mean KL at (..., N, V) logits; each (N, V) table sums as one contiguous array."""
     qlogp, sq = (np.sum(a.reshape(*a.shape[:-2], -1), axis=-1)  # -qlogp is the cross-entropy
                  for a in (m_x[..., None] * qbar * log_softmax(th), th * th))
-    return (-qlogp + 0.5 * ridge * sq, neg_ent - qlogp,
-            m_x[..., None] * (softmax(th) - qbar) + ridge * th)
+    return -qlogp + 0.5 * ridge * sq, neg_ent - qlogp
+
+
+def _gradient(th: np.ndarray, m_x: np.ndarray, qbar: np.ndarray, ridge: float) -> np.ndarray:
+    """Gradient of the loss at (..., N, V) logits."""
+    return m_x[..., None] * (softmax(th) - qbar) + ridge * th
 
 
 @dataclass
@@ -116,14 +120,14 @@ class CompiledObjective:
 
     def loss(self, theta: np.ndarray) -> float:
         """Expected cross-entropy against the targets plus the ridge term."""
-        return float(_objective(theta, self.m_x, self.qbar, self.ridge, self.target_neg_entropy)[0])
+        return float(_fit_terms(theta, self.m_x, self.qbar, self.ridge, self.target_neg_entropy)[0])
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
-        return _objective(theta, self.m_x, self.qbar, self.ridge, self.target_neg_entropy)[2]
+        return _gradient(theta, self.m_x, self.qbar, self.ridge)
 
     def mean_kl(self, theta: np.ndarray) -> float:
         """E over (task, input, context) of KL(target || student)."""
-        return float(_objective(theta, self.m_x, self.qbar, self.ridge, self.target_neg_entropy)[1])
+        return float(_fit_terms(theta, self.m_x, self.qbar, self.ridge, self.target_neg_entropy)[1])
 
     def block(self, xi: np.ndarray, rows: np.ndarray, labels=None):
         """Values, gradients and softmax rows of inputs ``xi``'s loss shares at (a, V) ``rows``.
@@ -263,11 +267,11 @@ def train_stack(runs: Sequence[tuple[CompiledObjective, int]],
         # records, by its methods' operations; the first record, in step order, that diverged raises
         step, lr, th = (np.concatenate(a) for a in zip(*pending))
         pending.clear()
-        loss, kl, g = _objective(th, m_x, qbar, ridge, neg_ent)
+        loss, kl = _fit_terms(th, m_x, qbar, ridge, neg_ent)
         if not (finite := np.isfinite(loss)).all():
             m = finite.all(axis=1).argmin()
             raise NonFiniteLoss(f"loss diverged at step {step[m]} (stack run {finite[m].argmin()})")
-        g = g.reshape(*th.shape[:2], -1)
+        g = _gradient(th, m_x, qbar, ridge).reshape(*th.shape[:2], -1)
         records.append(np.stack(np.broadcast_arrays(step[:, None], loss, kl,
                                                     np.sqrt(np.vecdot(g, g)), lr[:, None]), axis=1))
 

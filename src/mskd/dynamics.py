@@ -12,14 +12,14 @@ with ratio (1 - beta); that exact case anchors the contraction estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .composition import UnifiedWeightOperator, normalize_rows
 from .core import (POSITIVE, UNIT, MarginViolated, MskdError, Sampler, World, WeightBounds,
                    at_least, check_fields, seeded_sampler, softmax)
-from .distill import (NEWTON_GTOL, CompiledObjective, _densify, _uniform_compiled,
-                      compile_objective, solve_compiled)
+from .distill import NEWTON_GTOL, _densify, _uniform_compiled, compile_objective, solve_compiled
 from .operators import clip_normalize
 
 MIN_VARIANCE_SAMPLES = 100  # the fewest samples a gradient-variance measurement takes
@@ -227,42 +227,43 @@ class VarianceResult:
     w_max_observed: float
 
 
-def _single_sample_variance(compiled: CompiledObjective, theta: np.ndarray,
-                            n_samples: int, sampler: Sampler) -> float:
-    """Trace of the covariance of the single-sample stochastic gradient.
+def _single_sample_variance(world: World, tables: np.ndarray, theta: np.ndarray,
+                            n_samples: int, sampler: Sampler) -> np.ndarray:
+    """Trace of the covariance of the single-sample stochastic gradient, per target table.
 
-    The deterministic ridge component is identical across samples and drops
-    out of the covariance, so it is omitted.
+    ``tables`` is a (T, J, N, C, V) stack measured on one stream of ``n_samples`` triples;
+    each table gets the bits its own pass gives it. The deterministic ridge component is
+    identical across samples and drops out of the covariance, so it is omitted.
     """
-    world = compiled.world
-    n, v = theta.shape
     probs = softmax(theta)
-    mean_g = np.zeros((n, v))
-    sq_sum = 0.0
+    mean_g = np.zeros((len(tables), *theta.shape))
+    sq_sum = np.zeros(len(tables))
     for tj, xi, ci in world.sample_index_blocks(sampler, n_samples):
-        g = probs[xi] - compiled.targets[tj, xi, ci]
-        np.add.at(mean_g, xi, g)  # row by row in draw order, as one sample at a time
-        products = np.matmul(g[:, None, :], g[:, :, None]).ravel()  # each row @ row
-        sq_sum = float(np.cumsum(np.append(sq_sum, products))[-1])  # added in draw order
+        g = probs[xi] - tables[:, tj, xi, ci]  # (T, B, V)
+        np.add.at(mean_g, (slice(None), xi), g)  # row by row in draw order, as one sample at a time
+        products = np.matmul(g[..., None, :], g[..., :, None])[..., 0, 0]  # each row @ row
+        sq_sum = np.cumsum(np.column_stack([sq_sum, products]), axis=1)[:, -1]  # in draw order
     mean_g /= n_samples
-    return sq_sum / n_samples - float(np.sum(mean_g * mean_g))
+    return sq_sum / n_samples - np.sum((mean_g * mean_g).reshape(len(tables), -1), axis=-1)
 
 
-def gradient_variance_ratio(G: UnifiedWeightOperator, world: World, theta: np.ndarray,
-                            n_samples: int, seed: int = 0) -> VarianceResult:
+def gradient_variance_ratio(operators: Sequence[UnifiedWeightOperator], world: World,
+                            theta: np.ndarray, n_samples: int,
+                            seed: int = 0) -> list[VarianceResult]:
     """Measured stochastic-gradient variance at the (N, V) logits ``theta`` against the bound.
 
-    The baseline variance is measured under the classical uniform mixture
-    with the same sampling stream; the measured variance under ``G`` must
-    stay below (w_max_obs / w_min_obs)^2 times the baseline, where the
-    extremes are observed over the operator's unified weights on this world.
+    One :class:`VarianceResult` per operator. The baseline variance is measured once, under
+    the classical uniform mixture, on the same sampling stream as every operator's: the
+    tables are stacked and measured in one pass. The measured variance under an operator
+    must stay below (w_max_obs / w_min_obs)^2 times the baseline, where the extremes are
+    observed over that operator's unified weights on this world.
     """
     if n_samples < MIN_VARIANCE_SAMPLES:
         raise MskdError(f"need at least {MIN_VARIANCE_SAMPLES} samples")
-    adaptive = compile_objective(G, world, 0.0)
-    baseline = _uniform_compiled(world, 0.0)
-    measured = _single_sample_variance(adaptive, theta, n_samples, seeded_sampler(seed))
-    base = _single_sample_variance(baseline, theta, n_samples, seeded_sampler(seed))
-    w_lo, w_hi = float(adaptive.rows.min()), float(adaptive.rows.max())
-    bound = (w_hi / w_lo) ** 2 * base
-    return VarianceResult(measured, base, bound, w_lo, w_hi)
+    compiled = [compile_objective(G, world, 0.0) for G in operators]
+    tables = np.stack([_uniform_compiled(world, 0.0).targets, *(c.targets for c in compiled)])
+    base, *measured = _single_sample_variance(world, tables, theta, n_samples,
+                                              seeded_sampler(seed)).tolist()
+    extremes = [(float(c.rows.min()), float(c.rows.max())) for c in compiled]
+    return [VarianceResult(m, base, (w_hi / w_lo) ** 2 * base, w_lo, w_hi)
+            for m, (w_lo, w_hi) in zip(measured, extremes)]

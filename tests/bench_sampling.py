@@ -1,4 +1,4 @@
-"""Layer micro-benchmarks: a block of sampler index draws, SGD steps of a stack, one variance call.
+"""Layer micro-benchmarks: a block of sampler index draws, SGD steps of a stack, one variance pass.
 
 The default test run does not collect this file (it does not match
 ``test_*.py``). Run it with pytest-benchmark:
@@ -49,6 +49,12 @@ def test_sgd_step(benchmark, compiled, n_runs, eval_every):
 
 
 def test_single_sample_variance(benchmark, compiled):
-    """One 10,000-sample gradient-variance measurement (the variance config's size)."""
+    """One 10,000-sample gradient-variance pass over a stack of three tables.
+
+    Three tables are the variance suite's work: the classical baseline, then the configured
+    and the uniform operator's tables, measured on one stream of triples.
+    """
     theta = np.random.default_rng(1).normal(size=compiled.qbar.shape)
-    benchmark(lambda: _single_sample_variance(compiled, theta, 10_000, seeded_sampler(0)))
+    tables = np.stack([compiled.targets] * 3)
+    benchmark(lambda: _single_sample_variance(compiled.world, tables, theta, 10_000,
+                                              seeded_sampler(0)))

@@ -225,15 +225,13 @@ def test_criterion_7_perturbation(toy_world):
 def test_criterion_8_gradient_variance(toy_world):
     rng = np.random.default_rng(1)
     theta = rng.normal(size=(len(toy_world.inputs), toy_world.vocab.size))
-    bad = []
-    for fam in ("family_a", "family_b", "family_c", "inverse_entropy"):
-        g = UnifiedWeightOperator(TokenOperator(fam), TaskOperator("family_c"),
-                                  ContextOperator("family_a"), WIDE)
-        res = gradient_variance_ratio(g, toy_world, theta, 10_000, seed=2)
-        if res.measured > res.bound * (1 + 1e-12):
-            bad.append(fam)
-    uni = gradient_variance_ratio(uniform_unified(WIDE), toy_world, theta,
-                                  10_000, seed=2)
+    families = ("family_a", "family_b", "family_c", "inverse_entropy")
+    ops = [UnifiedWeightOperator(TokenOperator(fam), TaskOperator("family_c"),
+                                 ContextOperator("family_a"), WIDE) for fam in families]
+    *results, uni = gradient_variance_ratio([*ops, uniform_unified(WIDE)], toy_world, theta,
+                                            10_000, seed=2)
+    bad = [fam for fam, res in zip(families, results)
+           if res.measured > res.bound * (1 + 1e-12)]
     rel = abs(uni.measured - uni.base) / uni.base
     ok = not bad and rel <= 0.02
     report(8, ok, f"adaptive families within (w_max/w_min)^2 bound over 1e4 samples "

@@ -357,18 +357,22 @@ class TestGradientVariance:
 
     def test_uniform_operator_matches_base(self, variance_setup):
         world, theta = variance_setup
-        res = gradient_variance_ratio(uniform_unified(WeightBounds(0.01, 0.99)),
-                                      world, theta, 2000, seed=5)
+        [res] = gradient_variance_ratio([uniform_unified(WeightBounds(0.01, 0.99))],
+                                        world, theta, 2000, seed=5)
         assert res.measured == res.base
         assert res.bound == pytest.approx(res.base, rel=1e-12)
 
     def test_adaptive_families_within_bound(self, variance_setup):
         world, theta = variance_setup
-        for fam in ("family_a", "family_b", "family_c", "inverse_entropy"):
-            g = UnifiedWeightOperator(TokenOperator(fam), TaskOperator("family_c"),
-                                      ContextOperator("family_a"), WeightBounds(0.01, 0.99))
-            res = gradient_variance_ratio(g, world, theta, 2000, seed=5)
-            assert res.measured <= res.bound * (1 + 1e-12), fam
+        ops = [UnifiedWeightOperator(TokenOperator(fam), TaskOperator("family_c"),
+                                     ContextOperator("family_a"), WeightBounds(0.01, 0.99))
+               for fam in ("family_a", "family_b", "family_c", "inverse_entropy")]
+        results = gradient_variance_ratio(ops, world, theta, 2000, seed=5)
+        assert len(results) == len(ops)
+        for g, res in zip(ops, results):
+            assert res.measured <= res.bound * (1 + 1e-12), g.token_op.family
+            # a stacked operator gets the bits of its own call, with the one shared baseline
+            assert res == gradient_variance_ratio([g], world, theta, 2000, seed=5)[0]
 
     def test_single_cell_world_bound_holds(self):
         world = appendix_world()
@@ -376,24 +380,27 @@ class TestGradientVariance:
         theta = rng.normal(size=(1, 3))
         g = UnifiedWeightOperator(TokenOperator("family_a"), TaskOperator("family_c"),
                                   ContextOperator("family_a"), WeightBounds(0.01, 0.99))
-        res = gradient_variance_ratio(g, world, theta, 2000, seed=6)
+        [res] = gradient_variance_ratio([g], world, theta, 2000, seed=6)
         assert res.measured <= res.bound * (1 + 1e-12)
 
     @pytest.mark.parametrize("make_world", [convergence_world, safety_world, appendix_world])
     def test_block_draws_match_one_sample_at_a_time(self, make_world):
         world = make_world()
-        compiled = compile_objective(adaptive_g(WeightBounds(0.01, 0.99)), world)
-        theta = np.random.default_rng(3).normal(size=compiled.qbar.shape)
+        adaptive = compile_objective(adaptive_g(WeightBounds(0.01, 0.99)), world).targets
+        uniform = compile_objective(uniform_unified(WeightBounds(0.01, 0.99)), world).targets
+        tables = np.stack([adaptive, uniform, adaptive])  # a repeated table keeps its bits
+        theta = np.random.default_rng(3).normal(size=(len(world.inputs), world.vocab.size))
         n = 2 * SAMPLE_BLOCK + 5
         probs, sampler = softmax(theta), seeded_sampler(8)
-        mean_g, sq_sum = np.zeros_like(theta), 0.0
+        mean_g, sq_sum = np.zeros((len(tables), *theta.shape)), [0.0] * len(tables)
         for _ in range(n):
             tj, xi, ci = np.concatenate(world.sample_index_arrays(sampler, 1))
-            g = probs[xi] - compiled.targets[tj, xi, ci]
-            mean_g[xi] += g
-            sq_sum += float(g @ g)
+            for t, table in enumerate(tables):
+                g = probs[xi] - table[tj, xi, ci]
+                mean_g[t, xi] += g
+                sq_sum[t] += float(g @ g)
         mean_g /= n
-        expected = sq_sum / n - float(np.sum(mean_g * mean_g))
+        expected = [s / n - float(np.sum(m * m)) for s, m in zip(sq_sum, mean_g)]
         blocked = seeded_sampler(8)
-        assert _single_sample_variance(compiled, theta, n, blocked) == expected
+        assert _single_sample_variance(world, tables, theta, n, blocked).tolist() == expected
         assert blocked.uniform() == sampler.uniform()

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mskd.core import ContextSpec, MskdError, ParseError, TaskSpec, VocabularySpec, WeightBounds
+from mskd.core import (SAMPLE_BLOCK, ContextSpec, MskdError, ParseError, TaskSpec,
+                       VocabularySpec, WeightBounds)
 from mskd.distill import TrainerConfig
 from mskd.dynamics import WeightUpdateConfig
 from mskd.operators import ContextOperator, TaskOperator, TokenOperator
@@ -282,6 +283,30 @@ def test_safety_experiments_compile_each_world_once(kind, compiles, monkeypatch)
         monkeypatch.setattr(module, "compile_objective", counted)
     assert run_experiment(parse_config(CONFIGS / f"{kind}.json")).passed
     assert len(calls) == compiles
+
+
+def test_variance_run_draws_its_triples_in_one_pass(monkeypatch):
+    # the configured and uniform operators and the one classical baseline share one stream:
+    # one uniform call per SAMPLE_BLOCK block of the 10,000 triples, and nothing else draws one
+    from mskd import core, dynamics, runner
+    uniform, calls, variance_calls = core.Sampler.uniform, [], []
+    ratio = dynamics.gradient_variance_ratio
+
+    def counted(self, *args, **kwargs):
+        calls.append(kwargs.get("size"))
+        return uniform(self, *args, **kwargs)
+
+    def counted_ratio(*args, **kwargs):
+        variance_calls.append(args)
+        return ratio(*args, **kwargs)
+
+    monkeypatch.setattr(core.Sampler, "uniform", counted)
+    monkeypatch.setattr(runner, "gradient_variance_ratio", counted_ratio)
+    cfg = parse_config(CONFIGS / "variance.json")
+    assert cfg.params["n_samples"] == 10_000
+    assert run_experiment(cfg).passed
+    assert len(variance_calls) == 1
+    assert calls == [3 * SAMPLE_BLOCK] * 9 + [3 * (10_000 - 9 * SAMPLE_BLOCK)]
 
 
 class TestGoldenOutputs:
