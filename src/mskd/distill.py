@@ -513,13 +513,13 @@ def fit_convergence_rate(trace: TrainTrace, loss_star: float) -> RateFit:
 
 
 def average_traces(traces: list[TrainTrace]) -> TrainTrace:
-    """Pointwise mean of traces recorded on an identical step grid."""
-    base = traces[0].steps
-    for tr in traces[1:]:
-        if not np.array_equal(tr.steps, base):
-            raise MskdError("traces must share the same evaluation grid")
+    """Pointwise mean of a nonempty list of traces recorded on an identical step grid."""
+    if not traces:
+        raise MskdError("no traces to average")
+    if not all(np.array_equal(tr.steps, traces[0].steps) for tr in traces[1:]):
+        raise MskdError("traces must share the same evaluation grid")
     return TrainTrace(
-        base,
+        traces[0].steps,
         np.mean([tr.loss for tr in traces], axis=0),
         np.mean([tr.mean_kl for tr in traces], axis=0),
         np.mean([tr.grad_norm for tr in traces], axis=0),

@@ -39,11 +39,10 @@ class WeightUpdateConfig:
 
 @dataclass
 class FixedPointTrace:
-    """Iterates, successive distances, and the empirical contraction ratio."""
+    """Iterates and successive distances of one start (no trajectory contraction ratio)."""
 
     iterates: np.ndarray        # (n+1, K) including the start
     distances: np.ndarray       # (n,) infinity-norm steps
-    rho_hat: float              # max successive-distance ratio
     converged: bool
 
     @property
@@ -94,11 +93,10 @@ def weight_update_T(w, config: WeightUpdateConfig, world: World,
 def iterate_to_fixed_point(w0, config: WeightUpdateConfig, world: World, bounds: WeightBounds):
     """Iterate the update operator until successive iterates stop moving.
 
-    One start gives a :class:`FixedPointTrace`; an (S, K) stack of starts gives
-    :class:`FixedPointTraces`, each equal to its start's run alone, from one
-    update call per iteration on the starts still moving. Hitting ``max_iters``
-    with the last step above tolerance is reported via ``converged=False``
-    (with the observed ratio), not raised.
+    Returns :class:`FixedPointTraces`, one trace per row of an (S, K) stack of starts (a
+    K vector is a stack of one), each equal to its start's run alone, from one update call
+    per iteration on the starts still moving, and with no contraction ratio. Hitting
+    ``max_iters`` with the last step above tolerance gives ``converged=False``, not an error.
     """
     w = np.array(w0, dtype=np.float64, ndmin=2)
     bounds.check_feasible(w.shape[-1])
@@ -115,11 +113,8 @@ def iterate_to_fixed_point(w0, config: WeightUpdateConfig, world: World, bounds:
     for s, n in enumerate(n_iters.tolist()):
         iterates = history[:n + 1, s]
         dist = np.max(np.abs(np.diff(iterates, axis=0)), axis=-1)  # each step's own bits
-        live = dist[:-1] > 1e-300
-        ratios = dist[1:][live] / dist[:-1][live]
-        traces.append(FixedPointTrace(iterates, dist, float(max(ratios.tolist(), default=0.0)),
-                                      bool(dist[-1] <= config.tol)))
-    return traces[0] if np.ndim(w0) == 1 else FixedPointTraces(traces)
+        traces.append(FixedPointTrace(iterates, dist, bool(dist[-1] <= config.tol)))
+    return FixedPointTraces(traces)
 
 
 def sample_feasible_weights(size, bounds: WeightBounds, sampler: Sampler) -> np.ndarray:
@@ -177,8 +172,9 @@ def perturbation_experiment(G: UnifiedWeightOperator, world: World, delta_list,
     fitted as distance = C * delta.
     """
     deltas = np.asarray(delta_list, dtype=np.float64)
-    if not np.all(deltas >= 0):  # NaN included
-        raise MskdError("perturbation scales must be nonnegative")
+    pos = deltas > 0
+    if not np.all(deltas >= 0) or not pos.any():  # NaN included
+        raise MskdError("perturbation scales must be nonnegative, at least one positive")
     if not ridge > 0:
         raise MskdError("the perturbation experiment needs a strongly convex solve")
     direction = seeded_sampler(seed).normal(size=world.bank.k)
@@ -204,7 +200,6 @@ def perturbation_experiment(G: UnifiedWeightOperator, world: World, delta_list,
         theta_d = solve_compiled(shifted, NEWTON_GTOL)
         distances.append(float(np.linalg.norm(theta_d - theta0)))
     dist = np.array(distances)
-    pos = deltas > 0
     slope = float(np.sum(dist[pos] * deltas[pos]) / np.sum(deltas[pos] ** 2))
     ss_res = float(np.sum((dist[pos] - slope * deltas[pos]) ** 2))
     ss_tot = float(np.sum(dist[pos] ** 2))

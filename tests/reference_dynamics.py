@@ -41,11 +41,7 @@ def reference_fixed_point(w0, config, world, bounds) -> FixedPointTrace:
         if d <= config.tol:
             converged = True
             break
-    dist_arr = np.array(distances)
-    ratios = [dist_arr[i + 1] / dist_arr[i]
-              for i in range(len(dist_arr) - 1) if dist_arr[i] > 1e-300]
-    rho_hat = float(max(ratios)) if ratios else 0.0
-    return FixedPointTrace(np.array(iterates), dist_arr, rho_hat, converged)
+    return FixedPointTrace(np.array(iterates), np.array(distances), converged)
 
 
 def reference_weights(k, bounds, sampler):

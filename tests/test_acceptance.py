@@ -193,7 +193,7 @@ def test_criterion_6_fixed_point():
     cfg = WeightUpdateConfig(beta=0.3, max_iters=2000, tol=1e-10)
     sampler = seeded_sampler(5)
     rho = estimate_contraction(cfg, world, bounds, sampler, 200)
-    trace = iterate_to_fixed_point(uniform_weights(2, bounds), cfg, world, bounds)
+    trace, = iterate_to_fixed_point(uniform_weights(2, bounds), cfg, world, bounds)
     w_star = trace.w_star
     d0 = float(np.max(np.abs(trace.iterates[0] - w_star)))
     envelope = all(
@@ -202,7 +202,7 @@ def test_criterion_6_fixed_point():
     spread = 0.0
     for _ in range(10):
         w0 = sample_feasible_weights(2, bounds, sampler)
-        tr = iterate_to_fixed_point(w0, cfg, world, bounds)
+        tr, = iterate_to_fixed_point(w0, cfg, world, bounds)
         spread = max(spread, float(np.max(np.abs(tr.w_star - w_star))))
     control = identical_teachers_world(3)
     rho_control = estimate_contraction(cfg, control, WeightBounds(0.01, 0.99),

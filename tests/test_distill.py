@@ -529,6 +529,10 @@ class TestRateFit:
         avg = average_traces([t1, t1])
         np.testing.assert_array_equal(avg.loss, t1.loss)
 
+    def test_average_of_no_traces_is_a_typed_error(self):
+        with pytest.raises(MskdError, match="no traces to average"):
+            average_traces([])
+
 
 class TestNoisyTrain:
     def test_zero_delta_identical_to_clean(self, world):

@@ -3,6 +3,7 @@
 Run from anywhere in the repository::
 
     python3 tools/samebits.py --base <rev> [--cases N] [--seed S] [--only train_stack|suites]
+    python3 tools/samebits.py --base <rev> --diff
 
 The base revision is exported from the local repository with ``git archive`` (no network)
 into a temporary directory. The cases are drawn once, here, from ``--seed``; both trees run
@@ -11,6 +12,14 @@ the worlds are read from this tree's ``configs/`` by each tree's own parser. A c
 SHA-256 digests of what it computed, or the text of the typed error (``MskdError``) it
 raised. Every case whose digests or error texts differ is reported.
 Exit codes: 0 no mismatch, 1 some mismatch, 2 a worker failed.
+
+With ``--diff`` both trees instead run the benchmark's seed-0 inputs, as ``perfbench/run.py``
+builds them: the nine bundled configs (``rate`` at perfbench's ``RATE_SEEDS`` seeds) and the
+two ``large`` configs from ``perfbench/gen_world.py``. The report sizes what an output change
+moves: for each output table column (``summary.json``'s assertions are a table too) the
+number of changed entries and the largest absolute and relative change, each assertion whose
+verdict flips, and each ``perfbench/references.json`` digest that this tree's outputs no
+longer match. When nothing differs it prints ``no change``. Exit codes as above.
 
 Families (``--only``):
 
@@ -32,8 +41,10 @@ Families (``--only``):
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -194,15 +205,37 @@ def _suites_runner(docs: dict):
     return run
 
 
-FAMILIES = {"train_stack": (draw_cases, _train_stack_runner),
-            "suites": (draw_suite_cases, _suites_runner)}
+def draw_diff_cases() -> list[dict]:
+    """The benchmark's seed-0 configs, each named as ``perfbench/references.json`` names it."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import run as perfbench  # perfbench/run.py: its WORKLOADS build the configs
+
+    return [{"workload": workload, "stem": f"{i}-{name}", "doc": doc}
+            for workload in sorted(perfbench.WORKLOADS)
+            for i, (name, doc) in enumerate(perfbench.WORKLOADS[workload](0))]
+
+
+def _diff_runner(docs: dict):
+    """The diff mode's case runner: the text of each file the run emits."""
+    from mskd.runner import emit_summary, parse_config_dict, run_experiment
+
+    def run(case: dict) -> dict[str, str]:
+        with tempfile.TemporaryDirectory(prefix="samebits-emit-") as tmp:
+            out = emit_summary(run_experiment(parse_config_dict(case["doc"])), tmp, quiet=True)
+            return {p.name: p.read_text(encoding="utf-8") for p in sorted(out.iterdir())}
+
+    return run
+
+
+FAMILIES = {"train_stack": draw_cases, "suites": draw_suite_cases}
+RUNNERS = {"train_stack": _train_stack_runner, "suites": _suites_runner, "diff": _diff_runner}
 
 
 def worker(family: str, cases: Path, out: Path) -> None:
     """Run the ``cases`` file's ``family`` cases with the ``mskd`` on the import path."""
     from mskd.core import MskdError
 
-    run, lines = FAMILIES[family][1](_world_docs()), []
+    run, lines = RUNNERS[family](_world_docs()), []
     for case in json.loads(cases.read_text()):
         try:
             lines.append(json.dumps(run(case)))
@@ -211,9 +244,9 @@ def worker(family: str, cases: Path, out: Path) -> None:
     out.write_text("\n".join(lines) + "\n")
 
 
-def compare(base_src: Path, head_src: Path, cases: list[dict],
-            family: str = "train_stack") -> list[tuple[int, str]]:
-    """Each mismatching ``family`` case's index and what differed; the two trees run at once.
+def run_trees(base_src: Path, head_src: Path, cases: list[dict],
+              family: str) -> tuple[list, list]:
+    """Each tree's result per ``family`` case; the two trees run at once.
 
     ``base_src`` and ``head_src`` are the trees' ``src/`` directories.
     """
@@ -230,9 +263,15 @@ def compare(base_src: Path, head_src: Path, cases: list[dict],
         for p, side in zip(procs, ("base", "head")):
             if p.wait() != 0:
                 raise RuntimeError(f"the {side} worker failed (exit {p.returncode})")
-        base, head = ([json.loads(line) for line in out.read_text().splitlines()] for out in outs)
+        return tuple([json.loads(line) for line in out.read_text().splitlines()]
+                     for out in outs)
+
+
+def compare(base_src: Path, head_src: Path, cases: list[dict],
+            family: str = "train_stack") -> list[tuple[int, str]]:
+    """Each mismatching ``family`` case's index and what differed (see :func:`run_trees`)."""
     found = []
-    for i, (b, h) in enumerate(zip(base, head, strict=True)):
+    for i, (b, h) in enumerate(zip(*run_trees(base_src, head_src, cases, family), strict=True)):
         if b == h:
             continue
         if isinstance(b, list) and isinstance(h, list):
@@ -246,12 +285,104 @@ def compare(base_src: Path, head_src: Path, cases: list[dict],
     return found
 
 
+SUMMARY_COLUMNS = ("name", "expected", "measured", "tol", "pass")  # an assertion's fields
+
+
+def _cell(text: str):
+    try:
+        return float(text)  # exact: cells are written with 17 significant digits
+    except ValueError:
+        return text
+
+
+def _table(name: str, text: str) -> tuple[list, list]:
+    """An emitted file as (header, rows); ``summary.json`` as the table of its assertions."""
+    if name.endswith(".json"):
+        return list(SUMMARY_COLUMNS), [[a.get(key) for key in SUMMARY_COLUMNS]
+                                       for a in json.loads(text)["assertions"]]
+    header, *rows = (line.split(",") for line in text.splitlines())
+    return header, [[_cell(v) for v in row] for row in rows]
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _column_changes(where: str, base: tuple[list, list], head: tuple[list, list]) -> list[str]:
+    """One line per changed column: entries changed, largest absolute and relative change."""
+    (b_header, b_rows), (h_header, h_rows) = base, head
+    if b_header != h_header or len(b_rows) != len(h_rows):
+        return [f"{where}: columns {b_header} x {len(b_rows)} rows -> "
+                f"{h_header} x {len(h_rows)} rows"]
+    lines = []
+    for j, column in enumerate(h_header):
+        changed = [(b[j], h[j]) for b, h in zip(b_rows, h_rows)
+                   if b[j] != h[j] and not (b[j] != b[j] and h[j] != h[j])]  # NaN == NaN
+        if not changed:
+            continue
+        numbers = [(b, h) for b, h in changed if _is_number(b) and _is_number(h)]
+        steps = [abs(h - b) for b, h in numbers]
+        steps = [d if d == d else math.inf for d in steps]  # a NaN step counts as inf
+        rel = [d / abs(b) if 0 < abs(b) < math.inf else math.inf
+               for d, (b, _) in zip(steps, numbers)]
+        size = f", max abs {max(steps):.3g}, max rel {max(rel):.3g}" if steps else ""
+        lines.append(f"{where} {column}: {len(changed)} of {len(h_rows)} changed{size}")
+    return lines
+
+
+def diff_report(cases: list[dict], base: list, head: list, references: dict) -> list[str]:
+    """What differs between the trees' outputs of the ``--diff`` cases; [] when nothing does.
+
+    ``references`` is ``perfbench/references.json``'s content: a digest moves when the head
+    tree's file no longer matches it.
+    """
+    lines, moved = [], []
+    for case, b, h in zip(cases, base, head, strict=True):
+        where, pinned = f"{case['workload']}/{case['stem']}", references.get(case["workload"], {})
+        if isinstance(b, str) or isinstance(h, str):  # a typed error on some side
+            if b != h:
+                lines.append(f"{where}: base gave {b!r}, head gave {h!r}")
+            continue
+        for name in sorted(b.keys() | h.keys()):
+            key = f"{case['stem']}/{name}"
+            if name in h and hashlib.sha256(h[name].encode()).hexdigest() != pinned.get(key):
+                moved.append(f"{case['workload']}/{key}")
+            if name not in b or name not in h:
+                lines.append(f"{where}/{name}: only in {'base' if name in b else 'head'}")
+            elif b[name] != h[name]:
+                tables = _table(name, b[name]), _table(name, h[name])
+                found = _column_changes(f"{where}/{name}", *tables)
+                if name == "summary.json":
+                    found += [f"{where}: {x[0]} verdict flips, {x[-1]} -> {y[-1]}"
+                              for x, y in zip(*(rows for _, rows in tables)) if x[-1] != y[-1]]
+                lines += found or [f"{where}/{name}: bytes differ outside its columns"]
+    return lines + [f"references.json digest moves: {key}" for key in moved]
+
+
+def diff_main(base: str) -> int:
+    start, cases = time.perf_counter(), draw_diff_cases()
+    with tempfile.TemporaryDirectory(prefix="samebits-") as tmp:
+        try:
+            outputs = run_trees(export(base, Path(tmp)) / "src", ROOT / "src", cases, "diff")
+        except (subprocess.CalledProcessError, RuntimeError) as exc:
+            print(f"samebits: {exc}", file=sys.stderr)
+            return 2
+    references = json.loads((ROOT / "perfbench" / "references.json").read_text())
+    lines = diff_report(cases, *outputs, references)
+    print("\n".join(lines) or "no change")
+    print(f"diff: {len(cases)} benchmark configs at seed 0 against {base}, "
+          f"{len(lines)} differences, {time.perf_counter() - start:.1f} s")
+    return 1 if lines else 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", help="the revision to compare this tree against")
     ap.add_argument("--cases", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--only", choices=list(FAMILIES), default="train_stack")
+    ap.add_argument("--diff", action="store_true",
+                    help="size the output change on the benchmark's configs instead")
     ap.add_argument("--worker", nargs=3, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
@@ -260,7 +391,9 @@ def main(argv=None) -> int:
         return 0
     if not args.base:
         ap.error("--base is required")
-    start, cases = time.perf_counter(), FAMILIES[args.only][0](args.cases, args.seed)
+    if args.diff:
+        return diff_main(args.base)
+    start, cases = time.perf_counter(), FAMILIES[args.only](args.cases, args.seed)
     with tempfile.TemporaryDirectory(prefix="samebits-") as tmp:
         try:
             found = compare(export(args.base, Path(tmp)) / "src", ROOT / "src", cases,

@@ -1,9 +1,12 @@
-"""Quick test of the same-bits checker: a planted one-ulp change must be reported.
+"""Quick test of the same-bits checker: a planted one-ulp change must be reported, and the
+diff mode must size a planted 1e-9 change.
 
 Run from the repository root: ``python3 -m pytest tools/test_samebits.py`` (it is outside the
 Tier-1 test paths).
 """
 
+import json
+import re
 import shutil
 
 import samebits
@@ -35,6 +38,33 @@ def gradient_variance_ratio(*args, **kwargs):
 """
 
 
+# appended to a copy's runner.py: one ulp up in the last step of each fixed_point run's trace
+FIXED_POINT_PLANT = """
+
+_iterate_to_fixed_point = iterate_to_fixed_point
+
+
+def iterate_to_fixed_point(*args):
+    traces = _iterate_to_fixed_point(*args)
+    traces[0].distances[-1] = np.nextafter(traces[0].distances[-1], np.inf)
+    return traces
+"""
+
+
+# appended to a copy's runner.py: 1e-9 onto the largest delta's distance of each perturbation run
+DIFF_PLANT = """
+
+_run_experiment = run_experiment
+
+
+def run_experiment(cfg):
+    record = _run_experiment(cfg)
+    if cfg.kind == "perturbation":
+        record.tables["perturbation"][1][-1][1] += 1e-9
+    return record
+"""
+
+
 def tree_copy(tmp_path, plant: str = "", module: str = "distill"):
     """A copy of this tree's ``src/``, with ``plant`` appended to its ``module``."""
     src = tmp_path / "src"
@@ -62,6 +92,48 @@ def test_planted_suite_ulp_is_reported(tmp_path):
     variance = {i for i, c in enumerate(cases) if c["kind"] == "variance"}
     assert len(variance) >= 10 and set(found) == variance
     assert set(found.values()) == {"digests differ in ['assertions', 'results']"}
+
+
+def test_planted_fixed_point_ulp_is_reported(tmp_path):
+    cases = samebits.draw_suite_cases(60, seed=1)
+    found = dict(samebits.compare(tree_copy(tmp_path, FIXED_POINT_PLANT, "runner"),
+                                  samebits.ROOT / "src", cases, "suites"))
+    # the suites family reaches the stacked fixed-point iteration, and only its table moves
+    fixed_point = {i for i, c in enumerate(cases) if c["kind"] == "fixed_point"}
+    assert len(fixed_point) >= 10 and set(found) == fixed_point
+    assert set(found.values()) == {"digests differ in ['fixed_point']"}
+
+
+def test_diff_sizes_a_planted_change(tmp_path):
+    cases = samebits.draw_diff_cases()
+    assert [c["stem"] for c in cases if c["workload"] == "large"] == ["0-perturbation", "1-safety"]
+    planted = tree_copy(tmp_path, DIFF_PLANT, "runner")
+    base, head = samebits.run_trees(samebits.ROOT / "src", planted, cases, "diff")
+    references = json.loads((samebits.ROOT / "perfbench" / "references.json").read_text())
+    lines = samebits.diff_report(cases, base, head, references)
+    where = ["bundled/5-perturbation", "large/0-perturbation"]
+    changed = [re.fullmatch(rf"{w}/perturbation.csv distance: 1 of (\d+) changed, "
+                            r"max abs (\S+), max rel \S+", line) for w, line in zip(where, lines)]
+    assert all(changed) and [float(m[2]) for m in changed] == [1e-9, 1e-9]
+    assert lines[2:] == [f"references.json digest moves: {w}/perturbation.csv" for w in where]
+    assert samebits.diff_report(cases, base, base, references) == []
+
+
+def test_diff_report_names_flips_and_non_finite_steps():
+    case = {"workload": "bundled", "stem": "0-x", "doc": {}}
+    summary = {"config_hash": "h", "kind": "x", "assertions": [
+        {"name": "a", "expected": 1.0, "measured": 0.5, "tol": 0.0, "pass": True}]}
+    flipped = json.loads(json.dumps(summary))
+    flipped["assertions"][0].update(measured=2.0, **{"pass": False})
+    base = {"t.csv": "k,v\nx,1.0\ny,0\nz,nan\n", "summary.json": json.dumps(summary)}
+    head = {"t.csv": "k,v\nx,1.5\ny,nan\nz,nan\n", "summary.json": json.dumps(flipped)}
+    assert samebits.diff_report([case], [base], [head], {}) == [
+        "bundled/0-x/summary.json measured: 1 of 1 changed, max abs 1.5, max rel 3",
+        "bundled/0-x/summary.json pass: 1 of 1 changed",
+        "bundled/0-x: a verdict flips, True -> False",
+        "bundled/0-x/t.csv v: 2 of 3 changed, max abs inf, max rel inf",
+        "references.json digest moves: bundled/0-x/summary.json",
+        "references.json digest moves: bundled/0-x/t.csv"]
 
 
 def test_same_tree_has_no_mismatch(tmp_path):
