@@ -127,8 +127,8 @@ def _labels(rows: list, world: World | None) -> bool | str:
     return "; ".join(problems) or True
 
 
-_SAFETY_PARAMS = {**schema(SafetyConfig, s_min=0.5), "labels": (
-    list, ..., _labels, "must be a list of {input, context, token} objects of integers")}
+_SAFETY_PARAMS = schema(SafetyConfig, s_min=0.5)  # a pareto sweep reads only s_min of these
+_LABELS = (list, ..., _labels, "must be a list of {input, context, token} objects of integers")
 
 # kind -> the params its suite reads; a "ridge" defaults to the trainer's ridge where
 # that is positive
@@ -153,9 +153,10 @@ PARAMS = {
         "must be a list of nonnegative numbers, at least one positive")},
     "variance": {"n_samples": (int, 10_000, *at_least(MIN_VARIANCE_SAMPLES)),
                  "init_scale": (float, 1.0, *NONNEGATIVE)},
-    "safety": {**_SAFETY_PARAMS, "s_min_inactive": (float, None, *UNIT)},
-    "pareto": {**_SAFETY_PARAMS, "mu_max": (float, 2.0, *NONNEGATIVE),
-               "n_mu": (int, 20, *at_least(1)), "ridge": (float, 0.01, *POSITIVE)},
+    "safety": {**_SAFETY_PARAMS, "labels": _LABELS, "s_min_inactive": (float, None, *UNIT)},
+    "pareto": {"s_min": _SAFETY_PARAMS["s_min"], "labels": _LABELS,
+               "mu_max": (float, 2.0, *NONNEGATIVE), "n_mu": (int, 20, *at_least(1)),
+               "ridge": (float, 0.01, *POSITIVE)},
 }
 
 

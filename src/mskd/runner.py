@@ -115,7 +115,6 @@ class ExperimentConfig:
     seed: int
     out: str | None
     config_hash: str
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 def _canonical_hash(doc: dict) -> str:
@@ -241,20 +240,24 @@ def parse_config_dict(doc: dict) -> ExperimentConfig:
         raise ParseError("invalid config:\n  - " + "\n  - ".join(dict.fromkeys(errors)))
     return ExperimentConfig(
         kind=kind, world=world, bounds=bounds, operator=operator, trainer=trainer,
-        params=params, seed=seed, out=out, config_hash=_canonical_hash(doc), raw=doc,
+        params=params, seed=seed, out=out, config_hash=_canonical_hash(doc),
     )
 
 
-def parse_config(path) -> ExperimentConfig:
-    """Load and validate a config file; reports all validation errors at once."""
+def _load(path):
+    """The JSON document of the config file at ``path``."""
     p = Path(path)
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
+        return json.loads(p.read_text(encoding="utf-8"))
     except OSError as exc:  # missing, a directory, unreadable
         raise ParseError(f"config file {p} cannot be read: {exc.strerror or exc}")
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"config file {p} is not valid JSON: {exc}")
-    return parse_config_dict(doc)
+
+
+def parse_config(path) -> ExperimentConfig:
+    """Load and validate a config file; reports all validation errors at once."""
+    return parse_config_dict(_load(path))
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +307,6 @@ class RunRecord:
 
     def add_table(self, name: str, header, rows) -> None:
         self.tables[name] = (list(header), [list(r) for r in rows])
-
-
-def _new_record(cfg: ExperimentConfig) -> RunRecord:
-    return RunRecord(cfg.config_hash, cfg.kind, __version__,
-                     datetime.datetime.now(datetime.timezone.utc).isoformat())
 
 
 # ---------------------------------------------------------------------------
@@ -490,16 +488,16 @@ def _run_variance(cfg: ExperimentConfig, rec: RunRecord) -> None:
                              ("w_min", r.w_min_observed), ("w_max", r.w_max_observed))])
 
 
-def _safety_config(cfg: ExperimentConfig) -> SafetyConfig:
+def _safety_config(cfg: ExperimentConfig, *dual_ascent: str) -> SafetyConfig:
     p = cfg.params
     labels = {(r["input"], r["context"]): r["token"] for r in p["labels"]}
-    return SafetyConfig(p["s_min"], labels, p["dual_step"], p["max_dual_iters"])
+    return SafetyConfig(p["s_min"], labels, *(p[name] for name in dual_ascent))
 
 
 def _run_safety(cfg: ExperimentConfig, rec: RunRecord) -> None:
     # one objective for both dual solves and the KKT check; the Jensen check
     # compiles the world restricted to its safety-critical contexts
-    scfg = _safety_config(cfg)
+    scfg = _safety_config(cfg, "dual_step", "max_dual_iters")
     compiled = compile_objective(cfg.operator, cfg.world, cfg.trainer.ridge)
     result = dual_ascent_solve(compiled, scfg)
     res = kkt_residuals(compiled, result.theta, result.mu, scfg)
@@ -552,7 +550,8 @@ _SUITES = {
 
 def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     """Execute the configured suite and collect tables plus assertions."""
-    rec = _new_record(cfg)
+    rec = RunRecord(cfg.config_hash, cfg.kind, __version__,
+                    datetime.datetime.now(datetime.timezone.utc).isoformat())
     try:
         _SUITES[cfg.kind](cfg, rec)
     except MskdError as exc:
@@ -628,11 +627,11 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        cfg = parse_config(args.config)
-        if args.command == "run" and args.seed is not None:
-            raw = cfg.raw
-            cfg = parse_config_dict({**raw, "seed": args.seed,
-                                     "trainer": {**raw.get("trainer", {}), "seed": args.seed}})
+        doc = _load(args.config)
+        if args.command == "run" and args.seed is not None and isinstance(doc, dict) \
+                and isinstance(trainer := doc.get("trainer", {}), dict):  # else the parse names it
+            doc = {**doc, "seed": args.seed, "trainer": {**trainer, "seed": args.seed}}
+        cfg = parse_config_dict(doc)
     except ParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -257,11 +257,11 @@ class JensenResult:
 
 
 def restrict_to_safety_contexts(world: World) -> World:
-    """The same world conditioned on its safety-critical contexts."""
+    """The same world conditioned on its safety-critical contexts, which need positive measure."""
     safe = [c for c in world.contexts if c.is_safety_critical]
-    if not safe:
-        raise MskdError("world has no safety-critical contexts")
     total = sum(c.measure_weight for c in safe)
+    if not total > 0:  # none, or all of zero measure: nothing to condition on
+        raise MskdError("world has no safety-critical context of positive measure_weight")
     renorm = tuple(replace(c, measure_weight=c.measure_weight / total) for c in safe)
     return World(world.vocab, world.inputs, world.tasks, renorm, world.bank)
 

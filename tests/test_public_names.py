@@ -16,8 +16,10 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mskd"
 
-# names kept only because perfbench/probes.py wraps them by name for the traced benchmark
+# names kept only because perfbench wraps them by name for the traced benchmark (probes.py,
+# or worker.py for the runner's public path)
 PROBE_PINNED = {
+    "runner.parse_config": "the worker's set-up, traced as runner.parse",
     "core.Sampler.choice": "probed as core.sampler, the per-draw sampler count",
     "distill.sgd_train": "probed as distill.sgd through its runner import",
     "distill.classic_uniform_train": "probed as distill.sgd through its runner import",

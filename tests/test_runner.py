@@ -693,6 +693,8 @@ class TestCli:
         ("appendix_a", ("world", "inputs", 0, "id"), True),
         ("safety", ("world", "vocab", "safety_tokens"), [0.5]),
         ("safety", ("params", "s_mn"), 0.9),
+        ("pareto", ("params", "dual_step"), 1e-3),  # no pareto code reads the dual-ascent knobs
+        ("pareto", ("params", "max_dual_iters"), 1),
         ("conformance", ("operators", "tokens"), {"family": "family_a"}),
         ("conformance", ("operators", "token", "alfa"), 2.0),
         ("appendix_a", ("bounds", "w_mni"), 0.05),
@@ -1094,6 +1096,30 @@ class TestCli:
         ha = json.loads((tmp_path / "a" / "summary.json").read_text())["config_hash"]
         hb = json.loads((tmp_path / "b" / "summary.json").read_text())["config_hash"]
         assert ha != hb
+
+    def test_seed_override_parses_once(self, tmp_path, monkeypatch):
+        # the override once re-parsed the document that the first parse kept in the config
+        parsed = []
+
+        def counting(doc):
+            parsed.append(doc)
+            return parse_config_dict(doc)
+
+        monkeypatch.setattr("mskd.runner.parse_config_dict", counting)
+        doc = bundled_doc("train")
+        assert _main_on(doc, "run", tmp_path, "--seed", "11", "--quiet") == 0
+        seeded = {**doc, "seed": 11, "trainer": {**doc["trainer"], "seed": 11}}
+        assert parsed == [seeded]
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["config_hash"] == parse_config_dict(seeded).config_hash
+
+    @pytest.mark.parametrize("root", [False, True], ids=["trainer", "root"])
+    def test_seed_override_of_a_non_object_exit_two(self, tmp_path, root, capsys):
+        # --seed sets no field of a root or trainer that is not an object; the parse names it
+        doc = [] if root else {**bundled_doc("train"), "trainer": []}
+        assert _main_on(doc, "run", tmp_path, "--seed", "3") == 2
+        assert ("config root must be a JSON object" if root else "- trainer: must be an object") \
+            in capsys.readouterr().err
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AWKD_OUT", str(tmp_path / "envout"))

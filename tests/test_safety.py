@@ -651,3 +651,14 @@ class TestJensenPreservation:
                                   bad_ctx, BOUNDS)
         with pytest.raises(NonConformantOperator):
             jensen_preservation_check(g, world, cfg)
+
+    def test_zero_measure_safety_contexts_rejected(self, world, labels):
+        # the restriction once divided by the safety-critical contexts' total measure of 0
+        contexts = tuple(dataclasses.replace(c, measure_weight=0.0 if c.is_safety_critical
+                                             else 1.0) for c in world.contexts)
+        unmeasured = World(world.vocab, world.inputs, world.tasks, contexts, world.bank)
+        cause = "world has no safety-critical context of positive measure_weight"
+        with pytest.raises(MskdError, match=cause):
+            restrict_to_safety_contexts(unmeasured)
+        with pytest.raises(MskdError, match=cause):
+            jensen_preservation_check(adaptive_g(), unmeasured, SafetyConfig(0.8, labels))

@@ -30,10 +30,13 @@ Families (``--only``):
     digests are one per stack run, of its final logits and trace.
 
 ``suites``
-    ``runner.run_experiment`` on variants of the bundled ``variance``, ``fixed_point`` and
-    ``perturbation`` configs on the same five worlds: random seeds, operator families and
-    bounds, ``n_samples`` around ``SAMPLE_BLOCK`` edges, ``init_scale``, and each kind's
-    counts and scales. A case's digests are one per output table and one of the assertions,
+    ``runner.run_experiment`` on variants of the bundled ``variance``, ``fixed_point``,
+    ``perturbation``, ``safety`` and ``pareto`` configs, each kind in turn. The first three
+    run on the same five worlds, the last two on the bundled safety world, which their labels
+    cover. A case draws its seed, operator families and bounds, ``n_samples`` around
+    ``SAMPLE_BLOCK`` edges, ``init_scale``, each kind's counts and scales, ``s_min``,
+    ``mu_max``, ``n_mu``, ``ridge`` (the trainer's, for ``safety``) and safety's
+    ``dual_step``. A case's digests are one per output table and one of the assertions,
     each cell written exactly (floats as hex), so an API change behind the suites can still
     be compared with its parent.
 """
@@ -59,7 +62,7 @@ WORLDS = ("train", "appendix_a", "zero_measure", "conformance", "safety")
 KINDS = ("adaptive", "classic")
 RIDGES = (0.0, 0.01, 0.2)
 BLOCK = 1024  # mskd.core.SAMPLE_BLOCK, where the steps' edges lie
-SUITES = ("variance", "fixed_point", "perturbation")
+SUITES = ("variance", "fixed_point", "perturbation", "safety", "pareto")
 # every scale's operator families but "custom", which a config cannot give a function
 OPERATOR_FAMILIES = ("uniform", "inverse_entropy", "family_a", "family_b", "family_c")
 
@@ -100,8 +103,8 @@ def draw_suite_cases(n: int, seed: int) -> list[dict]:
     rng = random.Random(seed)
     edges = [100, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5, 10_000]
     cases = []
-    for _ in range(n):
-        kind = rng.choice(SUITES)
+    for i in range(n):
+        kind, trainer = SUITES[i % len(SUITES)], {}  # each kind in turn
         if kind == "variance":
             params = {"n_samples": rng.choice(edges) if rng.random() < 0.5
                       else rng.randrange(100, 3 * BLOCK),
@@ -109,12 +112,22 @@ def draw_suite_cases(n: int, seed: int) -> list[dict]:
         elif kind == "fixed_point":
             params = {"beta": rng.choice((0.1, 0.3, 0.7, 1.0)), "n_pairs": rng.randint(1, 200),
                       "n_starts": rng.randint(0, 10)}
-        else:
+        elif kind == "perturbation":
             params = {"deltas": sorted(rng.sample((0.0, 1e-4, 1e-3, 1e-2, 0.05, 0.1),
                                                   rng.randint(1, 4))) + [rng.choice((0.1, 0.2))],
                       "ridge": rng.choice((0.01, 0.1))}
+        elif kind == "safety":  # its ridge is the trainer's
+            params = {"s_min": rng.choice((0.3, 0.5, 0.8, 0.9)),
+                      "s_min_inactive": rng.choice((None, 0.1, 0.3)),
+                      "dual_step": rng.choice((0.5, 5.0, 40.0, 100.0))}
+            trainer = {"ridge": rng.choice((0.01, 0.1))}
+        else:
+            params = {"s_min": rng.choice((0.3, 0.5, 0.8, 0.9)),
+                      "mu_max": rng.choice((0.0, 0.5, 2.0, 6.0)), "n_mu": rng.randint(1, 20),
+                      "ridge": rng.choice((0.01, 0.1))}
+        world = "safety" if kind in ("safety", "pareto") else rng.choice(WORLDS)  # the labels'
         cases.append({
-            "kind": kind, "world": rng.choice(WORLDS), "seed": rng.randrange(2 ** 16),
+            "kind": kind, "world": world, "seed": rng.randrange(2 ** 16),
             "bounds": {"w_min": rng.choice((0.001, 0.01, 0.05, 0.1)),
                        "w_max": rng.choice((0.8, 0.95, 0.99))},
             "operators": {"token": {"family": rng.choice(OPERATOR_FAMILIES),
@@ -122,7 +135,7 @@ def draw_suite_cases(n: int, seed: int) -> list[dict]:
                           "task": {"family": rng.choice(OPERATOR_FAMILIES),
                                    "tau": rng.choice((0.5, 1.0))},
                           "context": {"family": rng.choice(OPERATOR_FAMILIES)}},
-            "params": params})
+            "params": params, "trainer": trainer})
     return cases
 
 
@@ -194,7 +207,8 @@ def _suites_runner(docs: dict):
     def run(case: dict) -> dict[str, str]:
         doc = {**bundled[case["kind"]], "world": docs[case["world"]]["world"],
                **{key: case[key] for key in ("seed", "bounds", "operators")}}
-        doc["params"] = {**doc["params"], **case["params"]}
+        for section in ("params", "trainer"):
+            doc[section] = {**doc.get(section, {}), **case[section]}
         record = run_experiment(parse_config_dict(json.loads(json.dumps(doc))))
         out = {name: digest([header, [[cell(v) for v in row] for row in rows]])
                for name, (header, rows) in record.tables.items()}

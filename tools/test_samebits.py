@@ -51,6 +51,26 @@ def iterate_to_fixed_point(*args):
 """
 
 
+# appended to a copy's runner.py: one ulp up in each safety run's multiplier and in each pareto
+# sweep's last safety
+SAFETY_PLANT = """
+
+_dual_ascent_solve, _pareto_sweep = dual_ascent_solve, pareto_sweep
+
+
+def dual_ascent_solve(*args):
+    result = _dual_ascent_solve(*args)
+    return replace(result, mu=float(np.nextafter(result.mu, np.inf)))
+
+
+def pareto_sweep(*args):
+    points = _pareto_sweep(*args)
+    mu, loss, safety = points[-1]
+    points[-1] = (mu, loss, float(np.nextafter(safety, np.inf)))
+    return points
+"""
+
+
 # appended to a copy's runner.py: 1e-9 onto the largest delta's distance of each perturbation run
 DIFF_PLANT = """
 
@@ -102,6 +122,15 @@ def test_planted_fixed_point_ulp_is_reported(tmp_path):
     fixed_point = {i for i, c in enumerate(cases) if c["kind"] == "fixed_point"}
     assert len(fixed_point) >= 10 and set(found) == fixed_point
     assert set(found.values()) == {"digests differ in ['fixed_point']"}
+
+
+def test_planted_safety_and_pareto_ulps_are_reported(tmp_path):
+    cases = samebits.draw_suite_cases(5, seed=1)  # one of each kind; this safety run converges
+    assert [c["kind"] for c in cases] == list(samebits.SUITES)
+    found = dict(samebits.compare(tree_copy(tmp_path, SAFETY_PLANT, "runner"),
+                                  samebits.ROOT / "src", cases, "suites"))
+    assert found == {3: "digests differ in ['assertions', 'kkt']",
+                     4: "digests differ in ['pareto']"}
 
 
 def test_diff_sizes_a_planted_change(tmp_path):
